@@ -55,7 +55,6 @@ from .halfspace import (
     fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
-    halfspace_reflections,
     img_g_scatter_numeric,
     mirror_reflections,
     polarization_vectors,
@@ -119,7 +118,6 @@ __all__ = [
     "fresnel_nonretarded",
     "fresnel_retarded",
     "mirror_reflections",
-    "halfspace_reflections",
     "curl_img_scatter_numeric",
     "img_g_scatter_numeric",
     "rates_mirror",

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bulk import wave_numbers
 from .constants import CONSTANTS
 from .errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from .media import MediumResponse
@@ -148,10 +149,8 @@ def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
     k_par -> infinity the set tends to ``fresnel_nonretarded``.
     """
     eps, mu = complex(med.eps), complex(med.mu)
-    k0 = med.k0
-    n_r = med.n_r
-    kp = k0 * (n_r - med.kappa)
-    km = k0 * (n_r + med.kappa)
+    wn = wave_numbers(med)
+    k0, kp, km = wn.k0, wn.k_plus, wn.k_minus
     k_perp = _sqrt_im(k0 * k0 - k_par * k_par)
     if k_perp == 0:
         raise PoleError("grazing incidence k_par = k0: vacuum k_perp vanishes")
@@ -200,10 +199,8 @@ def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
     +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)).
     """
     eps, mu = complex(med.eps), complex(med.mu)
-    n_r = med.n_r
-    k0 = med.k0
-    kp = k0 * (n_r - med.kappa)
-    km = k0 * (n_r + med.kappa)
+    wn = wave_numbers(med)
+    n_r, kp, km = wn.n_r, wn.k_plus, wn.k_minus
     akp, akm = abs(kp), abs(km)
     mixed = kp * akm + km * akp
     pure = kp * km
@@ -227,13 +224,6 @@ def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[float]
     return provider
 
 
-def halfspace_reflections(med: MediumResponse) -> Callable[[float], ReflectionSet]:
-    def provider(k_par: float) -> ReflectionSet:
-        return fresnel_general(med, k_par)
-
-    return provider
-
-
 # ---------------------------------------------------------------------------
 # Numeric pathway
 # ---------------------------------------------------------------------------
@@ -247,9 +237,10 @@ def _medium_breakpoints(med: Optional[MediumResponse]):
     """
     if med is None:
         return (), ()
-    k0 = med.k0
+    wn = wave_numbers(med)
+    k0 = wn.k0
     trav, evan = [], []
-    for k in (k0 * (med.n_r - med.kappa), k0 * (med.n_r + med.kappa)):
+    for k in (wn.k_plus, wn.k_minus):
         q = complex(k) ** 2 - k0 * k0
         if q.real >= 0:
             evan.append(float(np.real(np.sqrt(q))))
@@ -258,17 +249,69 @@ def _medium_breakpoints(med: Optional[MediumResponse]):
     return tuple(p for p in trav if p > 0), tuple(p for p in evan if p > 0)
 
 
-def _run_quadrature(res: QuadratureResult, what: str, spec: QuadratureSpec) -> complex:
+# the channels of _scatter_integrals, in order
+_CHANNELS = ("curl xx", "curl zz", "curl x-y", "G xx", "G zz")
+
+
+def _run_quadrature(res: QuadratureResult, segment: str, spec: QuadratureSpec) -> np.ndarray:
     if res.converged:
         return res.value
     # accept a degraded-but-bounded estimate; hard failure above 1e-4 relative
-    if res.err_estimate <= 1e-4 * abs(res.value) + spec.abs_floor:
+    failed = res.err_estimate > 1e-4 * np.abs(res.value) + spec.abs_floor
+    if not failed.any():
         return res.value
+    i = int(np.argmax(failed))  # the first failing channel
     raise QuadratureError(
-        f"{what} quadrature did not converge (err={res.err_estimate:.3e}, "
-        f"value={abs(res.value):.3e}, panels={res.panels_used})",
-        err_estimate=res.err_estimate,
+        f"{segment} quadrature did not converge in channel {_CHANNELS[i]} "
+        f"(err={res.err_estimate[i]:.3e}, value={abs(res.value[i]):.3e}, "
+        f"panels={res.panels_used})",
+        err_estimate=float(res.err_estimate[i]),
     )
+
+
+def _scatter_integrals(
+    geom: PlanarGeometry,
+    reflections: Callable[[float], ReflectionSet],
+    omega: float,
+    spec: QuadratureSpec,
+) -> tuple[CurlGreens, np.ndarray]:
+    """(Im curl G, Im G) of the scattering Green's tensor at the molecule.
+
+    One planar integrand of the vacuum k_perp carries the five channels of
+    ``_CHANNELS``: curl G xx (= yy), zz and x-y (= -yx), and G xx (= yy),
+    zz. The traveling segment integrates it over real k_perp in [0, k0], the
+    evanescent tail over k_perp = i kappa_perp (where k_par dk_par / k_perp
+    = -i dkappa_perp), each in a single adaptive integral that evaluates the
+    reflection set once per node.
+    """
+    z = geom.z_m
+    k0 = omega / CONSTANTS.c
+    bps_trav, bps_evan = _medium_breakpoints(geom.medium)
+
+    def channels(k_perp: complex, k_par: float) -> np.ndarray:
+        r = reflections(k_par)
+        perp2 = (k_perp / k0) ** 2
+        par2 = 2.0 * k_par**2 / k0**2
+        return np.exp(2j * k_perp * z) * np.array([
+            r.r_sp * (1.0 - perp2),
+            r.r_sp * par2,
+            (k_perp / k0) * (r.r_ss - r.r_pp),
+            1j * (r.r_ss - perp2 * r.r_pp),
+            1j * par2 * r.r_pp,
+        ])
+
+    trav = integrate_traveling(
+        lambda k_perp: channels(k_perp, np.sqrt(max(k0 * k0 - k_perp * k_perp, 0.0))),
+        k0, z, spec, breakpoints=bps_trav,
+    )
+    evan = integrate_evanescent(
+        lambda kappa_perp: -1j * channels(1j * kappa_perp, np.sqrt(k0 * k0 + kappa_perp**2)),
+        z, spec, breakpoints=bps_evan,
+    )
+    total = _run_quadrature(trav, "traveling", spec) + _run_quadrature(evan, "evanescent", spec)
+    xx, zz, asym, g_xx, g_zz = (total * np.array([k0, k0, k0, 1.0, 1.0]) / (8.0 * np.pi)).imag
+    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, zz]])
+    return CurlGreens(curl, CurlKind.IMAGINARY_PART), np.diag([g_xx, g_xx, g_zz])
 
 
 def curl_img_scatter_numeric(
@@ -290,52 +333,7 @@ def curl_img_scatter_numeric(
     The diagonal block is driven by the cross reflection, the antisymmetric
     x-y block by the difference of the diagonal reflections.
     """
-    z = geom.z_m
-    k0 = omega / CONSTANTS.c
-    bps_trav, bps_evan = _medium_breakpoints(geom.medium)
-
-    def trav(channel):
-        def f(k_perp: float) -> complex:
-            k_par = np.sqrt(max(k0 * k0 - k_perp * k_perp, 0.0))
-            r = reflections(k_par)
-            phase = np.exp(2j * k_perp * z)
-            if channel == "xx":
-                return r.r_sp * (1.0 - k_perp**2 / k0**2) * phase
-            if channel == "zz":
-                return r.r_sp * (2.0 * k_par**2 / k0**2) * phase
-            return (k_perp / k0) * (r.r_ss - r.r_pp) * phase
-
-        return _run_quadrature(
-            integrate_traveling(f, k0, z, spec, breakpoints=bps_trav), f"traveling {channel}", spec
-        )
-
-    def evan(channel):
-        def f(kappa_perp: float) -> complex:
-            k_par = np.sqrt(k0 * k0 + kappa_perp * kappa_perp)
-            r = reflections(k_par)
-            damp = np.exp(-2.0 * kappa_perp * z)
-            if channel == "xx":
-                return -1j * r.r_sp * (1.0 + kappa_perp**2 / k0**2) * damp
-            if channel == "zz":
-                return -1j * r.r_sp * (2.0 * k_par**2 / k0**2) * damp
-            return (kappa_perp / k0) * (r.r_ss - r.r_pp) * damp
-
-        return _run_quadrature(
-            integrate_evanescent(f, z, spec, breakpoints=bps_evan), f"evanescent {channel}", spec
-        )
-
-    pref = k0 / (8.0 * np.pi)
-    xx = pref * (trav("xx") + evan("xx"))
-    zz = pref * (trav("zz") + evan("zz"))
-    asym = pref * (trav("as") + evan("as"))
-    mat = np.array(
-        [
-            [xx.imag, asym.imag, 0.0],
-            [-asym.imag, xx.imag, 0.0],
-            [0.0, 0.0, zz.imag],
-        ]
-    )
-    return CurlGreens(mat, CurlKind.IMAGINARY_PART)
+    return _scatter_integrals(geom, reflections, omega, spec)[0]
 
 
 def img_g_scatter_numeric(
@@ -350,40 +348,7 @@ def img_g_scatter_numeric(
     cross terms integrate to zero at coincidence. Drives the electric
     scattering rate through gamma_el_from_img.
     """
-    z = geom.z_m
-    k0 = omega / CONSTANTS.c
-    bps_trav, bps_evan = _medium_breakpoints(geom.medium)
-
-    def trav(channel):
-        def f(k_perp: float) -> complex:
-            k_par = np.sqrt(max(k0 * k0 - k_perp * k_perp, 0.0))
-            r = reflections(k_par)
-            phase = np.exp(2j * k_perp * z)
-            if channel == "xx":
-                return 1j * (r.r_ss - (k_perp**2 / k0**2) * r.r_pp) * phase
-            return 1j * (2.0 * k_par**2 / k0**2) * r.r_pp * phase
-
-        return _run_quadrature(
-            integrate_traveling(f, k0, z, spec, breakpoints=bps_trav), f"traveling G {channel}", spec
-        )
-
-    def evan(channel):
-        def f(kappa_perp: float) -> complex:
-            k_par = np.sqrt(k0 * k0 + kappa_perp * kappa_perp)
-            r = reflections(k_par)
-            damp = np.exp(-2.0 * kappa_perp * z)
-            if channel == "xx":
-                return (r.r_ss + (kappa_perp**2 / k0**2) * r.r_pp) * damp
-            return (2.0 * k_par**2 / k0**2) * r.r_pp * damp
-
-        return _run_quadrature(
-            integrate_evanescent(f, z, spec, breakpoints=bps_evan), f"evanescent G {channel}", spec
-        )
-
-    pref = 1.0 / (8.0 * np.pi)
-    xx = pref * (trav("xx") + evan("xx"))
-    zz = pref * (trav("zz") + evan("zz"))
-    return np.diag([xx.imag, xx.imag, zz.imag])
+    return _scatter_integrals(geom, reflections, omega, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +543,9 @@ def rates_halfspace(
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
     else:
-        refl_fn = halfspace_reflections(med)
-        curl = curl_img_scatter_numeric(geom, refl_fn, w, spec)
+        curl, img_g = _scatter_integrals(geom, lambda k_par: fresnel_general(med, k_par), w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
-        g_el = gamma_el_from_img(img_g_scatter_numeric(geom, refl_fn, w, spec), mol)
+        g_el = gamma_el_from_img(img_g, mol)
         s = g_ch / (g_vac + g_el)
         method = Method.QUADRATURE
 

@@ -12,6 +12,13 @@ pair on adaptively bisected panels:
   u = evanescent_cutoff_u (default 40, a e^-40 tail, far below any
   realistic tolerance).
 
+An integrand returns either a complex scalar or a 1-D array of channels
+(several integrals sharing one costly evaluation per node); the result has
+the same shape. Every channel must meet rel_tol on its own running value
+(plus abs_floor) before the integral stops, so a small channel is not
+resolved relative to a large one. A scalar integral refines exactly as a
+one-channel one.
+
 Panel refinement order and the final summation order are deterministic, so
 identical inputs give bit-identical results.
 """
@@ -20,9 +27,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
+
+# f(x) -> complex scalar, or a 1-D array of channels of fixed length
+Integrand = Callable[[float], Union[complex, np.ndarray]]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed abscissae.
@@ -40,6 +50,8 @@ _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
 ])
+_X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascending
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -60,22 +72,16 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
-    err_estimate: float
+    """Integral and error estimate, each a scalar or one entry per channel."""
+
+    value: Union[complex, np.ndarray]
+    err_estimate: Union[float, np.ndarray]
     panels_used: int
     converged: bool
 
 
-def _gk15(f: Callable[[float], complex], a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel: (I15, err, resabs)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fv = np.empty(15, dtype=complex)
-    for i in range(7):
-        dx = half * _XGK[i]
-        fv[i] = f(mid - dx)
-        fv[14 - i] = f(mid + dx)
-    fv[7] = f(mid)
+def _gk15_row(half: float, fv: np.ndarray):
+    """Kronrod value and error estimate of one channel's 15 node values."""
     i15 = half * (
         np.dot(_WGK[:7], fv[:7]) + _WGK[7] * fv[7] + np.dot(_WGK[:7][::-1], fv[8:])
     )
@@ -95,32 +101,57 @@ def _gk15(f: Callable[[float], complex], a: float, b: float):
         err = max(raw, resabs * min(1.0, (200.0 * raw / resabs) ** 1.5))
     else:
         err = raw
-    return complex(i15), float(err), float(resabs)
+    return complex(i15), float(err)
 
 
-def _adaptive(
-    f: Callable[[float], complex],
-    seeds: Sequence[float],
-    spec: QuadratureSpec,
-) -> QuadratureResult:
-    """Adaptively bisect the seeded panels until the global tolerance is met."""
+def _gk15(f: Integrand, a: float, b: float):
+    """One Gauss-Kronrod 7-15 panel: (I15, err), scalars for a scalar
+    integrand and arrays of its output shape for an array-valued one.
+
+    Each channel is summed on its own contiguous row of node values, so a
+    channel's result does not depend on how many channels travel with it.
+    """
+    half = 0.5 * (b - a)
+    fv = np.array([f(x) for x in 0.5 * (a + b) + half * _X15], dtype=complex)
+    rows = [_gk15_row(half, row) for row in np.ascontiguousarray(fv.reshape(15, -1).T)]
+    if fv.ndim == 1:
+        return rows[0]
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
+    """Adaptively bisect the seeded panels until every channel meets the
+    tolerance on its own running value.
+
+    The worst channel's err/scale orders the refinement, with scale fixed
+    after the seed pass so that queued keys never go stale; for a scalar
+    integrand this is the order of err itself.
+    """
     if len(seeds) - 1 > spec.max_panels:
         # the panel budget is a hard cap; fall back to a uniform coarse seeding
         seeds = list(np.linspace(seeds[0], seeds[-1], spec.max_panels + 1))
     panels = []  # entries: (a, b, value, err)
-    heap = []    # (-err, counter, index into panels)
-    counter = 0
     run_value = 0.0 + 0.0j
     run_err = 0.0
     for a, b in zip(seeds[:-1], seeds[1:]):
         if not b > a:
             continue
-        val, err, _ = _gk15(f, a, b)
+        val, err = _gk15(f, a, b)
         panels.append((a, b, val, err))
-        heapq.heappush(heap, (-err, counter, counter))
-        counter += 1
         run_value += val
         run_err += err
+    # each channel's tolerance after the seed pass, floored so that a zero
+    # channel under abs_floor = 0 divides by no zero; the keys are Python
+    # floats, so an overflowing ratio is a silent inf
+    tol = np.atleast_1d(spec.rel_tol * abs(run_value) + spec.abs_floor)
+    scales = [max(s, _TINY) for s in tol.tolist()]
+
+    def key(err) -> float:
+        return -max(e / s for e, s in zip(np.atleast_1d(err).tolist(), scales))
+
+    heap = [(key(p[3]), i, i) for i, p in enumerate(panels)]  # (key, counter, index)
+    heapq.heapify(heap)
+    counter = len(panels)
 
     def final(converged: bool) -> QuadratureResult:
         value = 0.0 + 0.0j
@@ -131,7 +162,7 @@ def _adaptive(
         return QuadratureResult(value, err, len(panels), converged)
 
     while True:
-        if run_err <= spec.rel_tol * abs(run_value) + spec.abs_floor:
+        if np.all(run_err <= spec.rel_tol * abs(run_value) + spec.abs_floor):
             return final(True)
         if len(panels) >= spec.max_panels or not heap:
             return final(False)
@@ -140,13 +171,13 @@ def _adaptive(
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:  # interval exhausted at float resolution
             continue
-        vl, el, _ = _gk15(f, a, mid)
-        vr, er, _ = _gk15(f, mid, b)
+        vl, el = _gk15(f, a, mid)
+        vr, er = _gk15(f, mid, b)
         panels[idx] = (a, mid, vl, el)
-        heapq.heappush(heap, (-el, counter, idx))
+        heapq.heappush(heap, (key(el), counter, idx))
         counter += 1
         panels.append((mid, b, vr, er))
-        heapq.heappush(heap, (-er, counter, len(panels) - 1))
+        heapq.heappush(heap, (key(er), counter, len(panels) - 1))
         counter += 1
         run_value += vl + vr - val
         run_err += el + er - err
@@ -161,7 +192,7 @@ def _merge_seeds(base: Iterable[float], extra: Iterable[float], lo: float, hi: f
 
 
 def integrate_traveling(
-    f: Callable[[float], complex],
+    f: Integrand,
     k0: float,
     z: float,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -171,7 +202,9 @@ def integrate_traveling(
 
     Panels are seeded at half-period boundaries k_perp = j pi / (2 z); the
     adaptive pass refines from there. ``breakpoints`` may supply extra seed
-    points (e.g. branch points of reflection coefficients).
+    points (e.g. branch points of reflection coefficients). ``f`` may return
+    a 1-D array of channels; each channel then converges to rel_tol of its
+    own value and the result carries one value and error per channel.
     """
     if k0 <= 0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
@@ -184,7 +217,7 @@ def integrate_traveling(
 
 
 def integrate_evanescent(
-    f: Callable[[float], complex],
+    f: Integrand,
     z: float,
     spec: QuadratureSpec = QuadratureSpec(),
     breakpoints: Iterable[float] = (),
@@ -194,14 +227,15 @@ def integrate_evanescent(
 
     Uses the substitution u = 2 kappa_perp z, truncating at
     spec.evanescent_cutoff_u. ``breakpoints`` are kappa_perp values (branch
-    points) added to the panel seeds.
+    points) added to the panel seeds. An array-valued ``f`` converges
+    channel by channel as in ``integrate_traveling``.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")
     umax = spec.evanescent_cutoff_u
     scale = 1.0 / (2.0 * z)
 
-    def g(u: float) -> complex:
+    def g(u: float):
         return f(u * scale)
 
     base = [u for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0) if u < umax]

@@ -155,3 +155,99 @@ def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
         ],
         axis=1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Planar scattering integrals of a vacuum | chiral half-space interface
+# ---------------------------------------------------------------------------
+
+def chiral_reflections(eps: complex, mu: complex, kappa: complex, k0: float, kz0: complex):
+    """(r_ss, r_pp, r_sp) of a vacuum | chiral medium interface as functions
+    of the vacuum perpendicular wave number kz0 (real: traveling, i t:
+    evanescent), in impedance / admittance form.
+
+    With Z = sqrt(mu/eps), the circular modes k(+-) = k0 (n -+ kappa) and
+    their perpendicular wave numbers q(+-) = sqrt(k(+-)^2 - k0^2 + kz0^2)
+    (Im >= 0), each mode contributes g = Z k0 q/k and h = k0 q/(Z k). At
+    kappa = 0, g = kz2/eps and h = kz2/mu, and r_ss, r_pp become the
+    textbook (kz0 - h)/(kz0 + h) and (kz0 - g)/(kz0 + g). Nothing divides by
+    kz0, so the set stays finite at grazing incidence.
+    """
+    eps, mu, kappa, kz0 = complex(eps), complex(mu), complex(kappa), complex(kz0)
+    n = np.sqrt(eps * mu)
+    if n.real < 0:
+        n = -n
+    imp = np.sqrt(mu / eps)
+    g, h = [], []
+    for k in (k0 * (n - kappa), k0 * (n + kappa)):
+        q = np.sqrt(k * k - k0 * k0 + kz0 * kz0)
+        if q.imag < 0:
+            q = -q
+        g.append(imp * k0 * q / k)
+        h.append(k0 * q / (imp * k))
+    (g_p, g_m), (h_p, h_m) = g, h
+    den = (kz0 + g_m) * (kz0 + h_p) + (kz0 + g_p) * (kz0 + h_m)
+    r_ss = ((kz0 + g_m) * (kz0 - h_p) + (kz0 + g_p) * (kz0 - h_m)) / den
+    r_pp = ((kz0 - g_m) * (kz0 + h_p) + (kz0 - g_p) * (kz0 + h_m)) / den
+    r_sp = 2j * kz0 * (g_p - g_m) / (imp * den)
+    return r_ss, r_pp, r_sp
+
+
+def planar_channel_integrals(eps: complex, mu: complex, kappa: complex, k0: float, z: float):
+    """(values, scales) of the five scattering channels at height z: curl G
+    xx, zz, x-y and G xx, zz, integrated with ``scipy.integrate.quad``.
+
+    Channel amplitudes c(kz0) of the vacuum perpendicular wave number
+    (q = kz0^2/k0^2):
+
+        curl: r_sp (1 - q), 2 r_sp (1 - q), (kz0/k0)(r_ss - r_pp)
+        G:    i (r_ss - q r_pp), 2i (1 - q) r_pp
+
+    Each channel is pref * [int_0^k0 c(k) e^{2ikz} dk
+    + int_0^inf -i c(it) e^{-2tz} dt] with pref = k0/8pi (curl) or 1/8pi
+    (G); its scale is pref * (|first| + |second|). The tail runs to
+    infinity in u = 2tz, split at the modes' branch points.
+    """
+    from scipy.integrate import quad
+
+    def channels(kz0):
+        r_ss, r_pp, r_sp = chiral_reflections(eps, mu, kappa, k0, kz0)
+        q = (kz0 / k0) ** 2
+        return np.array([
+            r_sp * (1 - q), 2 * r_sp * (1 - q), (kz0 / k0) * (r_ss - r_pp),
+            1j * (r_ss - q * r_pp), 2j * (1 - q) * r_pp,
+        ])
+
+    n = np.sqrt(complex(eps) * complex(mu))
+    kinks_trav, kinks_evan = [], []
+    for k in (k0 * (n - kappa), k0 * (n + kappa)):
+        d = (complex(k) ** 2).real - k0 * k0
+        (kinks_evan if d > 0 else kinks_trav).append(np.sqrt(abs(d)))
+    trav_edges = [0.0] + sorted(p for p in kinks_trav if 0 < p < k0) + [k0]
+    evan_edges = [0.0] + sorted(2 * z * p for p in kinks_evan if p > 0) + [np.inf]
+
+    def integrate(fun, edges):
+        """int fun over the pieces between edges, one complex sum per channel."""
+        cache = {}
+
+        def amp(x):
+            if x not in cache:
+                cache[x] = fun(x)
+            return cache[x]
+
+        total = np.zeros(5, dtype=complex)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for ch in range(5):
+                # the absolute tolerance follows the channel's magnitude, so a
+                # real or imaginary part far below it does not stall quad
+                mag = quad(lambda x: abs(amp(x)[ch]), lo, hi, epsrel=1e-6, limit=200)[0]
+                opts = dict(epsabs=1e-14 * mag, epsrel=1e-13, limit=500)
+                total[ch] += quad(lambda x: amp(x)[ch].real, lo, hi, **opts)[0]
+                total[ch] += 1j * quad(lambda x: amp(x)[ch].imag, lo, hi, **opts)[0]
+        return total
+
+    trav = integrate(lambda k: channels(k) * np.exp(2j * k * z), trav_edges)
+    # kz0 = i t with t = u/(2z): dt = du/(2z)
+    evan = integrate(lambda u: -1j * channels(0.5j * u / z) * np.exp(-u), evan_edges) / (2 * z)
+    pref = np.array([k0, k0, k0, 1.0, 1.0]) / (8 * np.pi)
+    return pref * (trav + evan), pref * (np.abs(trav) + np.abs(evan))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def test_zero_integrand():
     res = integrate_evanescent(lambda k: 0.0j, z=1.0)
     assert res.converged
     assert res.value == 0.0
+    # a zero channel meets a zero tolerance without dividing by it
+    exact = QuadratureSpec(abs_floor=0.0)
+    assert integrate_traveling(lambda k: 0.0j, 2.0, 1.0, exact).converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_traveling(lambda k: np.array([0.0j, np.exp(2j * k)]), 2.0, 1.0, exact)
+    assert res.converged
+    assert res.value[0] == 0.0 and res.err_estimate[0] == 0.0
 
 
 @pytest.mark.parametrize("k0z", [0.1, 10.0, 100.0])
@@ -94,6 +104,42 @@ def test_converged_flag_honours_tolerance():
     ok = integrate_evanescent(lambda k: np.exp(-2.0 * k), 1.0)
     assert ok.converged
     assert ok.err_estimate <= 1e-8 * abs(ok.value) + 1e-300
+
+
+def test_vector_channels_each_meet_their_own_tolerance():
+    # channels 1e8 apart: the small one needs far more panels than the large
+    # one and must still reach rel_tol of its own value
+    z, w = 3.0, 4000.0
+    f = lambda k: np.array([np.exp(2j * k * z), 1e-8 / (1.0 + w * (k - 0.3) ** 2)])
+    spec = QuadratureSpec(rel_tol=1e-10)
+    res = integrate_traveling(f, 1.0, z, spec)
+    exact = [
+        (np.exp(2j * z) - 1.0) / (2j * z),
+        1e-8 * (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w),
+    ]
+    assert res.converged and res.value.shape == res.err_estimate.shape == (2,)
+    for got, want in zip(res.value, exact):
+        assert abs(got - want) <= spec.rel_tol * abs(want)
+    g = lambda k: np.array([np.exp(-2.0 * k * z), 1e8 * k**2 * np.exp(-2.0 * k * z)])
+    res = integrate_evanescent(g, z, spec)
+    for got, want in zip(res.value, [1.0 / (2.0 * z), 1e8 / (4.0 * z**3)]):
+        assert abs(got - want) <= spec.rel_tol * abs(want)
+
+
+@pytest.mark.parametrize("integrate, f", [
+    (lambda f: integrate_traveling(f, 2.0, 3.3), lambda k: np.exp(2j * k * 3.3) / (1.0 + k**2)),
+    (lambda f: integrate_evanescent(f, 0.2), lambda k: np.exp(-2.0 * k * 0.2) * np.sin(k)),
+    (lambda f: integrate_traveling(f, 1.0, 200.0, QuadratureSpec(rel_tol=1e-14, max_panels=3)),
+     lambda k: np.exp(2j * k * 200.0)),
+], ids=["traveling", "evanescent", "unconverged"])
+def test_one_channel_vector_matches_scalar(integrate, f):
+    scalar = integrate(f)
+    vector = integrate(lambda k: np.array([f(k)]))
+    assert vector.value.shape == (1,)
+    assert vector.value[0] == scalar.value
+    assert vector.err_estimate[0] == scalar.err_estimate
+    assert vector.panels_used == scalar.panels_used
+    assert vector.converged == scalar.converged
 
 
 def test_spec_validation():
