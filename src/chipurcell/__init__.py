@@ -50,14 +50,13 @@ from .halfspace import (
     Limit,
     PlanarGeometry,
     ReflectionSet,
-    WaveGeometry,
     curl_img_scatter_numeric,
     fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
     img_g_scatter_numeric,
     mirror_reflections,
-    polarization_vectors,
+    planar_reflections,
     rates_halfspace,
     rates_mirror,
     s_halfspace,
@@ -112,12 +111,11 @@ __all__ = [
     "Limit",
     "PlanarGeometry",
     "ReflectionSet",
-    "WaveGeometry",
-    "polarization_vectors",
     "fresnel_general",
     "fresnel_nonretarded",
     "fresnel_retarded",
     "mirror_reflections",
+    "planar_reflections",
     "curl_img_scatter_numeric",
     "img_g_scatter_numeric",
     "rates_mirror",

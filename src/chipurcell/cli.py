@@ -38,7 +38,7 @@ from .halfspace import (
     Handedness,
     Limit,
     PlanarGeometry,
-    fresnel_general,
+    planar_reflections,
     rates_halfspace,
     rates_mirror,
 )
@@ -383,22 +383,15 @@ def run_fresnel(eps: complex, mu: complex, kappa: complex, omega: float,
     med = MediumResponse(eps, mu, kappa, omega)
     k0 = med.k0
     lines = [FRESNEL_CSV_HEADER]
-    for x in np.linspace(0.0, kpar_max, points):
-        try:
-            r = fresnel_general(med, float(x) * k0)
-            lines.append(
-                ",".join(
-                    [_fmt(float(x))]
-                    + [_fmt(v) for v in (
-                        r.r_ss.real, r.r_ss.imag, r.r_pp.real, r.r_pp.imag,
-                        r.r_sp.real, r.r_sp.imag, r.r_ps.real, r.r_ps.imag,
-                    )]
-                    + ["ok"]
-                )
-            )
-        except PhysicsError as exc:
-            nan = _fmt(float("nan"))
-            lines.append(",".join([_fmt(float(x))] + [nan] * 8 + [f"error:{type(exc).__name__}"]))
+    xs = np.linspace(0.0, kpar_max, points)
+    r_ss, r_pp, r_sp = planar_reflections(med, np.sqrt(k0 * k0 - (xs * k0) ** 2 + 0j))  # Im >= 0
+    table = np.stack([r_ss, r_pp, r_sp, -r_sp], axis=1)  # r_ps = -r_sp
+    for x, row, ok in zip(xs, table, np.isfinite(table).all(axis=1)):
+        if ok:
+            cells = [_fmt(v) for r in row for v in (r.real, r.imag)] + ["ok"]
+        else:  # a pole row
+            cells = [_fmt(float("nan"))] * 8 + ["error:PoleError"]
+        lines.append(",".join([_fmt(float(x))] + cells))
     return lines
 
 

@@ -1,7 +1,7 @@
-"""Planar-interface physics: polarization bases, reflection coefficients for
-a vacuum / chiral-medium interface, closed-form decay rates in the retarded
-and nonretarded limits (perfect chiral mirror and realistic half-space), and
-the numerical-quadrature pathway valid at any distance.
+"""Planar-interface physics: reflection coefficients for a vacuum /
+chiral-medium interface, closed-form decay rates in the retarded and
+nonretarded limits (perfect chiral mirror and realistic half-space), and the
+numerical-quadrature pathway valid at any distance.
 
 Geometry: vacuum fills z > 0, the reflecting medium z < 0, the molecule
 sits at height z_m > 0. A perfect chiral mirror rotates reflected
@@ -27,6 +27,7 @@ See ``rates_halfspace`` and the test suite for the documented comparison.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import warnings
 from dataclasses import dataclass
@@ -96,74 +97,56 @@ class ReflectionSet:
     omega: float
 
 
-@dataclass(frozen=True)
-class WaveGeometry:
-    """Wavevector split and polarization unit vectors for one plane wave."""
-
-    k_par: float
-    k_perp: complex
-    k0: float
-    e_s: np.ndarray
-    e_p_plus: np.ndarray
-    e_p_minus: np.ndarray
-
-
-def _sqrt_im(x: complex) -> complex:
-    """Principal square root pushed onto the Im >= 0 branch."""
-    r = np.sqrt(complex(x))
-    if r.imag < 0:
-        r = -r
-    return complex(r)
-
-
-def polarization_vectors(k_par: float, k0: float, azimuth: float = 0.0) -> WaveGeometry:
-    """s/p unit vectors of up(+)/down(-) waves with parallel wave number k_par.
-
-    e_s = e_kpar x e_z ; e_p(+-) = (k_par e_z -+ k_perp e_kpar)/k0 with
-    k_perp on the Im >= 0 branch. At normal incidence the parallel direction
-    degenerates; it is fixed to e_x for azimuth 0 (pure convention, the
-    azimuth-integrated results do not depend on it).
-    """
-    if k_par < 0 or k0 <= 0:
-        raise ValueError("require k_par >= 0 and k0 > 0")
-    k_perp = _sqrt_im(k0 * k0 - k_par * k_par)
-    e_kpar = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-    e_z = np.array([0.0, 0.0, 1.0])
-    e_s = np.cross(e_kpar, e_z)
-    e_p_plus = (k_par * e_z - k_perp * e_kpar) / k0
-    e_p_minus = (k_par * e_z + k_perp * e_kpar) / k0
-    return WaveGeometry(k_par, k_perp, k0, e_s, e_p_plus, e_p_minus)
+def _sqrt_im(x) -> np.ndarray:
+    """Elementwise principal square root pushed onto the Im >= 0 branch."""
+    r = np.sqrt(np.asarray(x, dtype=complex))
+    return np.where(r.imag < 0, -r, r)
 
 
 # ---------------------------------------------------------------------------
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
-    """Reflection coefficients of the vacuum / chiral-medium interface at k_par.
+def planar_reflections(med: MediumResponse, k_perp) -> tuple:
+    """(r_ss, r_pp, r_sp) of the vacuum / chiral-medium interface as arrays
+    over the vacuum perpendicular wave number k_perp (real on the traveling
+    segment, i kappa_perp on the evanescent tail); r_ps = -r_sp.
 
     Built from the mode amplitudes
-    a(+-) = sqrt(mu/eps) (k0/k_perp) sqrt(k(+-)^2 - k_par^2) / k(+-),
-    all roots on the Im >= 0 branch. At kappa = 0 the diagonal coefficients
+    a(+-) = sqrt(mu/eps) (k0/k_perp) sqrt(k(+-)^2 - k0^2 + k_perp^2) / k(+-),
+    all roots on the Im >= 0 branch, so no k_par is formed and a grazing
+    k_perp keeps its full precision. At kappa = 0 the diagonal coefficients
     reduce to the textbook dielectric Fresnel coefficients and r_sp = 0; for
-    k_par -> infinity the set tends to ``fresnel_nonretarded``.
+    k_perp -> i infinity the set tends to ``fresnel_nonretarded``. An exact
+    pole (k_perp = 0, or a vanishing denominator) gives non-finite entries.
     """
     eps, mu = complex(med.eps), complex(med.mu)
     wn = wave_numbers(med)
-    k0, kp, km = wn.k0, wn.k_plus, wn.k_minus
-    k_perp = _sqrt_im(k0 * k0 - k_par * k_par)
-    if k_perp == 0:
-        raise PoleError("grazing incidence k_par = k0: vacuum k_perp vanishes")
-    root = np.sqrt(mu / eps) * k0 / k_perp
-    a_p = root * _sqrt_im(kp * kp - k_par * k_par) / kp
-    a_m = root * _sqrt_im(km * km - k_par * k_par) / km
+    k_perp = np.asarray(k_perp, dtype=complex)
+    k = np.array([wn.k_plus, wn.k_minus]).reshape((2,) + (1,) * k_perp.ndim)  # modes first
     em = eps / mu
-    d = (1.0 + a_m) * (1.0 + em * a_p) + (1.0 + a_p) * (1.0 + em * a_m)
-    if d == 0:
-        raise PoleError("reflection denominator vanished (surface-mode pole)")
-    r_sp = (2j / d) * np.sqrt(eps / mu) * (a_p - a_m)
-    r_ss = ((1.0 + a_m) * (1.0 - em * a_p) + (1.0 + a_p) * (1.0 - em * a_m)) / d
-    r_pp = ((1.0 - a_m) * (1.0 + em * a_p) + (1.0 - a_p) * (1.0 + em * a_m)) / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(mu / eps) * wn.k0 / k_perp
+        a_p, a_m = root * _sqrt_im(k * k - wn.k0**2 + k_perp * k_perp) / k
+        b_p, b_m = 1.0 + em * a_p, 1.0 + em * a_m
+        d = (1.0 + a_m) * b_p + (1.0 + a_p) * b_m
+        r_sp = (2j * np.sqrt(eps / mu)) * (a_p - a_m) / d
+        r_ss = ((1.0 + a_m) * (2.0 - b_p) + (1.0 + a_p) * (2.0 - b_m)) / d  # 2 - b = 1 - em a
+        r_pp = ((1.0 - a_m) * b_p + (1.0 - a_p) * b_m) / d
+    return r_ss, r_pp, r_sp
+
+
+def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
+    """``planar_reflections`` at one parallel wave number k_par.
+
+    Raises PoleError at a pole: grazing incidence (k_par = k0) or a
+    vanishing reflection denominator (surface mode).
+    """
+    k0 = med.k0
+    k_perp = cmath.sqrt(k0 * k0 - k_par * k_par)  # principal root of a real: Im >= 0
+    r_ss, r_pp, r_sp = (complex(r) for r in planar_reflections(med, k_perp))
+    if not all(map(cmath.isfinite, (r_ss, r_pp, r_sp))):
+        raise PoleError(f"reflection set has a pole at k_par = {k_par!r} (k0 = {k0!r})")
     return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, k_par, med.omega)
 
 
@@ -214,14 +197,11 @@ def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
     return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, 0.0, med.omega)
 
 
-def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[float], ReflectionSet]:
-    """Constant reflection set of the perfect chiral mirror (|r_sp| = 1)."""
-    s = handedness.sign
-
-    def provider(k_par: float) -> ReflectionSet:
-        return ReflectionSet(0.0, 0.0, s, -s, k_par, omega)
-
-    return provider
+def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[np.ndarray], tuple]:
+    """Constant reflections (0, 0, +-1) of the perfect chiral mirror; the
+    constants broadcast against any k_perp array."""
+    r = (0.0, 0.0, handedness.sign)
+    return lambda k_perp: r
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +251,7 @@ def _run_quadrature(res: QuadratureResult, segment: str, spec: QuadratureSpec) -
 
 def _scatter_integrals(
     geom: PlanarGeometry,
-    reflections: Callable[[float], ReflectionSet],
+    reflections: Callable[[np.ndarray], tuple],
     omega: float,
     spec: QuadratureSpec,
 ) -> tuple[CurlGreens, np.ndarray]:
@@ -282,31 +262,31 @@ def _scatter_integrals(
     zz. The traveling segment integrates it over real k_perp in [0, k0], the
     evanescent tail over k_perp = i kappa_perp (where k_par dk_par / k_perp
     = -i dkappa_perp), each in a single adaptive integral that evaluates the
-    reflection set once per node.
+    reflections once per panel, on all 15 nodes at once.
     """
     z = geom.z_m
     k0 = omega / CONSTANTS.c
     bps_trav, bps_evan = _medium_breakpoints(geom.medium)
 
-    def channels(k_perp: complex, k_par: float) -> np.ndarray:
-        r = reflections(k_par)
+    def channels(k_perp: np.ndarray) -> np.ndarray:
+        r_ss, r_pp, r_sp = reflections(k_perp)
         perp2 = (k_perp / k0) ** 2
-        par2 = 2.0 * k_par**2 / k0**2
-        return np.exp(2j * k_perp * z) * np.array([
-            r.r_sp * (1.0 - perp2),
-            r.r_sp * par2,
-            (k_perp / k0) * (r.r_ss - r.r_pp),
-            1j * (r.r_ss - perp2 * r.r_pp),
-            1j * par2 * r.r_pp,
+        par2 = 2.0 * (1.0 - perp2)  # 2 k_par^2 / k0^2
+        values = np.exp(2j * k_perp * z) * np.array([
+            r_sp * (1.0 - perp2),
+            r_sp * par2,
+            (k_perp / k0) * (r_ss - r_pp),
+            1j * (r_ss - perp2 * r_pp),
+            1j * par2 * r_pp,
         ])
+        bad = ~np.isfinite(values).all(axis=0)
+        if bad.any():
+            raise PoleError(f"planar integrand not finite at k_perp = {k_perp[bad][0]!r}, k0 = {k0!r}")
+        return values
 
-    trav = integrate_traveling(
-        lambda k_perp: channels(k_perp, np.sqrt(max(k0 * k0 - k_perp * k_perp, 0.0))),
-        k0, z, spec, breakpoints=bps_trav,
-    )
+    trav = integrate_traveling(channels, k0, z, spec, breakpoints=bps_trav)
     evan = integrate_evanescent(
-        lambda kappa_perp: -1j * channels(1j * kappa_perp, np.sqrt(k0 * k0 + kappa_perp**2)),
-        z, spec, breakpoints=bps_evan,
+        lambda kappa_perp: -1j * channels(1j * kappa_perp), z, spec, breakpoints=bps_evan,
     )
     total = _run_quadrature(trav, "traveling", spec) + _run_quadrature(evan, "evanescent", spec)
     xx, zz, asym, g_xx, g_zz = (total * np.array([k0, k0, k0, 1.0, 1.0]) / (8.0 * np.pi)).imag
@@ -316,7 +296,7 @@ def _scatter_integrals(
 
 def curl_img_scatter_numeric(
     geom: PlanarGeometry,
-    reflections: Callable[[float], ReflectionSet],
+    reflections: Callable[[np.ndarray], tuple],
     omega: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> CurlGreens:
@@ -331,14 +311,16 @@ def curl_img_scatter_numeric(
                    + (k_perp/k0)(r_ss - r_pp)(xy - yx) }
 
     The diagonal block is driven by the cross reflection, the antisymmetric
-    x-y block by the difference of the diagonal reflections.
+    x-y block by the difference of the diagonal reflections. ``reflections``
+    maps an array of vacuum k_perp to (r_ss, r_pp, r_sp), as
+    ``planar_reflections`` and ``mirror_reflections`` do.
     """
     return _scatter_integrals(geom, reflections, omega, spec)[0]
 
 
 def img_g_scatter_numeric(
     geom: PlanarGeometry,
-    reflections: Callable[[float], ReflectionSet],
+    reflections: Callable[[np.ndarray], tuple],
     omega: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
@@ -543,7 +525,7 @@ def rates_halfspace(
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
     else:
-        curl, img_g = _scatter_integrals(geom, lambda k_par: fresnel_general(med, k_par), w, spec)
+        curl, img_g = _scatter_integrals(geom, lambda k_perp: planar_reflections(med, k_perp), w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
         g_el = gamma_el_from_img(img_g, mol)
         s = g_ch / (g_vac + g_el)

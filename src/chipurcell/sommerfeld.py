@@ -12,12 +12,13 @@ pair on adaptively bisected panels:
   u = evanescent_cutoff_u (default 40, a e^-40 tail, far below any
   realistic tolerance).
 
-An integrand returns either a complex scalar or a 1-D array of channels
-(several integrals sharing one costly evaluation per node); the result has
-the same shape. Every channel must meet rel_tol on its own running value
-(plus abs_floor) before the integral stops, so a small channel is not
-resolved relative to a large one. A scalar integral refines exactly as a
-one-channel one.
+An integrand is called once per panel with the panel's 15 nodes as an
+array and returns their values with the nodes on the last axis: shape (15,)
+for a scalar integral, (channels, 15) for several integrals that share one
+costly evaluation (the result then has one entry per channel). Every
+channel must meet rel_tol on its own running value (plus abs_floor) before
+the integral stops, so a small channel is not resolved relative to a large
+one. A scalar integral refines exactly as a one-channel one.
 
 Panel refinement order and the final summation order are deterministic, so
 identical inputs give bit-identical results.
@@ -31,8 +32,9 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-# f(x) -> complex scalar, or a 1-D array of channels of fixed length
-Integrand = Callable[[float], Union[complex, np.ndarray]]
+# f(x) with x the (15,) nodes of one panel -> the node values, shape (15,)
+# for a scalar integrand or (channels, 15) for an array-valued one
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed abscissae.
@@ -51,6 +53,8 @@ _WG = np.array([
     0.417959183673469,
 ])
 _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascending
+_W15 = np.concatenate([_WGK, _WGK[-2::-1]])  # Kronrod weights of the 15 nodes
+_W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nodes
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -80,43 +84,29 @@ class QuadratureResult:
     converged: bool
 
 
-def _gk15_row(half: float, fv: np.ndarray):
-    """Kronrod value and error estimate of one channel's 15 node values."""
-    i15 = half * (
-        np.dot(_WGK[:7], fv[:7]) + _WGK[7] * fv[7] + np.dot(_WGK[:7][::-1], fv[8:])
-    )
-    g = fv[1:14:2]  # the 7 embedded Gauss nodes
-    i7 = half * (
-        np.dot(_WG[:3], g[:3]) + _WG[3] * g[3] + np.dot(_WG[:3][::-1], g[4:])
-    )
-    resabs = abs(half) * (
-        np.dot(_WGK[:7], np.abs(fv[:7]))
-        + _WGK[7] * abs(fv[7])
-        + np.dot(_WGK[:7][::-1], np.abs(fv[8:]))
-    )
-    raw = abs(i15 - i7)
-    # rescaled error estimate; guards against |I15-I7| underestimating on
-    # smooth integrands (same shape as the classic QUADPACK heuristic)
-    if resabs > 0 and raw > 0:
-        err = max(raw, resabs * min(1.0, (200.0 * raw / resabs) ** 1.5))
-    else:
-        err = raw
-    return complex(i15), float(err)
-
-
 def _gk15(f: Integrand, a: float, b: float):
     """One Gauss-Kronrod 7-15 panel: (I15, err), scalars for a scalar
-    integrand and arrays of its output shape for an array-valued one.
+    integrand and arrays of its channel shape for an array-valued one.
 
-    Each channel is summed on its own contiguous row of node values, so a
-    channel's result does not depend on how many channels travel with it.
+    ``f`` is called once with the 15 nodes. Every channel is reduced by the
+    same weight products on its own row, so a channel's result does not
+    depend on how many channels travel with it.
     """
     half = 0.5 * (b - a)
-    fv = np.array([f(x) for x in 0.5 * (a + b) + half * _X15], dtype=complex)
-    rows = [_gk15_row(half, row) for row in np.ascontiguousarray(fv.reshape(15, -1).T)]
+    fv = np.asarray(f(0.5 * (a + b) + half * _X15), dtype=complex)
+    rows = fv.reshape(-1, 15)
+    i15 = half * (rows @ _W15)
+    i7 = half * (rows[:, 1::2] @ _W7)
+    resabs = abs(half) * (np.abs(rows) @ _W15)
+    raw = np.abs(i15 - i7)
+    # rescaled error estimate; guards against |I15-I7| underestimating on
+    # smooth integrands (same shape as the classic QUADPACK heuristic)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rescaled = np.maximum(raw, resabs * np.minimum(1.0, (200.0 * raw / resabs) ** 1.5))
+    err = np.where(resabs > 0, rescaled, raw)
     if fv.ndim == 1:
-        return rows[0]
-    return tuple(np.array(part) for part in zip(*rows))
+        return complex(i15[0]), float(err[0])
+    return i15.reshape(fv.shape[:-1]), err.reshape(fv.shape[:-1])
 
 
 def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
@@ -202,9 +192,10 @@ def integrate_traveling(
 
     Panels are seeded at half-period boundaries k_perp = j pi / (2 z); the
     adaptive pass refines from there. ``breakpoints`` may supply extra seed
-    points (e.g. branch points of reflection coefficients). ``f`` may return
-    a 1-D array of channels; each channel then converges to rel_tol of its
-    own value and the result carries one value and error per channel.
+    points (e.g. branch points of reflection coefficients). ``f`` takes the
+    15 nodes of a panel as an array and returns their values on its last
+    axis; with a leading channel axis, each channel converges to rel_tol of
+    its own value and the result carries one value and error per channel.
     """
     if k0 <= 0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
@@ -227,20 +218,18 @@ def integrate_evanescent(
 
     Uses the substitution u = 2 kappa_perp z, truncating at
     spec.evanescent_cutoff_u. ``breakpoints`` are kappa_perp values (branch
-    points) added to the panel seeds. An array-valued ``f`` converges
-    channel by channel as in ``integrate_traveling``.
+    points) added to the panel seeds. ``f`` is node-batched, and a
+    channel-valued one converges channel by channel, as in
+    ``integrate_traveling``.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")
     umax = spec.evanescent_cutoff_u
     scale = 1.0 / (2.0 * z)
 
-    def g(u: float):
-        return f(u * scale)
-
     base = [u for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0) if u < umax]
     extra = [2.0 * z * b for b in breakpoints]
-    res = _adaptive(g, _merge_seeds(base, extra, 0.0, umax), spec)
+    res = _adaptive(lambda u: f(u * scale), _merge_seeds(base, extra, 0.0, umax), spec)
     return QuadratureResult(
         res.value * scale, res.err_estimate * scale, res.panels_used, res.converged
     )

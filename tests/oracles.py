@@ -7,6 +7,8 @@ code path with the package implementation it checks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -27,6 +29,43 @@ def textbook_fresnel(eps: complex, mu: complex, k0: float, k_par: float):
     r_s = (mu * kz1 - kz2) / (mu * kz1 + kz2)
     r_p = (eps * kz1 - kz2) / (eps * kz1 + kz2)
     return r_s, r_p
+
+
+# ---------------------------------------------------------------------------
+# Plane-wave polarization bases above the interface
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WaveGeometry:
+    """Wavevector split and polarization unit vectors for one plane wave."""
+
+    k_par: float
+    k_perp: complex
+    k0: float
+    e_s: np.ndarray
+    e_p_plus: np.ndarray
+    e_p_minus: np.ndarray
+
+
+def polarization_vectors(k_par: float, k0: float, azimuth: float = 0.0) -> WaveGeometry:
+    """s/p unit vectors of up(+)/down(-) waves with parallel wave number k_par.
+
+    e_s = e_kpar x e_z ; e_p(+-) = (k_par e_z -+ k_perp e_kpar)/k0 with
+    k_perp on the Im >= 0 branch. At normal incidence the parallel direction
+    degenerates; it is fixed to e_x for azimuth 0 (pure convention, the
+    azimuth-integrated results do not depend on it).
+    """
+    if k_par < 0 or k0 <= 0:
+        raise ValueError("require k_par >= 0 and k0 > 0")
+    k_perp = np.sqrt(complex(k0 * k0 - k_par * k_par))
+    if k_perp.imag < 0:
+        k_perp = -k_perp
+    e_kpar = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    e_z = np.array([0.0, 0.0, 1.0])
+    e_s = np.cross(e_kpar, e_z)
+    e_p_plus = (k_par * e_z - k_perp * e_kpar) / k0
+    e_p_minus = (k_par * e_z + k_perp * e_kpar) / k0
+    return WaveGeometry(k_par, complex(k_perp), k0, e_s, e_p_plus, e_p_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ antisymmetric channel to the *difference* of the diagonal reflections.
 import numpy as np
 import pytest
 
-from chipurcell import MediumResponse, fresnel_general, polarization_vectors
+from chipurcell import MediumResponse, fresnel_general
 from conftest import OMEGA
+from oracles import polarization_vectors
 
 
 def _full_tensors(k_par, k0, refl, n_phi=720):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chipurcell import MediumResponse, fresnel_general
 from chipurcell.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
@@ -205,6 +206,19 @@ class TestFresnelTable:
             rss = complex(f[1], f[2])
             rps = complex(f[7], f[8])
             assert abs(rss) ** 2 + abs(rps) ** 2 <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("eps, kappa", [(2.25, 0.05), (2.25 + 0.1j, 0.05 + 0.001j)])
+    def test_ok_rows_match_fresnel_general(self, eps, kappa):
+        med = MediumResponse(eps, 1.0, kappa, 3e15)
+        for ln in run_fresnel(eps, 1.0, kappa, 3e15, 3.0, 31)[1:]:
+            f = ln.split(",")
+            if f[-1] != "ok":
+                continue
+            r = fresnel_general(med, float(f[0]) * med.k0)
+            want = [r.r_ss, r.r_pp, r.r_sp, r.r_ps]
+            got = [complex(float(f[i]), float(f[i + 1])) for i in (1, 3, 5, 7)]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * abs(w)
 
     def test_reciprocity_rows(self):
         lines = run_fresnel(2.0, 1.1, 0.03, 3e15, 4.0, 17)

@@ -6,11 +6,11 @@ from chipurcell import (
     fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
-    polarization_vectors,
+    planar_reflections,
 )
 from chipurcell.errors import PoleError
 from conftest import OMEGA
-from oracles import textbook_fresnel
+from oracles import chiral_reflections, polarization_vectors, textbook_fresnel
 
 
 class TestPolarizationVectors:
@@ -107,6 +107,30 @@ class TestGeneralCoefficients:
         assert fresnel_general(flipped, k).r_ss == pytest.approx(
             fresnel_general(medium_std, k).r_ss, rel=1e-13
         )
+
+
+class TestGrazingIncidence:
+    """Reflections near k_perp = 0, where going through k_par loses k_perp."""
+
+    @pytest.mark.parametrize("w", [1e-5, 1e-7, 1e-9, 1e-7j])
+    @pytest.mark.parametrize(
+        "eps, kappa", [(2.25, 0.05), (2.25 + 0.1j, 0.05 + 0.001j)], ids=["lossless", "absorbing"]
+    )
+    def test_matches_impedance_form_oracle(self, eps, kappa, w):
+        med = MediumResponse(eps, 1.0, kappa, OMEGA)
+        k_perp = w * med.k0
+        got = planar_reflections(med, np.array([k_perp]))
+        want = chiral_reflections(eps, 1.0, kappa, med.k0, k_perp)
+        scale = max(abs(r) for r in want)
+        for g, r in zip(got, want):
+            assert abs(g[0] - r) <= 1e-12 * scale
+
+    def test_exact_pole_is_not_finite_and_named_by_fresnel_general(self, medium_std):
+        r_ss, r_pp, r_sp = planar_reflections(medium_std, np.array([0.0, 0.5 * medium_std.k0]))
+        assert not np.isfinite([r_ss[0], r_pp[0], r_sp[0]]).any()
+        assert np.isfinite([r_ss[1], r_pp[1], r_sp[1]]).all()
+        with pytest.raises(PoleError, match="k_par"):
+            fresnel_general(medium_std, medium_std.k0)
 
 
 class TestNearFieldSet:

@@ -11,9 +11,9 @@ from chipurcell import (
     PlanarGeometry,
     TransitionDipoles,
     curl_img_scatter_numeric,
-    fresnel_general,
     img_g_scatter_numeric,
     mirror_reflections,
+    planar_reflections,
     rates_halfspace,
     rates_mirror,
     rotatory_strength,
@@ -21,7 +21,6 @@ from chipurcell import (
 )
 from chipurcell.errors import LosslessRequiredError, PhysicsError, QuadratureError
 from chipurcell.halfspace import (
-    ReflectionSet,
     gamma_ch_mirror_nonretarded_variant,
     gamma_el_halfspace_nonretarded,
     s_halfspace_nonretarded_variant,
@@ -34,6 +33,11 @@ from oracles import planar_channel_integrals, random_rotations
 
 W = OMEGA
 K0 = W / CONSTANTS.c
+ORACLE_MEDIA = {
+    "lossless": (2.25, 1.0, 0.05),
+    "absorbing": (2.25 + 0.1j, 1.0, 0.05 + 0.001j),
+    "kappa_above_n": (4.0, 1.0, 2.5),
+}
 
 
 def quiet(fn, *args, **kwargs):
@@ -68,16 +72,15 @@ class TestNumericCurl:
         assert np.allclose(left.matrix, -curl.matrix)
 
     def test_zero_reflections_give_zero(self):
-        provider = lambda k_par: ReflectionSet(0.0, 0.0, 0.0, 0.0, k_par, W)
+        provider = lambda k_perp: (0.0, 0.0, 0.0)
         geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
         assert np.all(curl_img_scatter_numeric(geom, provider, W).matrix == 0)
         assert np.all(img_g_scatter_numeric(geom, provider, W) == 0)
 
     def test_nonconvergence_raises(self):
         # a near-pole in the reflection data that a tiny panel budget cannot resolve
-        def spiky(k_par):
-            r_sp = 1.0 / (1e-14 + (k_par / K0 - 0.37) ** 2)
-            return ReflectionSet(0.0, 0.0, r_sp, -r_sp, k_par, W)
+        def spiky(k_perp):
+            return 0.0, 0.0, 1.0 / (1e-14 + (k_perp / K0 - 0.37) ** 2)
 
         geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
         spec = QuadratureSpec(rel_tol=1e-10, max_panels=6)
@@ -85,19 +88,21 @@ class TestNumericCurl:
             curl_img_scatter_numeric(geom, spiky, W, spec)
 
 
-    @pytest.mark.parametrize("k0z", [0.01, 30.0])
-    @pytest.mark.parametrize(
-        "eps, mu, kappa",
-        [(2.25, 1.0, 0.05), (2.25 + 0.1j, 1.0, 0.05 + 0.001j), (4.0, 1.0, 2.5)],
-        ids=["lossless", "absorbing", "kappa_above_n"],
-    )
+    @pytest.mark.parametrize("eps, mu, kappa, k0z", [
+        pytest.param(*medium, k0z, id=f"{name}-{k0z}")
+        for name, medium in ORACLE_MEDIA.items() for k0z in (0.01, 30.0)
+    ] + [
+        # a traveling node lands so close to k_perp = 0 that
+        # k_par = sqrt(k0^2 - k_perp^2) rounds to k0 (grazing incidence)
+        pytest.param(*ORACLE_MEDIA["absorbing"], 631.561391665218, id="absorbing-631.561391665218"),
+    ])
     def test_halfspace_channels_match_scipy_oracle(self, eps, mu, kappa, k0z):
         """All five channels against scipy.integrate.quad on a reflection set
         written from scratch. Each channel converges relative to its complex
         magnitude, so the bound is a share of that magnitude scale."""
         med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
         geom = PlanarGeometry(z_m=k0z / K0, medium=med)
-        refl = lambda k_par: fresnel_general(med, k_par)
+        refl = lambda k_perp: planar_reflections(med, k_perp)
         spec = QuadratureSpec()
         curl = curl_img_scatter_numeric(geom, refl, W, spec).matrix
         img_g = img_g_scatter_numeric(geom, refl, W, spec)

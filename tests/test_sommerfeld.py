@@ -6,25 +6,29 @@ import pytest
 from chipurcell.sommerfeld import QuadratureSpec, integrate_evanescent, integrate_traveling
 
 
+def zero(k):
+    return np.zeros_like(k, dtype=complex)
+
+
 def test_constant_integrand_exact():
-    res = integrate_traveling(lambda k: 1.0 + 0.0j, k0=2.0, z=0.0, spec=QuadratureSpec())
+    res = integrate_traveling(lambda k: zero(k) + 1.0, k0=2.0, z=0.0, spec=QuadratureSpec())
     assert res.converged
     assert res.value == pytest.approx(2.0, rel=1e-14)
 
 
 def test_zero_integrand():
-    res = integrate_traveling(lambda k: 0.0j, k0=2.0, z=1.0)
+    res = integrate_traveling(zero, k0=2.0, z=1.0)
     assert res.converged
     assert res.value == 0.0
-    res = integrate_evanescent(lambda k: 0.0j, z=1.0)
+    res = integrate_evanescent(zero, z=1.0)
     assert res.converged
     assert res.value == 0.0
     # a zero channel meets a zero tolerance without dividing by it
     exact = QuadratureSpec(abs_floor=0.0)
-    assert integrate_traveling(lambda k: 0.0j, 2.0, 1.0, exact).converged
+    assert integrate_traveling(zero, 2.0, 1.0, exact).converged
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = integrate_traveling(lambda k: np.array([0.0j, np.exp(2j * k)]), 2.0, 1.0, exact)
+        res = integrate_traveling(lambda k: np.array([zero(k), np.exp(2j * k)]), 2.0, 1.0, exact)
     assert res.converged
     assert res.value[0] == 0.0 and res.err_estimate[0] == 0.0
 
@@ -142,10 +146,31 @@ def test_one_channel_vector_matches_scalar(integrate, f):
     assert vector.converged == scalar.converged
 
 
+@pytest.mark.parametrize("integrate, seed_panels", [
+    (lambda f: integrate_traveling(f, 1.0, 0.0, QuadratureSpec(rel_tol=1e-12)), 1),
+    (lambda f: integrate_evanescent(f, 0.5, QuadratureSpec(rel_tol=1e-12)), 8),
+], ids=["traveling", "evanescent"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_integrand_sees_one_panel_of_nodes_per_call(integrate, seed_panels, channels):
+    # each call carries the 15 nodes of one panel: the seed panels, then two
+    # per bisection, and a bisection adds one panel to panels_used
+    shapes = []
+
+    def f(k):
+        shapes.append(np.shape(k))
+        row = np.exp(-k) / (1.0 + 400.0 * (k - 0.3) ** 2)
+        return row if channels == 1 else np.array([row * (c + 1) for c in range(channels)])
+
+    res = integrate(f)
+    assert res.converged and res.panels_used > seed_panels
+    assert set(shapes) == {(15,)}
+    assert len(shapes) == 2 * res.panels_used - seed_panels
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
     with pytest.raises(ValueError):
-        integrate_evanescent(lambda k: 0.0j, z=0.0)
+        integrate_evanescent(zero, z=0.0)
