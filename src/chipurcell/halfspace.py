@@ -262,7 +262,8 @@ def _scatter_integrals(
     zz. The traveling segment integrates it over real k_perp in [0, k0], the
     evanescent tail over k_perp = i kappa_perp (where k_par dk_par / k_perp
     = -i dkappa_perp), each in a single adaptive integral that evaluates the
-    reflections once per panel, on all 15 nodes at once.
+    reflections once per refinement round, on the nodes of every panel the
+    round evaluates.
     """
     z = geom.z_m
     k0 = omega / CONSTANTS.c

@@ -12,13 +12,14 @@ pair on adaptively bisected panels:
   u = evanescent_cutoff_u (default 40, a e^-40 tail, far below any
   realistic tolerance).
 
-An integrand is called once per panel with the panel's 15 nodes as an
-array and returns their values with the nodes on the last axis: shape (15,)
-for a scalar integral, (channels, 15) for several integrals that share one
-costly evaluation (the result then has one entry per channel). Every
-channel must meet rel_tol on its own running value (plus abs_floor) before
-the integral stops, so a small channel is not resolved relative to a large
-one. A scalar integral refines exactly as a one-channel one.
+An integrand is called once per refinement round with an (n, 15) array of
+panel nodes, one row per panel; integrands must be elementwise over nodes.
+It returns their values with the node array's shape on the last two axes:
+(n, 15) for a scalar integral, (channels, n, 15) for several integrals that
+share one costly evaluation (the result then has one entry per channel).
+Every channel must meet rel_tol on its own running value (plus abs_floor)
+before the integral stops, so a small channel is not resolved relative to a
+large one. A scalar integral refines exactly as a one-channel one.
 
 Panel refinement order and the final summation order are deterministic, so
 identical inputs give bit-identical results.
@@ -26,14 +27,13 @@ identical inputs give bit-identical results.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-# f(x) with x the (15,) nodes of one panel -> the node values, shape (15,)
-# for a scalar integrand or (channels, 15) for an array-valued one
+# f(x) with x the (n, 15) nodes of n panels -> the node values, shape (n, 15)
+# for a scalar integrand or (channels, n, 15) for an array-valued one
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
@@ -84,93 +84,77 @@ class QuadratureResult:
     converged: bool
 
 
-def _gk15(f: Integrand, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel: (I15, err), scalars for a scalar
-    integrand and arrays of its channel shape for an array-valued one.
+def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
+    """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends).
 
-    ``f`` is called once with the 15 nodes. Every channel is reduced by the
-    same weight products on its own row, so a channel's result does not
-    depend on how many channels travel with it.
+    ``f`` is called once with the nodes of every panel, shape (panels, 15).
+    Returns (I15, err), each of shape (channels, panels), and whether ``f``
+    was scalar-valued. Every channel is reduced by the same weight products
+    on its own row, so a channel's result does not depend on how many
+    channels or panels travel with it.
     """
     half = 0.5 * (b - a)
-    fv = np.asarray(f(0.5 * (a + b) + half * _X15), dtype=complex)
-    rows = fv.reshape(-1, 15)
-    i15 = half * (rows @ _W15)
-    i7 = half * (rows[:, 1::2] @ _W7)
-    resabs = abs(half) * (np.abs(rows) @ _W15)
+    fv = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _X15), dtype=complex)
+    scalar = fv.ndim == 2
+    rows = fv[None] if scalar else fv
+    # einsum, not matmul: a BLAS matrix-vector product over many panels
+    # spreads onto threads, which stall whenever the other cores are busy
+    i15 = half * np.einsum("...j,j", rows, _W15)
+    i7 = half * np.einsum("...j,j", rows[..., 1::2], _W7)
+    resabs = np.abs(half) * np.einsum("...j,j", np.abs(rows), _W15)
     raw = np.abs(i15 - i7)
     # rescaled error estimate; guards against |I15-I7| underestimating on
     # smooth integrands (same shape as the classic QUADPACK heuristic)
     with np.errstate(divide="ignore", invalid="ignore"):
         rescaled = np.maximum(raw, resabs * np.minimum(1.0, (200.0 * raw / resabs) ** 1.5))
-    err = np.where(resabs > 0, rescaled, raw)
-    if fv.ndim == 1:
-        return complex(i15[0]), float(err[0])
-    return i15.reshape(fv.shape[:-1]), err.reshape(fv.shape[:-1])
+    return i15, np.where(resabs > 0, rescaled, raw), scalar
 
 
 def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
     """Adaptively bisect the seeded panels until every channel meets the
     tolerance on its own running value.
 
-    The worst channel's err/scale orders the refinement, with scale fixed
-    after the seed pass so that queued keys never go stale; for a scalar
-    integrand this is the order of err itself.
+    Works in rounds, each one integrand call: the seed pass, then both
+    halves of every panel split in a round. A round ranks the panels by
+    their worst channel's err/tol and splits the shortest prefix of that
+    ranking whose removal leaves an error within tolerance in every channel
+    (at least one panel, at most what ``max_panels`` still allows). For a
+    scalar integrand the ranking is the order of err itself.
     """
     if len(seeds) - 1 > spec.max_panels:
         # the panel budget is a hard cap; fall back to a uniform coarse seeding
-        seeds = list(np.linspace(seeds[0], seeds[-1], spec.max_panels + 1))
-    panels = []  # entries: (a, b, value, err)
-    run_value = 0.0 + 0.0j
-    run_err = 0.0
-    for a, b in zip(seeds[:-1], seeds[1:]):
-        if not b > a:
-            continue
-        val, err = _gk15(f, a, b)
-        panels.append((a, b, val, err))
-        run_value += val
-        run_err += err
-    # each channel's tolerance after the seed pass, floored so that a zero
-    # channel under abs_floor = 0 divides by no zero; the keys are Python
-    # floats, so an overflowing ratio is a silent inf
-    tol = np.atleast_1d(spec.rel_tol * abs(run_value) + spec.abs_floor)
-    scales = [max(s, _TINY) for s in tol.tolist()]
-
-    def key(err) -> float:
-        return -max(e / s for e, s in zip(np.atleast_1d(err).tolist(), scales))
-
-    heap = [(key(p[3]), i, i) for i, p in enumerate(panels)]  # (key, counter, index)
-    heapq.heapify(heap)
-    counter = len(panels)
-
-    def final(converged: bool) -> QuadratureResult:
-        value = 0.0 + 0.0j
-        err = 0.0
-        for _, _, v, e in sorted(panels, key=lambda p: p[0]):
-            value += v
-            err += e
-        return QuadratureResult(value, err, len(panels), converged)
-
+        seeds = np.linspace(seeds[0], seeds[-1], spec.max_panels + 1)
+    seeds = np.asarray(seeds, dtype=float)
+    a, b = seeds[:-1], seeds[1:]
+    val, err, scalar = _gk15(f, a, b)
     while True:
-        if np.all(run_err <= spec.rel_tol * abs(run_value) + spec.abs_floor):
-            return final(True)
-        if len(panels) >= spec.max_panels or not heap:
-            return final(False)
-        _, _, idx = heapq.heappop(heap)
-        a, b, val, err = panels[idx]
+        value, err_sum = val.sum(axis=1), err.sum(axis=1)
+        tol = spec.rel_tol * np.abs(value) + spec.abs_floor
+        converged = bool(np.all(err_sum <= tol))
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval exhausted at float resolution
-            continue
-        vl, el = _gk15(f, a, mid)
-        vr, er = _gk15(f, mid, b)
-        panels[idx] = (a, mid, vl, el)
-        heapq.heappush(heap, (key(el), counter, idx))
-        counter += 1
-        panels.append((mid, b, vr, er))
-        heapq.heappush(heap, (key(er), counter, len(panels) - 1))
-        counter += 1
-        run_value += vl + vr - val
-        run_err += el + er - err
+        splittable = np.flatnonzero((a < mid) & (mid < b))  # not exhausted at float resolution
+        if converged or len(a) >= spec.max_panels or not splittable.size:
+            break
+        # the tolerance is floored so that a zero channel under abs_floor = 0
+        # divides by no zero
+        share = (err / np.maximum(tol, _TINY)[:, None]).max(axis=0)
+        ranked = splittable[np.argsort(-share[splittable], kind="stable")]
+        # whether the error left unsplit after each prefix of the ranking is met
+        met = (err_sum[:, None] - np.cumsum(err[:, ranked], axis=1) <= tol[:, None]).all(axis=0)
+        n = int(np.argmax(met)) + 1 if met.any() else ranked.size
+        split = ranked[:min(n, spec.max_panels - len(a))]
+        lo, hi = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        v, e, _ = _gk15(f, lo, hi)
+        keep = np.ones(len(a), dtype=bool)
+        keep[split] = False
+        a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
+        val = np.concatenate([val[:, keep], v], axis=1)
+        err = np.concatenate([err[:, keep], e], axis=1)
+        by_start = np.argsort(a)
+        a, b, val, err = a[by_start], b[by_start], val[:, by_start], err[:, by_start]
+    if scalar:
+        return QuadratureResult(complex(value[0]), float(err_sum[0]), len(a), converged)
+    return QuadratureResult(value, err_sum, len(a), converged)
 
 
 def _merge_seeds(base: Iterable[float], extra: Iterable[float], lo: float, hi: float):
@@ -192,10 +176,11 @@ def integrate_traveling(
 
     Panels are seeded at half-period boundaries k_perp = j pi / (2 z); the
     adaptive pass refines from there. ``breakpoints`` may supply extra seed
-    points (e.g. branch points of reflection coefficients). ``f`` takes the
-    15 nodes of a panel as an array and returns their values on its last
-    axis; with a leading channel axis, each channel converges to rel_tol of
-    its own value and the result carries one value and error per channel.
+    points (e.g. branch points of reflection coefficients). ``f`` is called
+    once per refinement round with an (n, 15) array of panel nodes and must
+    be elementwise over nodes; it returns their values on its last two axes.
+    With a leading channel axis, each channel converges to rel_tol of its
+    own value and the result carries one value and error per channel.
     """
     if k0 <= 0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
@@ -218,9 +203,9 @@ def integrate_evanescent(
 
     Uses the substitution u = 2 kappa_perp z, truncating at
     spec.evanescent_cutoff_u. ``breakpoints`` are kappa_perp values (branch
-    points) added to the panel seeds. ``f`` is node-batched, and a
-    channel-valued one converges channel by channel, as in
-    ``integrate_traveling``.
+    points) added to the panel seeds. ``f`` is called once per refinement
+    round with an (n, 15) array of panel nodes, and a channel-valued one
+    converges channel by channel, as in ``integrate_traveling``.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")

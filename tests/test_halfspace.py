@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from chipurcell import (
     rotatory_strength,
     s_halfspace,
 )
-from chipurcell.errors import LosslessRequiredError, PhysicsError, QuadratureError
+from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from chipurcell.halfspace import (
     gamma_ch_mirror_nonretarded_variant,
     gamma_el_halfspace_nonretarded,
@@ -87,6 +88,20 @@ class TestNumericCurl:
         with pytest.raises(QuadratureError, match="traveling quadrature did not converge"):
             curl_img_scatter_numeric(geom, spiky, W, spec)
 
+    def test_non_finite_integrand_raises_pole_error(self):
+        # reflections with a pole band around the centre node of the single
+        # traveling seed panel: the error names a k_perp inside the band
+        band = (0.499 * K0, 0.501 * K0)
+
+        def pole_band(k_perp):
+            r = np.where((band[0] < k_perp.real) & (k_perp.real < band[1]), np.inf, 0.5)
+            return 0.0, 0.0, r
+
+        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
+        with pytest.raises(PoleError, match="planar integrand not finite") as info:
+            curl_img_scatter_numeric(geom, pole_band, W)
+        k_perp = float(re.search(r"k_perp = (?:np\.float64\()?([-+.\de]+)", str(info.value)).group(1))
+        assert band[0] < k_perp < band[1]
 
     @pytest.mark.parametrize("eps, mu, kappa, k0z", [
         pytest.param(*medium, k0z, id=f"{name}-{k0z}")

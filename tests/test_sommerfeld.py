@@ -31,6 +31,17 @@ def test_zero_integrand():
         res = integrate_traveling(lambda k: np.array([zero(k), np.exp(2j * k)]), 2.0, 1.0, exact)
     assert res.converged
     assert res.value[0] == 0.0 and res.err_estimate[0] == 0.0
+    # next to a narrow peak that needs refining, a zero channel under a zero
+    # tolerance neither stops nor reorders the refinement of the peak
+    w, spec = 4000.0, QuadratureSpec(rel_tol=1e-10, abs_floor=0.0)
+    peak = lambda k: 1.0 / (1.0 + w * (k - 0.3) ** 2) + 0.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_traveling(lambda k: np.array([zero(k), peak(k)]), 1.0, 0.0, spec)
+    exact = (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w)
+    assert res.converged and res.value[0] == 0.0
+    assert abs(res.value[1] - exact) <= spec.rel_tol * exact
+    assert res.panels_used == integrate_traveling(peak, 1.0, 0.0, spec).panels_used
 
 
 @pytest.mark.parametrize("k0z", [0.1, 10.0, 100.0])
@@ -152,8 +163,9 @@ def test_one_channel_vector_matches_scalar(integrate, f):
 ], ids=["traveling", "evanescent"])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_integrand_sees_one_panel_of_nodes_per_call(integrate, seed_panels, channels):
-    # each call carries the 15 nodes of one panel: the seed panels, then two
-    # per bisection, and a bisection adds one panel to panels_used
+    # each call carries the 15 nodes of every panel of one round: the seed
+    # panels, then both halves of each panel split in a round, and a split
+    # adds one panel to panels_used
     shapes = []
 
     def f(k):
@@ -163,8 +175,11 @@ def test_integrand_sees_one_panel_of_nodes_per_call(integrate, seed_panels, chan
 
     res = integrate(f)
     assert res.converged and res.panels_used > seed_panels
-    assert set(shapes) == {(15,)}
-    assert len(shapes) == 2 * res.panels_used - seed_panels
+    assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert shapes[0] == (seed_panels, 15)
+    evaluated = sum(s[0] for s in shapes)
+    assert evaluated == 2 * res.panels_used - seed_panels
+    assert len(shapes) < evaluated
 
 
 def test_spec_validation():
