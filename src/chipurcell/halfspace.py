@@ -18,10 +18,18 @@ k-parallel limit coincides with ``fresnel_nonretarded``.
 
 The numeric pathway evaluates the exact wavevector integrals of the
 scattering Green's tensor and is the physical arbiter between the two
-closed-form limits. For lossless media its near-field chiral response stays
-bounded as z -> 0 (every evanescent-tail contribution to the curl is real
-there), whereas the nonretarded closed forms diverge as 1/z^2; the two
-therefore agree only for the mirror, whose cross coefficients are real.
+closed-form limits. Their contour in the vacuum perpendicular wave number
+(the evanescent axis, then the traveling segment [0, k0]) is deformed onto
+the steepest-descent path k_perp = k0 + i t, on which exp(2i k_perp z)
+decays without oscillating, so one adaptive integral of a few panels covers
+any distance; branch cuts of the reflections inside the swept strip are
+integrated around (deformed Sommerfeld contours: Paulus, Gay-Balmaz &
+Martin, PRE 62, 5797 (2000)), and a reflection pole inside it, which only
+a medium with gain has, raises PoleError. For lossless media the near-field
+chiral response stays bounded as z -> 0 (every evanescent-tail contribution
+to the curl is real there), whereas the nonretarded closed forms diverge as
+1/z^2; the two therefore agree only for the mirror, whose cross
+coefficients are real.
 See ``rates_halfspace`` and the test suite for the documented comparison.
 """
 
@@ -29,9 +37,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -50,7 +59,7 @@ from .rates import (
     gamma_el_from_img,
     gamma_vacuum,
 )
-from .sommerfeld import QuadratureResult, QuadratureSpec, integrate_evanescent, integrate_traveling
+from .sommerfeld import QuadratureResult, QuadratureSpec, integrate_evanescent
 
 
 class Handedness(enum.Enum):
@@ -97,43 +106,131 @@ class ReflectionSet:
     omega: float
 
 
-def _sqrt_im(x) -> np.ndarray:
-    """Elementwise principal square root pushed onto the Im >= 0 branch."""
-    r = np.sqrt(np.asarray(x, dtype=complex))
-    return np.where(r.imag < 0, -r, r)
-
-
 # ---------------------------------------------------------------------------
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def planar_reflections(med: MediumResponse, k_perp) -> tuple:
-    """(r_ss, r_pp, r_sp) of the vacuum / chiral-medium interface as arrays
-    over the vacuum perpendicular wave number k_perp (real on the traveling
-    segment, i kappa_perp on the evanescent tail); r_ps = -r_sp.
+def _vertical_cuts(wn) -> list:
+    """(mode, k_b) of each circular mode whose root
+    sqrt(k^2 - k0^2 + k_perp^2) is cut vertically upward from its branch
+    point k_b = sqrt(k0^2 - k^2); mode 0 is k_plus, 1 is k_minus.
 
-    Built from the mode amplitudes
-    a(+-) = sqrt(mu/eps) (k0/k_perp) sqrt(k(+-)^2 - k0^2 + k_perp^2) / k(+-),
-    all roots on the Im >= 0 branch, so no k_par is formed and a grazing
-    k_perp keeps its full precision. At kappa = 0 the diagonal coefficients
-    reduce to the textbook dielectric Fresnel coefficients and r_sp = 0; for
-    k_perp -> i infinity the set tends to ``fresnel_nonretarded``. An exact
-    pole (k_perp = 0, or a vanishing denominator) gives non-finite entries.
+    A mode with Im k^2 >= 0 keeps the Im >= 0 root, which is analytic over
+    the strip 0 <= Re k_perp <= k0, Im k_perp >= 0. A mode with Im k^2 < 0
+    (gain, or a lossy |kappa| > Re n) has k_b in the first quadrant, where
+    the Im >= 0 root jumps along a curve running right from k_b. Its root is
+    cut vertically instead, which changes no value on the real segment or
+    the imaginary axis; when Re k_b < k0 the cut lies inside the strip and
+    the numeric pathway integrates around it.
     """
+    return [
+        (mode, cmath.sqrt(wn.k0**2 - k * k))
+        for mode, k in enumerate((wn.k_plus, wn.k_minus)) if (k * k).imag < 0
+    ]
+
+
+def _amplitudes(med: MediumResponse, k_perp: np.ndarray) -> np.ndarray:
+    """Mode amplitudes a(+-) = sqrt(mu/eps) (k0/k_perp) q(+-) / k(+-), modes
+    first, with q = sqrt(k^2 - k0^2 + k_perp^2) the Im >= 0 root, negated
+    right of a vertical cut of ``_vertical_cuts`` (where the continued root
+    is minus the principal one). On the cut itself (Re k_perp = Re k_b) it
+    is the root of the left side."""
     eps, mu = complex(med.eps), complex(med.mu)
     wn = wave_numbers(med)
-    k_perp = np.asarray(k_perp, dtype=complex)
-    k = np.array([wn.k_plus, wn.k_minus]).reshape((2,) + (1,) * k_perp.ndim)  # modes first
-    em = eps / mu
+    k = np.array([wn.k_plus, wn.k_minus]).reshape((2,) + (1,) * k_perp.ndim)
+    q = np.sqrt(k * k - wn.k0**2 + k_perp * k_perp)
+    flip = q.imag < 0
+    for mode, k_b in _vertical_cuts(wn):
+        flip[mode] |= k_perp.real > k_b.real
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(mu / eps) * wn.k0 / k_perp
-        a_p, a_m = root * _sqrt_im(k * k - wn.k0**2 + k_perp * k_perp) / k
+        return np.sqrt(mu / eps) * wn.k0 / k_perp * np.where(flip, -q, q) / k
+
+
+def _reflections(med: MediumResponse, a: np.ndarray) -> tuple:
+    """(r_ss, r_pp, r_sp) from the mode amplitudes ``a`` of ``_amplitudes``."""
+    eps, mu = complex(med.eps), complex(med.mu)
+    em = eps / mu
+    a_p, a_m = a
+    with np.errstate(divide="ignore", invalid="ignore"):
         b_p, b_m = 1.0 + em * a_p, 1.0 + em * a_m
         d = (1.0 + a_m) * b_p + (1.0 + a_p) * b_m
         r_sp = (2j * np.sqrt(eps / mu)) * (a_p - a_m) / d
         r_ss = ((1.0 + a_m) * (2.0 - b_p) + (1.0 + a_p) * (2.0 - b_m)) / d  # 2 - b = 1 - em a
         r_pp = ((1.0 - a_m) * b_p + (1.0 - a_p) * b_m) / d
     return r_ss, r_pp, r_sp
+
+
+@functools.lru_cache(maxsize=128)
+def _strip_poles(eps: complex, mu: complex, kappa: complex) -> tuple:
+    """Reflection poles strictly inside the strip 0 < Re k_perp < k0,
+    Im k_perp > 0, in units of k0 (they depend on eps, mu, kappa only).
+
+    A pole is a zero of the denominator d = 2 + (1 + e)(a+ + a-) + 2e a+ a-
+    of ``_reflections`` (e = eps/mu). With x = k_perp/k0 and, per mode,
+    a = c Q/x, c^2 = mu/(eps K^2), Q^2 = x^2 + alpha, alpha = K^2 - 1,
+    K = k/k0, squaring out both roots leaves a quartic in y = x^2,
+
+        L(y)^2 = 4 c+^2 c-^2 (1 - e)^4 y^2 Q+^2 Q-^2,
+        L(y) = 4 y^2 + 4 e^2 c+^2 c-^2 Q+^2 Q-^2
+               - (1 + e)^2 y (c+^2 Q+^2 + c-^2 Q-^2),
+
+    whose roots hold the zeros of d on both branches of each root. Each
+    root near the strip is polished by Newton steps on d itself
+    (a' = -a alpha / (x (x^2 + alpha))) and kept if d vanishes there on the
+    branch ``_amplitudes`` takes. Passive media have none inside (their
+    surface modes lie left of the imaginary axis); gain can move one in.
+    Poles on the strip's edge (the lossless surface plasmon on the
+    imaginary axis, the normal-incidence pole of a gain mode at k0) lie on
+    the contours, not between them.
+    """
+    med = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
+    e = eps / mu
+    wn = wave_numbers(med)
+    alpha = np.array([wn.k_plus**2 - 1.0, wn.k_minus**2 - 1.0])
+    c2 = 1.0 / (e * (alpha + 1.0))
+    cc, s, p = c2.prod(), alpha.sum(), alpha.prod()
+    l2 = 4.0 + 4.0 * e * e * cc - (1.0 + e) ** 2 * c2.sum()
+    l1 = 4.0 * e * e * cc * s - (1.0 + e) ** 2 * (c2 @ alpha)
+    l0 = 4.0 * e * e * cc * p
+    r = 4.0 * cc * (1.0 - e) ** 4
+    y = np.roots([
+        l2 * l2 - r, 2.0 * l1 * l2 - r * s, l1 * l1 + 2.0 * l0 * l2 - r * p, 2.0 * l0 * l1, l0 * l0,
+    ])
+    x = np.sqrt(y.astype(complex))  # Re >= 0: the half-plane of the strip
+    x = x[(x.real > -1e-3) & (x.real < 1.0 + 1e-3) & (x.imag > -1e-3)]
+    alpha = alpha[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4):
+            a = _amplitudes(med, x)
+            da = -a * alpha / (x * (x * x + alpha))
+            x = x - (2.0 + (1.0 + e) * a.sum(axis=0) + 2.0 * e * a.prod(axis=0)) / (
+                (1.0 + e) * da.sum(axis=0) + 2.0 * e * (da[0] * a[1] + a[0] * da[1]))
+        a = _amplitudes(med, x)
+        terms = np.array([np.full_like(x, 2.0), (1.0 + e) * a.sum(axis=0), 2.0 * e * a.prod(axis=0)])
+        pole = np.abs(terms.sum(axis=0)) <= 1e-6 * np.abs(terms).sum(axis=0)
+    edge = 1e-12
+    return tuple(complex(v) for v in x[pole & (x.real > edge) & (x.real < 1.0 - edge) & (x.imag > edge)])
+
+
+def planar_reflections(med: MediumResponse, k_perp) -> tuple:
+    """(r_ss, r_pp, r_sp) of the vacuum / chiral-medium interface as arrays
+    over the complex vacuum perpendicular wave number k_perp (real on the
+    traveling segment, i kappa_perp on the evanescent tail, k0 + i t on the
+    steepest-descent path of the numeric pathway); r_ps = -r_sp.
+
+    Built from the mode amplitudes
+    a(+-) = sqrt(mu/eps) (k0/k_perp) sqrt(k(+-)^2 - k0^2 + k_perp^2) / k(+-),
+    so no k_par is formed and a grazing k_perp keeps its full precision. The
+    roots are on the Im >= 0 branch on the real segment and the imaginary
+    axis, and continue analytically over the strip 0 <= Re k_perp <= k0,
+    Im k_perp >= 0 except on the vertical branch cut of a mode with
+    Im k(+-)^2 < 0 (see ``_vertical_cuts``). At kappa = 0 the diagonal
+    coefficients reduce to the textbook dielectric Fresnel coefficients and
+    r_sp = 0; for k_perp -> i infinity the set tends to
+    ``fresnel_nonretarded``. An exact pole (k_perp = 0, or a vanishing
+    denominator) gives non-finite entries.
+    """
+    return _reflections(med, _amplitudes(med, np.asarray(k_perp, dtype=complex)))
 
 
 def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
@@ -197,6 +294,11 @@ def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
     return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, 0.0, med.omega)
 
 
+# what the numeric pathway integrates: a function of the complex k_perp array
+# returning (r_ss, r_pp, r_sp), or a medium whose planar_reflections are meant
+Reflections = Union[MediumResponse, Callable[[np.ndarray], tuple]]
+
+
 def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[np.ndarray], tuple]:
     """Constant reflections (0, 0, +-1) of the perfect chiral mirror; the
     constants broadcast against any k_perp array."""
@@ -208,41 +310,24 @@ def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[np.nda
 # Numeric pathway
 # ---------------------------------------------------------------------------
 
-def _medium_breakpoints(med: Optional[MediumResponse]):
-    """Branch points of the circular wave numbers, as panel seeds.
-
-    Returns (traveling k_perp seeds, evanescent kappa_perp seeds): the mode
-    with |k| > k0 kinks the evanescent tail at kappa_perp = sqrt(k^2 - k0^2),
-    one with |k| < k0 kinks the traveling segment at k_perp = sqrt(k0^2 - k^2).
-    """
-    if med is None:
-        return (), ()
-    wn = wave_numbers(med)
-    k0 = wn.k0
-    trav, evan = [], []
-    for k in (wn.k_plus, wn.k_minus):
-        q = complex(k) ** 2 - k0 * k0
-        if q.real >= 0:
-            evan.append(float(np.real(np.sqrt(q))))
-        else:
-            trav.append(float(np.real(np.sqrt(-q))))
-    return tuple(p for p in trav if p > 0), tuple(p for p in evan if p > 0)
-
-
 # the channels of _scatter_integrals, in order
 _CHANNELS = ("curl xx", "curl zz", "curl x-y", "G xx", "G zz")
+# panel seeds of the steepest-descent path, in units of k0: the reflections
+# vary on the scale of k0 whatever the distance
+_PATH_BREAKPOINTS = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 
 
-def _run_quadrature(res: QuadratureResult, segment: str, spec: QuadratureSpec) -> np.ndarray:
+def _run_quadrature(res: QuadratureResult, spec: QuadratureSpec) -> np.ndarray:
     if res.converged:
         return res.value
-    # accept a degraded-but-bounded estimate; hard failure above 1e-4 relative
-    failed = res.err_estimate > 1e-4 * np.abs(res.value) + spec.abs_floor
+    # accept a degraded-but-bounded estimate; hard failure above 1e-4
+    # relative, and a NaN value or error fails too
+    failed = ~(res.err_estimate <= 1e-4 * np.abs(res.value) + spec.abs_floor)
     if not failed.any():
         return res.value
     i = int(np.argmax(failed))  # the first failing channel
     raise QuadratureError(
-        f"{segment} quadrature did not converge in channel {_CHANNELS[i]} "
+        f"steepest-descent quadrature did not converge in channel {_CHANNELS[i]} "
         f"(err={res.err_estimate[i]:.3e}, value={abs(res.value[i]):.3e}, "
         f"panels={res.panels_used})",
         err_estimate=float(res.err_estimate[i]),
@@ -251,7 +336,7 @@ def _run_quadrature(res: QuadratureResult, segment: str, spec: QuadratureSpec) -
 
 def _scatter_integrals(
     geom: PlanarGeometry,
-    reflections: Callable[[np.ndarray], tuple],
+    reflections: Reflections,
     omega: float,
     spec: QuadratureSpec,
 ) -> tuple[CurlGreens, np.ndarray]:
@@ -259,37 +344,66 @@ def _scatter_integrals(
 
     One planar integrand of the vacuum k_perp carries the five channels of
     ``_CHANNELS``: curl G xx (= yy), zz and x-y (= -yx), and G xx (= yy),
-    zz. The traveling segment integrates it over real k_perp in [0, k0], the
-    evanescent tail over k_perp = i kappa_perp (where k_par dk_par / k_perp
-    = -i dkappa_perp), each in a single adaptive integral that evaluates the
-    reflections once per refinement round, on the nodes of every panel the
-    round evaluates.
+    zz. Its integral over the traveling segment [0, k0] and the evanescent
+    axis k_perp = i kappa_perp runs, by Cauchy's theorem, along the
+    steepest-descent path k_perp = k0 + i t instead, t in [0, inf), on which
+    exp(2i k_perp z) decays like exp(-2 t z) without oscillating, so the
+    panel count does not grow with z. This needs reflections analytic in the
+    strip between the two contours. For a medium's ``planar_reflections``,
+    each vertical branch cut inside the strip (see ``_vertical_cuts``) is
+    added as a hairpin, the difference of the channels on its two sides at
+    k_perp = k_b + i t with the roots of every mode cut there negated, in
+    the same integrand; a pole inside the strip (``_strip_poles``) raises
+    PoleError. One adaptive integral evaluates the reflections once per
+    refinement round, on the nodes of every panel the round evaluates.
     """
     z = geom.z_m
     k0 = omega / CONSTANTS.c
-    bps_trav, bps_evan = _medium_breakpoints(geom.medium)
+    hairpins = {}  # k_b -> the modes cut upward from it
+    if isinstance(reflections, MediumResponse):
+        med = reflections
+        poles = _strip_poles(complex(med.eps), complex(med.mu), complex(med.kappa))
+        if poles:
+            raise PoleError(
+                f"reflection pole at k_perp = {poles[0]!r} k0 between the real-axis contour and "
+                "the steepest-descent path (a medium with gain); the numeric pathway does not "
+                "integrate around it"
+            )
+        for mode, k_b in _vertical_cuts(wave_numbers(med)):
+            if k_b.real < k0:
+                hairpins.setdefault(k_b, []).append(mode)
+        reflections = lambda k_perp: planar_reflections(med, k_perp)
 
-    def channels(k_perp: np.ndarray) -> np.ndarray:
-        r_ss, r_pp, r_sp = reflections(k_perp)
+    def channels(k_perp: np.ndarray, r_ss, r_pp, r_sp) -> np.ndarray:
         perp2 = (k_perp / k0) ** 2
         par2 = 2.0 * (1.0 - perp2)  # 2 k_par^2 / k0^2
-        values = np.exp(2j * k_perp * z) * np.array([
-            r_sp * (1.0 - perp2),
-            r_sp * par2,
-            (k_perp / k0) * (r_ss - r_pp),
-            1j * (r_ss - perp2 * r_pp),
-            1j * par2 * r_pp,
-        ])
+        with np.errstate(invalid="ignore"):  # a non-finite value raises below
+            values = np.array([
+                r_sp * (1.0 - perp2),
+                r_sp * par2,
+                (k_perp / k0) * (r_ss - r_pp),
+                1j * (r_ss - perp2 * r_pp),
+                1j * par2 * r_pp,
+            ])
+            values *= np.exp(2j * k_perp * z)
         bad = ~np.isfinite(values).all(axis=0)
         if bad.any():
             raise PoleError(f"planar integrand not finite at k_perp = {k_perp[bad][0]!r}, k0 = {k0!r}")
         return values
 
-    trav = integrate_traveling(channels, k0, z, spec, breakpoints=bps_trav)
-    evan = integrate_evanescent(
-        lambda kappa_perp: -1j * channels(1j * kappa_perp), z, spec, breakpoints=bps_evan,
-    )
-    total = _run_quadrature(trav, "traveling", spec) + _run_quadrature(evan, "evanescent", spec)
+    def path(t: np.ndarray) -> np.ndarray:
+        k_perp = k0 + 1j * t
+        values = channels(k_perp, *reflections(k_perp))
+        for k_b, modes in hairpins.items():
+            k_perp = k_b + 1j * t
+            a = _amplitudes(med, k_perp)  # the left side of the cut
+            values += channels(k_perp, *_reflections(med, a))
+            a[modes] *= -1.0  # the right side: the cut modes' roots negated
+            values -= channels(k_perp, *_reflections(med, a))
+        return values
+
+    res = integrate_evanescent(path, z, spec, breakpoints=k0 * _PATH_BREAKPOINTS)
+    total = -1j * _run_quadrature(res, spec)
     xx, zz, asym, g_xx, g_zz = (total * np.array([k0, k0, k0, 1.0, 1.0]) / (8.0 * np.pi)).imag
     curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, zz]])
     return CurlGreens(curl, CurlKind.IMAGINARY_PART), np.diag([g_xx, g_xx, g_zz])
@@ -297,39 +411,55 @@ def _scatter_integrals(
 
 def curl_img_scatter_numeric(
     geom: PlanarGeometry,
-    reflections: Callable[[np.ndarray], tuple],
+    reflections: Reflections,
     omega: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> CurlGreens:
     """Im of the curl of the scattering Green's tensor at the molecule.
 
-    Evaluates the azimuth-reduced radial integrals, split into the traveling
-    segment (k_perp in [0, k0]) and the evanescent tail (kappa_perp in
-    [0, inf)):
+    Evaluates the azimuth-reduced radial integral over the vacuum k_perp,
 
-        curl G = (k0/8pi) * int (k_par dk_par / k_perp) e^{2 i k_perp z}
+        curl G = (k0/8pi) * int_C dk_perp e^{2 i k_perp z}
                  { r_sp [(1 - k_perp^2/k0^2)(xx + yy) + (2 k_par^2/k0^2) zz]
-                   + (k_perp/k0)(r_ss - r_pp)(xy - yx) }
+                   + (k_perp/k0)(r_ss - r_pp)(xy - yx) },
+
+    with k_par^2 = k0^2 - k_perp^2 (k_par from 0 to inf) and C the
+    evanescent axis k_perp = i kappa_perp, kappa_perp from inf to 0,
+    followed by the traveling segment [0, k0]. It is computed on the
+    steepest-descent path k_perp = k0 + i t, t from inf to 0, which C
+    deforms into.
 
     The diagonal block is driven by the cross reflection, the antisymmetric
     x-y block by the difference of the diagonal reflections. ``reflections``
-    maps an array of vacuum k_perp to (r_ss, r_pp, r_sp), as
-    ``planar_reflections`` and ``mirror_reflections`` do.
+    is either a function mapping an array of complex vacuum k_perp to
+    (r_ss, r_pp, r_sp), as ``mirror_reflections`` returns, or a
+    MediumResponse, whose ``planar_reflections`` are used. A function must
+    be analytic in the strip 0 <= Re k_perp <= k0, Im k_perp >= 0 that the
+    deformation sweeps: a pole or branch cut there changes the result. For a
+    medium, its branch cuts in the strip are integrated around, and a pole
+    there (possible only with gain) raises PoleError. Only ``geom.z_m`` is
+    read from the geometry.
     """
     return _scatter_integrals(geom, reflections, omega, spec)[0]
 
 
 def img_g_scatter_numeric(
     geom: PlanarGeometry,
-    reflections: Callable[[np.ndarray], tuple],
+    reflections: Reflections,
     omega: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
     """Im of the scattering Green's tensor at the molecule (3x3, units 1/m).
 
     The azimuth-reduced integrand couples only the diagonal reflections; the
-    cross terms integrate to zero at coincidence. Drives the electric
-    scattering rate through gamma_el_from_img.
+    cross terms integrate to zero at coincidence:
+
+        G = (i/8pi) * int_C dk_perp e^{2 i k_perp z}
+            { (r_ss - (k_perp^2/k0^2) r_pp)(xx + yy) + (2 k_par^2/k0^2) r_pp zz },
+
+    on the contour and the steepest-descent path of
+    ``curl_img_scatter_numeric``, with ``reflections`` as there. Drives the electric scattering rate through
+    gamma_el_from_img.
     """
     return _scatter_integrals(geom, reflections, omega, spec)[1]
 
@@ -466,7 +596,8 @@ def rates_halfspace(
     diagonal reflections and Im[(d x m*) . e_z].
 
     The numeric method integrates the full k-dependent reflection set and is
-    the arbiter between the limits. Note the nonretarded closed form is an
+    the arbiter between the limits; it raises PoleError for a medium with
+    gain whose reflections have a pole between its contours. Note the nonretarded closed form is an
     extrapolation whose 1/z^2 growth is not reproduced by the exact
     integrals for lossless media (whose near-field chiral response stays
     bounded); the CLI's ``compare_numeric`` option exposes the honest
@@ -526,7 +657,7 @@ def rates_halfspace(
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
     else:
-        curl, img_g = _scatter_integrals(geom, lambda k_perp: planar_reflections(med, k_perp), w, spec)
+        curl, img_g = _scatter_integrals(geom, med, w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
         g_el = gamma_el_from_img(img_g, mol)
         s = g_ch / (g_vac + g_el)

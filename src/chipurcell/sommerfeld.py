@@ -1,16 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature for planar-interface wavevector integrals.
 
-The scattering integrals split into a traveling segment (perpendicular wave
-number k_perp in [0, k0], oscillatory through exp(2i k_perp z)) and an
-evanescent tail (decay constant kappa_perp in [0, inf), damped by
-exp(-2 kappa_perp z)). Both are handled by a 7-15 embedded Gauss-Kronrod
-pair on adaptively bisected panels:
+Two integrators share one adaptive 7-15 Gauss-Kronrod driver on bisected
+panels:
 
-* traveling panels are seeded on half-periods of exp(2i k_perp z), so the
-  base rule never straddles more than half an oscillation;
-* the evanescent tail is mapped to u = 2 kappa_perp z and truncated at
-  u = evanescent_cutoff_u (default 40, a e^-40 tail, far below any
-  realistic tolerance).
+* ``integrate_evanescent`` integrates a decaying tail over t in [0, inf),
+  damped at least like exp(-2 t z): the planar scattering integrals on the
+  steepest-descent path k_perp = k0 + i t, or the evanescent axis
+  k_perp = i t. The tail is mapped to u = 2 t z and truncated at
+  u = evanescent_cutoff_u (default 40, an e^-40 tail, far below any
+  realistic tolerance);
+* ``integrate_traveling`` integrates over a real segment k_perp in [0, k0]
+  that oscillates through exp(2i k_perp z); its panels are seeded on
+  half-periods, so the base rule never straddles more than half an
+  oscillation, and their number grows with z.
 
 An integrand is called once per refinement round with an (n, 15) array of
 panel nodes, one row per panel; integrands must be elementwise over nodes.
@@ -27,6 +29,7 @@ identical inputs give bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -68,10 +71,15 @@ class QuadratureSpec:
     evanescent_cutoff_u: float = 40.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise ValueError("rel_tol must be positive")
+        # written so that NaN fails each check
+        if not (0 < self.rel_tol < math.inf):
+            raise ValueError("rel_tol must be positive and finite")
+        if not (0 <= self.abs_floor < math.inf):
+            raise ValueError("abs_floor must be non-negative and finite")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
+        if not (0 < self.evanescent_cutoff_u < math.inf):
+            raise ValueError("evanescent_cutoff_u must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -198,14 +206,17 @@ def integrate_evanescent(
     spec: QuadratureSpec = QuadratureSpec(),
     breakpoints: Iterable[float] = (),
 ) -> QuadratureResult:
-    """Integrate f(kappa_perp) over [0, inf) for integrands decaying at least
-    as exp(-2 kappa_perp z).
+    """Integrate f(t) over [0, inf) for integrands decaying at least as
+    exp(-2 t z), such as the planar integrands on the steepest-descent path
+    k_perp = k0 + i t or the evanescent axis k_perp = i t.
 
-    Uses the substitution u = 2 kappa_perp z, truncating at
-    spec.evanescent_cutoff_u. ``breakpoints`` are kappa_perp values (branch
-    points) added to the panel seeds. ``f`` is called once per refinement
-    round with an (n, 15) array of panel nodes, and a channel-valued one
-    converges channel by channel, as in ``integrate_traveling``.
+    Uses the substitution u = 2 t z, truncating at
+    spec.evanescent_cutoff_u; panels are seeded at fixed u, where the decay
+    sets the scale. ``breakpoints`` are t values (branch points, the scale
+    on which f itself varies) added to the panel seeds. ``f`` is called
+    once per refinement round with an (n, 15) array of panel nodes, and a
+    channel-valued one converges channel by channel, as in
+    ``integrate_traveling``.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")

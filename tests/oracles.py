@@ -290,3 +290,42 @@ def planar_channel_integrals(eps: complex, mu: complex, kappa: complex, k0: floa
     evan = integrate(lambda u: -1j * channels(0.5j * u / z) * np.exp(-u), evan_edges) / (2 * z)
     pref = np.array([k0, k0, k0, 1.0, 1.0]) / (8 * np.pi)
     return pref * (trav + evan), pref * (np.abs(trav) + np.abs(evan))
+
+
+# ---------------------------------------------------------------------------
+# Perfect chiral mirror: the planar integrals in closed form
+# ---------------------------------------------------------------------------
+
+def _moment(n: int, x: float) -> complex:
+    """int_0^1 t^n exp(i x t) dt for n in (0, 2)."""
+    if abs(x) < 1.0:
+        # power series; the closed form below cancels badly for small x
+        total, term, j = 0j, 1 + 0j, 0
+        while True:
+            add = term / (j + n + 1)
+            total += add
+            if abs(add) < 1e-18 * abs(total):
+                return total
+            j += 1
+            term *= 1j * x / j
+    ix = 1j * x
+    e = np.exp(ix)
+    if n == 0:
+        return (e - 1.0) / ix
+    return e * (1.0 / ix - 2.0 / ix**2 + 2.0 / ix**3) - 2.0 / ix**3
+
+
+def mirror_curl_xx(k0: float, z: float, sign: float):
+    """(xx, scale) of the perfect mirror's scattering curl before taking Im.
+
+    The mirror reflects with constant r_sp = sign and r_ss = r_pp = 0, so
+    the traveling segment k0 int_0^1 (1 - s^2) e^{2i k0 z s} ds and the
+    evanescent tail -i int_0^inf (1 + t^2/k0^2) e^{-2tz} dt are elementary
+    (zz is exactly 2 xx, the x-y block vanishes). The scale is the sum of
+    the segments' magnitudes, as in ``planar_channel_integrals``.
+    """
+    a = 2.0 * z
+    trav = sign * k0 * (_moment(0, a * k0) - _moment(2, a * k0))
+    evan = -1j * sign * (1.0 / a + 2.0 / (a**3 * k0 * k0))
+    pref = k0 / (8.0 * np.pi)
+    return pref * (trav + evan), pref * (abs(trav) + abs(evan))

@@ -259,6 +259,16 @@ class TestExitCodesAndGolden:
         capsys.readouterr()
         assert code == EXIT_QUADRATURE
 
+    @pytest.mark.parametrize("cutoff", [0.0, -5.0, float("nan")])
+    def test_bad_evanescent_cutoff_exits_schema(self, tmp_path, capsys, cutoff):
+        scen = copy.deepcopy(HALFSPACE)
+        scen["method"] = {"limit": "numeric", "quadrature": {"evanescent_cutoff_u": cutoff}}
+        cfg = tmp_path / "cutoff.json"
+        cfg.write_text(json.dumps(scen))  # NaN is written as the token NaN
+        code = main(["rate", "--config", str(cfg)])
+        assert "evanescent_cutoff_u" in capsys.readouterr().err
+        assert code == EXIT_SCHEMA
+
     @pytest.mark.parametrize(
         "scenario,golden",
         [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chipurcell.halfspace as hs
 from chipurcell import (
     CONSTANTS,
     Handedness,
@@ -22,15 +23,16 @@ from chipurcell import (
 )
 from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from chipurcell.halfspace import (
+    _run_quadrature,
     gamma_ch_mirror_nonretarded_variant,
     gamma_el_halfspace_nonretarded,
     s_halfspace_nonretarded_variant,
     s_mirror_nonretarded_variant,
     s_mirror_retarded,
 )
-from chipurcell.sommerfeld import QuadratureSpec
+from chipurcell.sommerfeld import QuadratureResult, QuadratureSpec
 from conftest import DEBYE, OMEGA
-from oracles import planar_channel_integrals, random_rotations
+from oracles import mirror_curl_xx, planar_channel_integrals, random_rotations
 
 W = OMEGA
 K0 = W / CONSTANTS.c
@@ -38,7 +40,27 @@ ORACLE_MEDIA = {
     "lossless": (2.25, 1.0, 0.05),
     "absorbing": (2.25 + 0.1j, 1.0, 0.05 + 0.001j),
     "kappa_above_n": (4.0, 1.0, 2.5),
+    # a circular mode with Im k^2 < 0 puts a branch cut inside the strip
+    # the contour deformation sweeps: a gain mode, and a lossy |kappa| > Re n
+    "gain_mode": (2.25, 1.0, 0.05 + 0.01j),
+    "lossy_kappa_above_n": (4.0 + 0.4j, 1.0, 2.5),
+    "lossy_plasmonic": (-2.0 + 0.3j, 1.0, 0.05 + 0.01j),
+    # Im(eps mu) < 0 at kappa = 0: both modes share one branch point and cut
+    "shared_cut": (-2.0 + 0.1j, -1.0 + 0.1j, 0.0),
 }
+
+
+def record_integrals(monkeypatch) -> list:
+    """Every QuadratureResult the numeric pathway's integrator returns."""
+    results = []
+    inner = hs.integrate_evanescent
+
+    def spy(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(hs, "integrate_evanescent", spy)
+    return results
 
 
 def quiet(fn, *args, **kwargs):
@@ -79,29 +101,40 @@ class TestNumericCurl:
         assert np.all(img_g_scatter_numeric(geom, provider, W) == 0)
 
     def test_nonconvergence_raises(self):
-        # a near-pole in the reflection data that a tiny panel budget cannot resolve
+        # a near-pole in the reflection data that a tiny panel budget cannot
+        # resolve: just outside the strip, 1e-7 k0 right of the path
         def spiky(k_perp):
-            return 0.0, 0.0, 1.0 / (1e-14 + (k_perp / K0 - 0.37) ** 2)
+            return 0.0, 0.0, 1.0 / (k_perp / K0 - (1.0 + 1e-7 + 0.37j))
 
         geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
         spec = QuadratureSpec(rel_tol=1e-10, max_panels=6)
-        with pytest.raises(QuadratureError, match="traveling quadrature did not converge"):
+        with pytest.raises(QuadratureError, match="steepest-descent quadrature did not converge"):
             curl_img_scatter_numeric(geom, spiky, W, spec)
 
     def test_non_finite_integrand_raises_pole_error(self):
-        # reflections with a pole band around the centre node of the single
-        # traveling seed panel: the error names a k_perp inside the band
-        band = (0.499 * K0, 0.501 * K0)
+        # reflections with a pole band on Im k_perp around the centre node of
+        # the path's seed panel t in [0.5, 1] k0: the error names a k_perp
+        # inside the band
+        band = (0.749 * K0, 0.751 * K0)
 
         def pole_band(k_perp):
-            r = np.where((band[0] < k_perp.real) & (k_perp.real < band[1]), np.inf, 0.5)
+            r = np.where((band[0] < k_perp.imag) & (k_perp.imag < band[1]), np.inf, 0.5)
             return 0.0, 0.0, r
 
         geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
         with pytest.raises(PoleError, match="planar integrand not finite") as info:
             curl_img_scatter_numeric(geom, pole_band, W)
-        k_perp = float(re.search(r"k_perp = (?:np\.float64\()?([-+.\de]+)", str(info.value)).group(1))
-        assert band[0] < k_perp < band[1]
+        named = re.search(r"k_perp = (?:np\.complex128\()?\(?([^,()]+)", str(info.value)).group(1)
+        assert band[0] < complex(named).imag < band[1]
+
+    def test_nan_quadrature_result_fails(self):
+        # NaN compares False with everything: a NaN error or value must fail
+        # the degraded-acceptance rule, not pass it
+        spec = QuadratureSpec()
+        for value, err in ((np.nan, 1.0), (1.0, np.nan)):
+            res = QuadratureResult(np.full(5, value + 0j), np.full(5, err), 8, False)
+            with pytest.raises(QuadratureError, match="did not converge in channel curl xx"):
+                _run_quadrature(res, spec)
 
     @pytest.mark.parametrize("eps, mu, kappa, k0z", [
         pytest.param(*medium, k0z, id=f"{name}-{k0z}")
@@ -117,14 +150,119 @@ class TestNumericCurl:
         magnitude, so the bound is a share of that magnitude scale."""
         med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
         geom = PlanarGeometry(z_m=k0z / K0, medium=med)
-        refl = lambda k_perp: planar_reflections(med, k_perp)
         spec = QuadratureSpec()
-        curl = curl_img_scatter_numeric(geom, refl, W, spec).matrix
-        img_g = img_g_scatter_numeric(geom, refl, W, spec)
+        curl = curl_img_scatter_numeric(geom, med, W, spec).matrix
+        img_g = img_g_scatter_numeric(geom, med, W, spec)
         got = [curl[0, 0], curl[2, 2], curl[0, 1], img_g[0, 0], img_g[2, 2]]
         values, scales = planar_channel_integrals(eps, mu, kappa, K0, geom.z_m)
         for g, v, s in zip(got, values, scales):
             assert abs(g - v.imag) <= 10 * spec.rel_tol * s
+
+    @pytest.mark.parametrize("name, hairpin", [
+        ("gain_mode", True), ("lossless", False), ("absorbing", False),
+    ])
+    def test_hairpin_runs_only_for_a_cut_in_the_strip(self, monkeypatch, name, hairpin):
+        """The branch-cut hairpin evaluates the mode amplitudes at Re k_perp
+        = Re k_b once per round, beside the path's evaluation at Re k_perp
+        = k0."""
+        seen = []
+        inner = hs._amplitudes
+
+        def spy(med, k_perp):
+            seen.append(np.unique(k_perp.real))
+            return inner(med, k_perp)
+
+        monkeypatch.setattr(hs, "_amplitudes", spy)
+        eps, mu, kappa = ORACLE_MEDIA[name]
+        med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
+        geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
+        curl_img_scatter_numeric(geom, med, W)
+        assert all(re_k.size == 1 for re_k in seen)
+        on_path = sum(re_k[0] == K0 for re_k in seen)
+        assert on_path >= 1
+        assert len(seen) - on_path == (on_path if hairpin else 0)
+
+    @pytest.mark.parametrize("eps, kappa", [
+        (2.25 - 0.1j, 0.05),  # gain in eps: a Brewster-side pole at 0.554 + 0.008i k0
+        (-2.0, 0.05 + 0.2j),  # a gain mode pulls the surface plasmon inside
+        (-2.0 - 1e-6j, 0.05),  # 5e-7 k0 right of the imaginary axis
+    ])
+    def test_pole_inside_the_strip_raises(self, eps, kappa, mol_iso):
+        """Gain can put a reflection pole between the real-axis contour and
+        the path; the deformation would add its residue, so the pathway
+        refuses instead of returning a different value."""
+        med = MediumResponse(eps=eps, mu=1.0, kappa=kappa, omega=W)
+        geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
+        with pytest.raises(PoleError, match="reflection pole") as info:
+            curl_img_scatter_numeric(geom, med, W)
+        named = complex(re.search(r"k_perp = \(?([^ )]+)\)? k0", str(info.value)).group(1))
+        assert 0 < named.real < 1 and named.imag > 0
+        r_ss, r_pp, r_sp = planar_reflections(med, np.array([named * K0]))
+        assert max(abs(r_ss[0]), abs(r_pp[0]), abs(r_sp[0])) > 1e6
+        with pytest.raises(PoleError):
+            rates_halfspace(geom, mol_iso, Limit.NUMERIC)
+
+    def test_shared_cut_is_continuous_in_kappa(self, monkeypatch):
+        """At kappa = 0 both modes share one cut and are negated together:
+        the channels match kappa = 1e-7 (two cuts 1e-7 apart), whose chiral
+        channels are a tenth of those at 1e-6."""
+        results = record_integrals(monkeypatch)
+        eps, mu, _ = ORACLE_MEDIA["shared_cut"]
+        for kappa in (0.0, 1e-7, 1e-6):
+            med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
+            curl_img_scatter_numeric(PlanarGeometry(z_m=0.01 / K0), med, W)
+        flat, small, large = (r.value for r in results)
+        assert np.all(flat[:2] == 0)
+        assert np.all(np.abs(small[2:] - flat[2:]) <= 1e-7 * np.abs(flat[2:]))
+        assert np.all(np.abs(10 * small[:2] - large[:2]) <= 1e-5 * np.abs(large[:2]))
+
+    def test_hairpins_belong_to_the_medium_argument(self, monkeypatch):
+        """Only a MediumResponse brings its cuts: a mirror geometry that
+        also carries a cut medium integrates the mirror alone, and a function
+        provider is integrated on the path only."""
+        med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)
+        mirror = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
+        both = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT, medium=med)
+        refl = mirror_reflections(Handedness.RIGHT, W)
+        assert np.array_equal(
+            curl_img_scatter_numeric(both, refl, W).matrix, curl_img_scatter_numeric(mirror, refl, W).matrix
+        )
+        seen = []
+        inner = hs._amplitudes
+        monkeypatch.setattr(hs, "_amplitudes", lambda m, k: seen.append(np.unique(k.real)) or inner(m, k))
+        curl_img_scatter_numeric(both, lambda k_perp: planar_reflections(med, k_perp), W)
+        assert seen and all(np.array_equal(re_k, [K0]) for re_k in seen)
+
+    def test_lossless_surface_plasmon_converges(self, monkeypatch):
+        """eps = -2 puts a surface-plasmon pole on the evanescent axis: the
+        path never meets it, converges, and gives the limit of vanishing
+        loss (continuous with eps = -2 + 1e-6 i)."""
+        results = record_integrals(monkeypatch)
+        for eps in (-2.0 + 1e-6j, -2.0):
+            med = MediumResponse(eps=eps, mu=1.0, kappa=0.05, omega=W)
+            geom = PlanarGeometry(z_m=0.5 / K0, medium=med)
+            curl_img_scatter_numeric(geom, med, W)
+        lossy, lossless = results
+        assert lossy.converged and lossless.converged
+        assert np.all(np.abs(lossless.value - lossy.value) <= 1e-5 * np.abs(lossy.value))
+
+    def test_cost_does_not_grow_with_distance(self, monkeypatch):
+        """Mirror points far out match the elementary closed form, and the
+        path's panel count at k0 z = 1e5 is no larger than at 1e2."""
+        results = record_integrals(monkeypatch)
+        spec = QuadratureSpec()
+        for k0z in (1e2, 1e4, 1e5):
+            geom = PlanarGeometry(z_m=k0z / K0, handedness=Handedness.RIGHT)
+            curl = curl_img_scatter_numeric(geom, mirror_reflections(Handedness.RIGHT, W), W, spec)
+            xx, scale = mirror_curl_xx(K0, geom.z_m, 1.0)
+            assert abs(curl.matrix[0, 0] - xx.imag) <= 10 * spec.rel_tol * scale
+            assert abs(curl.matrix[2, 2] - 2 * xx.imag) <= 20 * spec.rel_tol * scale
+        assert all(r.converged for r in results)
+        assert results[2].panels_used <= results[0].panels_used
+        med = MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)
+        geom = PlanarGeometry(z_m=1e4 / K0, medium=med)
+        curl_img_scatter_numeric(geom, med, W, spec)
+        assert results[-1].converged
 
 
 class TestMirrorRates:

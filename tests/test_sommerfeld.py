@@ -189,3 +189,21 @@ def test_spec_validation():
         QuadratureSpec(max_panels=0)
     with pytest.raises(ValueError):
         integrate_evanescent(zero, z=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("evanescent_cutoff_u", 0.0),
+    ("evanescent_cutoff_u", -5.0),
+    ("evanescent_cutoff_u", float("nan")),
+    ("evanescent_cutoff_u", float("inf")),
+    ("abs_floor", -1e-300),
+    ("abs_floor", float("nan")),
+    ("abs_floor", float("inf")),
+    ("rel_tol", float("nan")),
+    ("rel_tol", float("inf")),
+])
+def test_spec_rejects_out_of_range_or_non_finite(field, value):
+    # each would end as a silently wrong integral: a zero or reversed
+    # evanescent range, or a NaN tolerance that no convergence test fails
+    with pytest.raises(ValueError, match=field):
+        QuadratureSpec(**{field: value})
