@@ -69,9 +69,11 @@ def _complex_from(node, where: str, omega: float) -> complex:
     if isinstance(node, (int, float)):
         return complex(node)
     if isinstance(node, list):
-        if len(node) != 2 or not all(isinstance(v, (int, float)) for v in node):
-            raise SchemaError(f"{where}: complex values are two-element [re, im] arrays")
-        return complex(node[0], node[1])
+        if len(node) == 2:
+            real, imag = node
+            if isinstance(real, (int, float)) and isinstance(imag, (int, float)):
+                return complex(real, imag)
+        raise SchemaError(f"{where}: complex values are two-element [re, im] arrays")
     if isinstance(node, dict):
         model = node.get("model")
         if model == "lorentz":

@@ -25,17 +25,26 @@ decays without oscillating, so one adaptive integral of a few panels covers
 any distance; branch cuts of the reflections inside the swept strip are
 integrated around (deformed Sommerfeld contours: Paulus, Gay-Balmaz &
 Martin, PRE 62, 5797 (2000)), and a reflection pole inside it, which only
-a medium with gain has, raises PoleError. For lossless media the near-field
-chiral response stays bounded as z -> 0 (every evanescent-tail contribution
-to the curl is real there), whereas the nonretarded closed forms diverge as
-1/z^2; the two therefore agree only for the mirror, whose cross
-coefficients are real.
+a medium with gain has, raises PoleError. The integrand is dimensionless:
+a function of x = k_perp/k0 = 1 + i t/k0 with four channels (curl G xx
+and x-y, G xx and zz; curl G zz is twice curl G xx and is set at
+assembly). Each node carries only the real decay exp(-2 t z) of
+exp(2i k_perp z) = exp(2i k0 z) exp(-2 t z); the unit-modulus
+exp(2i k0 z) multiplies the totals once. The reflections of a medium come
+from one cached per-medium plan (``_plan``), in units of k0, which
+``planar_reflections`` and ``fresnel_general`` use as well.
+
+For lossless media the near-field chiral response stays bounded as z -> 0
+(every evanescent-tail contribution to the curl is real there), whereas the
+nonretarded closed forms diverge as 1/z^2; the two therefore agree only for
+the mirror, whose cross coefficients are real.
 See ``rates_halfspace`` and the test suite for the documented comparison.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import enum
 import functools
 import warnings
@@ -110,65 +119,87 @@ class ReflectionSet:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-def _vertical_cuts(wn) -> list:
-    """(mode, k_b) of each circular mode whose root
-    sqrt(k^2 - k0^2 + k_perp^2) is cut vertically upward from its branch
-    point k_b = sqrt(k0^2 - k^2); mode 0 is k_plus, 1 is k_minus.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The per-medium constants of the reflections, in units of k0: they
+    depend on eps, mu and kappa only, and the reflections on them and on
+    x = k_perp/k0. Mode arrays are read-only, modes first (0 is k_plus,
+    1 is k_minus), with K = k/k0."""
 
-    A mode with Im k^2 >= 0 keeps the Im >= 0 root, which is analytic over
-    the strip 0 <= Re k_perp <= k0, Im k_perp >= 0. A mode with Im k^2 < 0
-    (gain, or a lossy |kappa| > Re n) has k_b in the first quadrant, where
-    the Im >= 0 root jumps along a curve running right from k_b. Its root is
-    cut vertically instead, which changes no value on the real segment or
-    the imaginary axis; when Re k_b < k0 the cut lies inside the strip and
-    the numeric pathway integrates around it.
-    """
-    return [
-        (mode, cmath.sqrt(wn.k0**2 - k * k))
-        for mode, k in enumerate((wn.k_plus, wn.k_minus)) if (k * k).imag < 0
-    ]
-
-
-def _amplitudes(med: MediumResponse, k_perp: np.ndarray) -> np.ndarray:
-    """Mode amplitudes a(+-) = sqrt(mu/eps) (k0/k_perp) q(+-) / k(+-), modes
-    first, with q = sqrt(k^2 - k0^2 + k_perp^2) the Im >= 0 root, negated
-    right of a vertical cut of ``_vertical_cuts`` (where the continued root
-    is minus the principal one). On the cut itself (Re k_perp = Re k_b) it
-    is the root of the left side."""
-    eps, mu = complex(med.eps), complex(med.mu)
-    wn = wave_numbers(med)
-    k = np.array([wn.k_plus, wn.k_minus]).reshape((2,) + (1,) * k_perp.ndim)
-    q = np.sqrt(k * k - wn.k0**2 + k_perp * k_perp)
-    flip = q.imag < 0
-    for mode, k_b in _vertical_cuts(wn):
-        flip[mode] |= k_perp.real > k_b.real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sqrt(mu / eps) * wn.k0 / k_perp * np.where(flip, -q, q) / k
-
-
-def _reflections(med: MediumResponse, a: np.ndarray) -> tuple:
-    """(r_ss, r_pp, r_sp) from the mode amplitudes ``a`` of ``_amplitudes``."""
-    eps, mu = complex(med.eps), complex(med.mu)
-    em = eps / mu
-    a_p, a_m = a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_p, b_m = 1.0 + em * a_p, 1.0 + em * a_m
-        d = (1.0 + a_m) * b_p + (1.0 + a_p) * b_m
-        r_sp = (2j * np.sqrt(eps / mu)) * (a_p - a_m) / d
-        r_ss = ((1.0 + a_m) * (2.0 - b_p) + (1.0 + a_p) * (2.0 - b_m)) / d  # 2 - b = 1 - em a
-        r_pp = ((1.0 - a_m) * b_p + (1.0 - a_p) * b_m) / d
-    return r_ss, r_pp, r_sp
+    alpha: np.ndarray  # K^2 - 1
+    c: np.ndarray  # sqrt(mu/eps) / K
+    e: complex  # eps/mu
+    cross: complex  # 2i sqrt(eps/mu), the prefactor of r_sp
+    # (x_b, modes) of each vertical branch cut: x_b = sqrt(1 - K^2) of the
+    # modes with Im K^2 < 0, whose root is cut vertically upward from x_b.
+    # A mode with Im K^2 >= 0 keeps the Im >= 0 root, which is analytic over
+    # the strip 0 <= Re x <= 1, Im x >= 0. A mode with Im K^2 < 0 (gain, or
+    # a lossy |kappa| > Re n) has x_b in the first quadrant, where the
+    # Im >= 0 root jumps along a curve running right from x_b. Its root is
+    # cut vertically instead, which changes no value on the real segment or
+    # the imaginary axis; when Re x_b < 1 the cut lies inside the strip and
+    # the numeric pathway integrates around it.
+    cuts: tuple
+    poles: tuple = ()  # reflection poles inside the strip (see _strip_poles)
 
 
 @functools.lru_cache(maxsize=128)
-def _strip_poles(eps: complex, mu: complex, kappa: complex) -> tuple:
-    """Reflection poles strictly inside the strip 0 < Re k_perp < k0,
-    Im k_perp > 0, in units of k0 (they depend on eps, mu, kappa only).
+def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
+    """The ``_Plan`` of a medium, with its strip poles; built once per
+    (eps, mu, kappa)."""
+    wn = wave_numbers(MediumResponse(eps, mu, kappa, CONSTANTS.c))  # k0 = 1
+    cuts = {}
+    for mode, k in enumerate((wn.k_plus, wn.k_minus)):
+        if (k * k).imag < 0:
+            cuts.setdefault(cmath.sqrt(1.0 - k * k), []).append(mode)
+    k = np.array([wn.k_plus, wn.k_minus])
+    alpha, c = k * k - 1.0, np.sqrt(mu / eps) / k
+    alpha.flags.writeable = c.flags.writeable = False
+    plan = _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
+                 tuple((x_b, tuple(modes)) for x_b, modes in cuts.items()))
+    return dataclasses.replace(plan, poles=_strip_poles(plan))
+
+
+def _medium_plan(med: MediumResponse) -> _Plan:
+    return _plan(complex(med.eps), complex(med.mu), complex(med.kappa))
+
+
+def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """Mode amplitudes a(+-) = sqrt(mu/eps) q(+-) / (x K(+-)) at
+    x = k_perp/k0, modes first, with q = sqrt(x^2 + K^2 - 1) the Im >= 0
+    root, negated right of a vertical cut of the plan (where the continued
+    root is minus the principal one). On the cut itself (Re x = Re x_b) it
+    is the root of the left side. The caller sets numpy's error state: an
+    exact pole gives non-finite entries."""
+    modes = (2,) + (1,) * x.ndim
+    q = np.sqrt(plan.alpha.reshape(modes) + x * x)
+    flip = q.imag < 0
+    for x_b, cut in plan.cuts:
+        flip[list(cut)] |= x.real > x_b.real
+    np.negative(q, out=q, where=flip)
+    return plan.c.reshape(modes) * q / x
+
+
+def _reflections(plan: _Plan, a: np.ndarray) -> tuple:
+    """(r_ss, r_pp, r_sp) from the mode amplitudes ``a`` of ``_amplitudes``;
+    the caller sets numpy's error state."""
+    p, b = 1.0 + a, 1.0 + plan.e * a
+    m, nb = 1.0 - a, 2.0 - b  # 2 - b = 1 - e a
+    d = p[1] * b[0] + p[0] * b[1]
+    r_sp = plan.cross * (a[0] - a[1]) / d
+    r_ss = (p[1] * nb[0] + p[0] * nb[1]) / d
+    r_pp = (m[1] * b[0] + m[0] * b[1]) / d
+    return r_ss, r_pp, r_sp
+
+
+def _strip_poles(plan: _Plan) -> tuple:
+    """Reflection poles strictly inside the strip 0 < Re x < 1, Im x > 0,
+    x = k_perp/k0.
 
     A pole is a zero of the denominator d = 2 + (1 + e)(a+ + a-) + 2e a+ a-
-    of ``_reflections`` (e = eps/mu). With x = k_perp/k0 and, per mode,
-    a = c Q/x, c^2 = mu/(eps K^2), Q^2 = x^2 + alpha, alpha = K^2 - 1,
-    K = k/k0, squaring out both roots leaves a quartic in y = x^2,
+    of ``_reflections`` (e = eps/mu). Per mode, a = c Q/x, c^2 = mu/(eps K^2),
+    Q^2 = x^2 + alpha, alpha = K^2 - 1, and squaring out both roots leaves a
+    quartic in y = x^2,
 
         L(y)^2 = 4 c+^2 c-^2 (1 - e)^4 y^2 Q+^2 Q-^2,
         L(y) = 4 y^2 + 4 e^2 c+^2 c-^2 Q+^2 Q-^2
@@ -180,13 +211,11 @@ def _strip_poles(eps: complex, mu: complex, kappa: complex) -> tuple:
     branch ``_amplitudes`` takes. Passive media have none inside (their
     surface modes lie left of the imaginary axis); gain can move one in.
     Poles on the strip's edge (the lossless surface plasmon on the
-    imaginary axis, the normal-incidence pole of a gain mode at k0) lie on
-    the contours, not between them.
+    imaginary axis, the normal-incidence pole of a gain mode at x = 1) lie
+    on the contours, not between them.
     """
-    med = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
-    e = eps / mu
-    wn = wave_numbers(med)
-    alpha = np.array([wn.k_plus**2 - 1.0, wn.k_minus**2 - 1.0])
+    e = plan.e
+    alpha = plan.alpha
     c2 = 1.0 / (e * (alpha + 1.0))
     cc, s, p = c2.prod(), alpha.sum(), alpha.prod()
     l2 = 4.0 + 4.0 * e * e * cc - (1.0 + e) ** 2 * c2.sum()
@@ -201,11 +230,11 @@ def _strip_poles(eps: complex, mu: complex, kappa: complex) -> tuple:
     alpha = alpha[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(4):
-            a = _amplitudes(med, x)
+            a = _amplitudes(plan, x)
             da = -a * alpha / (x * (x * x + alpha))
             x = x - (2.0 + (1.0 + e) * a.sum(axis=0) + 2.0 * e * a.prod(axis=0)) / (
                 (1.0 + e) * da.sum(axis=0) + 2.0 * e * (da[0] * a[1] + a[0] * da[1]))
-        a = _amplitudes(med, x)
+        a = _amplitudes(plan, x)
         terms = np.array([np.full_like(x, 2.0), (1.0 + e) * a.sum(axis=0), 2.0 * e * a.prod(axis=0)])
         pole = np.abs(terms.sum(axis=0)) <= 1e-6 * np.abs(terms).sum(axis=0)
     edge = 1e-12
@@ -220,17 +249,20 @@ def planar_reflections(med: MediumResponse, k_perp) -> tuple:
 
     Built from the mode amplitudes
     a(+-) = sqrt(mu/eps) (k0/k_perp) sqrt(k(+-)^2 - k0^2 + k_perp^2) / k(+-),
-    so no k_par is formed and a grazing k_perp keeps its full precision. The
+    evaluated in x = k_perp/k0 with the medium's cached plan (``_plan``), so
+    no k_par is formed and a grazing k_perp keeps its full precision. The
     roots are on the Im >= 0 branch on the real segment and the imaginary
     axis, and continue analytically over the strip 0 <= Re k_perp <= k0,
     Im k_perp >= 0 except on the vertical branch cut of a mode with
-    Im k(+-)^2 < 0 (see ``_vertical_cuts``). At kappa = 0 the diagonal
+    Im k(+-)^2 < 0 (see ``_Plan.cuts``). At kappa = 0 the diagonal
     coefficients reduce to the textbook dielectric Fresnel coefficients and
     r_sp = 0; for k_perp -> i infinity the set tends to
     ``fresnel_nonretarded``. An exact pole (k_perp = 0, or a vanishing
     denominator) gives non-finite entries.
     """
-    return _reflections(med, _amplitudes(med, np.asarray(k_perp, dtype=complex)))
+    plan = _medium_plan(med)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _reflections(plan, _amplitudes(plan, np.asarray(k_perp, dtype=complex) / med.k0))
 
 
 def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
@@ -310,11 +342,11 @@ def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[np.nda
 # Numeric pathway
 # ---------------------------------------------------------------------------
 
-# the channels of _scatter_integrals, in order
-_CHANNELS = ("curl xx", "curl zz", "curl x-y", "G xx", "G zz")
+# the channels of _scatter_integrals, in order; curl zz is twice curl xx
+_CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
 # panel seeds of the steepest-descent path, in units of k0: the reflections
 # vary on the scale of k0 whatever the distance
-_PATH_BREAKPOINTS = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+_PATH_BREAKPOINTS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def _run_quadrature(res: QuadratureResult, spec: QuadratureSpec) -> np.ndarray:
@@ -342,70 +374,84 @@ def _scatter_integrals(
 ) -> tuple[CurlGreens, np.ndarray]:
     """(Im curl G, Im G) of the scattering Green's tensor at the molecule.
 
-    One planar integrand of the vacuum k_perp carries the five channels of
-    ``_CHANNELS``: curl G xx (= yy), zz and x-y (= -yx), and G xx (= yy),
-    zz. Its integral over the traveling segment [0, k0] and the evanescent
-    axis k_perp = i kappa_perp runs, by Cauchy's theorem, along the
-    steepest-descent path k_perp = k0 + i t instead, t in [0, inf), on which
-    exp(2i k_perp z) decays like exp(-2 t z) without oscillating, so the
-    panel count does not grow with z. This needs reflections analytic in the
-    strip between the two contours. For a medium's ``planar_reflections``,
-    each vertical branch cut inside the strip (see ``_vertical_cuts``) is
-    added as a hairpin, the difference of the channels on its two sides at
-    k_perp = k_b + i t with the roots of every mode cut there negated, in
-    the same integrand; a pole inside the strip (``_strip_poles``) raises
-    PoleError. One adaptive integral evaluates the reflections once per
-    refinement round, on the nodes of every panel the round evaluates.
+    One planar integrand carries the four channels of ``_CHANNELS``:
+    curl G xx (= yy) and x-y (= -yx), and G xx (= yy) and zz; curl G zz is
+    twice curl G xx, set at assembly. Their integral over the traveling
+    segment k_perp in [0, k0] and the evanescent axis k_perp = i kappa_perp
+    runs, by Cauchy's theorem, along the steepest-descent path
+    k_perp = k0 + i t instead, t in [0, inf), on which exp(2i k_perp z)
+    decays like exp(-2 t z) without oscillating, so the panel count does not
+    grow with z. This needs reflections analytic in the strip between the
+    two contours.
+
+    The integrand is dimensionless: a function of x = k_perp/k0 = 1 + i tau,
+    tau = t/k0, integrated over tau. On the path
+    exp(2i k_perp z) = exp(2i k0 z) exp(-2 k0 z tau), so each node carries
+    only the real decay, and the unit-modulus exp(2i k0 z) multiplies the
+    totals once. For a medium, the reflections come from its cached
+    ``_Plan``; each vertical branch cut inside the strip is added as a
+    hairpin, the difference of the channels on its two sides at
+    x = x_b + i tau with the roots of every mode cut there negated, in the
+    same integrand and with its constant phase exp(2i k0 z (x_b - 1)); a
+    pole inside the strip raises PoleError. A function ``reflections`` is
+    called with the physical k_perp = k0 x. One adaptive integral evaluates
+    the reflections once per refinement round, on the nodes of every panel
+    the round evaluates.
     """
-    z = geom.z_m
     k0 = omega / CONSTANTS.c
-    hairpins = {}  # k_b -> the modes cut upward from it
+    k0z = k0 * geom.z_m
+    hairpins = ()  # (x_b, the modes cut upward from it, the phase relative to the path)
     if isinstance(reflections, MediumResponse):
-        med = reflections
-        poles = _strip_poles(complex(med.eps), complex(med.mu), complex(med.kappa))
-        if poles:
+        plan = _medium_plan(reflections)
+        if plan.poles:
             raise PoleError(
-                f"reflection pole at k_perp = {poles[0]!r} k0 between the real-axis contour and "
+                f"reflection pole at k_perp = {plan.poles[0]!r} k0 between the real-axis contour and "
                 "the steepest-descent path (a medium with gain); the numeric pathway does not "
                 "integrate around it"
             )
-        for mode, k_b in _vertical_cuts(wave_numbers(med)):
-            if k_b.real < k0:
-                hairpins.setdefault(k_b, []).append(mode)
-        reflections = lambda k_perp: planar_reflections(med, k_perp)
+        hairpins = [(x_b, list(modes), cmath.exp(2j * k0z * (x_b - 1.0)))
+                    for x_b, modes in plan.cuts if x_b.real < 1.0]
+        reflect = lambda x: _reflections(plan, _amplitudes(plan, x))
+    else:
+        reflect = lambda x: reflections(k0 * x)
 
-    def channels(k_perp: np.ndarray, r_ss, r_pp, r_sp) -> np.ndarray:
-        perp2 = (k_perp / k0) ** 2
-        par2 = 2.0 * (1.0 - perp2)  # 2 k_par^2 / k0^2
-        with np.errstate(invalid="ignore"):  # a non-finite value raises below
-            values = np.array([
-                r_sp * (1.0 - perp2),
-                r_sp * par2,
-                (k_perp / k0) * (r_ss - r_pp),
-                1j * (r_ss - perp2 * r_pp),
-                1j * par2 * r_pp,
-            ])
-            values *= np.exp(2j * k_perp * z)
-        bad = ~np.isfinite(values).all(axis=0)
-        if bad.any():
-            raise PoleError(f"planar integrand not finite at k_perp = {k_perp[bad][0]!r}, k0 = {k0!r}")
-        return values
+    def channels(out: np.ndarray, x: np.ndarray, r_ss, r_pp, r_sp) -> np.ndarray:
+        x2 = x * x
+        par = 1.0 - x2  # k_par^2 / k0^2
+        np.multiply(r_sp, par, out=out[0])  # curl xx
+        np.multiply(x, r_ss - r_pp, out=out[1])  # curl x-y
+        np.subtract(r_ss, x2 * r_pp, out=out[2])  # G xx over i
+        np.multiply(par, r_pp, out=out[3])  # G zz over 2i
+        if not np.isfinite(out).all():
+            bad = x[~np.isfinite(out).all(axis=0)][0]
+            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
+        return out
 
-    def path(t: np.ndarray) -> np.ndarray:
-        k_perp = k0 + 1j * t
-        values = channels(k_perp, *reflections(k_perp))
-        for k_b, modes in hairpins.items():
-            k_perp = k_b + 1j * t
-            a = _amplitudes(med, k_perp)  # the left side of the cut
-            values += channels(k_perp, *_reflections(med, a))
-            a[modes] *= -1.0  # the right side: the cut modes' roots negated
-            values -= channels(k_perp, *_reflections(med, a))
-        return values
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        out = np.empty((4,) + tau.shape, dtype=complex)
+        x = np.empty(tau.shape, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x.real, x.imag = 1.0, tau  # x = 1 + i tau, with no complex arithmetic
+            channels(out, x, *reflect(x))
+            for x_b, modes, phase in hairpins:
+                x.real, x.imag = x_b.real, x_b.imag + tau  # x = x_b + i tau, reusing the buffer
+                a = _amplitudes(plan, x)  # the left side of the cut
+                side = channels(np.empty_like(out), x, *_reflections(plan, a))
+                a[modes] *= -1.0  # the right side: the cut modes' roots negated
+                side -= channels(np.empty_like(out), x, *_reflections(plan, a))
+                side *= phase
+                out += side
+        out *= np.exp(-2.0 * k0z * tau)
+        return out
 
-    res = integrate_evanescent(path, z, spec, breakpoints=k0 * _PATH_BREAKPOINTS)
-    total = -1j * _run_quadrature(res, spec)
-    xx, zz, asym, g_xx, g_zz = (total * np.array([k0, k0, k0, 1.0, 1.0]) / (8.0 * np.pi)).imag
-    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, zz]])
+    res = integrate_evanescent(integrand, k0z, spec, breakpoints=_PATH_BREAKPOINTS)
+    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * _run_quadrature(res, spec)).tolist()
+    # the t = k0 tau Jacobian, and the prefactors -i k0/(8 pi) of curl G and
+    # i/(8 pi) of G, whose channels are written over i and 2i
+    pre = k0 / (8.0 * np.pi)
+    xx, asym = -pre * k0 * xx.real, -pre * k0 * asym.real
+    g_xx, g_zz = pre * g_xx.imag, 2.0 * pre * g_zz.imag
+    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, 2.0 * xx]])
     return CurlGreens(curl, CurlKind.IMAGINARY_PART), np.diag([g_xx, g_xx, g_zz])
 
 
@@ -427,13 +473,15 @@ def curl_img_scatter_numeric(
     evanescent axis k_perp = i kappa_perp, kappa_perp from inf to 0,
     followed by the traveling segment [0, k0]. It is computed on the
     steepest-descent path k_perp = k0 + i t, t from inf to 0, which C
-    deforms into.
+    deforms into. The zz entry is exactly twice the xx entry: one channel
+    of the integrand gives both (see ``_scatter_integrals``).
 
     The diagonal block is driven by the cross reflection, the antisymmetric
     x-y block by the difference of the diagonal reflections. ``reflections``
     is either a function mapping an array of complex vacuum k_perp to
     (r_ss, r_pp, r_sp), as ``mirror_reflections`` returns, or a
-    MediumResponse, whose ``planar_reflections`` are used. A function must
+    MediumResponse, whose ``planar_reflections`` are used, from its cached
+    per-medium plan. A function is called with the physical k_perp and must
     be analytic in the strip 0 <= Re k_perp <= k0, Im k_perp >= 0 that the
     deformation sweeps: a pole or branch cut there changes the result. For a
     medium, its branch cuts in the strip are integrated around, and a pole

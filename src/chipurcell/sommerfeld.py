@@ -139,9 +139,11 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         value, err_sum = val.sum(axis=1), err.sum(axis=1)
         tol = spec.rel_tol * np.abs(value) + spec.abs_floor
         converged = bool(np.all(err_sum <= tol))
+        if converged or len(a) >= spec.max_panels:
+            break
         mid = 0.5 * (a + b)
         splittable = np.flatnonzero((a < mid) & (mid < b))  # not exhausted at float resolution
-        if converged or len(a) >= spec.max_panels or not splittable.size:
+        if not splittable.size:
             break
         # the tolerance is floored so that a zero channel under abs_floor = 0
         # divides by no zero

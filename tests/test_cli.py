@@ -269,6 +269,27 @@ class TestExitCodesAndGolden:
         assert "evanescent_cutoff_u" in capsys.readouterr().err
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("value", [[1.0], [1.0, "x"], [1, 2, 3], "2.25"])
+    @pytest.mark.parametrize("field", ["medium.eps", "molecule.d[0]"])
+    def test_malformed_complex_exits_schema(self, tmp_path, capsys, field, value):
+        scen = copy.deepcopy(BULK)
+        if field == "medium.eps":
+            scen["medium"]["eps"] = value
+        else:
+            scen["molecule"]["d"][0] = value
+        cfg = tmp_path / "complex.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_SCHEMA
+        assert field in err and "[re, im]" in err
+
+    def test_bool_pair_parses_as_numbers(self):
+        scen = copy.deepcopy(BULK)
+        scen["medium"]["mu"] = [True, False]
+        b, _ = run_scenario(scen)
+        assert b == run_scenario(BULK)[0]
+
     @pytest.mark.parametrize(
         "scenario,golden",
         [

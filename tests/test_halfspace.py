@@ -132,7 +132,7 @@ class TestNumericCurl:
         # the degraded-acceptance rule, not pass it
         spec = QuadratureSpec()
         for value, err in ((np.nan, 1.0), (1.0, np.nan)):
-            res = QuadratureResult(np.full(5, value + 0j), np.full(5, err), 8, False)
+            res = QuadratureResult(np.full(4, value + 0j), np.full(4, err), 8, False)
             with pytest.raises(QuadratureError, match="did not converge in channel curl xx"):
                 _run_quadrature(res, spec)
 
@@ -168,9 +168,9 @@ class TestNumericCurl:
         seen = []
         inner = hs._amplitudes
 
-        def spy(med, k_perp):
-            seen.append(np.unique(k_perp.real))
-            return inner(med, k_perp)
+        def spy(plan, x):  # x = k_perp / k0
+            seen.append(np.unique(x.real) * K0)
+            return inner(plan, x)
 
         monkeypatch.setattr(hs, "_amplitudes", spy)
         eps, mu, kappa = ORACLE_MEDIA[name]
@@ -212,9 +212,9 @@ class TestNumericCurl:
             med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
             curl_img_scatter_numeric(PlanarGeometry(z_m=0.01 / K0), med, W)
         flat, small, large = (r.value for r in results)
-        assert np.all(flat[:2] == 0)
-        assert np.all(np.abs(small[2:] - flat[2:]) <= 1e-7 * np.abs(flat[2:]))
-        assert np.all(np.abs(10 * small[:2] - large[:2]) <= 1e-5 * np.abs(large[:2]))
+        assert np.all(flat[:1] == 0)
+        assert np.all(np.abs(small[1:] - flat[1:]) <= 1e-7 * np.abs(flat[1:]))
+        assert np.all(np.abs(10 * small[:1] - large[:1]) <= 1e-5 * np.abs(large[:1]))
 
     def test_hairpins_belong_to_the_medium_argument(self, monkeypatch):
         """Only a MediumResponse brings its cuts: a mirror geometry that
@@ -229,7 +229,8 @@ class TestNumericCurl:
         )
         seen = []
         inner = hs._amplitudes
-        monkeypatch.setattr(hs, "_amplitudes", lambda m, k: seen.append(np.unique(k.real)) or inner(m, k))
+        spy = lambda plan, x: seen.append(np.unique(x.real) * K0) or inner(plan, x)  # x = k_perp / k0
+        monkeypatch.setattr(hs, "_amplitudes", spy)
         curl_img_scatter_numeric(both, lambda k_perp: planar_reflections(med, k_perp), W)
         assert seen and all(np.array_equal(re_k, [K0]) for re_k in seen)
 
@@ -263,6 +264,36 @@ class TestNumericCurl:
         geom = PlanarGeometry(z_m=1e4 / K0, medium=med)
         curl_img_scatter_numeric(geom, med, W, spec)
         assert results[-1].converged
+
+
+class TestPlan:
+    """The per-medium plan of the reflections is cached, and the cache
+    changes no result."""
+
+    def test_cold_and_warm_rates_are_bit_identical(self, mol_aniso):
+        points = [
+            (MediumResponse(*ORACLE_MEDIA[name], omega=W), k0z)
+            for name in ("lossless", "absorbing", "gain_mode") for k0z in (1e-3, 1.0, 1e3)
+        ]
+
+        def rates():
+            return [rates_halfspace(PlanarGeometry(z_m=k0z / K0, medium=med), mol_aniso, Limit.NUMERIC)
+                    for med, k0z in points]
+
+        hs._plan.cache_clear()
+        cold = rates()
+        assert hs._plan.cache_info().misses == 3
+        warm = rates()
+        assert hs._plan.cache_info().hits >= len(points) + 6
+        assert warm == cold
+
+    def test_cached_plan_arrays_are_read_only(self):
+        plan = hs._plan(*(complex(v) for v in ORACLE_MEDIA["gain_mode"]))
+        assert plan.cuts
+        for arr in (plan.alpha, plan.c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert plan is hs._plan(*(complex(v) for v in ORACLE_MEDIA["gain_mode"]))
 
 
 class TestMirrorRates:
