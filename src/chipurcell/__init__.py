@@ -65,9 +65,8 @@ from .sommerfeld import (
     QuadratureResult,
     QuadratureSpec,
     integrate_evanescent,
-    integrate_traveling,
 )
-from . import errors, specfun
+from . import errors
 
 __version__ = "0.1.0"
 
@@ -123,8 +122,6 @@ __all__ = [
     "s_halfspace",
     "QuadratureSpec",
     "QuadratureResult",
-    "integrate_traveling",
     "integrate_evanescent",
     "errors",
-    "specfun",
 ]

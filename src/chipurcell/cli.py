@@ -3,7 +3,8 @@ tables, machine-readable output.
 
 Scenario files are JSON with complex numbers as two-element [re, im] arrays
 and SI units throughout (dipoles in C m and A m^2, frequencies in rad/s,
-lengths in m). Each response channel (eps, mu, kappa) is either a constant
+lengths in m). Every number must be finite: NaN and Infinity are schema
+errors. Each response channel (eps, mu, kappa) is either a constant
 [re, im] or a single-resonance Lorentz model evaluated at the transition
 frequency:
 
@@ -65,32 +66,46 @@ def _fmt(x: float) -> str:
 # Scenario parsing
 # ---------------------------------------------------------------------------
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(node) -> bool:
+    """Whether a scenario value is a finite number (a JSON bool counts as 0
+    or 1)."""
+    # the comparison fails for NaN, and for an integer beyond the float range
+    return isinstance(node, (int, float)) and abs(node) <= _FLOAT_MAX
+
+
+def _real_from(node, where: str) -> float:
+    if _finite(node):
+        return float(node)
+    raise SchemaError(f"{where}: expected a finite number, got {node!r}")
+
+
 def _complex_from(node, where: str, omega: float) -> complex:
     if isinstance(node, (int, float)):
-        return complex(node)
+        return complex(_real_from(node, where))
     if isinstance(node, list):
-        if len(node) == 2:
-            real, imag = node
-            if isinstance(real, (int, float)) and isinstance(imag, (int, float)):
-                return complex(real, imag)
-        raise SchemaError(f"{where}: complex values are two-element [re, im] arrays")
+        if len(node) == 2 and _finite(node[0]) and _finite(node[1]):
+            return complex(node[0], node[1])
+        raise SchemaError(f"{where}: complex values are two-element [re, im] arrays of finite numbers")
     if isinstance(node, dict):
         model = node.get("model")
         if model == "lorentz":
             try:
-                bg = float(node.get("background", 1.0))
-                s = float(node["strength"])
-                w0 = float(node["omega0"])
-                g = float(node["gamma"])
-            except (KeyError, TypeError, ValueError) as exc:
+                bg = _real_from(node.get("background", 1.0), f"{where}.background")
+                s = _real_from(node["strength"], f"{where}.strength")
+                w0 = _real_from(node["omega0"], f"{where}.omega0")
+                g = _real_from(node["gamma"], f"{where}.gamma")
+            except KeyError as exc:
                 raise SchemaError(f"{where}: lorentz model needs strength, omega0, gamma") from exc
             return bg + s * w0**2 / (w0**2 - omega**2 - 1j * g * omega)
         if model == "lorentz_chiral":
             try:
-                s = float(node["strength"])
-                w0 = float(node["omega0"])
-                g = float(node["gamma"])
-            except (KeyError, TypeError, ValueError) as exc:
+                s = _real_from(node["strength"], f"{where}.strength")
+                w0 = _real_from(node["omega0"], f"{where}.omega0")
+                g = _real_from(node["gamma"], f"{where}.gamma")
+            except KeyError as exc:
                 raise SchemaError(f"{where}: lorentz_chiral model needs strength, omega0, gamma") from exc
             return s * w0 * omega / (w0**2 - omega**2 - 1j * g * omega)
         raise SchemaError(f"{where}: unknown response model {model!r}")
@@ -110,8 +125,8 @@ def parse_molecule(node, where: str = "molecule") -> TransitionDipoles:
         if key not in node:
             raise SchemaError(f"{where}: missing required field {key!r}")
     omega = node["omega_ik"]
-    if not isinstance(omega, (int, float)) or not omega > 0:
-        raise SchemaError(f"{where}.omega_ik: must be a positive number (rad/s)")
+    if not (_finite(omega) and omega > 0):
+        raise SchemaError(f"{where}.omega_ik: must be a positive finite number (rad/s)")
     try:
         return TransitionDipoles(
             d=_vector3_from(node["d"], f"{where}.d"),
@@ -143,7 +158,10 @@ def _choose_limit(method_node, omega: float, z_m: float) -> Limit:
         return Limit(name)
     if name != "auto":
         raise SchemaError(f"method.limit: unknown value {name!r}")
-    lo, hi = method_node.get("auto_thresholds", [AUTO_NONRETARDED_BELOW, AUTO_RETARDED_ABOVE])
+    thresholds = method_node.get("auto_thresholds", [AUTO_NONRETARDED_BELOW, AUTO_RETARDED_ABOVE])
+    if not (isinstance(thresholds, list) and len(thresholds) == 2):
+        raise SchemaError("method.auto_thresholds: expected a [below, above] pair of k0 z values")
+    lo, hi = (_real_from(v, f"method.auto_thresholds[{i}]") for i, v in enumerate(thresholds))
     from .constants import CONSTANTS
 
     k0z = omega * z_m / CONSTANTS.c
@@ -159,12 +177,10 @@ def parse_quadrature(node) -> QuadratureSpec:
         return QuadratureSpec()
     if not isinstance(node, dict):
         raise SchemaError("method.quadrature: expected an object")
-    kwargs = {}
-    for key in ("rel_tol", "abs_floor", "evanescent_cutoff_u"):
-        if key in node:
-            kwargs[key] = float(node[key])
+    kwargs = {key: _real_from(node[key], f"method.quadrature.{key}")
+              for key in ("rel_tol", "abs_floor", "evanescent_cutoff_u") if key in node}
     if "max_panels" in node:
-        kwargs["max_panels"] = int(node["max_panels"])
+        kwargs["max_panels"] = int(_real_from(node["max_panels"], "method.quadrature.max_panels"))
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -199,24 +215,29 @@ def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     elif kind == "bulk_lfc":
         if "radius_a" not in geom_node:
             raise SchemaError("geometry: bulk_lfc requires 'radius_a' (m)")
-        cav = CavityConfig(radius_a=float(geom_node["radius_a"]), host=med)
-        breakdown = rates_lfc(cav, mol, f0_source=method_node.get("f0_source", "appendix"))
+        cav = CavityConfig(radius_a=_real_from(geom_node["radius_a"], "geometry.radius_a"), host=med)
+        f0_source = method_node.get("f0_source", "appendix")
+        if f0_source not in ("appendix", "main"):
+            raise SchemaError(f"method.f0_source: must be 'appendix' or 'main', got {f0_source!r}")
+        breakdown = rates_lfc(cav, mol, f0_source=f0_source)
         annotations["limit"] = "small_radius"
     else:
         if "z_m" not in geom_node:
             raise SchemaError(f"geometry: {kind} requires 'z_m' (m)")
-        z_m = float(geom_node["z_m"])
+        z_m = _real_from(geom_node["z_m"], "geometry.z_m")
         limit = _choose_limit(method_node, mol.omega_ik, z_m)
         annotations["limit"] = limit.value
         if kind == "mirror":
             hand = geom_node.get("handedness", "right")
             if hand not in ("right", "left"):
                 raise SchemaError("geometry.handedness: must be 'right' or 'left'")
+            drreths_form = method_node.get("drreths_form", "dimensional")
+            if drreths_form not in ("dimensional", "printed"):
+                raise SchemaError(
+                    f"method.drreths_form: must be 'dimensional' or 'printed', got {drreths_form!r}"
+                )
             geom = PlanarGeometry(z_m=z_m, handedness=Handedness(hand))
-            breakdown = rates_mirror(
-                geom, mol, limit, spec=quad,
-                drreths_form=method_node.get("drreths_form", "dimensional"),
-            )
+            breakdown = rates_mirror(geom, mol, limit, spec=quad, drreths_form=drreths_form)
             if method_node.get("compare_numeric") and limit is not Limit.NUMERIC:
                 other = rates_mirror(geom, mol, Limit.NUMERIC, spec=quad)
                 annotations["comparison"] = _compare(breakdown, other)
@@ -404,9 +425,10 @@ def run_fresnel(eps: complex, mu: complex, kappa: complex, omega: float,
 def _parse_complex_arg(text: str, name: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        real, imag = float(re_s), float(im_s)
     except ValueError as exc:
         raise SchemaError(f"--{name}: expected RE,IM") from exc
+    return complex(_real_from(real, f"--{name}"), _real_from(imag, f"--{name}"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,8 +501,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _parse_complex_arg(args.eps, "eps"),
                 _parse_complex_arg(args.mu, "mu"),
                 _parse_complex_arg(args.kappa, "kappa"),
-                args.omega,
-                args.kpar_max,
+                _real_from(args.omega, "--omega"),
+                _real_from(args.kpar_max, "--kpar-max"),
                 args.points,
             )
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -44,7 +44,6 @@ See ``rates_halfspace`` and the test suite for the documented comparison.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
 import functools
 import warnings
@@ -140,13 +139,17 @@ class _Plan:
     # the imaginary axis; when Re x_b < 1 the cut lies inside the strip and
     # the numeric pathway integrates around it.
     cuts: tuple
-    poles: tuple = ()  # reflection poles inside the strip (see _strip_poles)
+
+    @functools.cached_property
+    def poles(self) -> tuple:
+        """Reflection poles inside the strip (see ``_strip_poles``), found
+        on first use: only the numeric pathway needs them."""
+        return _strip_poles(self)
 
 
 @functools.lru_cache(maxsize=128)
 def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
-    """The ``_Plan`` of a medium, with its strip poles; built once per
-    (eps, mu, kappa)."""
+    """The ``_Plan`` of a medium; built once per (eps, mu, kappa)."""
     wn = wave_numbers(MediumResponse(eps, mu, kappa, CONSTANTS.c))  # k0 = 1
     cuts = {}
     for mode, k in enumerate((wn.k_plus, wn.k_minus)):
@@ -155,9 +158,8 @@ def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
     k = np.array([wn.k_plus, wn.k_minus])
     alpha, c = k * k - 1.0, np.sqrt(mu / eps) / k
     alpha.flags.writeable = c.flags.writeable = False
-    plan = _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
+    return _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
                  tuple((x_b, tuple(modes)) for x_b, modes in cuts.items()))
-    return dataclasses.replace(plan, poles=_strip_poles(plan))
 
 
 def _medium_plan(med: MediumResponse) -> _Plan:

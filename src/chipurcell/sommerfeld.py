@@ -1,27 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature for planar-interface wavevector integrals.
 
-Two integrators share one adaptive 7-15 Gauss-Kronrod driver on bisected
-panels:
+One integrator, ``integrate_evanescent``, integrates a decaying tail over
+t in [0, inf), damped at least like exp(-2 t z): the planar scattering
+integrals on the steepest-descent path k_perp = k0 + i t, or the evanescent
+axis k_perp = i t. The tail is mapped to u = 2 t z and truncated at
+u = evanescent_cutoff_u (default 40, an e^-40 tail, far below any realistic
+tolerance), and integrated by an adaptive 7-15 Gauss-Kronrod driver on
+bisected panels.
 
-* ``integrate_evanescent`` integrates a decaying tail over t in [0, inf),
-  damped at least like exp(-2 t z): the planar scattering integrals on the
-  steepest-descent path k_perp = k0 + i t, or the evanescent axis
-  k_perp = i t. The tail is mapped to u = 2 t z and truncated at
-  u = evanescent_cutoff_u (default 40, an e^-40 tail, far below any
-  realistic tolerance);
-* ``integrate_traveling`` integrates over a real segment k_perp in [0, k0]
-  that oscillates through exp(2i k_perp z); its panels are seeded on
-  half-periods, so the base rule never straddles more than half an
-  oscillation, and their number grows with z.
-
-An integrand is called once per refinement round with an (n, 15) array of
-panel nodes, one row per panel; integrands must be elementwise over nodes.
-It returns their values with the node array's shape on the last two axes:
-(n, 15) for a scalar integral, (channels, n, 15) for several integrals that
-share one costly evaluation (the result then has one entry per channel).
-Every channel must meet rel_tol on its own running value (plus abs_floor)
-before the integral stops, so a small channel is not resolved relative to a
-large one. A scalar integral refines exactly as a one-channel one.
+An integrand has one shape: it is called once per refinement round with an
+(n, 15) array of panel nodes, one row per panel, must be elementwise over
+nodes, and returns (channels, n, 15) values, one row of node values per
+channel. Several integrals that share one costly evaluation are channels of
+one integrand, and the result has one entry per channel. Every channel must
+meet rel_tol on its own running value (plus abs_floor) before the integral
+stops, so a small channel is not resolved relative to a large one.
 
 Panel refinement order and the final summation order are deterministic, so
 identical inputs give bit-identical results.
@@ -31,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# f(x) with x the (n, 15) nodes of n panels -> the node values, shape (n, 15)
-# for a scalar integrand or (channels, n, 15) for an array-valued one
+# f(x) with x the (n, 15) nodes of n panels -> the node values, (channels, n, 15)
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
@@ -84,10 +76,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral and error estimate, each a scalar or one entry per channel."""
+    """Integral and error estimate, each with one entry per channel."""
 
-    value: Union[complex, np.ndarray]
-    err_estimate: Union[float, np.ndarray]
+    value: np.ndarray
+    err_estimate: np.ndarray
     panels_used: int
     converged: bool
 
@@ -96,15 +88,12 @@ def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
     """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends).
 
     ``f`` is called once with the nodes of every panel, shape (panels, 15).
-    Returns (I15, err), each of shape (channels, panels), and whether ``f``
-    was scalar-valued. Every channel is reduced by the same weight products
-    on its own row, so a channel's result does not depend on how many
-    channels or panels travel with it.
+    Returns (I15, err), each of shape (channels, panels). Every channel is
+    reduced by the same weight products on its own row, so a channel's
+    result does not depend on how many channels or panels travel with it.
     """
     half = 0.5 * (b - a)
-    fv = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _X15), dtype=complex)
-    scalar = fv.ndim == 2
-    rows = fv[None] if scalar else fv
+    rows = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _X15), dtype=complex)
     # einsum, not matmul: a BLAS matrix-vector product over many panels
     # spreads onto threads, which stall whenever the other cores are busy
     i15 = half * np.einsum("...j,j", rows, _W15)
@@ -115,7 +104,7 @@ def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
     # smooth integrands (same shape as the classic QUADPACK heuristic)
     with np.errstate(divide="ignore", invalid="ignore"):
         rescaled = np.maximum(raw, resabs * np.minimum(1.0, (200.0 * raw / resabs) ** 1.5))
-    return i15, np.where(resabs > 0, rescaled, raw), scalar
+    return i15, np.where(resabs > 0, rescaled, raw)
 
 
 def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
@@ -126,15 +115,14 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     halves of every panel split in a round. A round ranks the panels by
     their worst channel's err/tol and splits the shortest prefix of that
     ranking whose removal leaves an error within tolerance in every channel
-    (at least one panel, at most what ``max_panels`` still allows). For a
-    scalar integrand the ranking is the order of err itself.
+    (at least one panel, at most what ``max_panels`` still allows).
     """
     if len(seeds) - 1 > spec.max_panels:
         # the panel budget is a hard cap; fall back to a uniform coarse seeding
         seeds = np.linspace(seeds[0], seeds[-1], spec.max_panels + 1)
     seeds = np.asarray(seeds, dtype=float)
     a, b = seeds[:-1], seeds[1:]
-    val, err, scalar = _gk15(f, a, b)
+    val, err = _gk15(f, a, b)
     while True:
         value, err_sum = val.sum(axis=1), err.sum(axis=1)
         tol = spec.rel_tol * np.abs(value) + spec.abs_floor
@@ -154,7 +142,7 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         n = int(np.argmax(met)) + 1 if met.any() else ranked.size
         split = ranked[:min(n, spec.max_panels - len(a))]
         lo, hi = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
-        v, e, _ = _gk15(f, lo, hi)
+        v, e = _gk15(f, lo, hi)
         keep = np.ones(len(a), dtype=bool)
         keep[split] = False
         a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
@@ -162,44 +150,7 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         err = np.concatenate([err[:, keep], e], axis=1)
         by_start = np.argsort(a)
         a, b, val, err = a[by_start], b[by_start], val[:, by_start], err[:, by_start]
-    if scalar:
-        return QuadratureResult(complex(value[0]), float(err_sum[0]), len(a), converged)
     return QuadratureResult(value, err_sum, len(a), converged)
-
-
-def _merge_seeds(base: Iterable[float], extra: Iterable[float], lo: float, hi: float):
-    pts = {lo, hi}
-    for x in list(base) + list(extra):
-        if lo < x < hi:
-            pts.add(float(x))
-    return sorted(pts)
-
-
-def integrate_traveling(
-    f: Integrand,
-    k0: float,
-    z: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    breakpoints: Iterable[float] = (),
-) -> QuadratureResult:
-    """Integrate f(k_perp) over [0, k0] with exp(2i k_perp z)-aware panels.
-
-    Panels are seeded at half-period boundaries k_perp = j pi / (2 z); the
-    adaptive pass refines from there. ``breakpoints`` may supply extra seed
-    points (e.g. branch points of reflection coefficients). ``f`` is called
-    once per refinement round with an (n, 15) array of panel nodes and must
-    be elementwise over nodes; it returns their values on its last two axes.
-    With a leading channel axis, each channel converges to rel_tol of its
-    own value and the result carries one value and error per channel.
-    """
-    if k0 <= 0:
-        return QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
-    seeds = []
-    if z > 0:
-        h = np.pi / (2.0 * z)  # half-period of exp(2i k_perp z)
-        n = min(int(k0 / h), 4096)
-        seeds = [j * h for j in range(1, n + 1)]
-    return _adaptive(f, _merge_seeds(seeds, breakpoints, 0.0, k0), spec)
 
 
 def integrate_evanescent(
@@ -216,18 +167,16 @@ def integrate_evanescent(
     spec.evanescent_cutoff_u; panels are seeded at fixed u, where the decay
     sets the scale. ``breakpoints`` are t values (branch points, the scale
     on which f itself varies) added to the panel seeds. ``f`` is called
-    once per refinement round with an (n, 15) array of panel nodes, and a
-    channel-valued one converges channel by channel, as in
-    ``integrate_traveling``.
+    once per refinement round with an (n, 15) array of panel nodes, returns
+    (channels, n, 15) values, and converges channel by channel.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")
     umax = spec.evanescent_cutoff_u
     scale = 1.0 / (2.0 * z)
-
-    base = [u for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0) if u < umax]
-    extra = [2.0 * z * b for b in breakpoints]
-    res = _adaptive(lambda u: f(u * scale), _merge_seeds(base, extra, 0.0, umax), spec)
+    inner = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0] + [2.0 * z * b for b in breakpoints]
+    seeds = sorted({0.0, umax, *(u for u in inner if 0.0 < u < umax)})
+    res = _adaptive(lambda u: f(u * scale), seeds, spec)
     return QuadratureResult(
         res.value * scale, res.err_estimate * scale, res.panels_used, res.converged
     )

@@ -1,6 +1,9 @@
 """Spherical Bessel/Hankel functions, associated Legendre functions and the
-vector spherical wave functions used by the homogeneous-medium and cavity
-modules.
+vector spherical wave functions of a chiral medium, for the tests.
+
+No package module uses them: the bulk and cavity rates are closed forms.
+They are the oracle of acceptance criterion 03, which checks that the
+circular wave functions are curl eigenfields.
 
 Conventions
 -----------
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsError
+from chipurcell.errors import PhysicsError
 
 
 class Parity(enum.Enum):

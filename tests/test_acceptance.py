@@ -51,7 +51,7 @@ from chipurcell import (
 )
 from chipurcell.onsager import DegenerateKappaWarning
 from chipurcell.rates import CurlKind
-from chipurcell.specfun import Parity, RadialKind, WaveFunctionIndex, vector_wave_cartesian
+from specfun import Parity, RadialKind, WaveFunctionIndex, vector_wave_cartesian
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
 from oracles import fd_curl, random_rotations, richardson_rho2, solve_cavity_coefficients, textbook_fresnel
 

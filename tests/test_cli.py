@@ -34,6 +34,9 @@ def load(name):
 BULK = load("bulk_lossless.json")
 MIRROR = load("mirror_retarded.json")
 HALFSPACE = load("halfspace_nonretarded.json")
+NUMERIC = {**HALFSPACE, "method": {"limit": "numeric"}}
+AUTO = {**HALFSPACE, "method": {"limit": "auto"}}
+LFC = {**BULK, "geometry": {"kind": "bulk_lfc", "radius_a": 1.0e-9}}
 
 
 class TestRunScenario:
@@ -283,6 +286,52 @@ class TestExitCodesAndGolden:
         err = capsys.readouterr().err
         assert code == EXIT_SCHEMA
         assert field in err and "[re, im]" in err
+
+    @pytest.mark.parametrize("base, path, value, field", [
+        (HALFSPACE, "geometry.z_m", "abc", "geometry.z_m"),
+        (LFC, "geometry.radius_a", "x", "geometry.radius_a"),
+        (NUMERIC, "method.quadrature", {"rel_tol": "x"}, "method.quadrature.rel_tol"),
+        (NUMERIC, "method.quadrature", {"max_panels": "x"}, "method.quadrature.max_panels"),
+        (AUTO, "method.auto_thresholds", "ab", "method.auto_thresholds"),
+        (AUTO, "method.auto_thresholds", [1], "method.auto_thresholds"),
+        (AUTO, "method.auto_thresholds", [None, 2], "method.auto_thresholds[0]"),
+        (MIRROR, "method.drreths_form", "metric", "method.drreths_form"),
+        (LFC, "method.f0_source", "paper", "method.f0_source"),
+        # non-finite numbers, which would run on into the physics and end in
+        # exit 1, 3 or 4, or in a non-finite rate
+        (NUMERIC, "molecule.omega_ik", float("inf"), "molecule.omega_ik"),
+        (NUMERIC, "geometry.z_m", float("inf"), "geometry.z_m"),
+        (NUMERIC, "medium.eps", [float("nan"), 0.0], "medium.eps"),
+        (NUMERIC, "molecule.d", [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]], "molecule.d[0]"),
+        (BULK, "medium.kappa", {"model": "lorentz_chiral", "strength": float("nan"),
+                                "omega0": 5.0e15, "gamma": 0.0}, "medium.kappa.strength"),
+    ], ids=["z_m-string", "radius_a-string", "rel_tol-string", "max_panels-string",
+            "thresholds-string", "thresholds-short", "thresholds-null", "drreths_form-unknown",
+            "f0_source-unknown", "omega_ik-inf", "z_m-inf", "eps-nan", "d-inf", "lorentz-nan"])
+    def test_malformed_scalar_exits_schema(self, tmp_path, capsys, base, path, value, field):
+        scen = copy.deepcopy(base)
+        *parents, leaf = path.split(".")
+        node = scen
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        cfg = tmp_path / "scalar.json"
+        cfg.write_text(json.dumps(scen))  # NaN and inf are written as the tokens NaN and Infinity
+        code = main(["rate", "--config", str(cfg)])
+        assert field in capsys.readouterr().err
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "nan,0"), ("--kappa", "0,inf"), ("--omega", "inf"), ("--kpar-max", "nan"),
+    ])
+    def test_non_finite_fresnel_argument_exits_schema(self, tmp_path, capsys, flag, value):
+        # each one ended in a LAPACK error (exit 1) or in a table of NaN rows,
+        # all flagged as poles (exit 0)
+        args = {"--eps": "2.25,0", "--mu": "1,0", "--kappa": "0.05,0", "--omega": "3e15",
+                "--kpar-max": "2", "--points": "3", "--csv": str(tmp_path / "t.csv"), flag: value}
+        code = main(["fresnel", *(x for kv in args.items() for x in kv)])
+        assert flag in capsys.readouterr().err
+        assert code == EXIT_SCHEMA
 
     def test_bool_pair_parses_as_numbers(self):
         scen = copy.deepcopy(BULK)

@@ -13,6 +13,7 @@ from chipurcell import (
     PlanarGeometry,
     TransitionDipoles,
     curl_img_scatter_numeric,
+    fresnel_general,
     img_g_scatter_numeric,
     mirror_reflections,
     planar_reflections,
@@ -21,6 +22,7 @@ from chipurcell import (
     rotatory_strength,
     s_halfspace,
 )
+from chipurcell.cli import run_fresnel
 from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from chipurcell.halfspace import (
     _run_quadrature,
@@ -294,6 +296,24 @@ class TestPlan:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
         assert plan is hs._plan(*(complex(v) for v in ORACLE_MEDIA["gain_mode"]))
+
+    def test_strip_poles_are_found_only_for_the_numeric_pathway(self, monkeypatch, mol_aniso):
+        # the pole search (a quartic's roots) runs once per medium, and only
+        # when a numeric rate needs it; reflections alone never run it
+        calls = []
+        inner = hs._strip_poles
+        monkeypatch.setattr(hs, "_strip_poles", lambda plan: calls.append(plan) or inner(plan))
+        hs._plan.cache_clear()
+        lossless = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
+        run_fresnel(*ORACLE_MEDIA["lossless"], W, 3.0, 41)
+        fresnel_general(lossless, 0.5 * K0)
+        planar_reflections(lossless, np.array([0.5, 1.0 + 0.5j]) * K0)
+        assert calls == []
+        media = [lossless, MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)]
+        for med in media:
+            for k0z in (1e-3, 1.0):
+                rates_halfspace(PlanarGeometry(z_m=k0z / K0, medium=med), mol_aniso, Limit.NUMERIC)
+        assert len(calls) == len(media)
 
 
 class TestMirrorRates:

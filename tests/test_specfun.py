@@ -3,7 +3,7 @@ import pytest
 from scipy import special as sps
 
 from chipurcell.errors import PhysicsError
-from chipurcell.specfun import (
+from specfun import (
     Parity,
     RadialKind,
     SphericalPoint,
