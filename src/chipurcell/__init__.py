@@ -50,16 +50,14 @@ from .halfspace import (
     Limit,
     PlanarGeometry,
     ReflectionSet,
-    curl_img_scatter_numeric,
     fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
-    img_g_scatter_numeric,
-    mirror_reflections,
     planar_reflections,
     rates_halfspace,
     rates_mirror,
     s_halfspace,
+    scatter_numeric,
 )
 from .sommerfeld import (
     QuadratureResult,
@@ -113,10 +111,8 @@ __all__ = [
     "fresnel_general",
     "fresnel_nonretarded",
     "fresnel_retarded",
-    "mirror_reflections",
     "planar_reflections",
-    "curl_img_scatter_numeric",
-    "img_g_scatter_numeric",
+    "scatter_numeric",
     "rates_mirror",
     "rates_halfspace",
     "s_halfspace",

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .bulk import rates_bulk
-from .errors import PhysicsError, QuadratureError, SchemaError
+from .errors import PhysicsError, PoleError, QuadratureError, SchemaError
 from .halfspace import (
     Handedness,
     Limit,
@@ -82,6 +82,13 @@ def _real_from(node, where: str) -> float:
     raise SchemaError(f"{where}: expected a finite number, got {node!r}")
 
 
+def _lorentz_denominator(w0: float, g: float, omega: float, where: str) -> complex:
+    den = w0**2 - omega**2 - 1j * g * omega
+    if den == 0:
+        raise PoleError(f"{where}: Lorentz model on resonance (omega0 = {w0!r}) with zero damping")
+    return den
+
+
 def _complex_from(node, where: str, omega: float) -> complex:
     if isinstance(node, (int, float)):
         return complex(_real_from(node, where))
@@ -99,7 +106,7 @@ def _complex_from(node, where: str, omega: float) -> complex:
                 g = _real_from(node["gamma"], f"{where}.gamma")
             except KeyError as exc:
                 raise SchemaError(f"{where}: lorentz model needs strength, omega0, gamma") from exc
-            return bg + s * w0**2 / (w0**2 - omega**2 - 1j * g * omega)
+            return bg + s * w0**2 / _lorentz_denominator(w0, g, omega, where)
         if model == "lorentz_chiral":
             try:
                 s = _real_from(node["strength"], f"{where}.strength")
@@ -107,7 +114,7 @@ def _complex_from(node, where: str, omega: float) -> complex:
                 g = _real_from(node["gamma"], f"{where}.gamma")
             except KeyError as exc:
                 raise SchemaError(f"{where}: lorentz_chiral model needs strength, omega0, gamma") from exc
-            return s * w0 * omega / (w0**2 - omega**2 - 1j * g * omega)
+            return s * w0 * omega / _lorentz_denominator(w0, g, omega, where)
         raise SchemaError(f"{where}: unknown response model {model!r}")
     raise SchemaError(f"{where}: expected number, [re, im] or model object")
 
@@ -237,9 +244,9 @@ def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
                     f"method.drreths_form: must be 'dimensional' or 'printed', got {drreths_form!r}"
                 )
             geom = PlanarGeometry(z_m=z_m, handedness=Handedness(hand))
-            breakdown = rates_mirror(geom, mol, limit, spec=quad, drreths_form=drreths_form)
+            breakdown = rates_mirror(geom, mol, limit, drreths_form=drreths_form)
             if method_node.get("compare_numeric") and limit is not Limit.NUMERIC:
-                other = rates_mirror(geom, mol, Limit.NUMERIC, spec=quad)
+                other = rates_mirror(geom, mol, Limit.NUMERIC)
                 annotations["comparison"] = _compare(breakdown, other)
         else:
             geom = PlanarGeometry(z_m=z_m, medium=med)

@@ -16,23 +16,27 @@ and closed forms are mutually consistent (see chipurcell.rates). The cross
 reflection coefficient of ``fresnel_general`` is oriented so that its large
 k-parallel limit coincides with ``fresnel_nonretarded``.
 
-The numeric pathway evaluates the exact wavevector integrals of the
-scattering Green's tensor and is the physical arbiter between the two
-closed-form limits. Their contour in the vacuum perpendicular wave number
-(the evanescent axis, then the traveling segment [0, k0]) is deformed onto
-the steepest-descent path k_perp = k0 + i t, on which exp(2i k_perp z)
-decays without oscillating, so one adaptive integral of a few panels covers
-any distance; branch cuts of the reflections inside the swept strip are
-integrated around (deformed Sommerfeld contours: Paulus, Gay-Balmaz &
-Martin, PRE 62, 5797 (2000)), and a reflection pole inside it, which only
-a medium with gain has, raises PoleError. The integrand is dimensionless:
+The numeric pathway (``scatter_numeric``) evaluates the exact wavevector
+integrals of the scattering Green's tensor of a half-space and is the
+physical arbiter between the two closed-form limits. Their contour in the
+vacuum perpendicular wave number (the evanescent axis, then the traveling
+segment [0, k0]) is deformed onto the steepest-descent path
+k_perp = k0 + i t, on which exp(2i k_perp z) decays without oscillating, so
+one adaptive integral of a few panels covers any distance; branch cuts of
+the reflections inside the swept strip are integrated around (deformed
+Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)), and
+a reflection pole inside it, which only a medium with gain has, raises
+PoleError. The integrand is dimensionless:
 a function of x = k_perp/k0 = 1 + i t/k0 with four channels (curl G xx
 and x-y, G xx and zz; curl G zz is twice curl G xx and is set at
 assembly). Each node carries only the real decay exp(-2 t z) of
 exp(2i k_perp z) = exp(2i k0 z) exp(-2 t z); the unit-modulus
 exp(2i k0 z) multiplies the totals once. The reflections of a medium come
 from one cached per-medium plan (``_plan``), in units of k0, which
-``planar_reflections`` and ``fresnel_general`` use as well.
+``planar_reflections`` and ``fresnel_general`` use as well. The perfect
+mirror's reflections are constant, so its exact integral is elementary:
+``rates_mirror`` takes its numeric rate from that closed form
+(``_mirror_curl``) and runs no quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -48,7 +52,7 @@ import enum
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -183,15 +187,18 @@ def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 
 def _reflections(plan: _Plan, a: np.ndarray) -> tuple:
-    """(r_ss, r_pp, r_sp) from the mode amplitudes ``a`` of ``_amplitudes``;
-    the caller sets numpy's error state."""
+    """(r_ss, r_pp, r_sp, r_ss - r_pp) from the mode amplitudes ``a`` of
+    ``_amplitudes``; the caller sets numpy's error state. The difference is
+    formed as 2 (1 - e)(a+ + a-) / d, e = eps/mu, not by subtraction: it is
+    exactly zero for a dual-symmetric medium (eps = mu), where the
+    difference of the two O(1) coefficients would be round-off."""
     p, b = 1.0 + a, 1.0 + plan.e * a
     m, nb = 1.0 - a, 2.0 - b  # 2 - b = 1 - e a
     d = p[1] * b[0] + p[0] * b[1]
     r_sp = plan.cross * (a[0] - a[1]) / d
     r_ss = (p[1] * nb[0] + p[0] * nb[1]) / d
     r_pp = (m[1] * b[0] + m[0] * b[1]) / d
-    return r_ss, r_pp, r_sp
+    return r_ss, r_pp, r_sp, 2.0 * (1.0 - plan.e) * (a[0] + a[1]) / d
 
 
 def _strip_poles(plan: _Plan) -> tuple:
@@ -230,7 +237,8 @@ def _strip_poles(plan: _Plan) -> tuple:
     x = np.sqrt(y.astype(complex))  # Re >= 0: the half-plane of the strip
     x = x[(x.real > -1e-3) & (x.real < 1.0 + 1e-3) & (x.imag > -1e-3)]
     alpha = alpha[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a root that Newton throws off to a non-finite value fails the pole test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(4):
             a = _amplitudes(plan, x)
             da = -a * alpha / (x * (x * x + alpha))
@@ -264,7 +272,7 @@ def planar_reflections(med: MediumResponse, k_perp) -> tuple:
     """
     plan = _medium_plan(med)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _reflections(plan, _amplitudes(plan, np.asarray(k_perp, dtype=complex) / med.k0))
+        return _reflections(plan, _amplitudes(plan, np.asarray(k_perp, dtype=complex) / med.k0))[:3]
 
 
 def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
@@ -328,23 +336,11 @@ def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
     return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, 0.0, med.omega)
 
 
-# what the numeric pathway integrates: a function of the complex k_perp array
-# returning (r_ss, r_pp, r_sp), or a medium whose planar_reflections are meant
-Reflections = Union[MediumResponse, Callable[[np.ndarray], tuple]]
-
-
-def mirror_reflections(handedness: Handedness, omega: float) -> Callable[[np.ndarray], tuple]:
-    """Constant reflections (0, 0, +-1) of the perfect chiral mirror; the
-    constants broadcast against any k_perp array."""
-    r = (0.0, 0.0, handedness.sign)
-    return lambda k_perp: r
-
-
 # ---------------------------------------------------------------------------
 # Numeric pathway
 # ---------------------------------------------------------------------------
 
-# the channels of _scatter_integrals, in order; curl zz is twice curl xx
+# the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
 # panel seeds of the steepest-descent path, in units of k0: the reflections
 # vary on the scale of k0 whatever the distance
@@ -368,60 +364,69 @@ def _run_quadrature(res: QuadratureResult, spec: QuadratureSpec) -> np.ndarray:
     )
 
 
-def _scatter_integrals(
+def scatter_numeric(
     geom: PlanarGeometry,
-    reflections: Reflections,
     omega: float,
-    spec: QuadratureSpec,
+    spec: QuadratureSpec = QuadratureSpec(),
 ) -> tuple[CurlGreens, np.ndarray]:
-    """(Im curl G, Im G) of the scattering Green's tensor at the molecule.
+    """(Im curl G, Im G) of the scattering Green's tensor at the molecule in
+    front of the half-space ``geom.medium``; Im G is 3x3 in units of 1/m.
 
-    One planar integrand carries the four channels of ``_CHANNELS``:
-    curl G xx (= yy) and x-y (= -yx), and G xx (= yy) and zz; curl G zz is
-    twice curl G xx, set at assembly. Their integral over the traveling
-    segment k_perp in [0, k0] and the evanescent axis k_perp = i kappa_perp
-    runs, by Cauchy's theorem, along the steepest-descent path
-    k_perp = k0 + i t instead, t in [0, inf), on which exp(2i k_perp z)
-    decays like exp(-2 t z) without oscillating, so the panel count does not
-    grow with z. This needs reflections analytic in the strip between the
-    two contours.
+    Both are azimuth-reduced radial integrals over the vacuum k_perp,
 
-    The integrand is dimensionless: a function of x = k_perp/k0 = 1 + i tau,
-    tau = t/k0, integrated over tau. On the path
-    exp(2i k_perp z) = exp(2i k0 z) exp(-2 k0 z tau), so each node carries
-    only the real decay, and the unit-modulus exp(2i k0 z) multiplies the
-    totals once. For a medium, the reflections come from its cached
-    ``_Plan``; each vertical branch cut inside the strip is added as a
-    hairpin, the difference of the channels on its two sides at
-    x = x_b + i tau with the roots of every mode cut there negated, in the
-    same integrand and with its constant phase exp(2i k0 z (x_b - 1)); a
-    pole inside the strip raises PoleError. A function ``reflections`` is
-    called with the physical k_perp = k0 x. One adaptive integral evaluates
-    the reflections once per refinement round, on the nodes of every panel
-    the round evaluates.
+        curl G = (k0/8pi) int_C dk_perp e^{2 i k_perp z}
+                 { r_sp (k_par^2/k0^2) [(xx + yy) + 2 zz]
+                   + (k_perp/k0)(r_ss - r_pp)(xy - yx) },
+        G      = (i/8pi) int_C dk_perp e^{2 i k_perp z}
+                 { (r_ss - (k_perp^2/k0^2) r_pp)(xx + yy) + (2 k_par^2/k0^2) r_pp zz },
+
+    with k_par^2 = k0^2 - k_perp^2 (k_par from 0 to inf) and C the
+    evanescent axis k_perp = i kappa_perp, kappa_perp from inf to 0,
+    followed by the traveling segment [0, k0]. The diagonal curl block is
+    driven by the cross reflection, the antisymmetric x-y block by the
+    difference of the diagonal reflections; the cross terms of G integrate
+    to zero at coincidence. One integrand carries the four channels of
+    ``_CHANNELS``: curl G xx (= yy) and x-y (= -yx), and G xx (= yy) and
+    zz; curl G zz is twice curl G xx, set at assembly.
+
+    By Cauchy's theorem C is deformed onto the steepest-descent path
+    k_perp = k0 + i t, t in [0, inf), on which exp(2i k_perp z) decays like
+    exp(-2 t z) without oscillating, so the panel count does not grow with
+    z. The integrand is dimensionless: a function of x = k_perp/k0 =
+    1 + i tau, tau = t/k0, integrated over tau. Each node carries only the
+    real decay exp(-2 k0 z tau), and the unit-modulus exp(2i k0 z)
+    multiplies the totals once. The reflections come from the medium's
+    cached ``_Plan``; each vertical branch cut inside the strip the
+    deformation sweeps is added as a hairpin, the difference of the
+    channels on its two sides at x = x_b + i tau with the roots of every
+    mode cut there negated, in the same integrand and with its constant
+    phase exp(2i k0 z (x_b - 1)); a pole inside the strip (possible only
+    with gain) raises PoleError. One adaptive integral evaluates the
+    reflections once per refinement round, on the nodes of every panel the
+    round evaluates.
     """
+    med = geom.medium
+    if med is None:
+        raise PhysicsError("the planar numeric pathway requires a medium")
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
-    hairpins = ()  # (x_b, the modes cut upward from it, the phase relative to the path)
-    if isinstance(reflections, MediumResponse):
-        plan = _medium_plan(reflections)
-        if plan.poles:
-            raise PoleError(
-                f"reflection pole at k_perp = {plan.poles[0]!r} k0 between the real-axis contour and "
-                "the steepest-descent path (a medium with gain); the numeric pathway does not "
-                "integrate around it"
-            )
-        hairpins = [(x_b, list(modes), cmath.exp(2j * k0z * (x_b - 1.0)))
-                    for x_b, modes in plan.cuts if x_b.real < 1.0]
-        reflect = lambda x: _reflections(plan, _amplitudes(plan, x))
-    else:
-        reflect = lambda x: reflections(k0 * x)
+    plan = _medium_plan(med)
+    if plan.poles:
+        raise PoleError(
+            f"reflection pole at k_perp = {plan.poles[0]!r} k0 between the real-axis contour and "
+            "the steepest-descent path (a medium with gain); the numeric pathway does not "
+            "integrate around it"
+        )
+    # (x_b, the modes cut upward from it, the phase relative to the path)
+    hairpins = [(x_b, list(modes), cmath.exp(2j * k0z * (x_b - 1.0)))
+                for x_b, modes in plan.cuts if x_b.real < 1.0]
 
-    def channels(out: np.ndarray, x: np.ndarray, r_ss, r_pp, r_sp) -> np.ndarray:
+    def channels(out: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        r_ss, r_pp, r_sp, r_diff = _reflections(plan, a)
         x2 = x * x
         par = 1.0 - x2  # k_par^2 / k0^2
         np.multiply(r_sp, par, out=out[0])  # curl xx
-        np.multiply(x, r_ss - r_pp, out=out[1])  # curl x-y
+        np.multiply(x, r_diff, out=out[1])  # curl x-y
         np.subtract(r_ss, x2 * r_pp, out=out[2])  # G xx over i
         np.multiply(par, r_pp, out=out[3])  # G zz over 2i
         if not np.isfinite(out).all():
@@ -434,13 +439,13 @@ def _scatter_integrals(
         x = np.empty(tau.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
             x.real, x.imag = 1.0, tau  # x = 1 + i tau, with no complex arithmetic
-            channels(out, x, *reflect(x))
+            channels(out, x, _amplitudes(plan, x))
             for x_b, modes, phase in hairpins:
                 x.real, x.imag = x_b.real, x_b.imag + tau  # x = x_b + i tau, reusing the buffer
                 a = _amplitudes(plan, x)  # the left side of the cut
-                side = channels(np.empty_like(out), x, *_reflections(plan, a))
+                side = channels(np.empty_like(out), x, a)
                 a[modes] *= -1.0  # the right side: the cut modes' roots negated
-                side -= channels(np.empty_like(out), x, *_reflections(plan, a))
+                side -= channels(np.empty_like(out), x, a)
                 side *= phase
                 out += side
         out *= np.exp(-2.0 * k0z * tau)
@@ -457,61 +462,22 @@ def _scatter_integrals(
     return CurlGreens(curl, CurlKind.IMAGINARY_PART), np.diag([g_xx, g_xx, g_zz])
 
 
-def curl_img_scatter_numeric(
-    geom: PlanarGeometry,
-    reflections: Reflections,
-    omega: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> CurlGreens:
-    """Im of the curl of the scattering Green's tensor at the molecule.
+def _mirror_curl(geom: PlanarGeometry, omega: float) -> CurlGreens:
+    """Im curl G of the perfect chiral mirror, the integral of
+    ``scatter_numeric`` in closed form.
 
-    Evaluates the azimuth-reduced radial integral over the vacuum k_perp,
-
-        curl G = (k0/8pi) * int_C dk_perp e^{2 i k_perp z}
-                 { r_sp [(1 - k_perp^2/k0^2)(xx + yy) + (2 k_par^2/k0^2) zz]
-                   + (k_perp/k0)(r_ss - r_pp)(xy - yx) },
-
-    with k_par^2 = k0^2 - k_perp^2 (k_par from 0 to inf) and C the
-    evanescent axis k_perp = i kappa_perp, kappa_perp from inf to 0,
-    followed by the traveling segment [0, k0]. It is computed on the
-    steepest-descent path k_perp = k0 + i t, t from inf to 0, which C
-    deforms into. The zz entry is exactly twice the xx entry: one channel
-    of the integrand gives both (see ``_scatter_integrals``).
-
-    The diagonal block is driven by the cross reflection, the antisymmetric
-    x-y block by the difference of the diagonal reflections. ``reflections``
-    is either a function mapping an array of complex vacuum k_perp to
-    (r_ss, r_pp, r_sp), as ``mirror_reflections`` returns, or a
-    MediumResponse, whose ``planar_reflections`` are used, from its cached
-    per-medium plan. A function is called with the physical k_perp and must
-    be analytic in the strip 0 <= Re k_perp <= k0, Im k_perp >= 0 that the
-    deformation sweeps: a pole or branch cut there changes the result. For a
-    medium, its branch cuts in the strip are integrated around, and a pole
-    there (possible only with gain) raises PoleError. Only ``geom.z_m`` is
-    read from the geometry.
+    Its reflections are constant (r_ss = r_pp = 0, r_sp = +-1), so the x-y
+    block vanishes and the curl xx channel on the path x = 1 + i tau is
+    +-int_0^inf (tau^2 - 2i tau) e^{-s tau} dtau = +-(2/s^3 - 2i/s^2) with
+    s = 2 k0 z. Taking the assembly of ``scatter_numeric``,
+    xx = -+(k0^2/4pi)(cos s/s^3 + sin s/s^2) and the matrix is
+    diag(xx, xx, 2 xx), with xx -> -+1/(32 pi k0 z^3) in the near field and
+    -+sin(2 k0 z)/(16 pi z^2) in the far field.
     """
-    return _scatter_integrals(geom, reflections, omega, spec)[0]
-
-
-def img_g_scatter_numeric(
-    geom: PlanarGeometry,
-    reflections: Reflections,
-    omega: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Im of the scattering Green's tensor at the molecule (3x3, units 1/m).
-
-    The azimuth-reduced integrand couples only the diagonal reflections; the
-    cross terms integrate to zero at coincidence:
-
-        G = (i/8pi) * int_C dk_perp e^{2 i k_perp z}
-            { (r_ss - (k_perp^2/k0^2) r_pp)(xx + yy) + (2 k_par^2/k0^2) r_pp zz },
-
-    on the contour and the steepest-descent path of
-    ``curl_img_scatter_numeric``, with ``reflections`` as there. Drives the electric scattering rate through
-    gamma_el_from_img.
-    """
-    return _scatter_integrals(geom, reflections, omega, spec)[1]
+    k0 = omega / CONSTANTS.c
+    s = 2.0 * (k0 * geom.z_m)
+    xx = -geom.handedness.sign * k0 * k0 / (4.0 * np.pi) * (np.cos(s) / s**3 + np.sin(s) / s**2)
+    return CurlGreens(np.diag([xx, xx, 2.0 * xx]), CurlKind.IMAGINARY_PART)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +526,6 @@ def rates_mirror(
     geom: PlanarGeometry,
     mol: TransitionDipoles,
     limit: Limit,
-    spec: QuadratureSpec = QuadratureSpec(),
     drreths_form: str = "dimensional",
 ) -> RateBreakdown:
     """Decay-rate breakdown in front of a perfect chiral mirror.
@@ -575,15 +540,20 @@ def rates_mirror(
     * ``"printed"``: the same expression without the w^2 factor, retained
       verbatim for cross-checking (its units are anomalous).
 
-    The retarded closed form keeps only the parallel-dipole chiral channel;
-    the numeric pathway also carries the same-order z-dipole channel, so the
-    two agree for molecules with in-plane dipoles and for the nonretarded
-    limit, where the closed diag(1,1,2) structure is complete.
+    The mirror's reflections are constant, so its exact wavevector integral
+    is elementary: ``Limit.NUMERIC`` contracts that closed-form curl
+    (``_mirror_curl``) and runs no quadrature. The retarded closed form keeps
+    only the parallel-dipole chiral channel; the exact curl also carries the
+    same-order z-dipole channel, so the two agree for molecules with
+    in-plane dipoles and for the nonretarded limit, where the closed
+    diag(1,1,2) structure is complete.
 
     s_disc is the exact quotient gamma_ch / gamma_vacuum.
     """
     if geom.handedness is None:
         raise PhysicsError("mirror geometry requires a handedness")
+    if drreths_form not in ("dimensional", "printed"):
+        raise ValueError(f"unknown drreths_form {drreths_form!r}")
     z = geom.z_m
     w = mol.omega_ik
     c = CONSTANTS
@@ -602,10 +572,8 @@ def rates_mirror(
         dsq = _d_par_sq(mol)
         if drreths_form == "dimensional":
             g_el = c.mu0 * w**2 * dsq * osc / (8.0 * np.pi * c.hbar * z)
-        elif drreths_form == "printed":
+        else:  # "printed"
             g_el = c.mu0 * dsq * osc / (8.0 * np.pi * c.hbar * z)
-        else:
-            raise ValueError(f"unknown drreths_form {drreths_form!r}")
     elif limit is Limit.NONRETARDED:
         _warn_limit(limit, k0 * z)
         if mol.isotropic:
@@ -614,10 +582,8 @@ def rates_mirror(
             g_ch = sgn * c.mu0 * c.c / (8.0 * np.pi * c.hbar * z**3) * _d_full_plus_z(mol)
         g_el = 0.0
     else:
-        curl = curl_img_scatter_numeric(geom, mirror_reflections(geom.handedness, w), w, spec)
-        g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
+        g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
         g_el = 0.0  # diagonal reflections vanish for the perfect chiral mirror
-        method = Method.QUADRATURE
 
     return RateBreakdown(
         gamma_el=g_el,
@@ -707,7 +673,7 @@ def rates_halfspace(
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
     else:
-        curl, img_g = _scatter_integrals(geom, med, w, spec)
+        curl, img_g = scatter_numeric(geom, w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
         g_el = gamma_el_from_img(img_g, mol)
         s = g_ch / (g_vac + g_el)

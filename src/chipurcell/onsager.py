@@ -221,6 +221,16 @@ def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
     return CurlGreens(scalar * np.eye(3), CurlKind.IMAGINARY_PART)
 
 
+def _f0(med: MediumResponse, f0_source: str, f0_override: Optional[complex]) -> complex:
+    """The cavity factor f0 of a lossless host: ``f0_override`` if given,
+    else the normalization named by ``f0_source``."""
+    if f0_source not in ("appendix", "main"):
+        raise ValueError(f"unknown f0_source {f0_source!r}")
+    if f0_override is not None:
+        return complex(f0_override)
+    return f_factors(med).f0 if f0_source == "appendix" else f0_main(med)
+
+
 def gamma_ch_lfc(
     cav: CavityConfig,
     mol: TransitionDipoles,
@@ -237,15 +247,7 @@ def gamma_ch_lfc(
     med = cav.host
     if not med.lossless:
         raise LosslessRequiredError("gamma_ch_lfc requires a lossless host; use gamma_ch_lfc_absorbing")
-    if f0_override is not None:
-        f0 = complex(f0_override)
-    elif f0_source == "appendix":
-        f0 = f_factors(med).f0
-    elif f0_source == "main":
-        f0 = f0_main(med)
-    else:
-        raise ValueError(f"unknown f0_source {f0_source!r}")
-    return float(np.real(f0)) * gamma_ch_bulk(med, mol)
+    return float(np.real(_f0(med, f0_source, f0_override))) * gamma_ch_bulk(med, mol)
 
 
 def gamma_ch_lfc_absorbing(cav: CavityConfig, mol: TransitionDipoles) -> float:
@@ -345,14 +347,9 @@ def s_lfc(
     if mol.d_norm_sq == 0:
         raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")
     if not absorbing:
-        if f0_override is not None:
-            f0 = complex(f0_override)
-        elif f0_source == "appendix":
-            f0 = f_factors(med).f0
-        else:
-            f0 = f0_main(med)
         eps = complex(med.eps)
-        return float(np.real(f0)) * s_bulk(med, mol) / abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2
+        return (float(np.real(_f0(med, f0_source, f0_override))) * s_bulk(med, mol)
+                / abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2)
     eps, kap = complex(med.eps), complex(med.kappa)
     r_ik = rotatory_strength(mol)
     pre = 2.0 * r_ik / (3.0 * CONSTANTS.c * mol.d_norm_sq)

@@ -252,6 +252,20 @@ class TestExitCodesAndGolden:
         assert main(["rate", "--config", str(cfg)]) == EXIT_PHYSICS
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field, model", [
+        ("eps", {"model": "lorentz", "background": 1.5, "strength": 0.8}),
+        ("kappa", {"model": "lorentz_chiral", "strength": 1e-3}),
+    ])
+    def test_undamped_lorentz_on_resonance_exits_physics(self, tmp_path, capsys, field, model):
+        # the model's denominator omega0^2 - omega^2 - i gamma omega vanishes
+        scen = copy.deepcopy(BULK)
+        scen["medium"][field] = {**model, "omega0": scen["molecule"]["omega_ik"], "gamma": 0.0}
+        cfg = tmp_path / "resonance.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert f"medium.{field}" in capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+
     def test_quadrature_exit_code(self, tmp_path, capsys):
         scen = copy.deepcopy(HALFSPACE)
         scen["method"] = {"limit": "numeric", "quadrature": {"rel_tol": 1e-13, "max_panels": 2}}

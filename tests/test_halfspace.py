@@ -7,20 +7,20 @@ import pytest
 import chipurcell.halfspace as hs
 from chipurcell import (
     CONSTANTS,
+    Contraction,
     Handedness,
     Limit,
     MediumResponse,
     PlanarGeometry,
     TransitionDipoles,
-    curl_img_scatter_numeric,
     fresnel_general,
-    img_g_scatter_numeric,
-    mirror_reflections,
+    gamma_ch_from_curl,
     planar_reflections,
     rates_halfspace,
     rates_mirror,
     rotatory_strength,
     s_halfspace,
+    scatter_numeric,
 )
 from chipurcell.cli import run_fresnel
 from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
@@ -49,6 +49,8 @@ ORACLE_MEDIA = {
     "lossy_plasmonic": (-2.0 + 0.3j, 1.0, 0.05 + 0.01j),
     # Im(eps mu) < 0 at kappa = 0: both modes share one branch point and cut
     "shared_cut": (-2.0 + 0.1j, -1.0 + 0.1j, 0.0),
+    # eps = mu: r_ss = r_pp, so the curl x-y channel is exactly zero
+    "dual": (2.0, 2.0, 0.05),
 }
 
 
@@ -76,7 +78,7 @@ class TestNumericCurl:
         """xx entry tends to the -sin(2 k0 z)/(16 pi z^2) closed form."""
         z = 20.0 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = curl_img_scatter_numeric(geom, mirror_reflections(Handedness.RIGHT, W), W)
+        curl = hs._mirror_curl(geom, W)
         closed = -np.sin(2 * K0 * z) / (16 * np.pi * z**2)
         assert curl.matrix[0, 0].real == pytest.approx(closed, rel=0.03)
         assert curl.matrix[1, 1].real == curl.matrix[0, 0].real
@@ -85,49 +87,48 @@ class TestNumericCurl:
         """diag(1,1,2)/(32 pi k0 z^3) structure with the handedness sign."""
         z = 0.01 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = curl_img_scatter_numeric(geom, mirror_reflections(Handedness.RIGHT, W), W)
+        curl = hs._mirror_curl(geom, W)
         closed = -1.0 / (32 * np.pi * K0 * z**3)
         assert curl.matrix[0, 0].real == pytest.approx(closed, rel=0.02)
         assert curl.matrix[2, 2].real == pytest.approx(2 * closed, rel=0.02)
-        left = curl_img_scatter_numeric(
-            PlanarGeometry(z_m=z, handedness=Handedness.LEFT),
-            mirror_reflections(Handedness.LEFT, W),
-            W,
-        )
+        left = hs._mirror_curl(PlanarGeometry(z_m=z, handedness=Handedness.LEFT), W)
         assert np.allclose(left.matrix, -curl.matrix)
 
-    def test_zero_reflections_give_zero(self):
-        provider = lambda k_perp: (0.0, 0.0, 0.0)
-        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
-        assert np.all(curl_img_scatter_numeric(geom, provider, W).matrix == 0)
-        assert np.all(img_g_scatter_numeric(geom, provider, W) == 0)
+    def test_zero_reflections_give_zero(self, monkeypatch):
+        monkeypatch.setattr(hs, "_reflections", lambda plan, a: (0.0, 0.0, 0.0, 0.0))
+        med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
+        curl, img_g = scatter_numeric(PlanarGeometry(z_m=1.0 / K0, medium=med), W)
+        assert np.all(curl.matrix == 0)
+        assert np.all(img_g == 0)
 
     def test_nonconvergence_raises(self):
-        # a near-pole in the reflection data that a tiny panel budget cannot
-        # resolve: just outside the strip, 1e-7 k0 right of the path
-        def spiky(k_perp):
-            return 0.0, 0.0, 1.0 / (k_perp / K0 - (1.0 + 1e-7 + 0.37j))
-
-        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
-        spec = QuadratureSpec(rel_tol=1e-10, max_panels=6)
+        # a tolerance that a tiny panel budget cannot meet
+        med = MediumResponse(2.25, 1.0, 0.05, W)
+        geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
+        spec = QuadratureSpec(rel_tol=1e-13, max_panels=6)
         with pytest.raises(QuadratureError, match="steepest-descent quadrature did not converge"):
-            curl_img_scatter_numeric(geom, spiky, W, spec)
+            scatter_numeric(geom, W, spec)
 
-    def test_non_finite_integrand_raises_pole_error(self):
+    def test_non_finite_integrand_raises_pole_error(self, monkeypatch):
         # reflections with a pole band on Im k_perp around the centre node of
         # the path's seed panel t in [0.5, 1] k0: the error names a k_perp
         # inside the band
-        band = (0.749 * K0, 0.751 * K0)
+        band = (0.749, 0.751)  # in units of k0
+        nodes = []
+        amplitudes = hs._amplitudes
 
-        def pole_band(k_perp):
-            r = np.where((band[0] < k_perp.imag) & (k_perp.imag < band[1]), np.inf, 0.5)
-            return 0.0, 0.0, r
+        def pole_band(plan, a):
+            x = nodes[-1]  # the x = k_perp / k0 these amplitudes were taken at
+            r = np.where((band[0] < x.imag) & (x.imag < band[1]), np.inf, 0.5)
+            return 0.0, 0.0, r, 0.0
 
-        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
+        monkeypatch.setattr(hs, "_amplitudes", lambda plan, x: nodes.append(x.copy()) or amplitudes(plan, x))
+        monkeypatch.setattr(hs, "_reflections", pole_band)
+        med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
         with pytest.raises(PoleError, match="planar integrand not finite") as info:
-            curl_img_scatter_numeric(geom, pole_band, W)
+            scatter_numeric(PlanarGeometry(z_m=1.0 / K0, medium=med), W)
         named = re.search(r"k_perp = (?:np\.complex128\()?\(?([^,()]+)", str(info.value)).group(1)
-        assert band[0] < complex(named).imag < band[1]
+        assert band[0] * K0 < complex(named).imag < band[1] * K0
 
     def test_nan_quadrature_result_fails(self):
         # NaN compares False with everything: a NaN error or value must fail
@@ -153,9 +154,8 @@ class TestNumericCurl:
         med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
         geom = PlanarGeometry(z_m=k0z / K0, medium=med)
         spec = QuadratureSpec()
-        curl = curl_img_scatter_numeric(geom, med, W, spec).matrix
-        img_g = img_g_scatter_numeric(geom, med, W, spec)
-        got = [curl[0, 0], curl[2, 2], curl[0, 1], img_g[0, 0], img_g[2, 2]]
+        curl, img_g = scatter_numeric(geom, W, spec)
+        got = [curl.matrix[0, 0], curl.matrix[2, 2], curl.matrix[0, 1], img_g[0, 0], img_g[2, 2]]
         values, scales = planar_channel_integrals(eps, mu, kappa, K0, geom.z_m)
         for g, v, s in zip(got, values, scales):
             assert abs(g - v.imag) <= 10 * spec.rel_tol * s
@@ -178,7 +178,7 @@ class TestNumericCurl:
         eps, mu, kappa = ORACLE_MEDIA[name]
         med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
         geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
-        curl_img_scatter_numeric(geom, med, W)
+        scatter_numeric(geom, W)
         assert all(re_k.size == 1 for re_k in seen)
         on_path = sum(re_k[0] == K0 for re_k in seen)
         assert on_path >= 1
@@ -196,7 +196,7 @@ class TestNumericCurl:
         med = MediumResponse(eps=eps, mu=1.0, kappa=kappa, omega=W)
         geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
         with pytest.raises(PoleError, match="reflection pole") as info:
-            curl_img_scatter_numeric(geom, med, W)
+            scatter_numeric(geom, W)
         named = complex(re.search(r"k_perp = \(?([^ )]+)\)? k0", str(info.value)).group(1))
         assert 0 < named.real < 1 and named.imag > 0
         r_ss, r_pp, r_sp = planar_reflections(med, np.array([named * K0]))
@@ -212,29 +212,11 @@ class TestNumericCurl:
         eps, mu, _ = ORACLE_MEDIA["shared_cut"]
         for kappa in (0.0, 1e-7, 1e-6):
             med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
-            curl_img_scatter_numeric(PlanarGeometry(z_m=0.01 / K0), med, W)
+            scatter_numeric(PlanarGeometry(z_m=0.01 / K0, medium=med), W)
         flat, small, large = (r.value for r in results)
         assert np.all(flat[:1] == 0)
         assert np.all(np.abs(small[1:] - flat[1:]) <= 1e-7 * np.abs(flat[1:]))
         assert np.all(np.abs(10 * small[:1] - large[:1]) <= 1e-5 * np.abs(large[:1]))
-
-    def test_hairpins_belong_to_the_medium_argument(self, monkeypatch):
-        """Only a MediumResponse brings its cuts: a mirror geometry that
-        also carries a cut medium integrates the mirror alone, and a function
-        provider is integrated on the path only."""
-        med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)
-        mirror = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
-        both = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT, medium=med)
-        refl = mirror_reflections(Handedness.RIGHT, W)
-        assert np.array_equal(
-            curl_img_scatter_numeric(both, refl, W).matrix, curl_img_scatter_numeric(mirror, refl, W).matrix
-        )
-        seen = []
-        inner = hs._amplitudes
-        spy = lambda plan, x: seen.append(np.unique(x.real) * K0) or inner(plan, x)  # x = k_perp / k0
-        monkeypatch.setattr(hs, "_amplitudes", spy)
-        curl_img_scatter_numeric(both, lambda k_perp: planar_reflections(med, k_perp), W)
-        assert seen and all(np.array_equal(re_k, [K0]) for re_k in seen)
 
     def test_lossless_surface_plasmon_converges(self, monkeypatch):
         """eps = -2 puts a surface-plasmon pole on the evanescent axis: the
@@ -244,28 +226,42 @@ class TestNumericCurl:
         for eps in (-2.0 + 1e-6j, -2.0):
             med = MediumResponse(eps=eps, mu=1.0, kappa=0.05, omega=W)
             geom = PlanarGeometry(z_m=0.5 / K0, medium=med)
-            curl_img_scatter_numeric(geom, med, W)
+            scatter_numeric(geom, W)
         lossy, lossless = results
         assert lossy.converged and lossless.converged
         assert np.all(np.abs(lossless.value - lossy.value) <= 1e-5 * np.abs(lossy.value))
 
     def test_cost_does_not_grow_with_distance(self, monkeypatch):
-        """Mirror points far out match the elementary closed form, and the
-        path's panel count at k0 z = 1e5 is no larger than at 1e2."""
+        """The path's panel count on a half-space at k0 z = 1e5 is no larger
+        than at 1e2, and the mirror's closed-form curl matches the
+        elementary oracle from k0 z = 1e-6 to 1e6."""
         results = record_integrals(monkeypatch)
-        spec = QuadratureSpec()
+        med = MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)
         for k0z in (1e2, 1e4, 1e5):
-            geom = PlanarGeometry(z_m=k0z / K0, handedness=Handedness.RIGHT)
-            curl = curl_img_scatter_numeric(geom, mirror_reflections(Handedness.RIGHT, W), W, spec)
-            xx, scale = mirror_curl_xx(K0, geom.z_m, 1.0)
-            assert abs(curl.matrix[0, 0] - xx.imag) <= 10 * spec.rel_tol * scale
-            assert abs(curl.matrix[2, 2] - 2 * xx.imag) <= 20 * spec.rel_tol * scale
+            scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
         assert all(r.converged for r in results)
         assert results[2].panels_used <= results[0].panels_used
-        med = MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)
-        geom = PlanarGeometry(z_m=1e4 / K0, medium=med)
-        curl_img_scatter_numeric(geom, med, W, spec)
-        assert results[-1].converged
+        for k0z in np.logspace(-6, 6, 49):
+            for hand in Handedness:
+                geom = PlanarGeometry(z_m=k0z / K0, handedness=hand)
+                curl = hs._mirror_curl(geom, W).matrix
+                xx, scale = mirror_curl_xx(K0, geom.z_m, hand.sign)
+                assert abs(curl[0, 0] - xx.imag) <= 1e-12 * scale
+                assert abs(curl[2, 2] - 2 * xx.imag) <= 2e-12 * scale
+                assert curl[0, 1] == curl[1, 0] == 0
+
+    @pytest.mark.parametrize("eps, kappa", [(2.0, 0.0), (2.0, 0.05), (1.0, 0.05)])
+    def test_dual_symmetric_medium_converges(self, eps, kappa):
+        """For eps = mu the curl x-y channel is exactly zero, not round-off
+        that never meets its own tolerance."""
+        med = MediumResponse(eps, eps, kappa, W)
+        for k0z in (0.01, 1.0, 100.0):
+            curl, _ = scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
+            assert curl.matrix[0, 1] == 0.0
+
+    def test_missing_medium(self):
+        with pytest.raises(PhysicsError, match="requires a medium"):
+            scatter_numeric(PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT), W)
 
 
 class TestPlan:
@@ -297,6 +293,14 @@ class TestPlan:
                 arr[0] = 0.0
         assert plan is hs._plan(*(complex(v) for v in ORACLE_MEDIA["gain_mode"]))
 
+    def test_near_vacuum_pole_search_warns_nothing(self):
+        # Newton's step overflows on a root of the near-degenerate quartic;
+        # the non-finite root fails the pole test without a RuntimeWarning
+        hs._plan.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hs._plan(1 + 1e-12 + 0j, 1 + 0j, 0j).poles == ()
+
     def test_strip_poles_are_found_only_for_the_numeric_pathway(self, monkeypatch, mol_aniso):
         # the pole search (a quartic's roots) runs once per medium, and only
         # when a numeric rate needs it; reflections alone never run it
@@ -317,6 +321,24 @@ class TestPlan:
 
 
 class TestMirrorRates:
+    def test_numeric_rate_is_closed_form(self, monkeypatch, mol_aniso):
+        """The mirror's numeric rate contracts its closed-form curl: no
+        integral runs, and the method says so."""
+        results = record_integrals(monkeypatch)
+        for k0z in (1e-3, 1.0, 1e3):
+            geom = PlanarGeometry(z_m=k0z / K0, handedness=Handedness.LEFT)
+            b = rates_mirror(geom, mol_aniso, Limit.NUMERIC)
+            assert b.method.value == "closed_form"
+            assert b.gamma_el == 0.0
+            assert b.gamma_ch == gamma_ch_from_curl(hs._mirror_curl(geom, W), mol_aniso, Contraction.PLANAR_PAPER)
+        assert results == []
+
+    @pytest.mark.parametrize("limit", list(Limit))
+    def test_unknown_drreths_form_raises(self, limit, mol_iso):
+        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
+        with pytest.raises(ValueError, match="unknown drreths_form 'bogus'"):
+            quiet(rates_mirror, geom, mol_iso, limit, drreths_form="bogus")
+
     def test_sine_node_kills_far_field_rate(self, mol_iso):
         z = np.pi / 2 * CONSTANTS.c / W  # 2 w z / c = pi
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)

@@ -322,3 +322,12 @@ def test_lfc_requires_lossless_for_plain_path(mol_iso):
     lossy = MediumResponse(2.25 + 0.3j, 1.0, 0.02, OMEGA)
     with pytest.raises(LosslessRequiredError):
         gamma_ch_lfc(CavityConfig(1e-9, lossy), mol_iso)
+
+
+@pytest.mark.parametrize("fn", [gamma_ch_lfc, s_lfc])
+def test_unknown_f0_source_raises(fn, medium_std, mol_iso):
+    cav = CavityConfig(1e-9, medium_std)
+    assert fn(cav, mol_iso, f0_source="main") != fn(cav, mol_iso, f0_source="appendix")
+    for override in (None, 1.0):
+        with pytest.raises(ValueError, match="unknown f0_source 'bogus'"):
+            fn(cav, mol_iso, f0_source="bogus", f0_override=override)
