@@ -34,8 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .bulk import rates_bulk
+from .constants import CONSTANTS
 from .errors import PhysicsError, PoleError, QuadratureError, SchemaError
 from .halfspace import (
+    NONRETARDED_BELOW,
+    RETARDED_ABOVE,
     Handedness,
     Limit,
     PlanarGeometry,
@@ -53,9 +56,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PHYSICS = 3
 EXIT_QUADRATURE = 4
-
-AUTO_NONRETARDED_BELOW = 0.1
-AUTO_RETARDED_ABOVE = 10.0
 
 
 def _fmt(x: float) -> str:
@@ -89,13 +89,20 @@ def _lorentz_denominator(w0: float, g: float, omega: float, where: str) -> compl
     return den
 
 
-def _complex_from(node, where: str, omega: float) -> complex:
+def _number_from(node, where: str) -> complex:
+    """A finite number or an [re, im] pair of them."""
     if isinstance(node, (int, float)):
         return complex(_real_from(node, where))
     if isinstance(node, list):
         if len(node) == 2 and _finite(node[0]) and _finite(node[1]):
             return complex(node[0], node[1])
         raise SchemaError(f"{where}: complex values are two-element [re, im] arrays of finite numbers")
+    raise SchemaError(f"{where}: expected a number or an [re, im] pair, got {node!r}")
+
+
+def _complex_from(node, where: str, omega: float) -> complex:
+    """A response channel: a number, an [re, im] pair or a model object
+    evaluated at ``omega``."""
     if isinstance(node, dict):
         model = node.get("model")
         if model == "lorentz":
@@ -116,13 +123,15 @@ def _complex_from(node, where: str, omega: float) -> complex:
                 raise SchemaError(f"{where}: lorentz_chiral model needs strength, omega0, gamma") from exc
             return s * w0 * omega / _lorentz_denominator(w0, g, omega, where)
         raise SchemaError(f"{where}: unknown response model {model!r}")
+    if isinstance(node, (int, float, list)):
+        return _number_from(node, where)
     raise SchemaError(f"{where}: expected number, [re, im] or model object")
 
 
 def _vector3_from(node, where: str) -> np.ndarray:
     if not (isinstance(node, list) and len(node) == 3):
         raise SchemaError(f"{where}: expected a 3-element array of [re, im] pairs")
-    return np.array([_complex_from(c, f"{where}[{i}]", 0.0) for i, c in enumerate(node)])
+    return np.array([_number_from(c, f"{where}[{i}]") for i, c in enumerate(node)])
 
 
 def parse_molecule(node, where: str = "molecule") -> TransitionDipoles:
@@ -165,12 +174,10 @@ def _choose_limit(method_node, omega: float, z_m: float) -> Limit:
         return Limit(name)
     if name != "auto":
         raise SchemaError(f"method.limit: unknown value {name!r}")
-    thresholds = method_node.get("auto_thresholds", [AUTO_NONRETARDED_BELOW, AUTO_RETARDED_ABOVE])
+    thresholds = method_node.get("auto_thresholds", [NONRETARDED_BELOW, RETARDED_ABOVE])
     if not (isinstance(thresholds, list) and len(thresholds) == 2):
         raise SchemaError("method.auto_thresholds: expected a [below, above] pair of k0 z values")
     lo, hi = (_real_from(v, f"method.auto_thresholds[{i}]") for i, v in enumerate(thresholds))
-    from .constants import CONSTANTS
-
     k0z = omega * z_m / CONSTANTS.c
     if k0z < lo:
         return Limit.NONRETARDED
@@ -184,10 +191,12 @@ def parse_quadrature(node) -> QuadratureSpec:
         return QuadratureSpec()
     if not isinstance(node, dict):
         raise SchemaError("method.quadrature: expected an object")
-    kwargs = {key: _real_from(node[key], f"method.quadrature.{key}")
-              for key in ("rel_tol", "abs_floor", "evanescent_cutoff_u") if key in node}
-    if "max_panels" in node:
-        kwargs["max_panels"] = int(_real_from(node["max_panels"], "method.quadrature.max_panels"))
+    kwargs = {}
+    for key, value in node.items():
+        if key not in ("rel_tol", "max_panels"):
+            raise SchemaError(f"method.quadrature: unknown key {key!r}; the keys are rel_tol and max_panels")
+        number = _real_from(value, f"method.quadrature.{key}")
+        kwargs[key] = int(number) if key == "max_panels" else number
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:

@@ -74,6 +74,12 @@ from .rates import (
 from .sommerfeld import QuadratureResult, QuadratureSpec, integrate_evanescent
 
 
+# the k0 z ranges in which the closed forms hold: the nonretarded limit
+# below NONRETARDED_BELOW, the retarded one above RETARDED_ABOVE
+NONRETARDED_BELOW = 0.1
+RETARDED_ABOVE = 10.0
+
+
 class Handedness(enum.Enum):
     RIGHT = "right"
     LEFT = "left"
@@ -347,12 +353,12 @@ _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
 _PATH_BREAKPOINTS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def _run_quadrature(res: QuadratureResult, spec: QuadratureSpec) -> np.ndarray:
+def _run_quadrature(res: QuadratureResult) -> np.ndarray:
     if res.converged:
         return res.value
     # accept a degraded-but-bounded estimate; hard failure above 1e-4
     # relative, and a NaN value or error fails too
-    failed = ~(res.err_estimate <= 1e-4 * np.abs(res.value) + spec.abs_floor)
+    failed = ~(res.err_estimate <= 1e-4 * np.abs(res.value))
     if not failed.any():
         return res.value
     i = int(np.argmax(failed))  # the first failing channel
@@ -452,7 +458,7 @@ def scatter_numeric(
         return out
 
     res = integrate_evanescent(integrand, k0z, spec, breakpoints=_PATH_BREAKPOINTS)
-    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * _run_quadrature(res, spec)).tolist()
+    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * _run_quadrature(res)).tolist()
     # the t = k0 tau Jacobian, and the prefactors -i k0/(8 pi) of curl G and
     # i/(8 pi) of G, whose channels are written over i and 2i
     pre = k0 / (8.0 * np.pi)
@@ -484,18 +490,28 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> CurlGreens:
 # Closed-form rates
 # ---------------------------------------------------------------------------
 
-def _d_par_m_par(mol: TransitionDipoles) -> float:
-    """Im(d_par . m_par*), the parallel-dipole chiral response."""
-    return float(np.imag(mol.d[0] * np.conj(mol.m[0]) + mol.d[1] * np.conj(mol.m[1])))
+# The chiral responses of the planar closed forms, each weighted so that an
+# isotropic molecule gives its orientation average, R = Im(d . m*) for the
+# first two and zero for the third.
+
+def _r_par(mol: TransitionDipoles) -> float:
+    """(3/2) Im(d_par . m_par*), the parallel-dipole chiral response."""
+    if mol.isotropic:
+        return rotatory_strength(mol)
+    return 1.5 * float(np.imag(mol.d[0] * np.conj(mol.m[0]) + mol.d[1] * np.conj(mol.m[1])))
 
 
-def _d_full_plus_z(mol: TransitionDipoles) -> float:
-    """Im(d . m* + d_z m_z*), the full + z-weighted chiral response."""
-    return float(np.imag(np.dot(mol.d, np.conj(mol.m)) + mol.d[2] * np.conj(mol.m[2])))
+def _r_full_z(mol: TransitionDipoles) -> float:
+    """(3/4) Im(d . m* + d_z m_z*), the full + z-weighted chiral response."""
+    if mol.isotropic:
+        return rotatory_strength(mol)
+    return 0.75 * float(np.imag(np.dot(mol.d, np.conj(mol.m)) + mol.d[2] * np.conj(mol.m[2])))
 
 
 def _im_cross_z(mol: TransitionDipoles) -> float:
-    """Im[(d x m*) . e_z]; zero for isotropic molecules and for d || m real-phased."""
+    """Im[(d x m*) . e_z]; zero for d || m real-phased."""
+    if mol.isotropic:
+        return 0.0
     return float(np.imag(mol.d[0] * np.conj(mol.m[1]) - mol.d[1] * np.conj(mol.m[0])))
 
 
@@ -506,16 +522,16 @@ def _d_par_sq(mol: TransitionDipoles) -> float:
 
 
 def _warn_limit(limit: Limit, k0z: float):
-    if limit is Limit.RETARDED and k0z < 10.0:
+    if limit is Limit.RETARDED and k0z < RETARDED_ABOVE:
         warnings.warn(
-            f"retarded closed form used at omega z/c = {k0z:.3g} < 10; "
+            f"retarded closed form used at omega z/c = {k0z:.3g} < {RETARDED_ABOVE:g}; "
             "accuracy degrades, consider the numeric method",
             UserWarning,
             stacklevel=3,
         )
-    if limit is Limit.NONRETARDED and k0z > 0.1:
+    if limit is Limit.NONRETARDED and k0z > NONRETARDED_BELOW:
         warnings.warn(
-            f"nonretarded closed form used at omega z/c = {k0z:.3g} > 0.1; "
+            f"nonretarded closed form used at omega z/c = {k0z:.3g} > {NONRETARDED_BELOW:g}; "
             "accuracy degrades, consider the numeric method",
             UserWarning,
             stacklevel=3,
@@ -565,10 +581,7 @@ def rates_mirror(
     if limit is Limit.RETARDED:
         _warn_limit(limit, k0 * z)
         osc = np.sin(2.0 * w * z / c.c)
-        if mol.isotropic:
-            g_ch = sgn * c.mu0 * w * rotatory_strength(mol) * osc / (6.0 * np.pi * c.hbar * z**2)
-        else:
-            g_ch = sgn * c.mu0 * w * osc / (4.0 * np.pi * c.hbar * z**2) * _d_par_m_par(mol)
+        g_ch = sgn * c.mu0 * w * _r_par(mol) * osc / (6.0 * np.pi * c.hbar * z**2)
         dsq = _d_par_sq(mol)
         if drreths_form == "dimensional":
             g_el = c.mu0 * w**2 * dsq * osc / (8.0 * np.pi * c.hbar * z)
@@ -576,10 +589,7 @@ def rates_mirror(
             g_el = c.mu0 * dsq * osc / (8.0 * np.pi * c.hbar * z)
     elif limit is Limit.NONRETARDED:
         _warn_limit(limit, k0 * z)
-        if mol.isotropic:
-            g_ch = sgn * c.mu0 * c.c * rotatory_strength(mol) / (6.0 * np.pi * c.hbar * z**3)
-        else:
-            g_ch = sgn * c.mu0 * c.c / (8.0 * np.pi * c.hbar * z**3) * _d_full_plus_z(mol)
+        g_ch = sgn * c.mu0 * c.c * _r_full_z(mol) / (6.0 * np.pi * c.hbar * z**3)
         g_el = 0.0
     else:
         g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
@@ -637,14 +647,10 @@ def rates_halfspace(
         refl = fresnel_retarded(med)
         arg = 2.0 * w * z / c.c
         osc_sp = (np.cos(arg) - 1.0) * refl.r_sp.real + np.sin(arg) * refl.r_sp.imag
-        if mol.isotropic:
-            g_ch = c.mu0 * w**2 * rotatory_strength(mol) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
-        else:
-            diag = refl.r_ss + refl.r_pp
-            osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
-            g_ch = c.mu0 * w**2 / (2.0 * np.pi * c.hbar * c.c * z) * (
-                _d_par_m_par(mol) * osc_sp + 0.5 * _im_cross_z(mol) * osc_diag
-            )
+        diag = refl.r_ss + refl.r_pp
+        osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
+        g_ch = (c.mu0 * w**2 * _r_par(mol) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
+                + c.mu0 * w**2 * _im_cross_z(mol) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
         r_s = (np.sqrt(complex(med.mu)) - np.sqrt(complex(med.eps))) / (
             np.sqrt(complex(med.mu)) + np.sqrt(complex(med.eps))
         )
@@ -658,18 +664,10 @@ def rates_halfspace(
         if not med.lossless:
             raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
         refl = fresnel_nonretarded(med)
-        if mol.isotropic:
-            g_ch = float(np.real(
-                -1j * w * rotatory_strength(mol) * refl.r_sp
-                / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
-            ))
-        else:
-            g_ch = float(np.real(
-                -1j * c.mu0 * w / (4.0 * np.pi * c.hbar * z**2) * refl.r_sp * _d_full_plus_z(mol)
-            )) - float(np.real(
-                c.mu0 * w**2 / (4.0 * np.pi * c.c * c.hbar * z)
-                * (refl.r_pp + refl.r_ss) * _im_cross_z(mol)
-            ))
+        g_ch = float(np.real(
+            -1j * w * _r_full_z(mol) * refl.r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
+            - c.mu0 * w**2 * _im_cross_z(mol) * (refl.r_pp + refl.r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
+        ))
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
     else:

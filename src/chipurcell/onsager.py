@@ -8,14 +8,16 @@ inequivalent normalizations of the chiral correction factor f0 circulate
 built from the circular wave numbers); see ``f0_main``. They do not agree
 (vacuum limits 4/9 vs 10/9), so both are implemented and the choice is an
 explicit argument, defaulting to the cavity-coefficient derivation
-(``f0_source="appendix"``).
+(``f0_source="appendix"``). Whether the lossless or the absorbing form
+applies is the host's to decide: ``rates_lfc``, ``gamma_el_lfc`` and
+``s_lfc`` read ``host.lossless``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +50,10 @@ class CavityConfig:
     def k0a(self) -> float:
         return self.host.k0 * self.radius_a
 
-    def check_small_radius(self, threshold: float = SMALL_RADIUS_THRESHOLD):
-        if self.k0a >= threshold:
+    def check_small_radius(self):
+        if self.k0a >= SMALL_RADIUS_THRESHOLD:
             raise RadiusTooLargeError(
-                f"small-cavity asymptotics require k0*a < {threshold}, got {self.k0a:.3g}"
+                f"small-cavity asymptotics require k0*a < {SMALL_RADIUS_THRESHOLD}, got {self.k0a:.3g}"
             )
 
 
@@ -101,10 +103,7 @@ def f_factors(med: MediumResponse) -> FFactors:
     return FFactors(f0, f1, f3)
 
 
-def f0_main(
-    med: MediumResponse,
-    f_overrides: Optional[tuple] = None,
-) -> complex:
+def f0_main(med: MediumResponse) -> complex:
     """Mode-resolved chiral correction factor.
 
     [(F_em + kappa F_k) k-^3 - (F_em - kappa F_k) k+^3] / (k-^3 - k+^3),
@@ -112,19 +111,13 @@ def f0_main(
     F_k = 9 sqrt(eps/mu)(4 n_r^2 - 1)/((2 eps + 1)^2 (2 mu + 1)^2).
     Degenerate at kappa = 0; |kappa| < 1e-12 returns the analytic limit
     F_em + F_k n_r / 3 and emits DegenerateKappaWarning.
-
-    ``f_overrides=(F_em, F_k)`` substitutes the two building blocks (test
-    hook; (1, 0) reduces the factor to 1 identically).
     """
     eps, mu = complex(med.eps), complex(med.mu)
     n_r = med.n_r
-    if f_overrides is not None:
-        f_em, f_k = f_overrides
-    else:
-        if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0:
-            raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1) = 0")
-        f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / (2.0 * mu + 1.0))
-        f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n_r**2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
+    if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0:
+        raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1) = 0")
+    f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / (2.0 * mu + 1.0))
+    f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n_r**2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
     kap = complex(med.kappa)
     if abs(kap) < 1e-12:
         warnings.warn(
@@ -221,33 +214,25 @@ def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
     return CurlGreens(scalar * np.eye(3), CurlKind.IMAGINARY_PART)
 
 
-def _f0(med: MediumResponse, f0_source: str, f0_override: Optional[complex]) -> complex:
-    """The cavity factor f0 of a lossless host: ``f0_override`` if given,
-    else the normalization named by ``f0_source``."""
+def _f0(med: MediumResponse, f0_source: str) -> complex:
+    """The cavity factor f0 of a lossless host in the normalization named
+    by ``f0_source``."""
     if f0_source not in ("appendix", "main"):
         raise ValueError(f"unknown f0_source {f0_source!r}")
-    if f0_override is not None:
-        return complex(f0_override)
     return f_factors(med).f0 if f0_source == "appendix" else f0_main(med)
 
 
-def gamma_ch_lfc(
-    cav: CavityConfig,
-    mol: TransitionDipoles,
-    f0_source: str = "appendix",
-    f0_override: Optional[complex] = None,
-) -> float:
+def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
     """Cavity-corrected chiral rate for a lossless host: f0 * gamma_ch_bulk.
 
     ``f0_source`` selects between the rational-factor normalization
     ("appendix", default) and the mode-resolved one ("main"); see module
-    docstring. ``f0_override`` forces the factor (1.0 recovers the
-    uncorrected rate exactly).
+    docstring.
     """
     med = cav.host
     if not med.lossless:
         raise LosslessRequiredError("gamma_ch_lfc requires a lossless host; use gamma_ch_lfc_absorbing")
-    return float(np.real(_f0(med, f0_source, f0_override))) * gamma_ch_bulk(med, mol)
+    return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
 
 
 def gamma_ch_lfc_absorbing(cav: CavityConfig, mol: TransitionDipoles) -> float:
@@ -282,18 +267,18 @@ def gamma_ch_lfc_absorbing(cav: CavityConfig, mol: TransitionDipoles) -> float:
     )
 
 
-def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles, absorbing: bool = False) -> float:
-    """Cavity-corrected electric rate.
+def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
+    """Cavity-corrected electric rate, in the form the host selects.
 
-    Lossless: (3 eps/(2 eps + 1))^2 * gamma_el_bulk. Absorbing: the
-    near-field 1/a^3 form |d|^2 3 Im(eps) / (pi hbar eps0 a^3 |2 eps + 1|^2),
-    which vanishes (with a diagnostic warning) when Im eps = 0.
+    Lossless host: (3 eps/(2 eps + 1))^2 * gamma_el_bulk. Absorbing host:
+    the near-field 1/a^3 form
+    |d|^2 3 Im(eps) / (pi hbar eps0 a^3 |2 eps + 1|^2), which vanishes (with
+    a diagnostic warning) when Im eps = 0, i.e. for a host lossy in mu or
+    kappa only.
     """
     med = cav.host
     eps = complex(med.eps)
-    if not absorbing:
-        if not med.lossless:
-            raise LosslessRequiredError("non-absorbing gamma_el_lfc requires a lossless host")
+    if med.lossless:
         factor = abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2
         return factor * gamma_el_bulk(med, mol)
     cav.check_small_radius()
@@ -314,10 +299,10 @@ def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appen
         g_ch = gamma_ch_lfc_absorbing(cav, mol)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            g_el = gamma_el_lfc(cav, mol, absorbing=True)
+            g_el = gamma_el_lfc(cav, mol)
     else:
         g_ch = gamma_ch_lfc(cav, mol, f0_source=f0_source)
-        g_el = gamma_el_lfc(cav, mol, absorbing=False)
+        g_el = gamma_el_lfc(cav, mol)
     return RateBreakdown(
         gamma_el=g_el,
         gamma_ch=g_ch,
@@ -330,25 +315,20 @@ def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appen
     )
 
 
-def s_lfc(
-    cav: CavityConfig,
-    mol: TransitionDipoles,
-    absorbing: bool = False,
-    f0_source: str = "appendix",
-    f0_override: Optional[complex] = None,
-) -> float:
-    """Cavity-corrected degree of discrimination.
+def s_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
+    """Cavity-corrected degree of discrimination, in the form the host
+    selects.
 
-    Lossless: (3 eps/(2 eps+1))^-2 f0 * s_bulk. Absorbing:
+    Lossless host: (3 eps/(2 eps+1))^-2 f0 * s_bulk. Absorbing host:
     (2 R/(3 c |d|^2)) [2 Re kappa - (Im kappa/Im eps)(2 Re eps + 1)], which
     for real kappa collapses to 4 kappa R/(3 c |d|^2), independent of Im eps.
     """
     med = cav.host
     if mol.d_norm_sq == 0:
         raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")
-    if not absorbing:
+    if med.lossless:
         eps = complex(med.eps)
-        return (float(np.real(_f0(med, f0_source, f0_override))) * s_bulk(med, mol)
+        return (float(np.real(_f0(med, f0_source))) * s_bulk(med, mol)
                 / abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2)
     eps, kap = complex(med.eps), complex(med.kappa)
     r_ik = rotatory_strength(mol)

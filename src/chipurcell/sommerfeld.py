@@ -4,17 +4,16 @@ One integrator, ``integrate_evanescent``, integrates a decaying tail over
 t in [0, inf), damped at least like exp(-2 t z): the planar scattering
 integrals on the steepest-descent path k_perp = k0 + i t, or the evanescent
 axis k_perp = i t. The tail is mapped to u = 2 t z and truncated at
-u = evanescent_cutoff_u (default 40, an e^-40 tail, far below any realistic
-tolerance), and integrated by an adaptive 7-15 Gauss-Kronrod driver on
-bisected panels.
+u = 40 (an e^-40 tail, far below any realistic tolerance), and integrated
+by an adaptive 7-15 Gauss-Kronrod driver on bisected panels.
 
 An integrand has one shape: it is called once per refinement round with an
 (n, 15) array of panel nodes, one row per panel, must be elementwise over
 nodes, and returns (channels, n, 15) values, one row of node values per
 channel. Several integrals that share one costly evaluation are channels of
 one integrand, and the result has one entry per channel. Every channel must
-meet rel_tol on its own running value (plus abs_floor) before the integral
-stops, so a small channel is not resolved relative to a large one.
+meet rel_tol on its own running value before the integral stops, so a
+small channel is not resolved relative to a large one.
 
 Panel refinement order and the final summation order are deterministic, so
 identical inputs give bit-identical results.
@@ -51,6 +50,7 @@ _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascendi
 _W15 = np.concatenate([_WGK, _WGK[-2::-1]])  # Kronrod weights of the 15 nodes
 _W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nodes
 _TINY = float(np.finfo(float).tiny)
+_CUTOFF_U = 40.0  # the tail is truncated at u = 2 t z = 40, an e^-40 remainder
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,14 @@ class QuadratureSpec:
     """Tolerances and limits for the adaptive integrators."""
 
     rel_tol: float = 1e-8
-    abs_floor: float = 1e-300
     max_panels: int = 10_000
-    evanescent_cutoff_u: float = 40.0
 
     def __post_init__(self):
         # written so that NaN fails each check
         if not (0 < self.rel_tol < math.inf):
             raise ValueError("rel_tol must be positive and finite")
-        if not (0 <= self.abs_floor < math.inf):
-            raise ValueError("abs_floor must be non-negative and finite")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
-        if not (0 < self.evanescent_cutoff_u < math.inf):
-            raise ValueError("evanescent_cutoff_u must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     val, err = _gk15(f, a, b)
     while True:
         value, err_sum = val.sum(axis=1), err.sum(axis=1)
-        tol = spec.rel_tol * np.abs(value) + spec.abs_floor
+        tol = spec.rel_tol * np.abs(value)
         converged = bool(np.all(err_sum <= tol))
         if converged or len(a) >= spec.max_panels:
             break
@@ -133,8 +127,7 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         splittable = np.flatnonzero((a < mid) & (mid < b))  # not exhausted at float resolution
         if not splittable.size:
             break
-        # the tolerance is floored so that a zero channel under abs_floor = 0
-        # divides by no zero
+        # the tolerance is floored so that a zero channel divides by no zero
         share = (err / np.maximum(tol, _TINY)[:, None]).max(axis=0)
         ranked = splittable[np.argsort(-share[splittable], kind="stable")]
         # whether the error left unsplit after each prefix of the ranking is met
@@ -163,19 +156,18 @@ def integrate_evanescent(
     exp(-2 t z), such as the planar integrands on the steepest-descent path
     k_perp = k0 + i t or the evanescent axis k_perp = i t.
 
-    Uses the substitution u = 2 t z, truncating at
-    spec.evanescent_cutoff_u; panels are seeded at fixed u, where the decay
-    sets the scale. ``breakpoints`` are t values (branch points, the scale
-    on which f itself varies) added to the panel seeds. ``f`` is called
+    Uses the substitution u = 2 t z, truncating at u = 40; panels are
+    seeded at fixed u, where the decay sets the scale. ``breakpoints`` are
+    t values (branch points, the scale on which f itself varies) added to
+    the panel seeds. ``f`` is called
     once per refinement round with an (n, 15) array of panel nodes, returns
     (channels, n, 15) values, and converges channel by channel.
     """
     if z <= 0:
         raise ValueError("evanescent integral requires z > 0")
-    umax = spec.evanescent_cutoff_u
     scale = 1.0 / (2.0 * z)
     inner = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0] + [2.0 * z * b for b in breakpoints]
-    seeds = sorted({0.0, umax, *(u for u in inner if 0.0 < u < umax)})
+    seeds = sorted({0.0, _CUTOFF_U, *(u for u in inner if 0.0 < u < _CUTOFF_U)})
     res = _adaptive(lambda u: f(u * scale), seeds, spec)
     return QuadratureResult(
         res.value * scale, res.err_estimate * scale, res.panels_used, res.converged

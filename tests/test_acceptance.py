@@ -183,7 +183,7 @@ def test_criterion_06_absorbing_discrimination_identity(mol_iso):
         values = []
         for im_eps in (0.01, 0.1, 1.0):
             med = MediumResponse(2.25 + 1j * im_eps, 1.0, kap, OMEGA)
-            s = s_lfc(CavityConfig(1e-9, med), mol_iso, absorbing=True)
+            s = s_lfc(CavityConfig(1e-9, med), mol_iso)
             assert abs(s - (-(2.0 / 9.0) * s0_compact)) <= 1e-12 * abs(s0_compact)
             values.append(s)
         assert abs(values[0] - values[1]) <= 1e-12 * abs(values[0])

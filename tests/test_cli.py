@@ -37,6 +37,7 @@ HALFSPACE = load("halfspace_nonretarded.json")
 NUMERIC = {**HALFSPACE, "method": {"limit": "numeric"}}
 AUTO = {**HALFSPACE, "method": {"limit": "auto"}}
 LFC = {**BULK, "geometry": {"kind": "bulk_lfc", "radius_a": 1.0e-9}}
+LORENTZ = {"model": "lorentz", "strength": 1e-30, "omega0": 1, "gamma": 0}
 
 
 class TestRunScenario:
@@ -306,6 +307,11 @@ class TestExitCodesAndGolden:
         (LFC, "geometry.radius_a", "x", "geometry.radius_a"),
         (NUMERIC, "method.quadrature", {"rel_tol": "x"}, "method.quadrature.rel_tol"),
         (NUMERIC, "method.quadrature", {"max_panels": "x"}, "method.quadrature.max_panels"),
+        # the spec has rel_tol and max_panels only: any other key, a removed
+        # one or a typo, would otherwise be silently ignored
+        (NUMERIC, "method.quadrature", {"abs_floor": 1e-300}, "abs_floor"),
+        (NUMERIC, "method.quadrature", {"evanescent_cutoff_u": 40.0}, "evanescent_cutoff_u"),
+        (NUMERIC, "method.quadrature", {"reltol": 1e-8}, "reltol"),
         (AUTO, "method.auto_thresholds", "ab", "method.auto_thresholds"),
         (AUTO, "method.auto_thresholds", [1], "method.auto_thresholds"),
         (AUTO, "method.auto_thresholds", [None, 2], "method.auto_thresholds[0]"),
@@ -317,11 +323,17 @@ class TestExitCodesAndGolden:
         (NUMERIC, "geometry.z_m", float("inf"), "geometry.z_m"),
         (NUMERIC, "medium.eps", [float("nan"), 0.0], "medium.eps"),
         (NUMERIC, "molecule.d", [[float("inf"), 0.0], [0.0, 0.0], [0.0, 0.0]], "molecule.d[0]"),
+        # a dipole component is a number: a response model read at omega = 0
+        # turned a strength of 1e-30 into a dipole of 1 C m
+        (BULK, "molecule.d", [LORENTZ, [0.0, 0.0], [0.0, 0.0]], "molecule.d[0]"),
+        (BULK, "molecule.m", [[0.0, 0.0], LORENTZ, [0.0, 0.0]], "molecule.m[1]"),
         (BULK, "medium.kappa", {"model": "lorentz_chiral", "strength": float("nan"),
                                 "omega0": 5.0e15, "gamma": 0.0}, "medium.kappa.strength"),
     ], ids=["z_m-string", "radius_a-string", "rel_tol-string", "max_panels-string",
+            "quadrature-abs_floor", "quadrature-cutoff", "quadrature-typo",
             "thresholds-string", "thresholds-short", "thresholds-null", "drreths_form-unknown",
-            "f0_source-unknown", "omega_ik-inf", "z_m-inf", "eps-nan", "d-inf", "lorentz-nan"])
+            "f0_source-unknown", "omega_ik-inf", "z_m-inf", "eps-nan", "d-inf", "d-model", "m-model",
+            "lorentz-nan"])
     def test_malformed_scalar_exits_schema(self, tmp_path, capsys, base, path, value, field):
         scen = copy.deepcopy(base)
         *parents, leaf = path.split(".")

@@ -133,14 +133,18 @@ class TestNumericCurl:
     def test_nan_quadrature_result_fails(self):
         # NaN compares False with everything: a NaN error or value must fail
         # the degraded-acceptance rule, not pass it
-        spec = QuadratureSpec()
         for value, err in ((np.nan, 1.0), (1.0, np.nan)):
             res = QuadratureResult(np.full(4, value + 0j), np.full(4, err), 8, False)
             with pytest.raises(QuadratureError, match="did not converge in channel curl xx"):
-                _run_quadrature(res, spec)
+                _run_quadrature(res)
 
     @pytest.mark.parametrize("eps, mu, kappa, k0z", [
-        pytest.param(*medium, k0z, id=f"{name}-{k0z}")
+        pytest.param(*medium, k0z, id=f"{name}-{k0z}", marks=(
+            # the oracle's real-axis quad runs into the gain mode's pole at
+            # normal incidence, k_perp = k0, and warns that it may be
+            # inaccurate; the channels still agree
+            pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+            if (name, k0z) == ("gain_mode", 0.01) else ()))
         for name, medium in ORACLE_MEDIA.items() for k0z in (0.01, 30.0)
     ] + [
         # a traveling node lands so close to k_perp = 0 that
@@ -217,6 +221,19 @@ class TestNumericCurl:
         assert np.all(flat[:1] == 0)
         assert np.all(np.abs(small[1:] - flat[1:]) <= 1e-7 * np.abs(flat[1:]))
         assert np.all(np.abs(10 * small[:1] - large[:1]) <= 1e-5 * np.abs(large[:1]))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "two branch cuts 1e-7 k0 apart: their hairpins cancel to the cut spacing, so the "
+        "integral runs to max_panels (10,000) and stops at err/|value| 1.4e-8 against "
+        "rel_tol 1e-8, passing only under the degraded-acceptance rule; kappa = 0 and "
+        "1e-6 converge in 21 panels"
+    ))
+    def test_near_coincident_cuts_converge(self, monkeypatch):
+        results = record_integrals(monkeypatch)
+        eps, mu, _ = ORACLE_MEDIA["shared_cut"]
+        med = MediumResponse(eps=eps, mu=mu, kappa=1e-7, omega=W)
+        scatter_numeric(PlanarGeometry(z_m=0.01 / K0, medium=med), W)
+        assert results[0].converged
 
     def test_lossless_surface_plasmon_converges(self, monkeypatch):
         """eps = -2 puts a surface-plasmon pole on the evanescent axis: the

@@ -22,6 +22,7 @@ from chipurcell import (
     s_lfc,
 )
 from chipurcell.errors import LosslessRequiredError, PoleError, RadiusTooLargeError
+from chipurcell import onsager
 from chipurcell.onsager import DegenerateKappaWarning
 from conftest import OMEGA
 from oracles import solve_cavity_coefficients
@@ -68,9 +69,6 @@ class TestFFactors:
 
 
 class TestF0Main:
-    def test_override_hook_reduces_to_unity(self, medium_std):
-        assert f0_main(medium_std, f_overrides=(1.0, 0.0)) == pytest.approx(1.0, rel=1e-14)
-
     def test_small_kappa_limit(self):
         med = MediumResponse(2.0, 1.0, 0.0, OMEGA)
         n_r = med.n_r
@@ -184,9 +182,11 @@ class TestCorrectedCurl:
 
 
 class TestCorrectedRates:
-    def test_forced_unity_factor(self, medium_std, mol_iso):
+    def test_forced_unity_factor(self, medium_std, mol_iso, monkeypatch):
+        # f0 = 1 recovers the uncorrected rate exactly: no other term enters
+        monkeypatch.setattr(onsager, "_f0", lambda med, f0_source: 1.0)
         cav = CavityConfig(1e-9, medium_std)
-        assert gamma_ch_lfc(cav, mol_iso, f0_override=1.0) == gamma_ch_bulk(medium_std, mol_iso)
+        assert gamma_ch_lfc(cav, mol_iso) == gamma_ch_bulk(medium_std, mol_iso)
 
     def test_achiral_zero(self, mol_iso):
         cav = CavityConfig(1e-9, MediumResponse(2.25, 1.0, 0.0, OMEGA))
@@ -258,10 +258,11 @@ class TestCorrectedRates:
         ratio = gamma_el_lfc(cav, mol_iso) / gamma_el_bulk(med, mol_iso)
         assert ratio == pytest.approx(1.5061983471074380165, rel=1e-13)
 
-    def test_electric_absorbing_lossless_is_zero(self, medium_std, mol_iso):
-        cav = CavityConfig(1e-9, medium_std)
-        with pytest.warns(UserWarning):
-            assert gamma_el_lfc(cav, mol_iso, absorbing=True) == 0.0
+    def test_electric_absorbing_lossless_is_zero(self, mol_iso):
+        # lossy in kappa only: the absorbing form, which Im eps = 0 zeroes
+        cav = CavityConfig(1e-9, MediumResponse(2.25, 1.0, 0.05 + 0.01j, OMEGA))
+        with pytest.warns(UserWarning, match="Im eps = 0"):
+            assert gamma_el_lfc(cav, mol_iso) == 0.0
 
 
 class TestCorrectedDiscrimination:
@@ -273,7 +274,7 @@ class TestCorrectedDiscrimination:
         for im_eps in (0.01, 0.1, 1.0):
             med = MediumResponse(2.25 + 1j * im_eps, 1.0, kap, OMEGA)
             cav = CavityConfig(1e-9, med)
-            s = s_lfc(cav, mol_iso, absorbing=True)
+            s = s_lfc(cav, mol_iso)
             med_l = MediumResponse(2.25, 1.0, kap, OMEGA)
             s0 = s_bulk(med_l, mol_iso)
             # compare against the leading-order uncorrected quotient
@@ -285,7 +286,7 @@ class TestCorrectedDiscrimination:
 
     def test_achiral_zero(self, mol_iso):
         med = MediumResponse(2.25 + 0.3j, 1.0, 0.0, OMEGA)
-        assert s_lfc(CavityConfig(1e-9, med), mol_iso, absorbing=True) == 0.0
+        assert s_lfc(CavityConfig(1e-9, med), mol_iso) == 0.0
 
     def test_absorbing_quotient_oracle(self, rng, mol_iso):
         for _ in range(20):
@@ -293,8 +294,8 @@ class TestCorrectedDiscrimination:
             kap = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.03
             med = MediumResponse(eps, 1.0, kap, OMEGA)
             cav = CavityConfig(1e-9, med)
-            quotient = gamma_ch_lfc_absorbing(cav, mol_iso) / gamma_el_lfc(cav, mol_iso, absorbing=True)
-            assert s_lfc(cav, mol_iso, absorbing=True) == pytest.approx(quotient, rel=1e-10)
+            quotient = gamma_ch_lfc_absorbing(cav, mol_iso) / gamma_el_lfc(cav, mol_iso)
+            assert s_lfc(cav, mol_iso) == pytest.approx(quotient, rel=1e-10)
 
     def test_lossless_factor_structure(self, medium_std, mol_iso):
         s = s_lfc(CavityConfig(1e-9, medium_std), mol_iso)
@@ -302,8 +303,9 @@ class TestCorrectedDiscrimination:
         factor = (3 * 2.25 / 5.5) ** 2
         assert s == pytest.approx(f0 / factor * s_bulk(medium_std, mol_iso), rel=1e-12)
 
-    def test_reduction_to_uncorrected(self, medium_std, mol_iso):
-        s = s_lfc(CavityConfig(1e-9, medium_std), mol_iso, f0_override=1.0)
+    def test_reduction_to_uncorrected(self, medium_std, mol_iso, monkeypatch):
+        monkeypatch.setattr(onsager, "_f0", lambda med, f0_source: 1.0)
+        s = s_lfc(CavityConfig(1e-9, medium_std), mol_iso)
         factor = (3 * 2.25 / 5.5) ** 2
         assert s == pytest.approx(s_bulk(medium_std, mol_iso) / factor, rel=1e-13)
 
@@ -316,6 +318,9 @@ def test_rates_lfc_assembly(medium_std, mol_iso):
     b2 = rates_lfc(CavityConfig(1e-9, lossy), mol_iso)
     assert b2.details["absorbing"]
     assert b2.gamma_el > 0
+    # the host selects the absorbing form of each function as well
+    assert gamma_el_lfc(CavityConfig(1e-9, lossy), mol_iso) == b2.gamma_el
+    assert s_lfc(CavityConfig(1e-9, lossy), mol_iso) == pytest.approx(b2.s_disc, rel=1e-10)
 
 
 def test_lfc_requires_lossless_for_plain_path(mol_iso):
@@ -328,6 +333,5 @@ def test_lfc_requires_lossless_for_plain_path(mol_iso):
 def test_unknown_f0_source_raises(fn, medium_std, mol_iso):
     cav = CavityConfig(1e-9, medium_std)
     assert fn(cav, mol_iso, f0_source="main") != fn(cav, mol_iso, f0_source="appendix")
-    for override in (None, 1.0):
-        with pytest.raises(ValueError, match="unknown f0_source 'bogus'"):
-            fn(cav, mol_iso, f0_source="bogus", f0_override=override)
+    with pytest.raises(ValueError, match="unknown f0_source 'bogus'"):
+        fn(cav, mol_iso, f0_source="bogus")
