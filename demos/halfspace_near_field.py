@@ -14,14 +14,16 @@ Run:  python demos/halfspace_near_field.py
 
 import warnings
 
+import numpy as np
+
 from chipurcell import (
     CONSTANTS,
     Limit,
     MediumResponse,
     PlanarGeometry,
     TransitionDipoles,
-    fresnel_general,
     fresnel_nonretarded,
+    planar_reflections,
     rates_halfspace,
 )
 
@@ -34,11 +36,12 @@ mol = TransitionDipoles([DEBYE, 0, 0], [-1e-23j, 0, 0], OMEGA, isotropic=True)
 
 print("interface: vacuum | (eps = 2.25, mu = 1, kappa = 0.05)\n")
 print(f"{'k_par/k0':>9} {'r_ss':>9} {'r_pp':>9} {'Im r_sp':>10}")
-for x in (0.0, 0.5, 0.9, 1.5, 3.0, 10.0, 1e3):
-    r = fresnel_general(med, x * K0)
-    print(f"{x:9.1f} {r.r_ss.real:9.4f} {r.r_pp.real:9.4f} {r.r_sp.imag:10.6f}")
-r_nr = fresnel_nonretarded(med)
-print(f"{'limit':>9} {r_nr.r_ss.real:9.4f} {r_nr.r_pp.real:9.4f} {r_nr.r_sp.imag:10.6f}")
+xs = np.array([0.0, 0.5, 0.9, 1.5, 3.0, 10.0, 1e3])
+k_perp = np.sqrt(K0**2 - (xs * K0) ** 2 + 0j)  # Im >= 0: evanescent once k_par > k0
+for x, r_ss, r_pp, r_sp in zip(xs, *planar_reflections(med, k_perp)):
+    print(f"{x:9.1f} {r_ss.real:9.4f} {r_pp.real:9.4f} {r_sp.imag:10.6f}")
+r_ss, r_pp, r_sp = fresnel_nonretarded(med)
+print(f"{'limit':>9} {r_ss.real:9.4f} {r_pp.real:9.4f} {r_sp.imag:10.6f}")
 print("the coefficients settle on their near-field values once k_par >> k0.\n")
 
 print("rates vs distance (isotropic molecule):")

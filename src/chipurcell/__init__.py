@@ -39,7 +39,6 @@ from .onsager import (
     f0_main,
     f_factors,
     gamma_ch_lfc,
-    gamma_ch_lfc_absorbing,
     gamma_el_lfc,
     onsager_coefficients,
     rates_lfc,
@@ -49,8 +48,6 @@ from .halfspace import (
     Handedness,
     Limit,
     PlanarGeometry,
-    ReflectionSet,
-    fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
     planar_reflections,
@@ -100,15 +97,12 @@ __all__ = [
     "onsager_coefficients",
     "curl_img_lfc",
     "gamma_ch_lfc",
-    "gamma_ch_lfc_absorbing",
     "gamma_el_lfc",
     "rates_lfc",
     "s_lfc",
     "Handedness",
     "Limit",
     "PlanarGeometry",
-    "ReflectionSet",
-    "fresnel_general",
     "fresnel_nonretarded",
     "fresnel_retarded",
     "planar_reflections",

@@ -12,8 +12,9 @@ odd in the medium's kappa and obeying r_ps = -r_sp (reciprocity).
 Sign conventions: the closed-form rates in this module were assembled from
 their curl matrices with the ``PLANAR_PAPER`` ordering of the chiral
 contraction, and the numeric pathway uses the same ordering so quadrature
-and closed forms are mutually consistent (see chipurcell.rates). The cross
-reflection coefficient of ``fresnel_general`` is oriented so that its large
+and closed forms are mutually consistent (see chipurcell.rates). Every
+reflection set is the triple (r_ss, r_pp, r_sp), r_ps = -r_sp; the cross
+coefficient of ``planar_reflections`` is oriented so that its large
 k-parallel limit coincides with ``fresnel_nonretarded``.
 
 The numeric pathway (``scatter_numeric``) evaluates the exact wavevector
@@ -33,10 +34,10 @@ assembly). Each node carries only the real decay exp(-2 t z) of
 exp(2i k_perp z) = exp(2i k0 z) exp(-2 t z); the unit-modulus
 exp(2i k0 z) multiplies the totals once. The reflections of a medium come
 from one cached per-medium plan (``_plan``), in units of k0, which
-``planar_reflections`` and ``fresnel_general`` use as well. The perfect
-mirror's reflections are constant, so its exact integral is elementary:
-``rates_mirror`` takes its numeric rate from that closed form
-(``_mirror_curl``) and runs no quadrature.
+``planar_reflections`` uses as well. The perfect mirror's reflections are
+constant, so its exact integral is elementary: ``rates_mirror`` takes its
+numeric rate from that closed form (``_mirror_curl``) and runs no
+quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -110,18 +111,6 @@ class PlanarGeometry:
     def __post_init__(self):
         if not (self.z_m > 0):
             raise PhysicsError(f"z_m must be positive, got {self.z_m}")
-
-
-@dataclass(frozen=True)
-class ReflectionSet:
-    """The four reflection coefficients at one (omega, k_par)."""
-
-    r_ss: complex
-    r_pp: complex
-    r_sp: complex
-    r_ps: complex
-    k_par: float
-    omega: float
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +270,8 @@ def planar_reflections(med: MediumResponse, k_perp) -> tuple:
         return _reflections(plan, _amplitudes(plan, np.asarray(k_perp, dtype=complex) / med.k0))[:3]
 
 
-def fresnel_general(med: MediumResponse, k_par: float) -> ReflectionSet:
-    """``planar_reflections`` at one parallel wave number k_par.
-
-    Raises PoleError at a pole: grazing incidence (k_par = k0) or a
-    vanishing reflection denominator (surface mode).
-    """
-    k0 = med.k0
-    k_perp = cmath.sqrt(k0 * k0 - k_par * k_par)  # principal root of a real: Im >= 0
-    r_ss, r_pp, r_sp = (complex(r) for r in planar_reflections(med, k_perp))
-    if not all(map(cmath.isfinite, (r_ss, r_pp, r_sp))):
-        raise PoleError(f"reflection set has a pole at k_par = {k_par!r} (k0 = {k0!r})")
-    return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, k_par, med.omega)
-
-
-def fresnel_nonretarded(med: MediumResponse) -> ReflectionSet:
-    """k-independent reflection set governing the near-field (k_par >> k0).
+def fresnel_nonretarded(med: MediumResponse) -> tuple:
+    """k-independent (r_ss, r_pp, r_sp) governing the near field (k_par >> k0).
 
     r_sp = 2 i kappa / (eps mu - kappa^2 + eps + mu + 1), with diagonal
     coefficients even in kappa. Purely imaginary r_sp for lossless media.
@@ -308,11 +283,11 @@ def fresnel_nonretarded(med: MediumResponse) -> ReflectionSet:
     r_sp = 2j * kap / den
     r_ss = (eps * mu - kap * kap - eps + mu - 1.0) / den
     r_pp = (eps * mu - kap * kap + eps - mu - 1.0) / den
-    return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, float("inf"), med.omega)
+    return r_ss, r_pp, r_sp
 
 
-def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
-    """Normal-incidence reflection set governing the far field.
+def fresnel_retarded(med: MediumResponse) -> tuple:
+    """Normal-incidence (r_ss, r_pp, r_sp) governing the far field.
 
     Uses the circular wave numbers through their moduli,
 
@@ -339,7 +314,7 @@ def fresnel_retarded(med: MediumResponse) -> ReflectionSet:
     r_sp = 2j * (kp * akm - km * akp) / d
     r_ss = (2.0 * (pure - apure) - (eps - mu) / n_r * mixed) / d
     r_pp = (2.0 * (pure - apure) + (eps - mu) / n_r * mixed) / d
-    return ReflectionSet(r_ss, r_pp, r_sp, -r_sp, 0.0, med.omega)
+    return r_ss, r_pp, r_sp
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +619,10 @@ def rates_halfspace(
 
     if limit is Limit.RETARDED:
         _warn_limit(limit, k0 * z)
-        refl = fresnel_retarded(med)
+        r_ss, r_pp, r_sp = fresnel_retarded(med)
         arg = 2.0 * w * z / c.c
-        osc_sp = (np.cos(arg) - 1.0) * refl.r_sp.real + np.sin(arg) * refl.r_sp.imag
-        diag = refl.r_ss + refl.r_pp
+        osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
+        diag = r_ss + r_pp
         osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
         g_ch = (c.mu0 * w**2 * _r_par(mol) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
                 + c.mu0 * w**2 * _im_cross_z(mol) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
@@ -663,10 +638,10 @@ def rates_halfspace(
         _warn_limit(limit, k0 * z)
         if not med.lossless:
             raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
-        refl = fresnel_nonretarded(med)
+        r_ss, r_pp, r_sp = fresnel_nonretarded(med)
         g_ch = float(np.real(
-            -1j * w * _r_full_z(mol) * refl.r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
-            - c.mu0 * w**2 * _im_cross_z(mol) * (refl.r_pp + refl.r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
+            -1j * w * _r_full_z(mol) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
+            - c.mu0 * w**2 * _im_cross_z(mol) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
         ))
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
         s = g_ch / g_vac
@@ -719,14 +694,14 @@ def s_halfspace(med: MediumResponse, mol: TransitionDipoles, z_m: float, limit: 
     w = mol.omega_ik
     r_ik = rotatory_strength(mol)
     if limit is Limit.RETARDED:
-        refl = fresnel_retarded(med)
+        r_sp = fresnel_retarded(med)[2]
         arg = 2.0 * w * z_m / CONSTANTS.c
-        osc = (np.cos(arg) - 1.0) * refl.r_sp.real + np.sin(arg) * refl.r_sp.imag
+        osc = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
         return r_ik / (w * z_m * mol.d_norm_sq) * osc
     if limit is Limit.NONRETARDED:
-        refl = fresnel_nonretarded(med)
+        r_sp = fresnel_nonretarded(med)[2]
         return float(np.real(
-            -1j * CONSTANTS.c * r_ik * refl.r_sp / (w**2 * z_m**2 * mol.d_norm_sq)
+            -1j * CONSTANTS.c * r_ik * r_sp / (w**2 * z_m**2 * mol.d_norm_sq)
         ))
     raise ValueError("s_halfspace closed forms exist for retarded/nonretarded limits only")
 
@@ -777,8 +752,8 @@ def s_mirror_retarded(mol: TransitionDipoles, z_m: float, handedness: Handedness
 def s_halfspace_nonretarded_variant(med: MediumResponse, mol: TransitionDipoles, z_m: float) -> float:
     """Near-field half-space discrimination in the alternative sign convention,
     Re(+i c R r_sp)/(w^2 z^2 |d|^2); the exact quotient has the opposite sign."""
-    refl = fresnel_nonretarded(med)
+    r_sp = fresnel_nonretarded(med)[2]
     return float(np.real(
-        1j * CONSTANTS.c * rotatory_strength(mol) * refl.r_sp
+        1j * CONSTANTS.c * rotatory_strength(mol) * r_sp
         / (mol.omega_ik**2 * z_m**2 * mol.d_norm_sq)
     ))

@@ -9,8 +9,9 @@ built from the circular wave numbers); see ``f0_main``. They do not agree
 (vacuum limits 4/9 vs 10/9), so both are implemented and the choice is an
 explicit argument, defaulting to the cavity-coefficient derivation
 (``f0_source="appendix"``). Whether the lossless or the absorbing form
-applies is the host's to decide: ``rates_lfc``, ``gamma_el_lfc`` and
-``s_lfc`` read ``host.lossless``.
+applies is the host's to decide: ``gamma_ch_lfc``, ``gamma_el_lfc``,
+``s_lfc`` and ``rates_lfc`` read ``host.lossless``, and each checks the
+``f0_source`` name whichever form the host selects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bulk import gamma_ch_bulk, gamma_el_bulk, s_bulk, wave_numbers
 from .constants import CONSTANTS
-from .errors import LosslessRequiredError, PoleError, RadiusTooLargeError, ZeroDipoleError
+from .errors import PoleError, RadiusTooLargeError, ZeroDipoleError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import CurlGreens, CurlKind, Method, RateBreakdown, gamma_vacuum
@@ -134,62 +135,43 @@ def f0_main(med: MediumResponse) -> complex:
 def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
     """Closed forms of the surviving cavity coefficients (small-radius limit).
 
-    b0v/b0w follow from a0w/a0v by flipping the sign of kappa.
+    b0v/b0w follow from a0w/a0v by flipping the sign of kappa. a0w does not
+    depend on kappa, so b0v = a0w; a0v is linear in it, with the slope
+    6 (k0^2 f0 - i (f3/(k0 a^3) + k0 f1/a)) of the cavity factors.
     """
     med = cav.host
-
-    def a0v(kappa: complex) -> complex:
-        mu = complex(med.mu)
-        n = med.n_r
-        k0 = med.k0
-        a = cav.radius_a
-        d1, d2 = _denoms(med)
-        t_a3 = 3j * (mu * (mu + 2.0) + (1.0 - 4.0 * mu) * n**2) / (2.0 * a**3 * k0 * d1 * d2)
-        t_a0 = (
-            k0**2
-            * (-2.0 * mu**2 * d1**2 + 36.0 * mu * n**7 + 9.0 * mu * (4.0 * mu**2 + 8.0 * mu + 1.0) * n**5
-               - 8.0 * d1**2 * n**4 + 9.0 * mu**3 * n**3 - 8.0 * mu * n**2 * d1**2)
-            / (2.0 * d1**2 * d2**2)
-        )
-        t_a1 = (
-            -9j * k0
-            * (-mu**2 * (5.0 * mu**2 + 7.0 * mu + 2.0) + 20.0 * mu * n**6
-               + (20.0 * mu**3 + 32.0 * mu**2 - 11.0 * mu - 5.0) * n**4
-               - mu * (11.0 * mu**2 + 24.0 * mu + 7.0) * n**2)
-            / (10.0 * a * d1**2 * d2**2)
-        )
-        t_kap = kappa * (
-            18.0 * k0**2 * mu * ((4.0 * mu + 3.0) * n**5 + mu * (3.0 * mu + 2.0) * n**3) / (d1**2 * d2**2)
-            - 9j * mu / (a**3 * k0 * d1 * d2)
-            - 9j * k0 * mu
-            * (mu * (3.0 * mu + 1.0) + 20.0 * (mu + 1.0) * n**4 + (20.0 * mu**2 + 23.0 * mu + 3.0) * n**2)
-            / (5.0 * a * d1**2 * d2**2)
-        )
-        return t_a3 + t_a0 + t_a1 + t_kap
-
-    def a0w(kappa: complex) -> complex:
-        mu = complex(med.mu)
-        n = med.n_r
-        k0 = med.k0
-        a = cav.radius_a
-        d1, d2 = _denoms(med)
-        diff = n**2 - mu**2
-        t_a3 = 9j * diff / (2.0 * a**3 * k0 * d1 * d2)
-        t_a1 = (
-            -9j * k0 * diff
-            * (-mu * (3.0 * mu + 1.0) + 20.0 * mu * n**4 - (13.0 * mu + 3.0) * n**2)
-            / (10.0 * a * d1**2 * d2**2)
-        )
-        t_a0 = 9.0 * k0**2 * mu * (4.0 * n**2 - 1.0) * n**3 * diff / (2.0 * d1**2 * d2**2)
-        return t_a3 + t_a1 + t_a0
-
-    kap = complex(med.kappa)
-    return OnsagerCoefficients(
-        a0v=a0v(kap),
-        a0w=a0w(kap),
-        b0v=a0w(-kap),
-        b0w=a0v(-kap),
+    mu = complex(med.mu)
+    n = med.n_r
+    k0 = med.k0
+    a = cav.radius_a
+    d1, d2 = _denoms(med)
+    f = f_factors(med)
+    v_a3 = 3j * (mu * (mu + 2.0) + (1.0 - 4.0 * mu) * n**2) / (2.0 * a**3 * k0 * d1 * d2)
+    v_a0 = (
+        k0**2
+        * (-2.0 * mu**2 * d1**2 + 36.0 * mu * n**7 + 9.0 * mu * (4.0 * mu**2 + 8.0 * mu + 1.0) * n**5
+           - 8.0 * d1**2 * n**4 + 9.0 * mu**3 * n**3 - 8.0 * mu * n**2 * d1**2)
+        / (2.0 * d1**2 * d2**2)
     )
+    v_a1 = (
+        -9j * k0
+        * (-mu**2 * (5.0 * mu**2 + 7.0 * mu + 2.0) + 20.0 * mu * n**6
+           + (20.0 * mu**3 + 32.0 * mu**2 - 11.0 * mu - 5.0) * n**4
+           - mu * (11.0 * mu**2 + 24.0 * mu + 7.0) * n**2)
+        / (10.0 * a * d1**2 * d2**2)
+    )
+    v_even = v_a3 + v_a0 + v_a1
+    v_odd = 6.0 * complex(med.kappa) * (k0**2 * f.f0 - 1j * (f.f3 / (k0 * a**3) + k0 * f.f1 / a))
+    diff = n**2 - mu**2
+    w_a3 = 9j * diff / (2.0 * a**3 * k0 * d1 * d2)
+    w_a1 = (
+        -9j * k0 * diff
+        * (-mu * (3.0 * mu + 1.0) + 20.0 * mu * n**4 - (13.0 * mu + 3.0) * n**2)
+        / (10.0 * a * d1**2 * d2**2)
+    )
+    w_a0 = 9.0 * k0**2 * mu * (4.0 * n**2 - 1.0) * n**3 * diff / (2.0 * d1**2 * d2**2)
+    a0w = w_a3 + w_a1 + w_a0
+    return OnsagerCoefficients(a0v=v_even + v_odd, a0w=a0w, b0v=a0w, b0w=v_even - v_odd)
 
 
 def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
@@ -214,46 +196,37 @@ def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
     return CurlGreens(scalar * np.eye(3), CurlKind.IMAGINARY_PART)
 
 
+def _check_f0_source(f0_source: str):
+    if f0_source not in ("appendix", "main"):
+        raise ValueError(f"unknown f0_source {f0_source!r}")
+
+
 def _f0(med: MediumResponse, f0_source: str) -> complex:
     """The cavity factor f0 of a lossless host in the normalization named
     by ``f0_source``."""
-    if f0_source not in ("appendix", "main"):
-        raise ValueError(f"unknown f0_source {f0_source!r}")
     return f_factors(med).f0 if f0_source == "appendix" else f0_main(med)
 
 
 def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
-    """Cavity-corrected chiral rate for a lossless host: f0 * gamma_ch_bulk.
+    """Cavity-corrected chiral rate, in the form the host selects.
 
-    ``f0_source`` selects between the rational-factor normalization
-    ("appendix", default) and the mode-resolved one ("main"); see module
-    docstring.
+    Lossless host: f0 * gamma_ch_bulk, with ``f0_source`` selecting between
+    the rational-factor normalization ("appendix", default) and the
+    mode-resolved one ("main"); see module docstring. Absorbing host: the
+    leading 1/a^3 order,
+    6 R B / (pi hbar eps0 c a^3 |2 eps + 1|^2 |2 mu + 1|^2) with
+    B = 2 Re kappa [(2 Re eps + 1) Im mu + Im eps (2 Re mu + 1)]
+        - Im kappa [(2 Re eps + 1)(2 Re mu + 1) - 4 Im eps Im mu],
+    which vanishes for fully real parameters (the 1/a^3 term is purely
+    dispersive there).
     """
+    _check_f0_source(f0_source)
     med = cav.host
-    if not med.lossless:
-        raise LosslessRequiredError("gamma_ch_lfc requires a lossless host; use gamma_ch_lfc_absorbing")
-    return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
-
-
-def gamma_ch_lfc_absorbing(cav: CavityConfig, mol: TransitionDipoles) -> float:
-    """Cavity-corrected chiral rate for an absorbing host, leading 1/a^3 order.
-
-    Uses the mu = 1 reduction when mu is exactly 1, the full-permeability
-    bracket otherwise. Vanishes for fully real parameters (the 1/a^3 term is
-    purely dispersive there).
-    """
+    if med.lossless:
+        return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
     cav.check_small_radius()
-    med = cav.host
     c = CONSTANTS
-    r_ik = rotatory_strength(mol)
     eps, mu, kap = complex(med.eps), complex(med.mu), complex(med.kappa)
-    a = cav.radius_a
-    if mu == 1.0:
-        bracket = 2.0 * kap.real * eps.imag - kap.imag * (2.0 * eps.real + 1.0)
-        return (
-            2.0 * r_ik / (a**3 * np.pi * c.hbar * c.eps0 * c.c * abs(2.0 * eps + 1.0) ** 2)
-            * bracket
-        )
     bracket = (
         2.0 * kap.real * (2.0 * eps.real + 1.0) * mu.imag
         + 2.0 * kap.real * eps.imag * (2.0 * mu.real + 1.0)
@@ -261,8 +234,9 @@ def gamma_ch_lfc_absorbing(cav: CavityConfig, mol: TransitionDipoles) -> float:
         + 4.0 * kap.imag * eps.imag * mu.imag
     )
     return (
-        6.0 * r_ik
-        / (a**3 * np.pi * c.hbar * c.eps0 * c.c * abs(2.0 * eps + 1.0) ** 2 * abs(2.0 * mu + 1.0) ** 2)
+        6.0 * rotatory_strength(mol)
+        / (cav.radius_a**3 * np.pi * c.hbar * c.eps0 * c.c * abs(2.0 * eps + 1.0) ** 2
+           * abs(2.0 * mu + 1.0) ** 2)
         * bracket
     )
 
@@ -293,15 +267,12 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
 
 
 def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> RateBreakdown:
-    """Full cavity-corrected breakdown; absorbing forms used for lossy hosts."""
-    absorbing = not cav.host.lossless
-    if absorbing:
-        g_ch = gamma_ch_lfc_absorbing(cav, mol)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            g_el = gamma_el_lfc(cav, mol)
-    else:
-        g_ch = gamma_ch_lfc(cav, mol, f0_source=f0_source)
+    """Full cavity-corrected breakdown, in the forms the host selects."""
+    g_ch = gamma_ch_lfc(cav, mol, f0_source)
+    with warnings.catch_warnings():
+        # the breakdown reports the zero electric rate of an absorbing host
+        # with Im eps = 0 without the diagnostic
+        warnings.filterwarnings("ignore", "absorbing gamma_el_lfc is zero", UserWarning)
         g_el = gamma_el_lfc(cav, mol)
     return RateBreakdown(
         gamma_el=g_el,
@@ -311,7 +282,7 @@ def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appen
         s_disc=g_ch / g_el if g_el != 0 else 0.0,
         method=Method.CLOSED_FORM,
         assembly="cavity-corrected electric + chiral (gamma_vac reported for reference)",
-        details={"absorbing": absorbing, "f0_source": f0_source},
+        details={"absorbing": not cav.host.lossless, "f0_source": f0_source},
     )
 
 
@@ -323,6 +294,7 @@ def s_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix"
     (2 R/(3 c |d|^2)) [2 Re kappa - (Im kappa/Im eps)(2 Re eps + 1)], which
     for real kappa collapses to 4 kappa R/(3 c |d|^2), independent of Im eps.
     """
+    _check_f0_source(f0_source)
     med = cav.host
     if mol.d_norm_sq == 0:
         raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")

@@ -98,16 +98,11 @@ def gamma_ch_from_curl(
         raise ValueError("gamma_ch_from_curl expects a curl of the imaginary part")
     t = curl.matrix
     pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
-    if contraction is Contraction.BULK_LOCKED:
-        if mol.isotropic:
-            scalar = np.trace(t) / 3.0 * np.dot(mol.d, np.conj(mol.m))
-        else:
-            scalar = mol.d @ t @ np.conj(mol.m)
+    a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
+    if mol.isotropic:
+        scalar = np.trace(t) / 3.0 * np.dot(a, np.conj(b))
     else:
-        if mol.isotropic:
-            scalar = np.trace(t) / 3.0 * np.dot(mol.m, np.conj(mol.d))
-        else:
-            scalar = mol.m @ t @ np.conj(mol.d)
+        scalar = a @ t @ np.conj(b)
     return pref * float(np.imag(scalar))
 
 

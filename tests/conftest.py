@@ -1,3 +1,5 @@
+import cmath
+import os
 import sys
 from pathlib import Path
 
@@ -6,10 +8,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/oracles.py importable
 
-from chipurcell import MediumResponse, TransitionDipoles
+import chipurcell
+from chipurcell import MediumResponse, TransitionDipoles, planar_reflections
 
 OMEGA = 3.0e15  # rad/s, a visible/UV-ish transition
 DEBYE = 3.33564e-30  # C m
+
+
+def package_env() -> dict:
+    """The environment for a subprocess that must import the package under
+    test, not another copy."""
+    package_root = str(Path(chipurcell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture
@@ -43,6 +54,13 @@ def mol_aniso():
         omega_ik=OMEGA,
         isotropic=False,
     )
+
+
+def reflections_at(med, k_par):
+    """(r_ss, r_pp, r_sp) of ``planar_reflections`` at one parallel wave
+    number, as complex scalars."""
+    k_perp = cmath.sqrt(med.k0 * med.k0 - k_par * k_par)  # principal root of a real: Im >= 0
+    return tuple(complex(r) for r in planar_reflections(med, k_perp))
 
 
 def random_lossless_medium(rng, omega=OMEGA):

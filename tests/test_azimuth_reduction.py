@@ -17,7 +17,7 @@ antisymmetric channel to the *difference* of the diagonal reflections.
 import numpy as np
 import pytest
 
-from chipurcell import MediumResponse, fresnel_general
+from chipurcell import MediumResponse, planar_reflections
 from conftest import OMEGA
 from oracles import polarization_vectors
 
@@ -26,8 +26,10 @@ def _full_tensors(k_par, k0, refl, n_phi=720):
     """Azimuth integrals of the raw reflected-wave tensors.
 
     Returns (curl_part, g_part): integral over phi of
-    e_kup x [sum r_ab e_a+ (x) e_b-] and of [sum r_ab e_a+ (x) e_b-].
+    e_kup x [sum r_ab e_a+ (x) e_b-] and of [sum r_ab e_a+ (x) e_b-], with
+    ``refl`` = (r_ss, r_pp, r_sp) and r_ps = -r_sp.
     """
+    r_ss, r_pp, r_sp = refl
     phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     curl_acc = np.zeros((3, 3), dtype=complex)
     g_acc = np.zeros((3, 3), dtype=complex)
@@ -37,10 +39,10 @@ def _full_tensors(k_par, k0, refl, n_phi=720):
             k_par * np.cos(phi) / k0, k_par * np.sin(phi) / k0, wg.k_perp / k0,
         ])
         bracket = (
-            refl.r_ss * np.outer(wg.e_s, wg.e_s)
-            + refl.r_sp * np.outer(wg.e_s, wg.e_p_minus)
-            + refl.r_ps * np.outer(wg.e_p_plus, wg.e_s)
-            + refl.r_pp * np.outer(wg.e_p_plus, wg.e_p_minus)
+            r_ss * np.outer(wg.e_s, wg.e_s)
+            + r_sp * np.outer(wg.e_s, wg.e_p_minus)
+            - r_sp * np.outer(wg.e_p_plus, wg.e_s)
+            + r_pp * np.outer(wg.e_p_plus, wg.e_p_minus)
         )
         g_acc += bracket
         curl_acc += np.cross(e_kup, bracket, axisa=0, axisb=0, axisc=0)
@@ -49,19 +51,19 @@ def _full_tensors(k_par, k0, refl, n_phi=720):
 
 
 def _reduced_curl(k_par, k0, refl, k_perp):
+    r_ss, r_pp, r_sp = refl
     w = k_perp / k0
     k2 = k_par**2 / k0**2
     diag = np.diag([1.0 - w * w, 1.0 - w * w, 2.0 * k2]).astype(complex)
     asym = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return -np.pi * (refl.r_sp * diag + w * (refl.r_ss - refl.r_pp) * asym)
+    return -np.pi * (r_sp * diag + w * (r_ss - r_pp) * asym)
 
 
 def _reduced_g(k_par, k0, refl, k_perp):
+    r_ss, r_pp, _ = refl
     w2 = k_perp**2 / k0**2
     k2 = k_par**2 / k0**2
-    return np.pi * np.diag(
-        [refl.r_ss - w2 * refl.r_pp, refl.r_ss - w2 * refl.r_pp, 2.0 * k2 * refl.r_pp]
-    ).astype(complex)
+    return np.pi * np.diag([r_ss - w2 * r_pp, r_ss - w2 * r_pp, 2.0 * k2 * r_pp]).astype(complex)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.35, 0.8, 0.97, 1.5, 4.0])
@@ -69,10 +71,10 @@ def test_reduction_matches_full_azimuth_integral(x):
     med = MediumResponse(2.25, 1.0, 0.05, OMEGA)
     k0 = med.k0
     k_par = x * k0
-    refl = fresnel_general(med, k_par)
     k_perp = np.sqrt(complex(k0**2 - k_par**2))
     if k_perp.imag < 0:
         k_perp = -k_perp
+    refl = tuple(complex(r) for r in planar_reflections(med, k_perp))
     curl_full, g_full = _full_tensors(k_par, k0, refl)
     curl_red = _reduced_curl(k_par, k0, refl, k_perp)
     g_red = _reduced_g(k_par, k0, refl, k_perp)
@@ -90,14 +92,10 @@ def test_antisymmetric_channel_tracks_difference_of_diagonals():
     k_par = 0.5 * k0
     k_perp = np.sqrt(k0**2 - k_par**2)
 
-    class R:
-        r_ss, r_pp, r_sp, r_ps = 1.0, -1.0, 0.0, 0.0
-
-    curl_full, _ = _full_tensors(k_par, k0, R)
+    curl_full, _ = _full_tensors(k_par, k0, (1.0, -1.0, 0.0))
     asym = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     expected = -np.pi * (k_perp / k0) * 2.0 * asym
     assert np.max(np.abs(curl_full - expected)) <= 1e-10
     # equal diagonal reflections instead produce no antisymmetric curl at all
-    R.r_pp = 1.0
-    curl_full2, _ = _full_tensors(k_par, k0, R)
+    curl_full2, _ = _full_tensors(k_par, k0, (1.0, 1.0, 0.0))
     assert np.max(np.abs(curl_full2)) <= 1e-12

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chipurcell import MediumResponse, fresnel_general
+from chipurcell import MediumResponse
 from chipurcell.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
@@ -21,6 +21,8 @@ from chipurcell.cli import (
     run_scenario,
     run_sweep,
 )
+from conftest import package_env
+from oracles import chiral_reflections
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -212,17 +214,19 @@ class TestFresnelTable:
             assert abs(rss) ** 2 + abs(rps) ** 2 <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("eps, kappa", [(2.25, 0.05), (2.25 + 0.1j, 0.05 + 0.001j)])
-    def test_ok_rows_match_fresnel_general(self, eps, kappa):
-        med = MediumResponse(eps, 1.0, kappa, 3e15)
+    def test_ok_rows_match_oracle(self, eps, kappa):
+        k0 = MediumResponse(eps, 1.0, kappa, 3e15).k0
         for ln in run_fresnel(eps, 1.0, kappa, 3e15, 3.0, 31)[1:]:
             f = ln.split(",")
             if f[-1] != "ok":
                 continue
-            r = fresnel_general(med, float(f[0]) * med.k0)
-            want = [r.r_ss, r.r_pp, r.r_sp, r.r_ps]
+            k_perp = np.sqrt(k0 * k0 - (float(f[0]) * k0) ** 2 + 0j)
+            r_ss, r_pp, r_sp = chiral_reflections(eps, 1.0, kappa, k0, k_perp)
+            want = [r_ss, r_pp, r_sp, -r_sp]
             got = [complex(float(f[i]), float(f[i + 1])) for i in (1, 3, 5, 7)]
+            scale = max(abs(w) for w in want)
             for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-14 * abs(w)
+                assert abs(g - w) <= 1e-12 * scale
 
     def test_reciprocity_rows(self):
         lines = run_fresnel(2.0, 1.1, 0.03, 3e15, 4.0, 17)
@@ -390,6 +394,7 @@ class TestExitCodesAndGolden:
              "--config", str(SCENARIOS / "bulk_lossless.json"), "--csv", str(out)],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0
         assert out.read_bytes() == (GOLDEN / "bulk_lossless.csv").read_bytes()

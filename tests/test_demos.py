@@ -1,23 +1,19 @@
 """Smoke test: every demo script runs to completion against the package
 under test."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import chipurcell
+from conftest import package_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    # the demos import the package the tests run against, not another copy
-    package_root = str(Path(chipurcell.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env=package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,12 @@ import pytest
 
 from chipurcell import (
     MediumResponse,
-    fresnel_general,
     fresnel_nonretarded,
     fresnel_retarded,
     planar_reflections,
 )
 from chipurcell.errors import PoleError
-from conftest import OMEGA
+from conftest import OMEGA, reflections_at
 from oracles import chiral_reflections, polarization_vectors, textbook_fresnel
 
 
@@ -49,31 +48,20 @@ class TestGeneralCoefficients:
         med = MediumResponse(2.25, 1.0, 0.0, OMEGA)
         k0 = med.k0
         for x in (0.0, 0.25, 0.5, 0.77, 0.9, 0.99):
-            r = fresnel_general(med, x * k0)
+            r_ss, r_pp, r_sp = reflections_at(med, x * k0)
             r_s, r_p = textbook_fresnel(2.25, 1.0, k0, x * k0)
-            assert r.r_ss == pytest.approx(r_s, rel=1e-12, abs=1e-15)
-            assert r.r_pp == pytest.approx(r_p, rel=1e-12, abs=1e-15)
-            assert abs(r.r_sp) < 1e-14
+            assert r_ss == pytest.approx(r_s, rel=1e-12, abs=1e-15)
+            assert r_pp == pytest.approx(r_p, rel=1e-12, abs=1e-15)
+            assert abs(r_sp) < 1e-14
 
     def test_achiral_magnetic_textbook(self):
         med = MediumResponse(3.0, 1.8, 0.0, OMEGA)
         k0 = med.k0
         for x in (0.1, 0.6, 0.95):
-            r = fresnel_general(med, x * k0)
+            r_ss, r_pp, _ = reflections_at(med, x * k0)
             r_s, r_p = textbook_fresnel(3.0, 1.8, k0, x * k0)
-            assert r.r_ss == pytest.approx(r_s, rel=1e-12)
-            assert r.r_pp == pytest.approx(r_p, rel=1e-12)
-
-    def test_reciprocity(self, rng):
-        for _ in range(50):
-            med = MediumResponse(
-                complex(rng.uniform(1.1, 5), rng.uniform(0, 0.5)),
-                complex(rng.uniform(0.7, 1.5), rng.uniform(0, 0.1)),
-                complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.02, 0.02)),
-                OMEGA,
-            )
-            r = fresnel_general(med, float(rng.uniform(0, 3)) * med.k0)
-            assert abs(r.r_ps + r.r_sp) <= 1e-12
+            assert r_ss == pytest.approx(r_s, rel=1e-12)
+            assert r_pp == pytest.approx(r_p, rel=1e-12)
 
     def test_energy_bound_lossless_propagating(self, rng):
         for _ in range(200):
@@ -84,29 +72,23 @@ class TestGeneralCoefficients:
                 OMEGA,
             )
             x = float(rng.uniform(0.0, 0.999))
-            r = fresnel_general(med, x * med.k0)
-            assert abs(r.r_ss) ** 2 + abs(r.r_ps) ** 2 <= 1.0 + 1e-12
-            assert abs(r.r_pp) ** 2 + abs(r.r_sp) ** 2 <= 1.0 + 1e-12
+            r_ss, r_pp, r_sp = reflections_at(med, x * med.k0)
+            assert abs(r_ss) ** 2 + abs(r_sp) ** 2 <= 1.0 + 1e-12  # |r_ps| = |r_sp|
+            assert abs(r_pp) ** 2 + abs(r_sp) ** 2 <= 1.0 + 1e-12
 
     def test_large_kpar_limit_matches_near_field_set(self, medium_std):
-        r_inf = fresnel_general(medium_std, 1e5 * medium_std.k0)
+        r_inf = reflections_at(medium_std, 1e5 * medium_std.k0)
         r_nr = fresnel_nonretarded(medium_std)
-        for a, b in (
-            (r_inf.r_ss, r_nr.r_ss),
-            (r_inf.r_pp, r_nr.r_pp),
-            (r_inf.r_sp, r_nr.r_sp),
-        ):
+        for a, b in zip(r_inf, r_nr):
             assert abs(a - b) <= 1e-6 * abs(b)
 
     def test_cross_channel_odd_in_kappa(self, medium_std):
         flipped = medium_std.with_kappa(-0.05)
         k = 0.6 * medium_std.k0
-        assert fresnel_general(flipped, k).r_sp == pytest.approx(
-            -fresnel_general(medium_std, k).r_sp, rel=1e-13
-        )
-        assert fresnel_general(flipped, k).r_ss == pytest.approx(
-            fresnel_general(medium_std, k).r_ss, rel=1e-13
-        )
+        r_ss, _, r_sp = reflections_at(medium_std, k)
+        f_ss, _, f_sp = reflections_at(flipped, k)
+        assert f_sp == pytest.approx(-r_sp, rel=1e-13)
+        assert f_ss == pytest.approx(r_ss, rel=1e-13)
 
 
 class TestGrazingIncidence:
@@ -125,30 +107,28 @@ class TestGrazingIncidence:
         for g, r in zip(got, want):
             assert abs(g[0] - r) <= 1e-12 * scale
 
-    def test_exact_pole_is_not_finite_and_named_by_fresnel_general(self, medium_std):
+    def test_exact_pole_is_not_finite(self, medium_std):
         r_ss, r_pp, r_sp = planar_reflections(medium_std, np.array([0.0, 0.5 * medium_std.k0]))
         assert not np.isfinite([r_ss[0], r_pp[0], r_sp[0]]).any()
         assert np.isfinite([r_ss[1], r_pp[1], r_sp[1]]).all()
-        with pytest.raises(PoleError, match="k_par"):
-            fresnel_general(medium_std, medium_std.k0)
 
 
 class TestNearFieldSet:
     def test_vacuum_reflects_nothing(self):
-        r = fresnel_nonretarded(MediumResponse(1.0, 1.0, 0.0, OMEGA))
-        assert r.r_ss == 0.0 and r.r_pp == 0.0 and r.r_sp == 0.0
+        r_ss, r_pp, r_sp = fresnel_nonretarded(MediumResponse(1.0, 1.0, 0.0, OMEGA))
+        assert r_ss == 0.0 and r_pp == 0.0 and r_sp == 0.0
 
     def test_kappa_parity(self, medium_std):
-        r = fresnel_nonretarded(medium_std)
-        rf = fresnel_nonretarded(medium_std.with_kappa(-0.05))
-        assert rf.r_sp == pytest.approx(-r.r_sp, rel=1e-14)
-        assert rf.r_ss == pytest.approx(r.r_ss, rel=1e-14)
-        assert rf.r_pp == pytest.approx(r.r_pp, rel=1e-14)
+        r_ss, r_pp, r_sp = fresnel_nonretarded(medium_std)
+        f_ss, f_pp, f_sp = fresnel_nonretarded(medium_std.with_kappa(-0.05))
+        assert f_sp == pytest.approx(-r_sp, rel=1e-14)
+        assert f_ss == pytest.approx(r_ss, rel=1e-14)
+        assert f_pp == pytest.approx(r_pp, rel=1e-14)
 
     def test_lossless_cross_channel_purely_imaginary(self, medium_std):
-        r = fresnel_nonretarded(medium_std)
-        assert r.r_sp.real == 0.0
-        assert r.r_sp.imag == pytest.approx(2 * 0.05 / (2.25 - 0.0025 + 2.25 + 1 + 1), rel=1e-14)
+        r_sp = fresnel_nonretarded(medium_std)[2]
+        assert r_sp.real == 0.0
+        assert r_sp.imag == pytest.approx(2 * 0.05 / (2.25 - 0.0025 + 2.25 + 1 + 1), rel=1e-14)
 
     def test_pole(self):
         # eps mu - kappa^2 + eps + mu + 1 = 0 at eps = -1, mu = 1, kappa = 0
@@ -158,24 +138,20 @@ class TestNearFieldSet:
 
 class TestFarFieldSet:
     def test_lossless_cross_channel_vanishes(self, medium_std):
-        assert fresnel_retarded(medium_std).r_sp == 0.0
+        assert fresnel_retarded(medium_std)[2] == 0.0
 
     def test_achiral_normal_incidence(self):
         med = MediumResponse(2.25, 1.0, 0.0, OMEGA)
-        r = fresnel_retarded(med)
+        r_ss, r_pp, r_sp = fresnel_retarded(med)
         r_s = (np.sqrt(1.0) - np.sqrt(2.25)) / (np.sqrt(1.0) + np.sqrt(2.25))
-        assert r.r_ss == pytest.approx(r_s, rel=1e-12)
-        assert r.r_pp == pytest.approx(-r.r_ss, rel=1e-12)
-        assert abs(r.r_sp) < 1e-14
+        assert r_ss == pytest.approx(r_s, rel=1e-12)
+        assert r_pp == pytest.approx(-r_ss, rel=1e-12)
+        assert abs(r_sp) < 1e-14
 
     def test_frozen_complex_draw(self):
         # 40-digit evaluation at eps = 2.25+0.1i, mu = 1, kappa = 0.01+0.002i
         med = MediumResponse(2.25 + 0.1j, 1.0, 0.01 + 0.002j, OMEGA)
-        r = fresnel_retarded(med)
-        assert r.r_sp == pytest.approx(0.00056860120209508550189 - 2.5288591840687544017e-6j, rel=1e-12)
-        assert r.r_ss == pytest.approx(-0.20023672410711891784 - 3.7966545580732411476e-6j, rel=1e-12)
-        assert r.r_pp == pytest.approx(0.20033151245356060414 + 0.021316477119680765114j, rel=1e-12)
-
-    def test_reciprocity(self, medium_std):
-        r = fresnel_retarded(MediumResponse(2.25 + 0.1j, 1.0, 0.01 + 0.002j, OMEGA))
-        assert r.r_ps == -r.r_sp
+        r_ss, r_pp, r_sp = fresnel_retarded(med)
+        assert r_sp == pytest.approx(0.00056860120209508550189 - 2.5288591840687544017e-6j, rel=1e-12)
+        assert r_ss == pytest.approx(-0.20023672410711891784 - 3.7966545580732411476e-6j, rel=1e-12)
+        assert r_pp == pytest.approx(0.20033151245356060414 + 0.021316477119680765114j, rel=1e-12)

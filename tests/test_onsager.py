@@ -13,7 +13,6 @@ from chipurcell import (
     gamma_ch_bulk,
     gamma_ch_from_curl,
     gamma_ch_lfc,
-    gamma_ch_lfc_absorbing,
     gamma_el_bulk,
     gamma_el_lfc,
     rates_lfc,
@@ -21,7 +20,7 @@ from chipurcell import (
     s_bulk,
     s_lfc,
 )
-from chipurcell.errors import LosslessRequiredError, PoleError, RadiusTooLargeError
+from chipurcell.errors import PoleError, RadiusTooLargeError
 from chipurcell import onsager
 from chipurcell.onsager import DegenerateKappaWarning
 from conftest import OMEGA
@@ -198,7 +197,8 @@ class TestCorrectedRates:
         assert ratio == pytest.approx(f_factors(medium_std).f0.real, rel=1e-12)
 
     def test_absorbing_full_mu_reduces_at_unity_mu(self, rng, mol_iso):
-        """The full-permeability bracket at mu = 1 + 0i equals the reduced form."""
+        """The absorbing form at mu = 1 + 0i and at mu a hair off 1 agree:
+        one full-permeability bracket serves every mu."""
         for _ in range(50):
             eps = complex(rng.uniform(1.2, 4.0), rng.uniform(0.01, 1.0))
             kap = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.05
@@ -206,22 +206,28 @@ class TestCorrectedRates:
             m1 = MediumResponse(eps, 1.0, kap, OMEGA)
             # evaluate the general bracket through a mu infinitesimally off 1
             m2 = MediumResponse(eps, 1.0 + 1e-30, kap, OMEGA)
-            g1 = gamma_ch_lfc_absorbing(CavityConfig(a, m1), mol_iso)
-            g2 = gamma_ch_lfc_absorbing(CavityConfig(a, m2), mol_iso)
+            g1 = gamma_ch_lfc(CavityConfig(a, m1), mol_iso)
+            g2 = gamma_ch_lfc(CavityConfig(a, m2), mol_iso)
             assert g2 == pytest.approx(g1, rel=1e-12)
 
     def test_absorbing_lossless_limit_zero(self, mol_iso):
-        med = MediumResponse(2.25, 1.0, 0.05, OMEGA)
-        cav = CavityConfig(1e-9, med)
-        assert gamma_ch_lfc_absorbing(cav, mol_iso) == 0.0
+        # the 1/a^3 term is purely dispersive for real parameters: at real
+        # mu and kappa the absorbing form falls linearly with Im eps, so it
+        # vanishes as the host's loss does
+        def slope(im_eps):
+            cav = CavityConfig(1e-9, MediumResponse(2.25 + 1j * im_eps, 1.0, 0.05, OMEGA))
+            return gamma_ch_lfc(cav, mol_iso) / im_eps
+
+        for im_eps in (1e-9, 1e-12, 1e-15):
+            assert slope(im_eps) == pytest.approx(slope(1e-6), rel=1e-12)
 
     def test_absorbing_odd_in_kappa(self, rng, mol_iso):
         for _ in range(20):
             med = random_complex_medium(rng)
             cav = CavityConfig(1e-9, med)
             flipped = CavityConfig(1e-9, med.with_kappa(-complex(med.kappa)))
-            assert gamma_ch_lfc_absorbing(flipped, mol_iso) == pytest.approx(
-                -gamma_ch_lfc_absorbing(cav, mol_iso), rel=1e-13, abs=1e-300
+            assert gamma_ch_lfc(flipped, mol_iso) == pytest.approx(
+                -gamma_ch_lfc(cav, mol_iso), rel=1e-13, abs=1e-300
             )
 
     def test_absorbing_dual_path_magnitude_and_sign(self, rng, mol_iso):
@@ -232,7 +238,7 @@ class TestCorrectedRates:
             med = random_complex_medium(rng)
             a = 1e-4 / med.k0
             cav = CavityConfig(a, med)
-            closed = gamma_ch_lfc_absorbing(cav, mol_iso)
+            closed = gamma_ch_lfc(cav, mol_iso)
             lead = np.imag(
                 3 * complex(med.kappa)
                 / (2 * np.pi * a**3 * med.k0 * (2 * complex(med.mu) + 1) * (2 * complex(med.eps) + 1))
@@ -294,7 +300,7 @@ class TestCorrectedDiscrimination:
             kap = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.03
             med = MediumResponse(eps, 1.0, kap, OMEGA)
             cav = CavityConfig(1e-9, med)
-            quotient = gamma_ch_lfc_absorbing(cav, mol_iso) / gamma_el_lfc(cav, mol_iso)
+            quotient = gamma_ch_lfc(cav, mol_iso) / gamma_el_lfc(cav, mol_iso)
             assert s_lfc(cav, mol_iso) == pytest.approx(quotient, rel=1e-10)
 
     def test_lossless_factor_structure(self, medium_std, mol_iso):
@@ -323,15 +329,16 @@ def test_rates_lfc_assembly(medium_std, mol_iso):
     assert s_lfc(CavityConfig(1e-9, lossy), mol_iso) == pytest.approx(b2.s_disc, rel=1e-10)
 
 
-def test_lfc_requires_lossless_for_plain_path(mol_iso):
-    lossy = MediumResponse(2.25 + 0.3j, 1.0, 0.02, OMEGA)
-    with pytest.raises(LosslessRequiredError):
-        gamma_ch_lfc(CavityConfig(1e-9, lossy), mol_iso)
+def test_lfc_chiral_rate_takes_its_form_from_the_host(mol_iso):
+    lossy = CavityConfig(1e-9, MediumResponse(2.25 + 0.3j, 1.0, 0.02, OMEGA))
+    assert gamma_ch_lfc(lossy, mol_iso) == rates_lfc(lossy, mol_iso).gamma_ch
 
 
-@pytest.mark.parametrize("fn", [gamma_ch_lfc, s_lfc])
+@pytest.mark.parametrize("fn", [gamma_ch_lfc, s_lfc, rates_lfc])
 def test_unknown_f0_source_raises(fn, medium_std, mol_iso):
     cav = CavityConfig(1e-9, medium_std)
     assert fn(cav, mol_iso, f0_source="main") != fn(cav, mol_iso, f0_source="appendix")
-    with pytest.raises(ValueError, match="unknown f0_source 'bogus'"):
-        fn(cav, mol_iso, f0_source="bogus")
+    lossy = MediumResponse(2.25 + 0.3j, 1.0, 0.02 + 0.005j, OMEGA)
+    for host in (medium_std, lossy):
+        with pytest.raises(ValueError, match="unknown f0_source 'bogus'"):
+            fn(CavityConfig(1e-9, host), mol_iso, f0_source="bogus")
