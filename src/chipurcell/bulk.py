@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import LosslessRequiredError, ZeroDipoleError
+from .errors import LosslessRequiredError, PhysicsError, ZeroDipoleError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
@@ -60,6 +60,13 @@ def wave_numbers(med: MediumResponse) -> CircularWaveNumbers:
 def _require_lossless(med: MediumResponse, what: str):
     if not med.lossless:
         raise LosslessRequiredError(f"{what} requires a lossless medium (real eps, mu, kappa)")
+
+
+def _require_propagating(med: MediumResponse, what: str):
+    """The chiral closed forms divide by Re n_r: a lossless medium with
+    eps mu <= 0 carries no propagating mode."""
+    if med.n_r.real == 0:
+        raise PhysicsError(f"{what} requires a propagating medium (Re n_r > 0), got n_r = {med.n_r!r}")
 
 
 def curl_g0_finite(med: MediumResponse, rho: float) -> CurlGreens:
@@ -110,6 +117,7 @@ def gamma_ch_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     through the explicit contraction (identical here, the curl is isotropic).
     """
     _require_lossless(med, "gamma_ch_bulk")
+    _require_propagating(med, "gamma_ch_bulk")
     if not mol.isotropic:
         return gamma_ch_from_curl(curl_img_g0_coincident(med), mol, Contraction.BULK_LOCKED)
     c = CONSTANTS
@@ -157,6 +165,7 @@ def s_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     cubic correction carried by gamma_ch_bulk and is <= 3e-2 for kappa <= 0.3.
     """
     _require_lossless(med, "s_bulk")
+    _require_propagating(med, "s_bulk")
     if mol.d_norm_sq == 0:
         raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")
     kap = complex(med.kappa).real

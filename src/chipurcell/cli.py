@@ -20,7 +20,8 @@ CSV schema v1 (frozen; golden files pin the exact bytes):
     rate:    geometry,method,limit,gamma_el,gamma_ch,gamma_vac,gamma_total,s_disc
     sweep:   param,gamma_el,gamma_ch,gamma_vac,s_disc,method,status
     fresnel: k_par_over_k0,r_ss_re,r_ss_im,r_pp_re,r_pp_im,r_sp_re,r_sp_im,r_ps_re,r_ps_im,status
-Floats are written with 17 significant digits.
+Floats are written as %.17g: every value round-trips exactly, a signed zero
+keeps its sign, and a non-finite value is written nan, inf or -inf.
 """
 
 from __future__ import annotations
@@ -326,20 +327,18 @@ SWEEP_CSV_HEADER = "param,gamma_el,gamma_ch,gamma_vac,s_disc,method,status"
 FRESNEL_CSV_HEADER = (
     "k_par_over_k0,r_ss_re,r_ss_im,r_pp_re,r_pp_im,r_sp_re,r_sp_im,r_ps_re,r_ps_im,status"
 )
+# One %-format per schema, applied to Python floats: '%.17g' % v is
+# f"{v:.17g}", so every float round-trips and a signed zero keeps its sign.
+_RATE_ROW = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
+_SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s"
+_FRESNEL_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,ok"
+_FRESNEL_POLE_ROW = "%.17g,nan,nan,nan,nan,nan,nan,nan,nan,error:PoleError"
 
 
 def _rate_csv(d: dict) -> str:
-    row = ",".join(
-        [
-            str(d["geometry"]),
-            str(d["method"]),
-            str(d["limit"]),
-            _fmt(d["gamma_el"]),
-            _fmt(d["gamma_ch"]),
-            _fmt(d["gamma_vac"]),
-            _fmt(d["gamma_total"]),
-            _fmt(d["s_disc"]),
-        ]
+    row = _RATE_ROW % (
+        d["geometry"], d["method"], d["limit"],
+        d["gamma_el"], d["gamma_ch"], d["gamma_vac"], d["gamma_total"], d["s_disc"],
     )
     return RATE_CSV_HEADER + "\n" + row + "\n"
 
@@ -393,24 +392,11 @@ def run_sweep(scenario: dict, param: str, lo: float, hi: float, points: int, log
         _set_path(scen, param, float(x))
         try:
             b, _ = run_scenario(scen)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(float(x)),
-                        _fmt(b.gamma_el),
-                        _fmt(b.gamma_ch),
-                        _fmt(b.gamma_vac),
-                        _fmt(b.s_disc),
-                        b.method.value,
-                        "ok",
-                    ]
-                )
-            )
+            row = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.s_disc, b.method.value, "ok")
         except (PhysicsError, QuadratureError) as exc:
-            nan = _fmt(float("nan"))
-            lines.append(
-                ",".join([_fmt(float(x)), nan, nan, nan, nan, "none", f"error:{type(exc).__name__}"])
-            )
+            nan = float("nan")
+            row = (nan, nan, nan, nan, "none", f"error:{type(exc).__name__}")
+        lines.append(_SWEEP_ROW % (float(x), *row))
     return lines
 
 
@@ -424,13 +410,12 @@ def run_fresnel(eps: complex, mu: complex, kappa: complex, omega: float,
     lines = [FRESNEL_CSV_HEADER]
     xs = np.linspace(0.0, kpar_max, points)
     r_ss, r_pp, r_sp = planar_reflections(med, np.sqrt(k0 * k0 - (xs * k0) ** 2 + 0j))  # Im >= 0
-    table = np.stack([r_ss, r_pp, r_sp, -r_sp], axis=1)  # r_ps = -r_sp
-    for x, row, ok in zip(xs, table, np.isfinite(table).all(axis=1)):
-        if ok:
-            cells = [_fmt(v) for r in row for v in (r.real, r.imag)] + ["ok"]
-        else:  # a pole row
-            cells = [_fmt(float("nan"))] * 8 + ["error:PoleError"]
-        lines.append(",".join([_fmt(float(x))] + cells))
+    r_ps = -r_sp
+    table = np.stack([xs, r_ss.real, r_ss.imag, r_pp.real, r_pp.imag,
+                      r_sp.real, r_sp.imag, r_ps.real, r_ps.imag], axis=1)
+    for row, ok in zip(table.tolist(), np.isfinite(table).all(axis=1).tolist()):
+        # a row that is not finite is a pole row
+        lines.append(_FRESNEL_ROW % tuple(row) if ok else _FRESNEL_POLE_ROW % row[0])
     return lines
 
 

@@ -148,14 +148,24 @@ class _Plan:
 
 @functools.lru_cache(maxsize=128)
 def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
-    """The ``_Plan`` of a medium; built once per (eps, mu, kappa)."""
+    """The ``_Plan`` of a medium; built once per (eps, mu, kappa). Raises
+    ``PhysicsError`` for eps = 0 or mu = 0, where the impedance sqrt(mu/eps)
+    is 0 or infinite, and for a circular wave number K whose square vanishes
+    against k0^2 (kappa = +-n_r), which alpha = K^2 - 1 cannot hold."""
+    if eps == 0 or mu == 0:
+        raise PhysicsError(f"planar reflections need nonzero eps and mu, got eps = {eps!r}, mu = {mu!r}")
     wn = wave_numbers(MediumResponse(eps, mu, kappa, CONSTANTS.c))  # k0 = 1
     cuts = {}
     for mode, k in enumerate((wn.k_plus, wn.k_minus)):
         if (k * k).imag < 0:
             cuts.setdefault(cmath.sqrt(1.0 - k * k), []).append(mode)
     k = np.array([wn.k_plus, wn.k_minus])
-    alpha, c = k * k - 1.0, np.sqrt(mu / eps) / k
+    alpha = k * k - 1.0
+    if (alpha == -1.0).any():
+        raise PhysicsError(
+            f"a circular wave number vanishes (kappa = +-n_r): k+/k0 = {wn.k_plus!r}, k-/k0 = {wn.k_minus!r}"
+        )
+    c = np.sqrt(mu / eps) / k
     alpha.flags.writeable = c.flags.writeable = False
     return _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
                  tuple((x_b, tuple(modes)) for x_b, modes in cuts.items()))
@@ -304,6 +314,8 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
     eps, mu = complex(med.eps), complex(med.mu)
     wn = wave_numbers(med)
     n_r, kp, km = wn.n_r, wn.k_plus, wn.k_minus
+    if n_r == 0:
+        raise PhysicsError(f"retarded reflections need a nonzero index, got eps = {eps!r}, mu = {mu!r}")
     akp, akm = abs(kp), abs(km)
     mixed = kp * akm + km * akp
     pure = kp * km

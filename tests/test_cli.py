@@ -1,11 +1,14 @@
 import copy
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipurcell import MediumResponse
 from chipurcell.cli import (
@@ -16,6 +19,11 @@ from chipurcell.cli import (
     FRESNEL_CSV_HEADER,
     RATE_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    _FRESNEL_POLE_ROW,
+    _FRESNEL_ROW,
+    _RATE_ROW,
+    _SWEEP_ROW,
+    _fmt,
     main,
     run_fresnel,
     run_scenario,
@@ -237,6 +245,35 @@ class TestFresnelTable:
             assert f[7] == -f[5] and f[8] == -f[6]
 
 
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# signed zeros, nan, infinities, subnormals, any bit pattern and any float
+CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.2250738585072009e-308]),
+    st.integers(min_value=0, max_value=2**64 - 1).map(_bits_to_float),
+    st.floats(),
+)
+
+
+@given(st.lists(CELL, min_size=9, max_size=9))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_schema_rows_equal_per_cell_join(cells):
+    # each schema's format string must render a row as the per-cell join
+    # did, for Python floats and for the numpy scalars the cells once were
+    def join(*parts):
+        return ",".join(p if isinstance(p, str) else _fmt(p) for p in parts)
+
+    for cast in (float, np.float64):
+        row = [cast(v) for v in cells]
+        assert _RATE_ROW % ("bulk", "closed_form", "static", *row[:5]) == join(
+            "bulk", "closed_form", "static", *row[:5])
+        assert _SWEEP_ROW % (*row[:5], "closed_form", "ok") == join(*row[:5], "closed_form", "ok")
+        assert _FRESNEL_ROW % tuple(row) == join(*row, "ok")
+        assert _FRESNEL_POLE_ROW % row[0] == join(row[0], *[float("nan")] * 8, "error:PoleError")
+
+
 class TestExitCodesAndGolden:
     def test_schema_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -280,6 +317,36 @@ class TestExitCodesAndGolden:
         code = main(["rate", "--config", str(cfg)])
         capsys.readouterr()
         assert code == EXIT_QUADRATURE
+
+    @pytest.mark.parametrize("base, medium", [
+        (NUMERIC, {"eps": [0.0, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (NUMERIC, {"eps": [2.25, 0.0], "mu": [0.0, 0.0], "kappa": [0.05, 0.0]}),
+        ({**HALFSPACE, "geometry": {"kind": "halfspace", "z_m": 1.5e-6}, "method": {"limit": "retarded"}},
+         {"eps": [0.0, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (BULK, {"eps": [0.0, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        # lossless, Re n_r = 0: the chiral closed form divides by it
+        (LFC, {"eps": [1e-9, 0.0], "mu": [-2.0, 0.0], "kappa": [12.0, 0.0]}),
+        # kappa = Re n_r: k+^2 = -1e-18 k0^2 is lost in k+^2 - k0^2
+        (NUMERIC, {"eps": [12.0, 1e-9], "mu": [12.0, 1e-9], "kappa": [12.0, 0.0]}),
+        (NUMERIC, {"eps": [1.0, 0.0], "mu": [1.0, 0.0], "kappa": [1.0, 0.0]}),
+    ], ids=["numeric-eps0", "numeric-mu0", "retarded-eps0", "bulk-eps0", "lfc-re-n0",
+            "numeric-k-plus-lost", "numeric-k-plus-0"])
+    def test_degenerate_medium_exits_physics(self, tmp_path, capsys, base, medium):
+        # each one ended in a ZeroDivisionError or a LinAlgError traceback (exit 1)
+        scen = copy.deepcopy(base)
+        scen["medium"] = medium
+        cfg = tmp_path / "degenerate.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error (physics):") and "Traceback" not in err
+
+    def test_zero_eps_fresnel_table_exits_physics(self, tmp_path, capsys):
+        code = main(["fresnel", "--eps", "0,0", "--mu", "1,0", "--kappa", "0.05,0", "--omega", "3e15",
+                     "--kpar-max", "2", "--points", "3", "--csv", str(tmp_path / "t.csv")])
+        assert capsys.readouterr().err.startswith("error (physics):")
+        assert code == EXIT_PHYSICS
 
     @pytest.mark.parametrize("cutoff", [0.0, -5.0, float("nan")])
     def test_bad_evanescent_cutoff_exits_schema(self, tmp_path, capsys, cutoff):
@@ -380,6 +447,23 @@ class TestExitCodesAndGolden:
     def test_golden_rate_csv_byte_identical(self, tmp_path, capsys, scenario, golden):
         out = tmp_path / "out.csv"
         code = main(["rate", "--config", str(SCENARIOS / scenario), "--csv", str(out), "--json"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("argv, golden", [
+        # kappa 0: r_ps = -r_sp holds -0 cells, and k_par = k0 is the grazing pole row
+        (["fresnel", "--eps", "2.25,0", "--mu", "1,0", "--kappa", "0,0", "--omega", "3e15",
+          "--kpar-max", "3", "--points", "31"], "fresnel_achiral.csv"),
+        (["fresnel", "--eps", "2.25,0.1", "--mu", "1.1,0.02", "--kappa", "0.05,0.001",
+          "--omega", "3e15", "--kpar-max", "3", "--points", "31"], "fresnel_absorbing_chiral.csv"),
+        # only the lossless point is ok; the others are nan ... error:LosslessRequiredError rows
+        (["sweep", "--config", str(SCENARIOS / "bulk_lossless.json"), "--param", "medium.eps.im",
+          "--from", "-0.1", "--to", "0.1", "--points", "5"], "sweep_bulk_eps_im.csv"),
+    ], ids=["fresnel-achiral", "fresnel-absorbing-chiral", "sweep-bulk-eps-im"])
+    def test_golden_table_csv_byte_identical(self, tmp_path, capsys, argv, golden):
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--csv", str(out)])
         capsys.readouterr()
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
