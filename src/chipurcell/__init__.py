@@ -29,7 +29,6 @@ from .bulk import (
     gamma_el_bulk,
     img_g0_coincident,
     rates_bulk,
-    s_bulk,
     wave_numbers,
 )
 from .onsager import (
@@ -42,7 +41,6 @@ from .onsager import (
     gamma_el_lfc,
     onsager_coefficients,
     rates_lfc,
-    s_lfc,
 )
 from .halfspace import (
     Handedness,
@@ -53,7 +51,6 @@ from .halfspace import (
     planar_reflections,
     rates_halfspace,
     rates_mirror,
-    s_halfspace,
     scatter_numeric,
 )
 from .sommerfeld import (
@@ -89,7 +86,6 @@ __all__ = [
     "gamma_ch_bulk",
     "gamma_el_bulk",
     "rates_bulk",
-    "s_bulk",
     "CavityConfig",
     "OnsagerCoefficients",
     "f_factors",
@@ -99,7 +95,6 @@ __all__ = [
     "gamma_ch_lfc",
     "gamma_el_lfc",
     "rates_lfc",
-    "s_lfc",
     "Handedness",
     "Limit",
     "PlanarGeometry",
@@ -109,7 +104,6 @@ __all__ = [
     "scatter_numeric",
     "rates_mirror",
     "rates_halfspace",
-    "s_halfspace",
     "QuadratureSpec",
     "QuadratureResult",
     "integrate_evanescent",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import LosslessRequiredError, PhysicsError, ZeroDipoleError
+from .errors import LosslessRequiredError, PhysicsError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
@@ -28,6 +28,7 @@ from .rates import (
     CurlKind,
     Method,
     RateBreakdown,
+    degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_vacuum,
 )
@@ -151,27 +152,8 @@ def rates_bulk(med: MediumResponse, mol: TransitionDipoles) -> RateBreakdown:
         gamma_ch=g_ch,
         gamma_vac=gamma_vacuum(mol),
         gamma_total=g_el + g_ch,
-        s_disc=g_ch / g_el if g_el != 0 else 0.0,
+        s_disc=degree_of_discrimination(g_ch, g_el),
         method=Method.CLOSED_FORM,
         assembly="in-medium electric + chiral (gamma_vac reported for reference)",
     )
 
-
-def s_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
-    """Degree of discrimination in the bulk medium.
-
-    Exact quotient gamma_ch_bulk/gamma_el_bulk, which evaluates to
-    -6 kappa R/(c |d|^2) * (1 + kappa^2/(3 n_r^2)); the trailing factor is the
-    cubic correction carried by gamma_ch_bulk and is <= 3e-2 for kappa <= 0.3.
-    """
-    _require_lossless(med, "s_bulk")
-    _require_propagating(med, "s_bulk")
-    if mol.d_norm_sq == 0:
-        raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")
-    kap = complex(med.kappa).real
-    n_r = med.n_r.real
-    r_ik = rotatory_strength(mol)
-    return (
-        -6.0 * kap * r_ik / (CONSTANTS.c * mol.d_norm_sq)
-        * (1.0 + kap**2 / (3.0 * n_r**2))
-    )

@@ -294,7 +294,7 @@ def _breakdown_dict(b: RateBreakdown, annotations: dict) -> dict:
         "gamma_vac": b.gamma_vac,
         "gamma_total": b.gamma_total,
         "s_disc": b.s_disc,
-        "gamma_ch_over_gamma_vac": b.gamma_ch / b.gamma_vac if b.gamma_vac else 0.0,
+        "gamma_ch_over_gamma_vac": b.gamma_ch / b.gamma_vac,
         "assembly": b.assembly,
     }
     if "comparison" in annotations:

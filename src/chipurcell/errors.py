@@ -27,10 +27,6 @@ class PoleError(PhysicsError):
     """A closed-form denominator vanished for the given parameters."""
 
 
-class ZeroDipoleError(PhysicsError):
-    """Quantity undefined for a vanishing electric transition dipole."""
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge.
 

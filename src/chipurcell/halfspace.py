@@ -68,6 +68,7 @@ from .rates import (
     CurlKind,
     Method,
     RateBreakdown,
+    degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_el_from_img,
     gamma_vacuum,
@@ -551,7 +552,8 @@ def rates_mirror(
     in-plane dipoles and for the nonretarded limit, where the closed
     diag(1,1,2) structure is complete.
 
-    s_disc is the exact quotient gamma_ch / gamma_vacuum.
+    s_disc is gamma_ch / gamma_vac; for an isotropic molecule in the
+    retarded limit it is +-(c R/(2 w^2 z^2 |d|^2)) sin(2wz/c).
     """
     if geom.handedness is None:
         raise PhysicsError("mirror geometry requires a handedness")
@@ -587,7 +589,7 @@ def rates_mirror(
         gamma_ch=g_ch,
         gamma_vac=g_vac,
         gamma_total=g_vac + g_el + g_ch,
-        s_disc=g_ch / g_vac,
+        s_disc=degree_of_discrimination(g_ch, g_vac),
         method=method,
         assembly="vacuum + scattering (gamma_el is the scattering-only part)",
     )
@@ -616,8 +618,12 @@ def rates_halfspace(
     bounded); the CLI's ``compare_numeric`` option exposes the honest
     comparison.
 
-    s_disc: gamma_ch/(gamma_vac + gamma_el) for retarded/numeric,
-    gamma_ch/gamma_vac for nonretarded (where gamma_el vanishes).
+    s_disc is gamma_ch/(gamma_vac + gamma_el) in every limit; in the
+    nonretarded one gamma_el is exactly zero (lossless medium), so it is
+    gamma_ch/gamma_vac there. For an isotropic molecule the nonretarded
+    quotient is Re(-i c R r_sp)/(w^2 z^2 |d|^2), and the retarded one is
+    approximated by (R/(w z |d|^2)) [(cos(2wz/c) - 1) Re r_sp +
+    sin(2wz/c) Im r_sp] where gamma_el is small against gamma_vac.
     """
     med = geom.medium
     if med is None:
@@ -645,7 +651,6 @@ def rates_halfspace(
             c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
             * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real)
         )
-        s = g_ch / (g_vac + g_el)
     elif limit is Limit.NONRETARDED:
         _warn_limit(limit, k0 * z)
         if not med.lossless:
@@ -656,12 +661,10 @@ def rates_halfspace(
             - c.mu0 * w**2 * _im_cross_z(mol) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
         ))
         g_el = gamma_el_halfspace_nonretarded(med, mol, z)
-        s = g_ch / g_vac
     else:
         curl, img_g = scatter_numeric(geom, w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
         g_el = gamma_el_from_img(img_g, mol)
-        s = g_ch / (g_vac + g_el)
         method = Method.QUADRATURE
 
     return RateBreakdown(
@@ -669,7 +672,7 @@ def rates_halfspace(
         gamma_ch=g_ch,
         gamma_vac=g_vac,
         gamma_total=g_vac + g_el + g_ch,
-        s_disc=s,
+        s_disc=degree_of_discrimination(g_ch, g_vac + g_el),
         method=method,
         assembly="vacuum + scattering (gamma_el is the scattering-only part)",
     )
@@ -690,32 +693,6 @@ def gamma_el_halfspace_nonretarded(med: MediumResponse, mol: TransitionDipoles, 
     else:
         weight = mol.d_norm_sq + abs(mol.d[2]) ** 2
     return weight * im_rp / (8.0 * c.hbar * np.pi * c.eps0 * mol.omega_ik**2 * z_m**3)
-
-
-def s_halfspace(med: MediumResponse, mol: TransitionDipoles, z_m: float, limit: Limit) -> float:
-    """Degree of discrimination in front of the chiral half-space.
-
-    Retarded: the compact closed form
-    (R/(w z |d|^2)) [(cos(2wz/c) - 1) Re r_sp + sin(2wz/c) Im r_sp], which
-    approximates gamma_ch/(gamma_vac + gamma_el). Nonretarded: the exact
-    quotient gamma_ch/gamma_vac = Re(-i c R r_sp)/(w^2 z^2 |d|^2); see
-    ``s_halfspace_nonretarded_variant`` for the alternative sign convention.
-    """
-    if mol.d_norm_sq == 0:
-        raise PhysicsError("degree of discrimination undefined for |d| = 0")
-    w = mol.omega_ik
-    r_ik = rotatory_strength(mol)
-    if limit is Limit.RETARDED:
-        r_sp = fresnel_retarded(med)[2]
-        arg = 2.0 * w * z_m / CONSTANTS.c
-        osc = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
-        return r_ik / (w * z_m * mol.d_norm_sq) * osc
-    if limit is Limit.NONRETARDED:
-        r_sp = fresnel_nonretarded(med)[2]
-        return float(np.real(
-            -1j * CONSTANTS.c * r_ik * r_sp / (w**2 * z_m**2 * mol.d_norm_sq)
-        ))
-    raise ValueError("s_halfspace closed forms exist for retarded/nonretarded limits only")
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +724,6 @@ def s_mirror_nonretarded_variant(mol: TransitionDipoles, z_m: float, handedness:
     return (
         handedness.sign * 3.0 * c.c**2 * rotatory_strength(mol)
         / (mol.omega_ik**3 * z_m**3 * mol.d_norm_sq)
-    )
-
-
-def s_mirror_retarded(mol: TransitionDipoles, z_m: float, handedness: Handedness) -> float:
-    """Far-field mirror discrimination +-(c R/(2 w^2 z^2 |d|^2)) sin(2wz/c);
-    equals the exact quotient gamma_ch/gamma_vacuum of the closed forms."""
-    c = CONSTANTS
-    w = mol.omega_ik
-    return (
-        handedness.sign * c.c * rotatory_strength(mol) * np.sin(2.0 * w * z_m / c.c)
-        / (2.0 * w**2 * z_m**2 * mol.d_norm_sq)
     )
 
 

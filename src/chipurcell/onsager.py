@@ -9,9 +9,12 @@ built from the circular wave numbers); see ``f0_main``. They do not agree
 (vacuum limits 4/9 vs 10/9), so both are implemented and the choice is an
 explicit argument, defaulting to the cavity-coefficient derivation
 (``f0_source="appendix"``). Whether the lossless or the absorbing form
-applies is the host's to decide: ``gamma_ch_lfc``, ``gamma_el_lfc``,
-``s_lfc`` and ``rates_lfc`` read ``host.lossless``, and each checks the
-``f0_source`` name whichever form the host selects.
+applies is the host's to decide: ``gamma_ch_lfc``, ``gamma_el_lfc`` and
+``rates_lfc`` read ``host.lossless``, and ``gamma_ch_lfc`` checks the
+``f0_source`` name whichever form the host selects. The degree of
+discrimination is the breakdown's ``s_disc``, gamma_ch_lfc / gamma_el_lfc;
+it raises PhysicsError for a host lossy only in mu or kappa, whose absorbing
+electric rate is zero.
 """
 
 from __future__ import annotations
@@ -22,12 +25,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bulk import gamma_ch_bulk, gamma_el_bulk, s_bulk, wave_numbers
+from .bulk import gamma_ch_bulk, gamma_el_bulk, wave_numbers
 from .constants import CONSTANTS
-from .errors import PoleError, RadiusTooLargeError, ZeroDipoleError
+from .errors import PoleError, RadiusTooLargeError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
-from .rates import CurlGreens, CurlKind, Method, RateBreakdown, gamma_vacuum
+from .rates import (
+    CurlGreens,
+    CurlKind,
+    Method,
+    RateBreakdown,
+    degree_of_discrimination,
+    gamma_vacuum,
+)
 
 SMALL_RADIUS_THRESHOLD = 0.1  # max k0*a for the small-cavity asymptotics
 
@@ -196,11 +206,6 @@ def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
     return CurlGreens(scalar * np.eye(3), CurlKind.IMAGINARY_PART)
 
 
-def _check_f0_source(f0_source: str):
-    if f0_source not in ("appendix", "main"):
-        raise ValueError(f"unknown f0_source {f0_source!r}")
-
-
 def _f0(med: MediumResponse, f0_source: str) -> complex:
     """The cavity factor f0 of a lossless host in the normalization named
     by ``f0_source``."""
@@ -220,7 +225,8 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     which vanishes for fully real parameters (the 1/a^3 term is purely
     dispersive there).
     """
-    _check_f0_source(f0_source)
+    if f0_source not in ("appendix", "main"):
+        raise ValueError(f"unknown f0_source {f0_source!r}")
     med = cav.host
     if med.lossless:
         return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
@@ -270,8 +276,8 @@ def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appen
     """Full cavity-corrected breakdown, in the forms the host selects."""
     g_ch = gamma_ch_lfc(cav, mol, f0_source)
     with warnings.catch_warnings():
-        # the breakdown reports the zero electric rate of an absorbing host
-        # with Im eps = 0 without the diagnostic
+        # a zero electric rate (absorbing host with Im eps = 0) ends in the
+        # PhysicsError of the quotient below, not in this diagnostic
         warnings.filterwarnings("ignore", "absorbing gamma_el_lfc is zero", UserWarning)
         g_el = gamma_el_lfc(cav, mol)
     return RateBreakdown(
@@ -279,34 +285,9 @@ def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appen
         gamma_ch=g_ch,
         gamma_vac=gamma_vacuum(mol),
         gamma_total=g_el + g_ch,
-        s_disc=g_ch / g_el if g_el != 0 else 0.0,
+        s_disc=degree_of_discrimination(g_ch, g_el),
         method=Method.CLOSED_FORM,
         assembly="cavity-corrected electric + chiral (gamma_vac reported for reference)",
         details={"absorbing": not cav.host.lossless, "f0_source": f0_source},
     )
 
-
-def s_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
-    """Cavity-corrected degree of discrimination, in the form the host
-    selects.
-
-    Lossless host: (3 eps/(2 eps+1))^-2 f0 * s_bulk. Absorbing host:
-    (2 R/(3 c |d|^2)) [2 Re kappa - (Im kappa/Im eps)(2 Re eps + 1)], which
-    for real kappa collapses to 4 kappa R/(3 c |d|^2), independent of Im eps.
-    """
-    _check_f0_source(f0_source)
-    med = cav.host
-    if mol.d_norm_sq == 0:
-        raise ZeroDipoleError("degree of discrimination undefined for |d| = 0")
-    if med.lossless:
-        eps = complex(med.eps)
-        return (float(np.real(_f0(med, f0_source))) * s_bulk(med, mol)
-                / abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2)
-    eps, kap = complex(med.eps), complex(med.kappa)
-    r_ik = rotatory_strength(mol)
-    pre = 2.0 * r_ik / (3.0 * CONSTANTS.c * mol.d_norm_sq)
-    if kap.imag == 0:
-        return pre * 2.0 * kap.real
-    if eps.imag == 0:
-        raise PoleError("absorbing s_lfc with Im kappa != 0 requires Im eps != 0")
-    return pre * (2.0 * kap.real - kap.imag / eps.imag * (2.0 * eps.real + 1.0))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS
+from .errors import PhysicsError
 from .molecules import TransitionDipoles
 
 
@@ -71,6 +72,11 @@ class RateBreakdown:
     ``assembly`` records how gamma_total was put together, since the electric
     entry is the in-medium total for bulk geometries but the scattering-only
     part for planar ones (where gamma_vac is added separately).
+
+    ``s_disc`` is gamma_ch over the geometry's non-discriminating rate, formed
+    by ``degree_of_discrimination``: gamma_el for the bulk medium and the
+    cavity, gamma_vac for the perfect mirror, and gamma_vac + gamma_el for
+    the half-space in every limit. A zero denominator raises PhysicsError.
     """
 
     gamma_el: float
@@ -132,8 +138,11 @@ def degree_of_discrimination(gamma_disc: float, gamma_nd: float) -> float:
     """Normalized enantiomer contrast (G+ - G-)/(G+ + G-) = gamma_disc/gamma_nd.
 
     ``gamma_disc`` is the part of the rate that flips sign between
-    enantiomers and ``gamma_nd`` the non-discriminating part.
+    enantiomers and ``gamma_nd`` the non-discriminating part; every
+    ``rates_*`` function forms its ``s_disc`` here. A zero ``gamma_nd`` (a
+    vanishing electric dipole, or a cavity host lossy only in mu or kappa)
+    raises PhysicsError.
     """
     if gamma_nd == 0:
-        raise ZeroDivisionError("degree of discrimination undefined for gamma_nd = 0")
+        raise PhysicsError("degree of discrimination undefined: the non-discriminating rate is zero")
     return gamma_disc / gamma_nd

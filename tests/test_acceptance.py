@@ -43,7 +43,6 @@ from chipurcell import (
     rates_lfc,
     rates_mirror,
     rotatory_strength,
-    s_lfc,
     wave_numbers,
 )
 import chipurcell.halfspace as hs
@@ -182,7 +181,7 @@ def test_criterion_06_absorbing_discrimination_identity(mol_iso):
         values = []
         for im_eps in (0.01, 0.1, 1.0):
             med = MediumResponse(2.25 + 1j * im_eps, 1.0, kap, OMEGA)
-            s = s_lfc(CavityConfig(1e-9, med), mol_iso)
+            s = rates_lfc(CavityConfig(1e-9, med), mol_iso).s_disc
             assert abs(s - (-(2.0 / 9.0) * s0_compact)) <= 1e-12 * abs(s0_compact)
             values.append(s)
         assert abs(values[0] - values[1]) <= 1e-12 * abs(values[0])

@@ -13,10 +13,9 @@ from chipurcell import (
     gamma_vacuum,
     rates_bulk,
     rotatory_strength,
-    s_bulk,
     wave_numbers,
 )
-from chipurcell.errors import LosslessRequiredError, ZeroDipoleError
+from chipurcell.errors import LosslessRequiredError, PhysicsError
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
 from oracles import richardson_rho2
 
@@ -149,27 +148,38 @@ class TestBulkRates:
             assert gamma_el_bulk(flipped, mol) == gamma_el_bulk(med, mol)
 
 
+def compact_s(med, mol):
+    """The paper's bulk quotient -6 kappa R/(c |d|^2) (1 + kappa^2/(3 n_r^2)),
+    for an isotropic molecule in a lossless medium (mu cancels in it)."""
+    kap = complex(med.kappa).real
+    n_r = med.n_r.real
+    return (-6 * kap * rotatory_strength(mol) / (CONSTANTS.c * mol.d_norm_sq)
+            * (1 + kap**2 / (3 * n_r**2)))
+
+
 class TestDiscrimination:
     def test_achiral_zero(self, mol_iso):
         med = MediumResponse(2.25, 1.0, 0.0, OMEGA)
-        assert s_bulk(med, mol_iso) == 0.0
+        assert rates_bulk(med, mol_iso).s_disc == 0.0
 
     def test_odd_in_kappa(self, medium_std, mol_iso):
         flipped = medium_std.with_kappa(-0.05)
-        assert s_bulk(flipped, mol_iso) == pytest.approx(-s_bulk(medium_std, mol_iso), rel=1e-14)
+        assert rates_bulk(flipped, mol_iso).s_disc == pytest.approx(
+            -rates_bulk(medium_std, mol_iso).s_disc, rel=1e-14)
 
     def test_quotient_identity(self, rng):
         for _ in range(30):
             med = random_lossless_medium(rng)
             mol = random_molecule(rng, omega=med.omega, isotropic=True)
-            quotient = gamma_ch_bulk(med, mol) / gamma_el_bulk(med, mol)
-            assert s_bulk(med, mol) == pytest.approx(quotient, rel=1e-12, abs=1e-280)
+            s = rates_bulk(med, mol).s_disc
+            assert s == gamma_ch_bulk(med, mol) / gamma_el_bulk(med, mol)
+            assert s == pytest.approx(compact_s(med, mol), rel=1e-12, abs=1e-280)
 
     def test_compact_form_at_its_accuracy(self, medium_std, mol_iso):
         # -6 kappa R/(c |d|^2) is the quotient up to the kappa^2/(3 n_r^2) factor
         kap, n_r = 0.05, 1.5
         compact = -6 * kap * rotatory_strength(mol_iso) / (CONSTANTS.c * mol_iso.d_norm_sq)
-        s = s_bulk(medium_std, mol_iso)
+        s = rates_bulk(medium_std, mol_iso).s_disc
         assert s == pytest.approx(compact * (1 + kap**2 / (3 * n_r**2)), rel=1e-13)
         assert abs(s - compact) <= 1.01 * abs(compact) * kap**2 / (3 * n_r**2)
 
@@ -179,15 +189,15 @@ class TestDiscrimination:
             mol = random_molecule(rng, omega=med.omega, isotropic=True)
             if mol.d_norm_sq == 0:
                 continue
-            s = s_bulk(med, mol)
+            s = rates_bulk(med, mol).s_disc
             compact = -6 * complex(med.kappa).real * rotatory_strength(mol) / (CONSTANTS.c * mol.d_norm_sq)
             if abs(compact) < 1.0:
                 assert -1.0 <= s <= 1.0 or abs(s) < 1.05 * abs(compact)
 
     def test_zero_dipole_error(self, medium_std):
         mol = TransitionDipoles([0, 0, 0], [1e-23j, 0, 0], OMEGA)
-        with pytest.raises(ZeroDipoleError):
-            s_bulk(medium_std, mol)
+        with pytest.raises(PhysicsError, match="non-discriminating rate is zero"):
+            rates_bulk(medium_std, mol)
 
     def test_magnitude_diagnostic_logged(self, medium_std, capsys):
         """Order of magnitude: |S| ~ 6 alpha kappa for |m| ~ alpha c |d| / 2."""
@@ -195,7 +205,7 @@ class TestDiscrimination:
         d = DEBYE
         m_mag = alpha * CONSTANTS.c * d / 2.0
         mol = TransitionDipoles([d, 0, 0], [-1j * m_mag, 0, 0], OMEGA, isotropic=True)
-        s = s_bulk(medium_std, mol)
+        s = rates_bulk(medium_std, mol).s_disc
         scale = 6 * alpha * 0.05
         print(f"diagnostic: |S| = {abs(s):.3e}, 6 alpha kappa scale = {scale:.3e}")
         # logged order-of-magnitude check only: same decade as the 6 alpha kappa scale
@@ -205,5 +215,6 @@ class TestDiscrimination:
 def test_rates_bulk_assembly(medium_std, mol_iso):
     b = rates_bulk(medium_std, mol_iso)
     assert b.gamma_total == b.gamma_el + b.gamma_ch
-    assert b.s_disc == pytest.approx(s_bulk(medium_std, mol_iso), rel=1e-13)
+    assert b.s_disc == b.gamma_ch / b.gamma_el
+    assert b.s_disc == pytest.approx(compact_s(medium_std, mol_iso), rel=1e-13)
     assert b.gamma_vac == pytest.approx(gamma_vacuum(mol_iso), rel=1e-14)

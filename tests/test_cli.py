@@ -329,15 +329,43 @@ class TestExitCodesAndGolden:
         # kappa = Re n_r: k+^2 = -1e-18 k0^2 is lost in k+^2 - k0^2
         (NUMERIC, {"eps": [12.0, 1e-9], "mu": [12.0, 1e-9], "kappa": [12.0, 0.0]}),
         (NUMERIC, {"eps": [1.0, 0.0], "mu": [1.0, 0.0], "kappa": [1.0, 0.0]}),
+        # absorbing cavity lossy only in mu: its electric rate, the quotient's
+        # denominator, is zero
+        (LFC, {"eps": [2.25, 0.0], "mu": [1.0, 0.1], "kappa": [0.05, 0.0]}),
     ], ids=["numeric-eps0", "numeric-mu0", "retarded-eps0", "bulk-eps0", "lfc-re-n0",
-            "numeric-k-plus-lost", "numeric-k-plus-0"])
+            "numeric-k-plus-lost", "numeric-k-plus-0", "lfc-lossy-mu-only"])
     def test_degenerate_medium_exits_physics(self, tmp_path, capsys, base, medium):
-        # each one ended in a ZeroDivisionError or a LinAlgError traceback (exit 1)
+        # each one ended in a ZeroDivisionError or a LinAlgError traceback
+        # (exit 1), or in exit 0 with s_disc 0 (lfc-lossy-mu-only)
         scen = copy.deepcopy(base)
         scen["medium"] = medium
         cfg = tmp_path / "degenerate.json"
         cfg.write_text(json.dumps(scen))
         code = main(["rate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error (physics):") and "Traceback" not in err
+
+    @pytest.mark.parametrize("base", [
+        BULK,
+        LFC,
+        MIRROR,
+        {**MIRROR, "geometry": {**MIRROR["geometry"], "z_m": 1.0e-9}, "method": {"limit": "nonretarded"}},
+        {**MIRROR, "method": {"limit": "numeric"}},
+        {**HALFSPACE, "geometry": {"kind": "halfspace", "z_m": 1.5e-6}, "method": {"limit": "retarded"}},
+        HALFSPACE,
+        NUMERIC,
+    ], ids=["bulk", "lfc", "mirror-retarded", "mirror-nonretarded", "mirror-numeric",
+            "halfspace-retarded", "halfspace-nonretarded", "halfspace-numeric"])
+    def test_zero_dipole_exits_physics(self, tmp_path, capsys, base):
+        # s_disc divides by a rate that vanishes with d; this ended in a
+        # ZeroDivisionError traceback, in exit 0 with s_disc NaN, or in exit 0
+        # with s_disc 0
+        scen = copy.deepcopy(base)
+        scen["molecule"]["d"] = [[0.0, 0.0]] * 3
+        cfg = tmp_path / "zero_dipole.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--json", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "Traceback" not in err

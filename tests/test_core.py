@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chipurcell
 from chipurcell import (
     CONSTANTS,
     Contraction,
@@ -16,9 +17,27 @@ from chipurcell import (
     gamma_el_from_img,
     gamma_vacuum,
     img_g0_coincident,
+    rates_bulk,
     rotatory_strength,
 )
+from chipurcell.errors import PhysicsError
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
+
+
+def test_public_surface_is_pinned():
+    """Adding or removing a public name is a decision this list records."""
+    assert sorted(chipurcell.__all__) == [
+        "CONSTANTS", "CavityConfig", "CircularWaveNumbers", "Contraction", "CurlGreens",
+        "CurlKind", "Handedness", "Limit", "MediumResponse", "Method", "OnsagerCoefficients",
+        "PhysicalConstants", "PlanarGeometry", "QuadratureResult", "QuadratureSpec",
+        "RateBreakdown", "TransitionDipoles", "curl_g0_finite", "curl_img_g0_coincident",
+        "curl_img_lfc", "degree_of_discrimination", "errors", "f0_main", "f_factors",
+        "fresnel_nonretarded", "fresnel_retarded", "gamma_ch_bulk", "gamma_ch_from_curl",
+        "gamma_ch_lfc", "gamma_el_bulk", "gamma_el_from_img", "gamma_el_lfc", "gamma_vacuum",
+        "img_g0_coincident", "integrate_evanescent", "onsager_coefficients",
+        "planar_reflections", "rates_bulk", "rates_halfspace", "rates_lfc", "rates_mirror",
+        "rotatory_strength", "scatter_numeric", "vacuum", "wave_numbers",
+    ]
 
 
 def test_constants_identity():
@@ -126,23 +145,21 @@ class TestDegreeOfDiscrimination:
         assert degree_of_discrimination(5.0, 5.0) == 1.0
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PhysicsError, match="non-discriminating rate is zero"):
             degree_of_discrimination(1.0, 0.0)
 
     def test_bulk_compact_quotient(self):
-        """Leading-order chiral/electric bulk quotient equals -6 kappa R/(c |d|^2)."""
+        """The bulk s_disc is -6 kappa R/(c |d|^2) to leading order in kappa,
+        with the cubic factor 1 + kappa^2/(3 n_r^2) exact."""
         eps, mu, kap = 2.25, 1.0, 0.05
         med = MediumResponse(eps, mu, kap, OMEGA)
         mol = TransitionDipoles([DEBYE, 0, 0], [1e-23j, 0, 0], OMEGA, isotropic=True)
-        r_ik = rotatory_strength(mol)
-        c = CONSTANTS
+        b = rates_bulk(med, mol)
+        assert b.s_disc == degree_of_discrimination(b.gamma_ch, b.gamma_el)
         n_r = med.n_r.real
-        # evaluate both sides from their own closed forms (leading order in kappa)
-        g_ch = -2 * mu * n_r * OMEGA**3 * kap * r_ik / (c.hbar * c.eps0 * np.pi * c.c**4)
-        g_el = gamma_el_bulk(med, mol)
-        lhs = degree_of_discrimination(g_ch, g_el)
-        rhs = -6.0 * kap * r_ik / (c.c * mol.d_norm_sq)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        leading = -6.0 * kap * rotatory_strength(mol) / (CONSTANTS.c * mol.d_norm_sq)
+        assert b.s_disc == pytest.approx(leading * (1 + kap**2 / (3 * n_r**2)), rel=1e-12)
+        assert abs(b.s_disc / leading - 1.0) <= 1.01 * kap**2 / (3 * n_r**2)
 
 
 class TestUnitsAudit:

@@ -13,12 +13,13 @@ from chipurcell import (
     MediumResponse,
     PlanarGeometry,
     TransitionDipoles,
+    fresnel_nonretarded,
+    fresnel_retarded,
     gamma_ch_from_curl,
     planar_reflections,
     rates_halfspace,
     rates_mirror,
     rotatory_strength,
-    s_halfspace,
     scatter_numeric,
 )
 from chipurcell.cli import run_fresnel
@@ -29,7 +30,6 @@ from chipurcell.halfspace import (
     gamma_el_halfspace_nonretarded,
     s_halfspace_nonretarded_variant,
     s_mirror_nonretarded_variant,
-    s_mirror_retarded,
 )
 from chipurcell.sommerfeld import QuadratureResult, QuadratureSpec
 from conftest import DEBYE, OMEGA
@@ -443,7 +443,11 @@ class TestMirrorRates:
         z = 17.0 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
         b = rates_mirror(geom, mol_iso, Limit.RETARDED)
-        assert s_mirror_retarded(mol_iso, z, Handedness.RIGHT) == pytest.approx(b.s_disc, rel=1e-12)
+        assert b.s_disc == b.gamma_ch / b.gamma_vac
+        c = CONSTANTS
+        compact = (c.c * rotatory_strength(mol_iso) * np.sin(2 * W * z / c.c)
+                   / (2 * W**2 * z**2 * mol_iso.d_norm_sq))
+        assert b.s_disc == pytest.approx(compact, rel=1e-12)
 
 
 class TestHalfspaceRates:
@@ -499,8 +503,6 @@ class TestHalfspaceRates:
         z = 15.0 / K0
         geom = PlanarGeometry(z_m=z, medium=med)
         b = quiet(rates_halfspace, geom, mol_iso, Limit.RETARDED)
-        from chipurcell import fresnel_retarded
-
         r_sp = fresnel_retarded(med)[2]
         arg = 2 * W * z / CONSTANTS.c
         osc = (np.cos(arg) - 1) * r_sp.real + np.sin(arg) * r_sp.imag
@@ -568,36 +570,47 @@ class TestHalfspaceRates:
 class TestHalfspaceDiscrimination:
     def test_achiral_zero(self, mol_iso):
         med = MediumResponse(2.25, 1.0, 0.0, W)
-        assert s_halfspace(med, mol_iso, 0.01 / K0, Limit.NONRETARDED) == 0.0
+        geom = PlanarGeometry(z_m=0.01 / K0, medium=med)
+        assert rates_halfspace(geom, mol_iso, Limit.NONRETARDED).s_disc == 0.0
 
     def test_inverse_square_law(self, medium_std, mol_iso):
         z = 0.01 / K0
-        s1 = s_halfspace(medium_std, mol_iso, z, Limit.NONRETARDED)
-        s2 = s_halfspace(medium_std, mol_iso, 2 * z, Limit.NONRETARDED)
+        s1 = rates_halfspace(PlanarGeometry(z_m=z, medium=medium_std), mol_iso, Limit.NONRETARDED).s_disc
+        s2 = rates_halfspace(PlanarGeometry(z_m=2 * z, medium=medium_std), mol_iso, Limit.NONRETARDED).s_disc
         assert s2 == pytest.approx(s1 / 4.0, rel=1e-13)
 
     def test_near_field_quotient_identity(self, medium_std, mol_iso):
         z = 0.01 / K0
         geom = PlanarGeometry(z_m=z, medium=medium_std)
-        b = quiet(rates_halfspace, geom, mol_iso, Limit.NONRETARDED)
-        assert s_halfspace(medium_std, mol_iso, z, Limit.NONRETARDED) == pytest.approx(
-            b.gamma_ch / b.gamma_vac, rel=1e-12
-        )
+        b = rates_halfspace(geom, mol_iso, Limit.NONRETARDED)
+        # gamma_el is exactly zero for a lossless medium
+        assert b.s_disc == b.gamma_ch / b.gamma_vac
+        r_sp = fresnel_nonretarded(medium_std)[2]
+        compact = float(np.real(
+            -1j * CONSTANTS.c * rotatory_strength(mol_iso) * r_sp / (W**2 * z**2 * mol_iso.d_norm_sq)
+        ))
+        assert b.s_disc == pytest.approx(compact, rel=1e-12)
 
     def test_variant_sign_convention_pinned(self, medium_std, mol_iso):
         z = 0.01 / K0
         sv = s_halfspace_nonretarded_variant(medium_std, mol_iso, z)
-        assert sv == pytest.approx(-s_halfspace(medium_std, mol_iso, z, Limit.NONRETARDED), rel=1e-13)
+        b = rates_halfspace(PlanarGeometry(z_m=z, medium=medium_std), mol_iso, Limit.NONRETARDED)
+        assert sv == pytest.approx(-b.s_disc, rel=1e-13)
 
     def test_retarded_compact_form(self, mol_iso):
         med = MediumResponse(2.25 + 0.1j, 1.0, 0.01 + 0.002j, W)
         z = 15.0 / K0
-        s = s_halfspace(med, mol_iso, z, Limit.RETARDED)
+        r_sp = fresnel_retarded(med)[2]
+        arg = 2.0 * W * z / CONSTANTS.c
+        osc = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
+        compact = rotatory_strength(mol_iso) / (W * z * mol_iso.d_norm_sq) * osc
         geom = PlanarGeometry(z_m=z, medium=med)
         b = quiet(rates_halfspace, geom, mol_iso, Limit.RETARDED)
-        # compact form approximates the exact quotient (gamma_el^scatt small here)
-        assert s == pytest.approx(b.gamma_ch / b.gamma_vac, rel=1e-12)
-        assert b.s_disc == pytest.approx(b.gamma_ch / (b.gamma_vac + b.gamma_el), rel=1e-13)
+        # the compact form is gamma_ch/gamma_vac; it approximates the quotient
+        # to the relative size of gamma_el^scatt (0.65% here)
+        assert compact == pytest.approx(b.gamma_ch / b.gamma_vac, rel=1e-12)
+        assert b.s_disc == b.gamma_ch / (b.gamma_vac + b.gamma_el)
+        assert abs(b.s_disc - compact) <= 1.01 * abs(compact * b.gamma_el / b.gamma_vac)
 
 
 class TestIsotropicAveraging:

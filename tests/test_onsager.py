@@ -15,10 +15,9 @@ from chipurcell import (
     gamma_ch_lfc,
     gamma_el_bulk,
     gamma_el_lfc,
+    rates_bulk,
     rates_lfc,
     rotatory_strength,
-    s_bulk,
-    s_lfc,
 )
 from chipurcell.errors import PoleError, RadiusTooLargeError
 from chipurcell import onsager
@@ -271,6 +270,17 @@ class TestCorrectedRates:
             assert gamma_el_lfc(cav, mol_iso) == 0.0
 
 
+def absorbing_s(med, mol):
+    """Absorbing-cavity quotient of the 1/a^3 forms for an isotropic molecule,
+    2 R Im(conj(kappa) (2 eps + 1)(2 mu + 1)) / (c |d|^2 Im eps |2 mu + 1|^2);
+    for mu = 1 it is the paper's (2 R/(3 c |d|^2)) [2 Re kappa
+    - (Im kappa/Im eps)(2 Re eps + 1)]."""
+    eps, mu, kap = complex(med.eps), complex(med.mu), complex(med.kappa)
+    bracket = (kap.conjugate() * (2 * eps + 1) * (2 * mu + 1)).imag
+    return (2 * rotatory_strength(mol) * bracket
+            / (CONSTANTS.c * mol.d_norm_sq * eps.imag * abs(2 * mu + 1) ** 2))
+
+
 class TestCorrectedDiscrimination:
     def test_real_kappa_ratio(self, mol_iso):
         """Absorbing-cavity discrimination equals -(2/9) of the uncorrected one
@@ -279,10 +289,7 @@ class TestCorrectedDiscrimination:
         ref = None
         for im_eps in (0.01, 0.1, 1.0):
             med = MediumResponse(2.25 + 1j * im_eps, 1.0, kap, OMEGA)
-            cav = CavityConfig(1e-9, med)
-            s = s_lfc(cav, mol_iso)
-            med_l = MediumResponse(2.25, 1.0, kap, OMEGA)
-            s0 = s_bulk(med_l, mol_iso)
+            s = rates_lfc(CavityConfig(1e-9, med), mol_iso).s_disc
             # compare against the leading-order uncorrected quotient
             s0_compact = -6 * kap * rotatory_strength(mol_iso) / (CONSTANTS.c * mol_iso.d_norm_sq)
             assert s == pytest.approx(-(2.0 / 9.0) * s0_compact, rel=1e-12)
@@ -292,28 +299,33 @@ class TestCorrectedDiscrimination:
 
     def test_achiral_zero(self, mol_iso):
         med = MediumResponse(2.25 + 0.3j, 1.0, 0.0, OMEGA)
-        assert s_lfc(CavityConfig(1e-9, med), mol_iso) == 0.0
+        assert rates_lfc(CavityConfig(1e-9, med), mol_iso).s_disc == 0.0
 
     def test_absorbing_quotient_oracle(self, rng, mol_iso):
+        media = []
         for _ in range(20):
             eps = complex(rng.uniform(1.2, 4.0), rng.uniform(0.05, 1.0))
             kap = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.03
-            med = MediumResponse(eps, 1.0, kap, OMEGA)
-            cav = CavityConfig(1e-9, med)
-            quotient = gamma_ch_lfc(cav, mol_iso) / gamma_el_lfc(cav, mol_iso)
-            assert s_lfc(cav, mol_iso) == pytest.approx(quotient, rel=1e-10)
+            media.append(MediumResponse(eps, 1.0, kap, OMEGA))
+        # complex mu != 1: the quotient keeps the 1/|2 mu + 1|^2 of the rates
+        media += [random_complex_medium(rng, kappa_scale=0.03) for _ in range(20)]
+        media.append(MediumResponse(2.25 + 0.3j, 1.5, 0.02, OMEGA))
+        for med in media:
+            b = rates_lfc(CavityConfig(1e-9, med), mol_iso)
+            assert b.s_disc == b.gamma_ch / b.gamma_el
+            assert b.s_disc == pytest.approx(absorbing_s(med, mol_iso), rel=1e-10)
 
     def test_lossless_factor_structure(self, medium_std, mol_iso):
-        s = s_lfc(CavityConfig(1e-9, medium_std), mol_iso)
+        s = rates_lfc(CavityConfig(1e-9, medium_std), mol_iso).s_disc
         f0 = f_factors(medium_std).f0.real
         factor = (3 * 2.25 / 5.5) ** 2
-        assert s == pytest.approx(f0 / factor * s_bulk(medium_std, mol_iso), rel=1e-12)
+        assert s == pytest.approx(f0 / factor * rates_bulk(medium_std, mol_iso).s_disc, rel=1e-12)
 
     def test_reduction_to_uncorrected(self, medium_std, mol_iso, monkeypatch):
         monkeypatch.setattr(onsager, "_f0", lambda med, f0_source: 1.0)
-        s = s_lfc(CavityConfig(1e-9, medium_std), mol_iso)
+        s = rates_lfc(CavityConfig(1e-9, medium_std), mol_iso).s_disc
         factor = (3 * 2.25 / 5.5) ** 2
-        assert s == pytest.approx(s_bulk(medium_std, mol_iso) / factor, rel=1e-13)
+        assert s == pytest.approx(rates_bulk(medium_std, mol_iso).s_disc / factor, rel=1e-13)
 
 
 def test_rates_lfc_assembly(medium_std, mol_iso):
@@ -326,7 +338,9 @@ def test_rates_lfc_assembly(medium_std, mol_iso):
     assert b2.gamma_el > 0
     # the host selects the absorbing form of each function as well
     assert gamma_el_lfc(CavityConfig(1e-9, lossy), mol_iso) == b2.gamma_el
-    assert s_lfc(CavityConfig(1e-9, lossy), mol_iso) == pytest.approx(b2.s_disc, rel=1e-10)
+    compact = (2 * rotatory_strength(mol_iso) / (3 * CONSTANTS.c * mol_iso.d_norm_sq)
+               * (2 * 0.02 - 0.005 / 0.3 * (2 * 2.25 + 1)))
+    assert b2.s_disc == pytest.approx(compact, rel=1e-10)
 
 
 def test_lfc_chiral_rate_takes_its_form_from_the_host(mol_iso):
@@ -334,7 +348,7 @@ def test_lfc_chiral_rate_takes_its_form_from_the_host(mol_iso):
     assert gamma_ch_lfc(lossy, mol_iso) == rates_lfc(lossy, mol_iso).gamma_ch
 
 
-@pytest.mark.parametrize("fn", [gamma_ch_lfc, s_lfc, rates_lfc])
+@pytest.mark.parametrize("fn", [gamma_ch_lfc, rates_lfc])
 def test_unknown_f0_source_raises(fn, medium_std, mol_iso):
     cav = CavityConfig(1e-9, medium_std)
     assert fn(cav, mol_iso, f0_source="main") != fn(cav, mol_iso, f0_source="appendix")
