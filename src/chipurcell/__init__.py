@@ -12,8 +12,6 @@ from .media import MediumResponse, vacuum
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
     Contraction,
-    CurlGreens,
-    CurlKind,
     Method,
     RateBreakdown,
     degree_of_discrimination,
@@ -23,7 +21,6 @@ from .rates import (
 )
 from .bulk import (
     CircularWaveNumbers,
-    curl_g0_finite,
     curl_img_g0_coincident,
     gamma_ch_bulk,
     gamma_el_bulk,
@@ -70,8 +67,6 @@ __all__ = [
     "TransitionDipoles",
     "rotatory_strength",
     "Contraction",
-    "CurlGreens",
-    "CurlKind",
     "Method",
     "RateBreakdown",
     "degree_of_discrimination",
@@ -80,7 +75,6 @@ __all__ = [
     "gamma_vacuum",
     "CircularWaveNumbers",
     "wave_numbers",
-    "curl_g0_finite",
     "curl_img_g0_coincident",
     "img_g0_coincident",
     "gamma_ch_bulk",

@@ -24,17 +24,12 @@ from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
     Contraction,
-    CurlGreens,
-    CurlKind,
     Method,
     RateBreakdown,
     degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_vacuum,
 )
-
-_ANTISYM_XY = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class CircularWaveNumbers:
@@ -70,27 +65,7 @@ def _require_propagating(med: MediumResponse, what: str):
         raise PhysicsError(f"{what} requires a propagating medium (Re n_r > 0), got n_r = {med.n_r!r}")
 
 
-def curl_g0_finite(med: MediumResponse, rho: float) -> CurlGreens:
-    """Curl of the homogeneous-medium Green's tensor at separation rho > 0.
-
-    The separation axis is taken along e_z (test convention; the coincidence
-    limit is isotropic). Each circular mode contributes
-    e^{i k rho}(1 - i k rho)/(2 pi rho^3 (k+ + k-)) times [sigma I + (k rho/2) A]
-    with sigma = +1 (-1) for the plus (minus) mode and A the x-y antisymmetric
-    block, which is the image of e_theta x e_phi asymmetry under the mapping.
-    """
-    if rho <= 0:
-        raise ZeroDivisionError("curl_g0_finite has a pole at rho = 0")
-    wn = wave_numbers(med)
-    mat = np.zeros((3, 3), dtype=complex)
-    for k, sigma in ((wn.k_plus, 1.0), (wn.k_minus, -1.0)):
-        pref = med.mu * np.exp(1j * k * rho) * (1.0 - 1j * k * rho)
-        pref /= 2.0 * np.pi * rho**3 * (wn.k_plus + wn.k_minus)
-        mat += pref * (sigma * np.eye(3) + (k * rho / 2.0) * _ANTISYM_XY)
-    return CurlGreens(mat, CurlKind.FULL)
-
-
-def curl_img_g0_coincident(med: MediumResponse) -> CurlGreens:
+def curl_img_g0_coincident(med: MediumResponse) -> np.ndarray:
     """Coincidence limit of curl Im G for a lossless chiral medium.
 
     Exact cubic form mu (k+^3 - k-^3)/(6 pi (k+ + k-)) * I; zero for kappa=0,
@@ -99,7 +74,7 @@ def curl_img_g0_coincident(med: MediumResponse) -> CurlGreens:
     _require_lossless(med, "curl_img_g0_coincident")
     wn = wave_numbers(med)
     scalar = med.mu * (wn.k_plus**3 - wn.k_minus**3) / (6.0 * np.pi * (wn.k_plus + wn.k_minus))
-    return CurlGreens(scalar.real * np.eye(3), CurlKind.IMAGINARY_PART)
+    return scalar.real * np.eye(3)
 
 
 def img_g0_coincident(med: MediumResponse) -> np.ndarray:

@@ -64,8 +64,6 @@ from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
     Contraction,
-    CurlGreens,
-    CurlKind,
     Method,
     RateBreakdown,
     degree_of_discrimination,
@@ -362,9 +360,10 @@ def scatter_numeric(
     geom: PlanarGeometry,
     omega: float,
     spec: QuadratureSpec = QuadratureSpec(),
-) -> tuple[CurlGreens, np.ndarray]:
-    """(Im curl G, Im G) of the scattering Green's tensor at the molecule in
-    front of the half-space ``geom.medium``; Im G is 3x3 in units of 1/m.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(curl Im G, Im G) of the scattering Green's tensor at the molecule in
+    front of the half-space ``geom.medium``: two real 3x3 arrays, in units
+    of 1/m^2 and 1/m.
 
     Both are azimuth-reduced radial integrals over the vacuum k_perp,
 
@@ -453,12 +452,12 @@ def scatter_numeric(
     xx, asym = -pre * k0 * xx.real, -pre * k0 * asym.real
     g_xx, g_zz = pre * g_xx.imag, 2.0 * pre * g_zz.imag
     curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, 2.0 * xx]])
-    return CurlGreens(curl, CurlKind.IMAGINARY_PART), np.diag([g_xx, g_xx, g_zz])
+    return curl, np.diag([g_xx, g_xx, g_zz])
 
 
-def _mirror_curl(geom: PlanarGeometry, omega: float) -> CurlGreens:
-    """Im curl G of the perfect chiral mirror, the integral of
-    ``scatter_numeric`` in closed form.
+def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
+    """curl Im G of the perfect chiral mirror, a real 3x3 array: the
+    integral of ``scatter_numeric`` in closed form.
 
     Its reflections are constant (r_ss = r_pp = 0, r_sp = +-1), so the x-y
     block vanishes and the curl xx channel on the path x = 1 + i tau is
@@ -471,7 +470,7 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> CurlGreens:
     k0 = omega / CONSTANTS.c
     s = 2.0 * (k0 * geom.z_m)
     xx = -geom.handedness.sign * k0 * k0 / (4.0 * np.pi) * (np.cos(s) / s**3 + np.sin(s) / s**2)
-    return CurlGreens(np.diag([xx, xx, 2.0 * xx]), CurlKind.IMAGINARY_PART)
+    return np.diag([xx, xx, 2.0 * xx])
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +659,7 @@ def rates_halfspace(
             -1j * w * _r_full_z(mol) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
             - c.mu0 * w**2 * _im_cross_z(mol) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
         ))
-        g_el = gamma_el_halfspace_nonretarded(med, mol, z)
+        g_el = 0.0  # the near-field reflections of a lossless medium are real: Im G vanishes
     else:
         curl, img_g = scatter_numeric(geom, w, spec)
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
@@ -676,23 +675,6 @@ def rates_halfspace(
         method=method,
         assembly="vacuum + scattering (gamma_el is the scattering-only part)",
     )
-
-
-def gamma_el_halfspace_nonretarded(med: MediumResponse, mol: TransitionDipoles, z_m: float) -> float:
-    """Near-field electric scattering rate, driven by Im r_p = Im(eps)/|eps + 1|.
-
-    Zero for lossless media (the medium must be lossy to absorb near-field
-    energy). Kept in the published normalization, with |d . e_z|^2 for the
-    z-weighting so the rate is real for complex dipoles.
-    """
-    c = CONSTANTS
-    eps = complex(med.eps)
-    im_rp = eps.imag / abs(eps + 1.0)
-    if mol.isotropic:
-        weight = 4.0 / 3.0 * mol.d_norm_sq
-    else:
-        weight = mol.d_norm_sq + abs(mol.d[2]) ** 2
-    return weight * im_rp / (8.0 * c.hbar * np.pi * c.eps0 * mol.omega_ik**2 * z_m**3)
 
 
 # ---------------------------------------------------------------------------

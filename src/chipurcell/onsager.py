@@ -31,8 +31,6 @@ from .errors import PoleError, RadiusTooLargeError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
-    CurlGreens,
-    CurlKind,
     Method,
     RateBreakdown,
     degree_of_discrimination,
@@ -184,7 +182,7 @@ def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
     return OnsagerCoefficients(a0v=v_even + v_odd, a0w=a0w, b0v=a0w, b0w=v_even - v_odd)
 
 
-def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
+def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     """Cavity-corrected curl of Im G at the molecule, small-radius asymptotics.
 
     Im{ kappa c f3/(pi a^3 w) + kappa w f1/(pi a c) + i kappa w^2 f0/(pi c^2) } I.
@@ -203,7 +201,7 @@ def curl_img_lfc(cav: CavityConfig) -> CurlGreens:
         + kap * w * f.f1 / (np.pi * a * c)
         + 1j * kap * w**2 * f.f0 / (np.pi * c**2)
     )
-    return CurlGreens(scalar * np.eye(3), CurlKind.IMAGINARY_PART)
+    return scalar * np.eye(3)
 
 
 def _f0(med: MediumResponse, f0_source: str) -> complex:

@@ -5,6 +5,9 @@ Two master contractions are provided:
 * the electric rate Gamma_el = (2 mu0 w^2 / hbar) d . Im G . d*,
 * the chiral rate   Gamma_ch = (4 mu0 w / hbar) Im[ d . (curl Im G) . m* ].
 
+Both tensors are plain 3x3 arrays at the molecule: Im G in 1/m and
+curl Im G in 1/m^2.
+
 The ordering of d and m in the chiral contraction fixes a global sign for
 the symmetric part of the curl matrix (antisymmetric parts are insensitive
 to the ordering). The default ``BULK_LOCKED`` ordering is calibrated so the
@@ -35,29 +38,11 @@ from .errors import PhysicsError
 from .molecules import TransitionDipoles
 
 
-class CurlKind(enum.Enum):
-    FULL = "full"
-    IMAGINARY_PART = "imaginary_part"
-
-
 class Contraction(enum.Enum):
     """Ordering of the dipole vectors in the chiral contraction."""
 
     BULK_LOCKED = "bulk_locked"      # Im[d . T . m*]
     PLANAR_PAPER = "planar_paper"    # Im[m . T . d*]
-
-
-@dataclass(frozen=True)
-class CurlGreens:
-    """3x3 Cartesian matrix of curl G (or curl Im G) at coincidence, units 1/m^2."""
-
-    matrix: np.ndarray
-    kind: CurlKind
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix", np.asarray(self.matrix, dtype=complex).reshape(3, 3)
-        )
 
 
 class Method(enum.Enum):
@@ -90,19 +75,19 @@ class RateBreakdown:
 
 
 def gamma_ch_from_curl(
-    curl: CurlGreens,
+    curl: np.ndarray,
     mol: TransitionDipoles,
     contraction: Contraction = Contraction.BULK_LOCKED,
 ) -> float:
     """Chiral decay-rate contribution from the curl of Im G at the molecule.
 
-    Returns (4 mu0 w / hbar) * Im[d . T . m*] (default ordering; see module
+    ``curl`` is the 3x3 curl Im G at coincidence (units 1/m^2), real or
+    complex; it is contracted as a complex array. Returns
+    (4 mu0 w / hbar) * Im[d . T . m*] (default ordering; see module
     docstring), or the orientation-averaged (1/3) Tr form for isotropic
     molecules. Real-linear in the curl matrix.
     """
-    if curl.kind is not CurlKind.IMAGINARY_PART:
-        raise ValueError("gamma_ch_from_curl expects a curl of the imaginary part")
-    t = curl.matrix
+    t = np.asarray(curl, dtype=complex).reshape(3, 3)
     pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
     a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
     if mol.isotropic:

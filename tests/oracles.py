@@ -90,6 +90,36 @@ def fd_curl(field, xyz: np.ndarray, h: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Curl of the homogeneous-medium Green's tensor at finite separation
+# ---------------------------------------------------------------------------
+
+_ANTISYM_XY = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def curl_g0_finite(med, rho: float) -> np.ndarray:
+    """Curl of the homogeneous-medium Green's tensor at separation rho > 0,
+    a complex 3x3 array in 1/m^2 (curl G itself, not curl Im G).
+
+    The separation axis is taken along e_z (the coincidence limit is
+    isotropic). The circular modes have k+- = k0 (n_r -+ kappa); each
+    contributes e^{i k rho}(1 - i k rho)/(2 pi rho^3 (k+ + k-)) times
+    [sigma I + (k rho/2) A] with sigma = +1 (-1) for the plus (minus) mode
+    and A the x-y antisymmetric block, which is the image of the
+    e_theta x e_phi asymmetry under the mapping.
+    """
+    if rho <= 0:
+        raise ZeroDivisionError("curl_g0_finite has a pole at rho = 0")
+    k_plus = med.k0 * (med.n_r - med.kappa)
+    k_minus = med.k0 * (med.n_r + med.kappa)
+    mat = np.zeros((3, 3), dtype=complex)
+    for k, sigma in ((k_plus, 1.0), (k_minus, -1.0)):
+        pref = med.mu * np.exp(1j * k * rho) * (1.0 - 1j * k * rho)
+        pref /= 2.0 * np.pi * rho**3 * (k_plus + k_minus)
+        mat += pref * (sigma * np.eye(3) + (k * rho / 2.0) * _ANTISYM_XY)
+    return mat
+
+
+# ---------------------------------------------------------------------------
 # Richardson extrapolation in rho^2 (even error expansions)
 # ---------------------------------------------------------------------------
 

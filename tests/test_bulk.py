@@ -5,7 +5,6 @@ from chipurcell import (
     CONSTANTS,
     MediumResponse,
     TransitionDipoles,
-    curl_g0_finite,
     curl_img_g0_coincident,
     gamma_ch_bulk,
     gamma_ch_from_curl,
@@ -17,7 +16,7 @@ from chipurcell import (
 )
 from chipurcell.errors import LosslessRequiredError, PhysicsError
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
-from oracles import richardson_rho2
+from oracles import curl_g0_finite, richardson_rho2
 
 
 class TestWaveNumbers:
@@ -51,7 +50,7 @@ class TestWaveNumbers:
 class TestFiniteSeparationCurl:
     def test_achiral_diagonal_cancellation(self):
         med = MediumResponse(2.25, 1.0, 0.0, OMEGA)
-        m = curl_g0_finite(med, 5e-8).matrix
+        m = curl_g0_finite(med, 5e-8)
         assert np.max(np.abs(np.diag(m))) < 1e-16 * np.max(np.abs(m))
         assert abs(m[0, 1]) > 0  # antisymmetric block survives
 
@@ -60,17 +59,17 @@ class TestFiniteSeparationCurl:
             curl_g0_finite(medium_std, 0.0)
 
     def test_richardson_limit_matches_coincidence(self, medium_std):
-        target = curl_img_g0_coincident(medium_std).matrix[0, 0]
+        target = curl_img_g0_coincident(medium_std)[0, 0]
         rho0 = 0.05 / wave_numbers(medium_std).k_minus.real
-        extrap = richardson_rho2(lambda rho: curl_g0_finite(medium_std, rho).matrix.imag[0, 0], rho0)
+        extrap = richardson_rho2(lambda rho: curl_g0_finite(medium_std, rho).imag[0, 0], rho0)
         assert extrap.real == pytest.approx(target.real, rel=1e-8)
 
     def test_near_field_scalings(self, medium_std):
         """Assembled entries scale as 1/rho^2 (antisym) and 1/rho (Re diag);
         the per-mode prefactor scales as 1/rho^3 (mode sum cancels it)."""
         rho = 0.01 / wave_numbers(medium_std).k_minus.real
-        m1 = curl_g0_finite(medium_std, rho).matrix
-        m2 = curl_g0_finite(medium_std, rho / 2).matrix
+        m1 = curl_g0_finite(medium_std, rho)
+        m2 = curl_g0_finite(medium_std, rho / 2)
         assert abs(m2[0, 1] / m1[0, 1]) == pytest.approx(4.0, rel=0.01)
         assert m2[0, 0].real / m1[0, 0].real == pytest.approx(2.0, rel=0.01)
         # single-mode prefactor: exp(ik rho)(1 - ik rho)/rho^3 scale
@@ -82,7 +81,7 @@ class TestFiniteSeparationCurl:
 class TestCoincidenceCurl:
     def test_achiral_zero(self):
         med = MediumResponse(5.0, 1.5, 0.0, OMEGA)
-        assert np.all(curl_img_g0_coincident(med).matrix == 0)
+        assert np.all(curl_img_g0_coincident(med) == 0)
 
     def test_frozen_exact_value(self, medium_std):
         # mu (k+^3 - k-^3)/(6 pi (k+ + k-)), 40-digit evaluation
@@ -90,12 +89,12 @@ class TestCoincidenceCurl:
         expected = float(
             np.real((wn.k_plus**3 - wn.k_minus**3) / (6 * np.pi * (wn.k_plus + wn.k_minus)))
         )
-        m = curl_img_g0_coincident(medium_std).matrix
+        m = curl_img_g0_coincident(medium_std)
         assert m[0, 0].real == pytest.approx(expected, rel=1e-14)
         assert np.max(np.abs(m.imag)) == 0.0
 
     def test_sign_for_right_handed_medium(self, medium_std):
-        assert curl_img_g0_coincident(medium_std).matrix[0, 0].real < 0
+        assert curl_img_g0_coincident(medium_std)[0, 0].real < 0
 
     def test_rejects_lossy(self):
         med = MediumResponse(2.25 + 0.01j, 1.0, 0.05, OMEGA)

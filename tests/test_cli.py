@@ -1,8 +1,10 @@
 import copy
+import itertools
 import json
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipurcell import MediumResponse
+from chipurcell import CONSTANTS, MediumResponse
 from chipurcell.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
@@ -29,6 +31,7 @@ from chipurcell.cli import (
     run_scenario,
     run_sweep,
 )
+from chipurcell.errors import PhysicsError, QuadratureError, SchemaError
 from conftest import package_env
 from oracles import chiral_reflections
 
@@ -346,6 +349,22 @@ class TestExitCodesAndGolden:
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "Traceback" not in err
 
+    def test_lossless_eps_minus_one_nonretarded_exits_ok(self, tmp_path, capsys):
+        # eps = -1 is the pole of the quasi-static r_p; the near-field
+        # electric rate divided by |eps + 1| and ended in a ZeroDivisionError
+        # traceback (exit 1)
+        scen = copy.deepcopy(HALFSPACE)
+        scen["medium"] = {"eps": [-1.0, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}
+        cfg = tmp_path / "eps_minus_one.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--json", "--config", str(cfg)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert out["limit"] == "nonretarded"
+        assert out["gamma_el"] == 0.0
+        for key in ("gamma_el", "gamma_ch", "gamma_vac", "gamma_total", "s_disc"):
+            assert np.isfinite(out[key])
+
     @pytest.mark.parametrize("base", [
         BULK,
         LFC,
@@ -510,3 +529,49 @@ class TestExitCodesAndGolden:
         )
         assert proc.returncode == 0
         assert out.read_bytes() == (GOLDEN / "bulk_lossless.csv").read_bytes()
+
+
+# Every medium with eps, mu and kappa drawn from these real values, in every
+# medium geometry and limit, for an isotropic and an anisotropic molecule.
+DEGENERATE_VALUES = (0.0, 1.0, -1.0, 2.25, -2.25, 0.05, 12.0)
+_K0 = BULK["molecule"]["omega_ik"] / CONSTANTS.c
+DEGENERATE_GEOMETRIES = {
+    "halfspace-nonretarded": ({"kind": "halfspace", "z_m": 0.01 / _K0}, {"limit": "nonretarded"}),
+    "halfspace-retarded": ({"kind": "halfspace", "z_m": 100.0 / _K0}, {"limit": "retarded"}),
+    "halfspace-numeric": ({"kind": "halfspace", "z_m": 0.1 / _K0}, {"limit": "numeric"}),
+    "bulk": ({"kind": "bulk"}, {}),
+    "bulk_lfc": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {}),
+}
+ANISOTROPIC = {
+    "d": [[2.0e-30, 0.5e-30], [-1.0e-30, 0.0], [2.5e-30, -0.7e-30]],
+    "m": [[0.3e-23, 0.8e-23], [0.0, -0.4e-23], [-0.6e-23, 0.2e-23]],
+    "omega_ik": BULK["molecule"]["omega_ik"],
+    "isotropic": False,
+}
+
+
+@pytest.mark.parametrize("geometry", DEGENERATE_GEOMETRIES)
+def test_degenerate_grid_ends_finite_or_typed(geometry):
+    """Each scenario returns finite fields or raises a typed error, and no
+    warning escapes: the ending the CLI maps to exit 0, 2, 3 or 4."""
+    geom, method = DEGENERATE_GEOMETRIES[geometry]
+    failures = []
+    for mol, (eps, mu, kappa) in itertools.product(
+        (BULK["molecule"], ANISOTROPIC), itertools.product(DEGENERATE_VALUES, repeat=3)
+    ):
+        scen = {"molecule": mol, "geometry": geom, "method": method,
+                "medium": {"eps": [eps, 0.0], "mu": [mu, 0.0], "kappa": [kappa, 0.0]}}
+        case = (mol["isotropic"], eps, mu, kappa)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b, _ = run_scenario(scen)
+        except (SchemaError, PhysicsError, QuadratureError):
+            continue
+        except Exception as exc:  # an untyped ending, or a warning raised as one
+            failures.append((case, repr(exc)))
+            continue
+        fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
+        if not np.isfinite(fields).all():
+            failures.append((case, fields))
+    assert failures == []

@@ -5,8 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chipurcell import (
-    CurlGreens,
-    CurlKind,
     MediumResponse,
     TransitionDipoles,
     gamma_ch_from_curl,
@@ -43,7 +41,7 @@ def test_chiral_contraction_real_linear(d, m, a, b):
     rng = np.random.default_rng(7)
     t1 = rng.normal(size=(3, 3))
     t2 = rng.normal(size=(3, 3))
-    g = lambda t: gamma_ch_from_curl(CurlGreens(t, CurlKind.IMAGINARY_PART), mol)
+    g = lambda t: gamma_ch_from_curl(t, mol)
     lhs = g(a * t1 + b * t2)
     rhs = a * g(t1) + b * g(t2)
     # noise floor of the contraction itself (cancellation among O(mag) terms),
