@@ -4,7 +4,9 @@ tables, machine-readable output.
 Scenario files are JSON with complex numbers as two-element [re, im] arrays
 and SI units throughout (dipoles in C m and A m^2, frequencies in rad/s,
 lengths in m). Every number must be finite: NaN and Infinity are schema
-errors. Each response channel (eps, mu, kappa) is either a constant
+errors. Every object has a fixed set of fields, which geometry.kind selects
+(``_KINDS``): a missing required field or any other field is a schema error
+that names it. Each response channel (eps, mu, kappa) is either a constant
 [re, im] or a single-resonance Lorentz model evaluated at the transition
 frequency:
 
@@ -83,13 +85,6 @@ def _real_from(node, where: str) -> float:
     raise SchemaError(f"{where}: expected a finite number, got {node!r}")
 
 
-def _lorentz_denominator(w0: float, g: float, omega: float, where: str) -> complex:
-    den = w0**2 - omega**2 - 1j * g * omega
-    if den == 0:
-        raise PoleError(f"{where}: Lorentz model on resonance (omega0 = {w0!r}) with zero damping")
-    return den
-
-
 def _number_from(node, where: str) -> complex:
     """A finite number or an [re, im] pair of them."""
     if isinstance(node, (int, float)):
@@ -101,29 +96,58 @@ def _number_from(node, where: str) -> complex:
     raise SchemaError(f"{where}: expected a number or an [re, im] pair, got {node!r}")
 
 
+def _fields(node, where: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
+    """``node``, checked to be an object with every field of ``required`` and
+    none outside ``required | optional`` (disjoint); ``where`` is its path."""
+    if not isinstance(node, dict):
+        raise SchemaError(f"{where or 'scenario'}: expected an object")
+    if node.keys() - optional != required:
+        prefix = f"{where}." if where else ""
+        missing = sorted(required.difference(node))
+        if missing:
+            raise SchemaError(f"{prefix}{missing[0]}: missing required field")
+        unknown = next(key for key in node if key not in required and key not in optional)
+        allowed = ", ".join(sorted(required | optional)) or "none"
+        raise SchemaError(f"{prefix}{unknown}: unknown field (the fields here: {allowed})")
+    return node
+
+
+_NONE = frozenset()
+_MOLECULE = frozenset({"d", "m", "omega_ik"})
+_ISOTROPIC = frozenset({"isotropic"})
+_MEDIUM = frozenset({"eps", "mu", "kappa"})
+_MODEL = frozenset({"model", "strength", "omega0", "gamma"})
+_BACKGROUND = frozenset({"background"})
+_QUADRATURE = frozenset({"rel_tol", "max_panels"})
+_METHOD = frozenset({"method"})
+_KIND = frozenset({"kind"})
+_ROOT = frozenset({"molecule", "medium", "geometry"})
+_PLANAR_METHOD = frozenset({"limit", "compare_numeric", "quadrature"})
+# For each geometry.kind: the fields the scenario root requires (method is
+# optional in every kind), the fields geometry requires, and the fields
+# method may hold.
+_KINDS = {
+    "bulk": (_ROOT, _KIND, _NONE),
+    "bulk_lfc": (_ROOT, _KIND | {"radius_a"}, frozenset({"f0_source"})),
+    "mirror": (_ROOT - {"medium"}, _KIND | {"handedness", "z_m"}, _PLANAR_METHOD),
+    "halfspace": (_ROOT, _KIND | {"z_m"}, _PLANAR_METHOD),
+}
+
+
 def _complex_from(node, where: str, omega: float) -> complex:
     """A response channel: a number, an [re, im] pair or a model object
     evaluated at ``omega``."""
     if isinstance(node, dict):
         model = node.get("model")
-        if model == "lorentz":
-            try:
-                bg = _real_from(node.get("background", 1.0), f"{where}.background")
-                s = _real_from(node["strength"], f"{where}.strength")
-                w0 = _real_from(node["omega0"], f"{where}.omega0")
-                g = _real_from(node["gamma"], f"{where}.gamma")
-            except KeyError as exc:
-                raise SchemaError(f"{where}: lorentz model needs strength, omega0, gamma") from exc
-            return bg + s * w0**2 / _lorentz_denominator(w0, g, omega, where)
-        if model == "lorentz_chiral":
-            try:
-                s = _real_from(node["strength"], f"{where}.strength")
-                w0 = _real_from(node["omega0"], f"{where}.omega0")
-                g = _real_from(node["gamma"], f"{where}.gamma")
-            except KeyError as exc:
-                raise SchemaError(f"{where}: lorentz_chiral model needs strength, omega0, gamma") from exc
-            return s * w0 * omega / _lorentz_denominator(w0, g, omega, where)
-        raise SchemaError(f"{where}: unknown response model {model!r}")
+        if model not in ("lorentz", "lorentz_chiral"):
+            raise SchemaError(f"{where}: unknown response model {model!r}")
+        _fields(node, where, _MODEL, _BACKGROUND if model == "lorentz" else _NONE)
+        s, w0, g, bg = (_real_from(node.get(key, 1.0), f"{where}.{key}")
+                        for key in ("strength", "omega0", "gamma", "background"))
+        den = w0**2 - omega**2 - 1j * g * omega
+        if den == 0:
+            raise PoleError(f"{where}: Lorentz model on resonance (omega0 = {w0!r}) with zero damping")
+        return bg + s * w0**2 / den if model == "lorentz" else s * w0 * omega / den
     if isinstance(node, (int, float, list)):
         return _number_from(node, where)
     raise SchemaError(f"{where}: expected number, [re, im] or model object")
@@ -135,32 +159,31 @@ def _vector3_from(node, where: str) -> np.ndarray:
     return np.array([_number_from(c, f"{where}[{i}]") for i, c in enumerate(node)])
 
 
+def _bool_from(node, where: str) -> bool:
+    if isinstance(node, bool):
+        return node
+    raise SchemaError(f"{where}: expected true or false, got {node!r}")
+
+
 def parse_molecule(node, where: str = "molecule") -> TransitionDipoles:
-    if not isinstance(node, dict):
-        raise SchemaError(f"{where}: expected an object")
-    for key in ("d", "m", "omega_ik"):
-        if key not in node:
-            raise SchemaError(f"{where}: missing required field {key!r}")
+    _fields(node, where, _MOLECULE, _ISOTROPIC)
     omega = node["omega_ik"]
     if not (_finite(omega) and omega > 0):
         raise SchemaError(f"{where}.omega_ik: must be a positive finite number (rad/s)")
+    isotropic = _bool_from(node.get("isotropic", False), f"{where}.isotropic")
     try:
         return TransitionDipoles(
             d=_vector3_from(node["d"], f"{where}.d"),
             m=_vector3_from(node["m"], f"{where}.m"),
             omega_ik=float(omega),
-            isotropic=bool(node.get("isotropic", False)),
+            isotropic=isotropic,
         )
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def parse_medium(node, omega: float, where: str = "medium") -> MediumResponse:
-    if not isinstance(node, dict):
-        raise SchemaError(f"{where}: expected an object")
-    for key in ("eps", "mu", "kappa"):
-        if key not in node:
-            raise SchemaError(f"{where}: missing required field {key!r}")
+    _fields(node, where, _MEDIUM)
     return MediumResponse(
         eps=_complex_from(node["eps"], f"{where}.eps", omega),
         mu=_complex_from(node["mu"], f"{where}.mu", omega),
@@ -169,35 +192,31 @@ def parse_medium(node, omega: float, where: str = "medium") -> MediumResponse:
     )
 
 
-def _choose_limit(method_node, omega: float, z_m: float) -> Limit:
-    name = method_node.get("limit", "auto")
+def _choose_limit(name, omega: float, z_m: float) -> Limit:
+    """The ``method.limit`` value; ``"auto"`` takes each closed form inside
+    its range of k0 z and the numeric pathway between them."""
+    if name == "auto":
+        k0z = omega * z_m / CONSTANTS.c
+        if k0z < NONRETARDED_BELOW:
+            return Limit.NONRETARDED
+        if k0z > RETARDED_ABOVE:
+            return Limit.RETARDED
+        return Limit.NUMERIC
     if name in ("retarded", "nonretarded", "numeric"):
         return Limit(name)
-    if name != "auto":
-        raise SchemaError(f"method.limit: unknown value {name!r}")
-    thresholds = method_node.get("auto_thresholds", [NONRETARDED_BELOW, RETARDED_ABOVE])
-    if not (isinstance(thresholds, list) and len(thresholds) == 2):
-        raise SchemaError("method.auto_thresholds: expected a [below, above] pair of k0 z values")
-    lo, hi = (_real_from(v, f"method.auto_thresholds[{i}]") for i, v in enumerate(thresholds))
-    k0z = omega * z_m / CONSTANTS.c
-    if k0z < lo:
-        return Limit.NONRETARDED
-    if k0z > hi:
-        return Limit.RETARDED
-    return Limit.NUMERIC
+    raise SchemaError(f"method.limit: unknown value {name!r}")
 
 
 def parse_quadrature(node) -> QuadratureSpec:
     if node is None:
         return QuadratureSpec()
-    if not isinstance(node, dict):
-        raise SchemaError("method.quadrature: expected an object")
-    kwargs = {}
-    for key, value in node.items():
-        if key not in ("rel_tol", "max_panels"):
-            raise SchemaError(f"method.quadrature: unknown key {key!r}; the keys are rel_tol and max_panels")
-        number = _real_from(value, f"method.quadrature.{key}")
-        kwargs[key] = int(number) if key == "max_panels" else number
+    _fields(node, "method.quadrature", _NONE, _QUADRATURE)
+    kwargs = {key: _real_from(value, f"method.quadrature.{key}") for key, value in node.items()}
+    if "max_panels" in kwargs:
+        panels = kwargs["max_panels"]
+        if not panels.is_integer():
+            raise SchemaError(f"method.quadrature.max_panels: expected a whole number, got {panels!r}")
+        kwargs["max_panels"] = int(panels)
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -206,64 +225,41 @@ def parse_quadrature(node) -> QuadratureSpec:
 
 def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     """Validate and execute one scenario; returns (breakdown, annotations)."""
-    if not isinstance(scenario, dict):
-        raise SchemaError("scenario: expected a JSON object")
-    mol = parse_molecule(scenario.get("molecule"))
-    geom_node = scenario.get("geometry")
-    if not isinstance(geom_node, dict) or "kind" not in geom_node:
-        raise SchemaError("geometry: expected an object with a 'kind' field")
-    kind = geom_node["kind"]
-    method_node = scenario.get("method", {})
-    if not isinstance(method_node, dict):
-        raise SchemaError("method: expected an object")
-    quad = parse_quadrature(method_node.get("quadrature"))
-    annotations: dict = {"geometry": kind}
-
-    if kind in ("bulk", "bulk_lfc", "halfspace"):
-        med = parse_medium(scenario.get("medium"), mol.omega_ik)
-    elif kind == "mirror":
-        med = None
-    else:
-        raise SchemaError(f"geometry.kind: unknown value {kind!r}")
+    geometry = scenario.get("geometry") if isinstance(scenario, dict) else None
+    kind = geometry.get("kind") if isinstance(geometry, dict) else None
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise SchemaError(f"geometry.kind: must be one of {', '.join(_KINDS)}, got {kind!r}")
+    root_fields, geometry_fields, method_fields = _KINDS[kind]
+    _fields(scenario, "", root_fields, _METHOD)
+    _fields(geometry, "geometry", geometry_fields)
+    method = _fields(scenario.get("method", {}), "method", _NONE, method_fields)
+    mol = parse_molecule(scenario["molecule"])
+    med = None if kind == "mirror" else parse_medium(scenario["medium"], mol.omega_ik)
 
     if kind == "bulk":
-        breakdown = rates_bulk(med, mol)
-        annotations["limit"] = "static"
-    elif kind == "bulk_lfc":
-        if "radius_a" not in geom_node:
-            raise SchemaError("geometry: bulk_lfc requires 'radius_a' (m)")
-        cav = CavityConfig(radius_a=_real_from(geom_node["radius_a"], "geometry.radius_a"), host=med)
-        f0_source = method_node.get("f0_source", "appendix")
+        return rates_bulk(med, mol), {"geometry": kind, "limit": "static"}
+    if kind == "bulk_lfc":
+        cav = CavityConfig(radius_a=_real_from(geometry["radius_a"], "geometry.radius_a"), host=med)
+        f0_source = method.get("f0_source", "appendix")
         if f0_source not in ("appendix", "main"):
             raise SchemaError(f"method.f0_source: must be 'appendix' or 'main', got {f0_source!r}")
-        breakdown = rates_lfc(cav, mol, f0_source=f0_source)
-        annotations["limit"] = "small_radius"
+        return rates_lfc(cav, mol, f0_source=f0_source), {"geometry": kind, "limit": "small_radius"}
+
+    quad = parse_quadrature(method.get("quadrature"))  # the mirror validates it and uses none
+    compare = _bool_from(method.get("compare_numeric", False), "method.compare_numeric")
+    z_m = _real_from(geometry["z_m"], "geometry.z_m")
+    limit = _choose_limit(method.get("limit", "auto"), mol.omega_ik, z_m)
+    annotations = {"geometry": kind, "limit": limit.value}
+    if kind == "mirror":
+        hand = geometry["handedness"]
+        if hand not in ("right", "left"):
+            raise SchemaError(f"geometry.handedness: must be 'right' or 'left', got {hand!r}")
+        rates, geom, options = rates_mirror, PlanarGeometry(z_m=z_m, handedness=Handedness(hand)), {}
     else:
-        if "z_m" not in geom_node:
-            raise SchemaError(f"geometry: {kind} requires 'z_m' (m)")
-        z_m = _real_from(geom_node["z_m"], "geometry.z_m")
-        limit = _choose_limit(method_node, mol.omega_ik, z_m)
-        annotations["limit"] = limit.value
-        if kind == "mirror":
-            hand = geom_node.get("handedness", "right")
-            if hand not in ("right", "left"):
-                raise SchemaError("geometry.handedness: must be 'right' or 'left'")
-            drreths_form = method_node.get("drreths_form", "dimensional")
-            if drreths_form not in ("dimensional", "printed"):
-                raise SchemaError(
-                    f"method.drreths_form: must be 'dimensional' or 'printed', got {drreths_form!r}"
-                )
-            geom = PlanarGeometry(z_m=z_m, handedness=Handedness(hand))
-            breakdown = rates_mirror(geom, mol, limit, drreths_form=drreths_form)
-            if method_node.get("compare_numeric") and limit is not Limit.NUMERIC:
-                other = rates_mirror(geom, mol, Limit.NUMERIC)
-                annotations["comparison"] = _compare(breakdown, other)
-        else:
-            geom = PlanarGeometry(z_m=z_m, medium=med)
-            breakdown = rates_halfspace(geom, mol, limit, spec=quad)
-            if method_node.get("compare_numeric") and limit is not Limit.NUMERIC:
-                other = rates_halfspace(geom, mol, Limit.NUMERIC, spec=quad)
-                annotations["comparison"] = _compare(breakdown, other)
+        rates, geom, options = rates_halfspace, PlanarGeometry(z_m=z_m, medium=med), {"spec": quad}
+    breakdown = rates(geom, mol, limit, **options)
+    if compare and limit is not Limit.NUMERIC:
+        annotations["comparison"] = _compare(breakdown, rates(geom, mol, Limit.NUMERIC, **options))
     return breakdown, annotations
 
 
@@ -432,6 +428,14 @@ def _parse_complex_arg(text: str, name: str) -> complex:
     return complex(_real_from(real, f"--{name}"), _real_from(imag, f"--{name}"))
 
 
+def _load_scenario(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or bytes that are not UTF-8
+        raise SchemaError(f"cannot load scenario {path!r}: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chipurcell",
@@ -470,12 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rate":
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    scenario = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SchemaError(f"cannot load scenario {args.config!r}: {exc}") from exc
-            breakdown, annotations = run_scenario(scenario)
+            breakdown, annotations = run_scenario(_load_scenario(args.config))
             d = _breakdown_dict(breakdown, annotations)
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -487,11 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _print_human(d, sys.stdout)
             return EXIT_OK
         if args.command == "sweep":
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    scenario = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SchemaError(f"cannot load scenario {args.config!r}: {exc}") from exc
+            scenario = _load_scenario(args.config)
             lines = run_sweep(scenario, args.param, args.lo, args.hi, args.points, args.log)
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")

@@ -525,23 +525,15 @@ def _warn_limit(limit: Limit, k0z: float):
         )
 
 
-def rates_mirror(
-    geom: PlanarGeometry,
-    mol: TransitionDipoles,
-    limit: Limit,
-    drreths_form: str = "dimensional",
-) -> RateBreakdown:
+def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> RateBreakdown:
     """Decay-rate breakdown in front of a perfect chiral mirror.
 
     The scattering contribution is purely chiral in the nonretarded limit
     (the idealized dielectric-mirror electric part vanishes there); in the
-    retarded limit the electric scattering part has two published
-    normalizations selected by ``drreths_form``:
-
-    * ``"dimensional"`` (default): mu0 w^2 |d_par|^2 sin(2wz/c)/(8 pi hbar z),
-      consistent in units with the electric master formula;
-    * ``"printed"``: the same expression without the w^2 factor, retained
-      verbatim for cross-checking (its units are anomalous).
+    retarded limit the electric scattering part is
+    mu0 w^2 |d_par|^2 sin(2wz/c)/(8 pi hbar z), consistent in units with the
+    electric master formula (``gamma_el_mirror_retarded_variant`` keeps the
+    published form without the w^2).
 
     The mirror's reflections are constant, so its exact wavevector integral
     is elementary: ``Limit.NUMERIC`` contracts that closed-form curl
@@ -556,8 +548,6 @@ def rates_mirror(
     """
     if geom.handedness is None:
         raise PhysicsError("mirror geometry requires a handedness")
-    if drreths_form not in ("dimensional", "printed"):
-        raise ValueError(f"unknown drreths_form {drreths_form!r}")
     z = geom.z_m
     w = mol.omega_ik
     c = CONSTANTS
@@ -570,11 +560,7 @@ def rates_mirror(
         _warn_limit(limit, k0 * z)
         osc = np.sin(2.0 * w * z / c.c)
         g_ch = sgn * c.mu0 * w * _r_par(mol) * osc / (6.0 * np.pi * c.hbar * z**2)
-        dsq = _d_par_sq(mol)
-        if drreths_form == "dimensional":
-            g_el = c.mu0 * w**2 * dsq * osc / (8.0 * np.pi * c.hbar * z)
-        else:  # "printed"
-            g_el = c.mu0 * dsq * osc / (8.0 * np.pi * c.hbar * z)
+        g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
     elif limit is Limit.NONRETARDED:
         _warn_limit(limit, k0 * z)
         g_ch = sgn * c.mu0 * c.c * _r_full_z(mol) / (6.0 * np.pi * c.hbar * z**3)
@@ -682,6 +668,14 @@ def rates_halfspace(
 # pinned by a test to its own formula; their relation to the rate quotients
 # above is documented where they differ.
 # ---------------------------------------------------------------------------
+
+def gamma_el_mirror_retarded_variant(mol: TransitionDipoles, z_m: float) -> float:
+    """Far-field mirror electric rate as printed, mu0 |d_par|^2 sin(2wz/c)/(8 pi hbar z),
+    in anomalous units: rates_mirror's retarded electric rate is this times w^2."""
+    c = CONSTANTS
+    osc = np.sin(2.0 * mol.omega_ik * z_m / c.c)
+    return c.mu0 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z_m)
+
 
 def gamma_ch_mirror_nonretarded_variant(
     mol: TransitionDipoles, z_m: float, handedness: Handedness

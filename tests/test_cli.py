@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -51,6 +52,12 @@ NUMERIC = {**HALFSPACE, "method": {"limit": "numeric"}}
 AUTO = {**HALFSPACE, "method": {"limit": "auto"}}
 LFC = {**BULK, "geometry": {"kind": "bulk_lfc", "radius_a": 1.0e-9}}
 LORENTZ = {"model": "lorentz", "strength": 1e-30, "omega0": 1, "gamma": 0}
+# undamped models off resonance: a lossless medium
+LORENTZ_BULK = {**BULK, "medium": {
+    "eps": {"model": "lorentz", "background": 1.5, "strength": 0.8, "omega0": 5.0e15, "gamma": 0.0},
+    "mu": [1.0, 0.0],
+    "kappa": {"model": "lorentz_chiral", "strength": 1e-3, "omega0": 5.0e15, "gamma": 0.0},
+}}
 
 
 class TestRunScenario:
@@ -287,6 +294,10 @@ class TestExitCodesAndGolden:
         del scen["molecule"]
         cfg2.write_text(json.dumps(scen))
         assert main(["rate", "--config", str(cfg2)]) == EXIT_SCHEMA
+        # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback (exit 1)
+        cfg3 = tmp_path / "not_utf8.json"
+        cfg3.write_bytes(b"\xff\xfe{}")
+        assert main(["rate", "--config", str(cfg3)]) == EXIT_SCHEMA
         capsys.readouterr()
 
     def test_physics_exit_code(self, tmp_path, capsys):
@@ -430,9 +441,9 @@ class TestExitCodesAndGolden:
         (NUMERIC, "method.quadrature", {"abs_floor": 1e-300}, "abs_floor"),
         (NUMERIC, "method.quadrature", {"evanescent_cutoff_u": 40.0}, "evanescent_cutoff_u"),
         (NUMERIC, "method.quadrature", {"reltol": 1e-8}, "reltol"),
+        # removed method keys are unknown fields
         (AUTO, "method.auto_thresholds", "ab", "method.auto_thresholds"),
         (AUTO, "method.auto_thresholds", [1], "method.auto_thresholds"),
-        (AUTO, "method.auto_thresholds", [None, 2], "method.auto_thresholds[0]"),
         (MIRROR, "method.drreths_form", "metric", "method.drreths_form"),
         (LFC, "method.f0_source", "paper", "method.f0_source"),
         # non-finite numbers, which would run on into the physics and end in
@@ -447,11 +458,47 @@ class TestExitCodesAndGolden:
         (BULK, "molecule.m", [[0.0, 0.0], LORENTZ, [0.0, 0.0]], "molecule.m[1]"),
         (BULK, "medium.kappa", {"model": "lorentz_chiral", "strength": float("nan"),
                                 "omega0": 5.0e15, "gamma": 0.0}, "medium.kappa.strength"),
+        # each of these ran: a misspelt limit as the auto choice (here the
+        # retarded closed form), a mirror's medium and a bulk radius_a
+        # unread, a string flag as its truth value, and a fractional panel
+        # cap rounded down
+        ({**MIRROR, "method": {}}, "method.limt", "numeric", "method.limt"),
+        (MIRROR, "medium", BULK["medium"], "medium"),
+        (BULK, "geometry.radius_a", 1.0e-9, "geometry.radius_a"),
+        (HALFSPACE, "molecule.isotropic", "false", "molecule.isotropic"),
+        (HALFSPACE, "method.compare_numeric", "no", "method.compare_numeric"),
+        (NUMERIC, "method.quadrature", {"max_panels": 2.9}, "method.quadrature.max_panels"),
+        # the fields of one kind are unknown in another
+        (BULK, "method.limit", "numeric", "method.limit"),
+        (LFC, "method.quadrature", {}, "method.quadrature"),
+        (HALFSPACE, "geometry.handedness", "left", "geometry.handedness"),
+        (MIRROR, "method.f0_source", "main", "method.f0_source"),
+        # a field outside its object's set, in every object
+        (BULK, "typo", 1.0, "typo"),
+        (BULK, "molecule.typo", 1.0, "molecule.typo"),
+        (BULK, "medium.typo", 1.0, "medium.typo"),
+        (LORENTZ_BULK, "medium.eps.typo", 1.0, "medium.eps.typo"),
+        (LORENTZ_BULK, "medium.kappa.typo", 1.0, "medium.kappa.typo"),
+        (BULK, "geometry.typo", 1.0, "geometry.typo"),
+        (LFC, "geometry.typo", 1.0, "geometry.typo"),
+        (MIRROR, "geometry.typo", 1.0, "geometry.typo"),
+        (HALFSPACE, "geometry.typo", 1.0, "geometry.typo"),
+        (BULK, "method.typo", 1.0, "method.typo"),
+        (LFC, "method.typo", 1.0, "method.typo"),
+        (MIRROR, "method.typo", 1.0, "method.typo"),
+        (HALFSPACE, "method.typo", 1.0, "method.typo"),
+        (NUMERIC, "method.quadrature", {"typo": 1.0}, "method.quadrature.typo"),
     ], ids=["z_m-string", "radius_a-string", "rel_tol-string", "max_panels-string",
             "quadrature-abs_floor", "quadrature-cutoff", "quadrature-typo",
-            "thresholds-string", "thresholds-short", "thresholds-null", "drreths_form-unknown",
+            "thresholds-string", "thresholds-short", "drreths_form-unknown",
             "f0_source-unknown", "omega_ik-inf", "z_m-inf", "eps-nan", "d-inf", "d-model", "m-model",
-            "lorentz-nan"])
+            "lorentz-nan", "mirror-limit-typo", "mirror-medium", "bulk-radius_a",
+            "isotropic-string", "compare_numeric-string", "max_panels-fraction",
+            "bulk-limit", "lfc-quadrature", "halfspace-handedness", "mirror-f0_source",
+            "extra-root", "extra-molecule", "extra-medium", "extra-lorentz", "extra-lorentz_chiral",
+            "extra-geometry-bulk", "extra-geometry-bulk_lfc", "extra-geometry-mirror",
+            "extra-geometry-halfspace", "extra-method-bulk", "extra-method-bulk_lfc",
+            "extra-method-mirror", "extra-method-halfspace", "extra-quadrature"])
     def test_malformed_scalar_exits_schema(self, tmp_path, capsys, base, path, value, field):
         scen = copy.deepcopy(base)
         *parents, leaf = path.split(".")
@@ -463,6 +510,32 @@ class TestExitCodesAndGolden:
         cfg.write_text(json.dumps(scen))  # NaN and inf are written as the tokens NaN and Infinity
         code = main(["rate", "--config", str(cfg)])
         assert field in capsys.readouterr().err
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("base, path", [
+        # a mirror without handedness was right-handed, which fixes the sign
+        # of every chiral rate
+        (MIRROR, "geometry.handedness"),
+        (MIRROR, "geometry.z_m"),
+        (LFC, "geometry.radius_a"),
+        (HALFSPACE, "medium"),
+        (BULK, "medium.kappa"),
+        (BULK, "molecule.omega_ik"),
+        (LORENTZ_BULK, "medium.eps.strength"),
+        (LORENTZ_BULK, "medium.kappa.gamma"),
+    ], ids=["mirror-handedness", "mirror-z_m", "lfc-radius_a", "halfspace-medium", "bulk-kappa",
+            "bulk-omega_ik", "lorentz-strength", "lorentz_chiral-gamma"])
+    def test_missing_field_exits_schema(self, tmp_path, capsys, base, path):
+        scen = copy.deepcopy(base)
+        *parents, leaf = path.split(".")
+        node = scen
+        for key in parents:
+            node = node[key]
+        del node[leaf]
+        cfg = tmp_path / "missing.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert capsys.readouterr().err.startswith(f"error (schema): {path}: missing required field")
         assert code == EXIT_SCHEMA
 
     @pytest.mark.parametrize("flag, value", [
@@ -515,6 +588,14 @@ class TestExitCodesAndGolden:
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    def test_readme_scenario_runs(self):
+        # the documented schema is the one the reader takes
+        blocks = re.findall(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.DOTALL)
+        assert blocks
+        for block in blocks:
+            b, _ = run_scenario(json.loads(block))
+            assert np.isfinite(b.gamma_ch)
+
     def test_rate_csv_header_frozen(self):
         assert RATE_CSV_HEADER == "geometry,method,limit,gamma_el,gamma_ch,gamma_vac,gamma_total,s_disc"
 
@@ -532,13 +613,16 @@ class TestExitCodesAndGolden:
 
 
 # Every medium with eps, mu and kappa drawn from these real values, in every
-# medium geometry and limit, for an isotropic and an anisotropic molecule.
+# medium geometry and limit, and the perfect mirror of either handedness in
+# every limit at the same k0 z, for an isotropic and an anisotropic molecule.
 DEGENERATE_VALUES = (0.0, 1.0, -1.0, 2.25, -2.25, 0.05, 12.0)
 _K0 = BULK["molecule"]["omega_ik"] / CONSTANTS.c
+_LIMIT_K0Z = {"nonretarded": 0.01, "retarded": 100.0, "numeric": 0.1}
 DEGENERATE_GEOMETRIES = {
-    "halfspace-nonretarded": ({"kind": "halfspace", "z_m": 0.01 / _K0}, {"limit": "nonretarded"}),
-    "halfspace-retarded": ({"kind": "halfspace", "z_m": 100.0 / _K0}, {"limit": "retarded"}),
-    "halfspace-numeric": ({"kind": "halfspace", "z_m": 0.1 / _K0}, {"limit": "numeric"}),
+    **{f"halfspace-{limit}": ({"kind": "halfspace", "z_m": k0z / _K0}, {"limit": limit})
+       for limit, k0z in _LIMIT_K0Z.items()},
+    **{f"mirror-{hand}-{limit}": ({"kind": "mirror", "handedness": hand, "z_m": k0z / _K0}, {"limit": limit})
+       for hand in ("right", "left") for limit, k0z in _LIMIT_K0Z.items()},
     "bulk": ({"kind": "bulk"}, {}),
     "bulk_lfc": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {}),
 }
@@ -555,13 +639,15 @@ def test_degenerate_grid_ends_finite_or_typed(geometry):
     """Each scenario returns finite fields or raises a typed error, and no
     warning escapes: the ending the CLI maps to exit 0, 2, 3 or 4."""
     geom, method = DEGENERATE_GEOMETRIES[geometry]
+    # a mirror has no medium
+    media = [()] if geom["kind"] == "mirror" else itertools.product(DEGENERATE_VALUES, repeat=3)
     failures = []
-    for mol, (eps, mu, kappa) in itertools.product(
-        (BULK["molecule"], ANISOTROPIC), itertools.product(DEGENERATE_VALUES, repeat=3)
-    ):
-        scen = {"molecule": mol, "geometry": geom, "method": method,
-                "medium": {"eps": [eps, 0.0], "mu": [mu, 0.0], "kappa": [kappa, 0.0]}}
-        case = (mol["isotropic"], eps, mu, kappa)
+    returned = 0
+    for mol, medium in itertools.product((BULK["molecule"], ANISOTROPIC), media):
+        scen = {"molecule": mol, "geometry": geom, "method": method}
+        if medium:
+            scen["medium"] = dict(zip(("eps", "mu", "kappa"), ([v, 0.0] for v in medium)))
+        case = (mol["isotropic"], *medium)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -574,4 +660,6 @@ def test_degenerate_grid_ends_finite_or_typed(geometry):
         fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
         if not np.isfinite(fields).all():
             failures.append((case, fields))
+        returned += 1
     assert failures == []
+    assert returned > 0  # the scenarios are well formed: some return

@@ -27,6 +27,7 @@ from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, Qu
 from chipurcell.halfspace import (
     _run_quadrature,
     gamma_ch_mirror_nonretarded_variant,
+    gamma_el_mirror_retarded_variant,
     s_halfspace_nonretarded_variant,
     s_mirror_nonretarded_variant,
 )
@@ -347,12 +348,6 @@ class TestMirrorRates:
             assert b.gamma_ch == gamma_ch_from_curl(hs._mirror_curl(geom, W), mol_aniso, Contraction.PLANAR_PAPER)
         assert results == []
 
-    @pytest.mark.parametrize("limit", list(Limit))
-    def test_unknown_drreths_form_raises(self, limit, mol_iso):
-        geom = PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT)
-        with pytest.raises(ValueError, match="unknown drreths_form 'bogus'"):
-            quiet(rates_mirror, geom, mol_iso, limit, drreths_form="bogus")
-
     def test_sine_node_kills_far_field_rate(self, mol_iso):
         z = np.pi / 2 * CONSTANTS.c / W  # 2 w z / c = pi
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
@@ -411,12 +406,16 @@ class TestMirrorRates:
         assert b.s_disc == pytest.approx(b.gamma_ch / b.gamma_vac, rel=1e-13)
 
     def test_drreths_forms(self, mol_iso):
+        """The printed far-field electric rate, pinned to its own formula, is
+        the dimensional one over w^2."""
         z = 12.0 / K0
-        geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        dim = rates_mirror(geom, mol_iso, Limit.RETARDED, drreths_form="dimensional")
-        pri = rates_mirror(geom, mol_iso, Limit.RETARDED, drreths_form="printed")
-        assert dim.gamma_el == pytest.approx(pri.gamma_el * W**2, rel=1e-12)
-        assert dim.gamma_ch == pri.gamma_ch
+        c = CONSTANTS
+        printed = gamma_el_mirror_retarded_variant(mol_iso, z)
+        d_par_sq = 2.0 / 3.0 * mol_iso.d_norm_sq
+        assert printed == pytest.approx(
+            c.mu0 * d_par_sq * np.sin(2 * W * z / c.c) / (8 * np.pi * c.hbar * z), rel=1e-14)
+        dim = rates_mirror(PlanarGeometry(z_m=z, handedness=Handedness.RIGHT), mol_iso, Limit.RETARDED)
+        assert dim.gamma_el == pytest.approx(printed * W**2, rel=1e-12)
 
     def test_total_assembly(self, mol_iso):
         geom = PlanarGeometry(z_m=11.0 / K0, handedness=Handedness.RIGHT)
