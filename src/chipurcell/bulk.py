@@ -22,14 +22,7 @@ from .constants import CONSTANTS
 from .errors import LosslessRequiredError, PhysicsError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
-from .rates import (
-    Contraction,
-    Method,
-    RateBreakdown,
-    degree_of_discrimination,
-    gamma_ch_from_curl,
-    gamma_vacuum,
-)
+from .rates import Method, RateBreakdown, degree_of_discrimination, gamma_vacuum
 
 @dataclass(frozen=True)
 class CircularWaveNumbers:
@@ -89,13 +82,12 @@ def gamma_ch_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
 
     Closed form -(2 mu w^3 kappa R / (hbar eps0 pi c^4)) (n_r + kappa^2/(3 n_r)),
     reducing to the familiar -2 mu n_r w^3 kappa R/(hbar eps0 pi c^4) at small
-    kappa. Negative for matching signs of kappa and R. Anisotropic molecules go
-    through the explicit contraction (identical here, the curl is isotropic).
+    kappa. Negative for matching signs of kappa and R. The coincident curl is
+    a multiple of the identity, so this form in R is exact for every molecule,
+    isotropic or not.
     """
     _require_lossless(med, "gamma_ch_bulk")
     _require_propagating(med, "gamma_ch_bulk")
-    if not mol.isotropic:
-        return gamma_ch_from_curl(curl_img_g0_coincident(med), mol, Contraction.BULK_LOCKED)
     c = CONSTANTS
     n_r = med.n_r.real
     kap = complex(med.kappa).real

@@ -73,10 +73,9 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _finite(node) -> bool:
-    """Whether a scenario value is a finite number (a JSON bool counts as 0
-    or 1)."""
+    """Whether a scenario value is a finite number; a JSON bool is not one."""
     # the comparison fails for NaN, and for an integer beyond the float range
-    return isinstance(node, (int, float)) and abs(node) <= _FLOAT_MAX
+    return isinstance(node, (int, float)) and not isinstance(node, bool) and abs(node) <= _FLOAT_MAX
 
 
 def _real_from(node, where: str) -> float:

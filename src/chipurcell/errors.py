@@ -28,14 +28,5 @@ class PoleError(PhysicsError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge.
-
-    Attributes
-    ----------
-    err_estimate : float
-        Achieved absolute error estimate at the point of failure.
-    """
-
-    def __init__(self, message: str, err_estimate: float = float("nan")):
-        super().__init__(message)
-        self.err_estimate = err_estimate
+    """Adaptive quadrature failed to converge; the message names the
+    channel and its error estimate."""

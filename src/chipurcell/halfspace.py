@@ -66,6 +66,7 @@ from .rates import (
     Contraction,
     Method,
     RateBreakdown,
+    contract,
     degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_el_from_img,
@@ -351,8 +352,7 @@ def _run_quadrature(res: QuadratureResult) -> np.ndarray:
     raise QuadratureError(
         f"steepest-descent quadrature did not converge in channel {_CHANNELS[i]} "
         f"(err={res.err_estimate[i]:.3e}, value={abs(res.value[i]):.3e}, "
-        f"panels={res.panels_used})",
-        err_estimate=float(res.err_estimate[i]),
+        f"panels={res.panels_used})"
     )
 
 
@@ -477,35 +477,22 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
 # Closed-form rates
 # ---------------------------------------------------------------------------
 
-# The chiral responses of the planar closed forms, each weighted so that an
-# isotropic molecule gives its orientation average, R = Im(d . m*) for the
-# first two and zero for the third.
-
-def _r_par(mol: TransitionDipoles) -> float:
-    """(3/2) Im(d_par . m_par*), the parallel-dipole chiral response."""
-    if mol.isotropic:
-        return rotatory_strength(mol)
-    return 1.5 * float(np.imag(mol.d[0] * np.conj(mol.m[0]) + mol.d[1] * np.conj(mol.m[1])))
-
-
-def _r_full_z(mol: TransitionDipoles) -> float:
-    """(3/4) Im(d . m* + d_z m_z*), the full + z-weighted chiral response."""
-    if mol.isotropic:
-        return rotatory_strength(mol)
-    return 0.75 * float(np.imag(np.dot(mol.d, np.conj(mol.m)) + mol.d[2] * np.conj(mol.m[2])))
+# The dipole responses of the planar closed forms are contractions with
+# constant weight matrices. Their traces, 3, 3, 0 and 2, make the orientation
+# average of an isotropic molecule R = Im(d . m*), R, 0 and (2/3)|d|^2. They
+# are complex so that the contraction with the complex dipoles casts nothing.
+_PAR = np.diag([1.5, 1.5, 0.0]).astype(complex)          # (3/2) Im(d_par . m_par*)
+_FULL_Z = np.diag([0.75, 0.75, 1.5]).astype(complex)     # (3/4) Im(d . m* + d_z m_z*)
+_CROSS_Z = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)  # Im[(d x m*) . e_z]
+_D_PAR = np.diag([1.0, 1.0, 0.0]).astype(complex)        # |d_par|^2
 
 
-def _im_cross_z(mol: TransitionDipoles) -> float:
-    """Im[(d x m*) . e_z]; zero for d || m real-phased."""
-    if mol.isotropic:
-        return 0.0
-    return float(np.imag(mol.d[0] * np.conj(mol.m[1]) - mol.d[1] * np.conj(mol.m[0])))
+def _chiral(mol: TransitionDipoles, weight: np.ndarray) -> float:
+    return float(np.imag(contract(mol, mol.d, weight, mol.m)))
 
 
 def _d_par_sq(mol: TransitionDipoles) -> float:
-    if mol.isotropic:
-        return 2.0 / 3.0 * mol.d_norm_sq
-    return float(abs(mol.d[0]) ** 2 + abs(mol.d[1]) ** 2)
+    return float(np.real(contract(mol, mol.d, _D_PAR, mol.d)))
 
 
 def _warn_limit(limit: Limit, k0z: float):
@@ -559,11 +546,11 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
     if limit is Limit.RETARDED:
         _warn_limit(limit, k0 * z)
         osc = np.sin(2.0 * w * z / c.c)
-        g_ch = sgn * c.mu0 * w * _r_par(mol) * osc / (6.0 * np.pi * c.hbar * z**2)
+        g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
         g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
     elif limit is Limit.NONRETARDED:
         _warn_limit(limit, k0 * z)
-        g_ch = sgn * c.mu0 * c.c * _r_full_z(mol) / (6.0 * np.pi * c.hbar * z**3)
+        g_ch = sgn * c.mu0 * c.c * _chiral(mol, _FULL_Z) / (6.0 * np.pi * c.hbar * z**3)
         g_el = 0.0
     else:
         g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
@@ -627,8 +614,8 @@ def rates_halfspace(
         osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
         diag = r_ss + r_pp
         osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
-        g_ch = (c.mu0 * w**2 * _r_par(mol) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
-                + c.mu0 * w**2 * _im_cross_z(mol) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
+        g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
+                + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
         r_s = (np.sqrt(complex(med.mu)) - np.sqrt(complex(med.eps))) / (
             np.sqrt(complex(med.mu)) + np.sqrt(complex(med.eps))
         )
@@ -642,8 +629,8 @@ def rates_halfspace(
             raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
         r_ss, r_pp, r_sp = fresnel_nonretarded(med)
         g_ch = float(np.real(
-            -1j * w * _r_full_z(mol) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
-            - c.mu0 * w**2 * _im_cross_z(mol) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
+            -1j * w * _chiral(mol, _FULL_Z) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
+            - c.mu0 * w**2 * _chiral(mol, _CROSS_Z) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
         ))
         g_el = 0.0  # the near-field reflections of a lossless medium are real: Im G vanishes
     else:

@@ -2,7 +2,8 @@
 (real-cavity model) carved out of the chiral medium.
 
 Closed-form cavity coefficients and correction factors are small-radius
-asymptotics; operations guard k0*a against the validity threshold. Two
+asymptotics; ``curl_img_lfc``, ``gamma_ch_lfc`` and ``gamma_el_lfc`` guard
+k0*a against the validity threshold on entry, whatever the host. Two
 inequivalent normalizations of the chiral correction factor f0 circulate
 (the module-level rational function of (eps, mu) and a mode-resolved form
 built from the circular wave numbers); see ``f0_main``. They do not agree
@@ -216,33 +217,21 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     Lossless host: f0 * gamma_ch_bulk, with ``f0_source`` selecting between
     the rational-factor normalization ("appendix", default) and the
     mode-resolved one ("main"); see module docstring. Absorbing host: the
-    leading 1/a^3 order,
-    6 R B / (pi hbar eps0 c a^3 |2 eps + 1|^2 |2 mu + 1|^2) with
-    B = 2 Re kappa [(2 Re eps + 1) Im mu + Im eps (2 Re mu + 1)]
-        - Im kappa [(2 Re eps + 1)(2 Re mu + 1) - 4 Im eps Im mu],
-    which vanishes for fully real parameters (the 1/a^3 term is purely
-    dispersive there).
+    leading 1/a^3 order, -4 R Im(kappa f3) / (pi hbar eps0 c a^3), which is
+    the negated BULK_LOCKED contraction of the 1/a^3 term of
+    ``curl_img_lfc`` and vanishes for fully real parameters (the 1/a^3 term
+    is purely dispersive there). Either host raises RadiusTooLargeError
+    outside the small-cavity range.
     """
     if f0_source not in ("appendix", "main"):
         raise ValueError(f"unknown f0_source {f0_source!r}")
+    cav.check_small_radius()
     med = cav.host
     if med.lossless:
         return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
-    cav.check_small_radius()
     c = CONSTANTS
-    eps, mu, kap = complex(med.eps), complex(med.mu), complex(med.kappa)
-    bracket = (
-        2.0 * kap.real * (2.0 * eps.real + 1.0) * mu.imag
-        + 2.0 * kap.real * eps.imag * (2.0 * mu.real + 1.0)
-        - kap.imag * (2.0 * eps.real + 1.0) * (2.0 * mu.real + 1.0)
-        + 4.0 * kap.imag * eps.imag * mu.imag
-    )
-    return (
-        6.0 * rotatory_strength(mol)
-        / (cav.radius_a**3 * np.pi * c.hbar * c.eps0 * c.c * abs(2.0 * eps + 1.0) ** 2
-           * abs(2.0 * mu + 1.0) ** 2)
-        * bracket
-    )
+    im_kf3 = (complex(med.kappa) * f_factors(med).f3).imag
+    return -4.0 * rotatory_strength(mol) * im_kf3 / (np.pi * c.hbar * c.eps0 * c.c * cav.radius_a**3)
 
 
 def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
@@ -254,12 +243,12 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     a diagnostic warning) when Im eps = 0, i.e. for a host lossy in mu or
     kappa only.
     """
+    cav.check_small_radius()
     med = cav.host
     eps = complex(med.eps)
     if med.lossless:
         factor = abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2
         return factor * gamma_el_bulk(med, mol)
-    cav.check_small_radius()
     if eps.imag == 0:
         warnings.warn("absorbing gamma_el_lfc is zero for Im eps = 0", UserWarning, stacklevel=2)
         return 0.0

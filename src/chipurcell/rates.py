@@ -19,11 +19,13 @@ conventions differ by an overall sign of the symmetric-part contribution
 only; this mirrors a sign ambiguity between the bulk and planar families of
 closed forms that cannot be reconciled by any single ordering.
 
-For ``isotropic`` molecules all contractions are replaced by their rigid
-orientation average: <d_i m_j*> = (1/3) delta_ij (d . m*), which turns any
-matrix contraction into (1/3) Tr. This reproduces the familiar parallel
-projection factor 2/3 (for diag(1,1,0) matrices) and the full+z factor 4/3
-(for diag(1,1,2) matrices).
+Every dipole contraction in the package, these two and the planar closed
+forms' weighted responses, goes through ``contract``, the one place that
+reads ``TransitionDipoles.isotropic``. For an isotropic molecule it takes
+the rigid orientation average <a_i b_j*> = (1/3) delta_ij (a . b*), which
+turns any matrix contraction into (1/3) Tr. This reproduces the familiar
+parallel projection factor 2/3 (for diag(1,1,0) matrices) and the full+z
+factor 4/3 (for diag(1,1,2) matrices).
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ class RateBreakdown:
     details: dict = field(default_factory=dict)
 
 
+def contract(mol: TransitionDipoles, a: np.ndarray, t: np.ndarray, b: np.ndarray) -> complex:
+    """The dipole contraction a . t . b* for ``mol``, where a and b are its
+    dipoles and t is a 3x3 complex array; for an isotropic molecule, its
+    orientation average (1/3) Tr(t) (a . b*)."""
+    if mol.isotropic:
+        return t.trace() / 3.0 * a.dot(b.conj())
+    return a @ t @ b.conj()
+
+
 def gamma_ch_from_curl(
     curl: np.ndarray,
     mol: TransitionDipoles,
@@ -90,11 +101,7 @@ def gamma_ch_from_curl(
     t = np.asarray(curl, dtype=complex).reshape(3, 3)
     pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
     a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
-    if mol.isotropic:
-        scalar = np.trace(t) / 3.0 * np.dot(a, np.conj(b))
-    else:
-        scalar = a @ t @ np.conj(b)
-    return pref * float(np.imag(scalar))
+    return pref * float(np.imag(contract(mol, a, t, b)))
 
 
 def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
@@ -106,11 +113,7 @@ def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
     """
     t = np.asarray(img_g, dtype=complex).reshape(3, 3)
     pref = 2.0 * CONSTANTS.mu0 * mol.omega_ik**2 / CONSTANTS.hbar
-    if mol.isotropic:
-        scalar = np.trace(t) / 3.0 * mol.d_norm_sq
-    else:
-        scalar = mol.d @ t @ np.conj(mol.d)
-    return pref * float(np.real(scalar))
+    return pref * float(np.real(contract(mol, mol.d, t, mol.d)))
 
 
 def gamma_vacuum(mol: TransitionDipoles) -> float:

@@ -308,6 +308,19 @@ class TestExitCodesAndGolden:
         assert main(["rate", "--config", str(cfg)]) == EXIT_PHYSICS
         capsys.readouterr()
 
+    @pytest.mark.parametrize("eps", [[2.25, 0.0], [2.25, 0.1]], ids=["lossless", "absorbing"])
+    def test_large_cavity_exits_physics(self, tmp_path, capsys, eps):
+        # k0 a = 10: the lossless host printed rates under limit small_radius
+        # (exit 0), only the absorbing one was refused
+        scen = copy.deepcopy(LFC)
+        scen["medium"]["eps"] = eps
+        scen["geometry"]["radius_a"] = 1.0e-6
+        cfg = tmp_path / "large_cavity.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert "k0*a < 0.1" in capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+
     @pytest.mark.parametrize("field, model", [
         ("eps", {"model": "lorentz", "background": 1.5, "strength": 0.8}),
         ("kappa", {"model": "lorentz_chiral", "strength": 1e-3}),
@@ -468,6 +481,16 @@ class TestExitCodesAndGolden:
         (HALFSPACE, "molecule.isotropic", "false", "molecule.isotropic"),
         (HALFSPACE, "method.compare_numeric", "no", "method.compare_numeric"),
         (NUMERIC, "method.quadrature", {"max_panels": 2.9}, "method.quadrature.max_panels"),
+        # a JSON bool is not a number: each of these ran with it as 0 or 1,
+        # the mirror at z_m = true as a mirror at 1 m
+        (MIRROR, "geometry.z_m", True, "geometry.z_m"),
+        (BULK, "medium.mu", [True, False], "medium.mu"),
+        (BULK, "medium.eps", True, "medium.eps"),
+        (BULK, "molecule.omega_ik", True, "molecule.omega_ik"),
+        (BULK, "molecule.d", [[True, 0.0], [0.0, 0.0], [0.0, 0.0]], "molecule.d[0]"),
+        (LFC, "geometry.radius_a", True, "geometry.radius_a"),
+        (LORENTZ_BULK, "medium.eps.strength", True, "medium.eps.strength"),
+        (NUMERIC, "method.quadrature", {"max_panels": True}, "method.quadrature.max_panels"),
         # the fields of one kind are unknown in another
         (BULK, "method.limit", "numeric", "method.limit"),
         (LFC, "method.quadrature", {}, "method.quadrature"),
@@ -494,6 +517,8 @@ class TestExitCodesAndGolden:
             "f0_source-unknown", "omega_ik-inf", "z_m-inf", "eps-nan", "d-inf", "d-model", "m-model",
             "lorentz-nan", "mirror-limit-typo", "mirror-medium", "bulk-radius_a",
             "isotropic-string", "compare_numeric-string", "max_panels-fraction",
+            "z_m-bool", "mu-bool-pair", "eps-bool", "omega_ik-bool", "d-bool", "radius_a-bool",
+            "lorentz-bool", "max_panels-bool",
             "bulk-limit", "lfc-quadrature", "halfspace-handedness", "mirror-f0_source",
             "extra-root", "extra-molecule", "extra-medium", "extra-lorentz", "extra-lorentz_chiral",
             "extra-geometry-bulk", "extra-geometry-bulk_lfc", "extra-geometry-mirror",
@@ -549,12 +574,6 @@ class TestExitCodesAndGolden:
         code = main(["fresnel", *(x for kv in args.items() for x in kv)])
         assert flag in capsys.readouterr().err
         assert code == EXIT_SCHEMA
-
-    def test_bool_pair_parses_as_numbers(self):
-        scen = copy.deepcopy(BULK)
-        scen["medium"]["mu"] = [True, False]
-        b, _ = run_scenario(scen)
-        assert b == run_scenario(BULK)[0]
 
     @pytest.mark.parametrize(
         "scenario,golden",

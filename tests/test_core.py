@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,25 @@ def test_public_surface_is_pinned():
         "planar_reflections", "rates_bulk", "rates_halfspace", "rates_lfc", "rates_mirror",
         "rotatory_strength", "scatter_numeric", "vacuum", "wave_numbers",
     ]
+
+
+def test_isotropic_flag_is_read_in_one_function():
+    """The orientation average is decided in one place: besides the molecule
+    type and the scenario parser, only ``rates.contract`` reads the
+    ``isotropic`` attribute."""
+    readers = {}
+    for path in sorted(Path(chipurcell.__file__).parent.glob("*.py")):
+        if path.name in ("molecules.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        reads = lambda node: sum(isinstance(n, ast.Attribute) and n.attr == "isotropic"
+                                 for n in ast.walk(node))
+        if reads(tree):
+            funcs = {f.name: reads(f) for f in tree.body if isinstance(f, ast.FunctionDef)}
+            readers[path.stem] = (reads(tree), {k: v for k, v in funcs.items() if v})
+    assert readers.keys() == {"rates"}
+    total, funcs = readers["rates"]
+    assert funcs.keys() == {"contract"} and funcs["contract"] == total
 
 
 def test_constants_identity():

@@ -172,10 +172,19 @@ class TestCorrectedCurl:
         )
         assert full / lead == pytest.approx(1.0, abs=1e-3)
 
-    def test_radius_guard(self, medium_std):
-        big = CavityConfig(0.2 / medium_std.k0, medium_std)
-        with pytest.raises(RadiusTooLargeError):
-            curl_img_lfc(big)
+    def test_radius_guard(self, medium_std, mol_iso):
+        # every cavity function refuses k0 a = 0.2, whatever the host; the
+        # lossless rates returned numbers there
+        for host in (medium_std, MediumResponse(2.25 + 0.1j, 1.0, 0.05, OMEGA)):
+            big = CavityConfig(0.2 / host.k0, host)
+            with pytest.raises(RadiusTooLargeError):
+                curl_img_lfc(big)
+            with pytest.raises(RadiusTooLargeError):
+                gamma_ch_lfc(big, mol_iso)
+            with pytest.raises(RadiusTooLargeError):
+                gamma_el_lfc(big, mol_iso)
+            with pytest.raises(RadiusTooLargeError):
+                rates_lfc(big, mol_iso)
 
 
 class TestCorrectedRates:
@@ -196,7 +205,7 @@ class TestCorrectedRates:
 
     def test_absorbing_full_mu_reduces_at_unity_mu(self, rng, mol_iso):
         """The absorbing form at mu = 1 + 0i and at mu a hair off 1 agree:
-        one full-permeability bracket serves every mu."""
+        one full-permeability form serves every mu."""
         for _ in range(50):
             eps = complex(rng.uniform(1.2, 4.0), rng.uniform(0.01, 1.0))
             kap = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.05
@@ -207,6 +216,13 @@ class TestCorrectedRates:
             g1 = gamma_ch_lfc(CavityConfig(a, m1), mol_iso)
             g2 = gamma_ch_lfc(CavityConfig(a, m2), mol_iso)
             assert g2 == pytest.approx(g1, rel=1e-12)
+
+    def test_absorbing_zero_mu_is_a_pole(self, mol_iso):
+        # mu = 0 zeroes the f3 denominator (2 mu + 1)(mu + 2 n_r^2), as it
+        # does for the lossless host
+        for eps in (2.25, 2.25 + 0.1j):
+            with pytest.raises(PoleError):
+                gamma_ch_lfc(CavityConfig(1e-9, MediumResponse(eps, 0.0, 0.05, OMEGA)), mol_iso)
 
     def test_absorbing_lossless_limit_zero(self, mol_iso):
         # the 1/a^3 term is purely dispersive for real parameters: at real

@@ -1,13 +1,25 @@
 """Property-based invariants on the core algebra."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chipurcell import (
+    CONSTANTS,
+    CavityConfig,
+    Handedness,
+    Limit,
     MediumResponse,
+    PlanarGeometry,
     TransitionDipoles,
     gamma_ch_from_curl,
+    rates_bulk,
+    rates_halfspace,
+    rates_lfc,
+    rates_mirror,
     rotatory_strength,
     wave_numbers,
 )
@@ -67,3 +79,60 @@ def test_wave_number_sum_rule(eps, mu, kappa):
     assert abs(wn.k_plus + wn.k_minus - 2 * wn.n_r * wn.k0) <= 1e-12 * abs(2 * wn.n_r * wn.k0)
     if kappa == 0.0:
         assert wn.k_plus == wn.k_minus
+
+
+def cube_rotations():
+    """The 24 proper rotations of the cube, the signed permutation matrices
+    with determinant +1. Their mean of R^T T R is (Tr T / 3) I for every 3x3
+    T, so the mean of a rate over the rotated molecules is its exact
+    orientation average."""
+    rots = []
+    for perm, signs in itertools.product(itertools.permutations(range(3)),
+                                         itertools.product((1.0, -1.0), repeat=3)):
+        r = np.zeros((3, 3))
+        r[range(3), perm] = signs
+        if np.linalg.det(r) > 0:
+            rots.append(r)
+    assert len(rots) == 24
+    return rots
+
+
+K0 = OMEGA / CONSTANTS.c
+LOSSLESS = MediumResponse(2.25, 1.0, 0.05, OMEGA)
+ABSORBING = MediumResponse(2.25 + 0.1j, 1.0, 0.05 + 0.001j, OMEGA)
+
+
+def _mirror(k0z, limit):
+    geom = PlanarGeometry(z_m=k0z / K0, handedness=Handedness.RIGHT)
+    return lambda mol: rates_mirror(geom, mol, limit)
+
+
+def _halfspace(med, k0z, limit):
+    geom = PlanarGeometry(z_m=k0z / K0, medium=med)
+    return lambda mol: rates_halfspace(geom, mol, limit)
+
+
+@pytest.mark.parametrize("rates", [
+    lambda mol: rates_bulk(LOSSLESS, mol),
+    lambda mol: rates_lfc(CavityConfig(0.01 / K0, LOSSLESS), mol),
+    lambda mol: rates_lfc(CavityConfig(0.01 / K0, ABSORBING), mol),
+    _mirror(100.0, Limit.RETARDED),
+    _mirror(0.01, Limit.NONRETARDED),
+    _mirror(1.0, Limit.NUMERIC),
+    _halfspace(ABSORBING, 100.0, Limit.RETARDED),
+    _halfspace(LOSSLESS, 0.01, Limit.NONRETARDED),
+    _halfspace(LOSSLESS, 1.0, Limit.NUMERIC),
+    _halfspace(ABSORBING, 1.0, Limit.NUMERIC),
+], ids=["bulk", "lfc-lossless", "lfc-absorbing", "mirror-retarded", "mirror-nonretarded",
+        "mirror-numeric", "halfspace-retarded", "halfspace-nonretarded",
+        "halfspace-numeric-lossless", "halfspace-numeric-absorbing"])
+def test_isotropic_rate_is_exact_orientation_average(rates, mol_aniso):
+    """Every rate of an isotropic molecule equals the mean of its rates over
+    the cube-rotated copies (R d, R m) of the same anisotropic molecule."""
+    iso = rates(TransitionDipoles(mol_aniso.d, mol_aniso.m, OMEGA, isotropic=True))
+    rotated = [rates(TransitionDipoles(r @ mol_aniso.d, r @ mol_aniso.m, OMEGA))
+               for r in cube_rotations()]
+    for name in ("gamma_ch", "gamma_el"):
+        values = np.array([getattr(b, name) for b in rotated])
+        scale = max(np.abs(values).max(), abs(getattr(iso, name)))
+        assert abs(values.mean() - getattr(iso, name)) <= 1e-12 * scale, name
