@@ -47,8 +47,7 @@ med = MediumResponse(2.25, 1.0, 0.05, OMEGA)
 cav = CavityConfig(1e-9, med)
 plain = rates_bulk(med, mol)
 corr = rates_lfc(cav, mol)
-eps = complex(med.eps)
-factor_ratio = f_factors(med).f0.real / abs(3 * eps / (2 * eps + 1)) ** 2
+factor_ratio = f_factors(med).f0.real / abs(3 * med.eps / (2 * med.eps + 1)) ** 2
 print(f"  uncorrected:  gamma_ch = {plain.gamma_ch:.6e} 1/s, S = {plain.s_disc:.4e}")
 print(f"  corrected:    gamma_ch = {corr.gamma_ch:.6e} 1/s, S = {corr.s_disc:.4e}")
 print(f"  check: S ratio = {corr.s_disc / plain.s_disc:.6f} "

@@ -20,13 +20,11 @@ from .rates import (
     gamma_vacuum,
 )
 from .bulk import (
-    CircularWaveNumbers,
     curl_img_g0_coincident,
     gamma_ch_bulk,
     gamma_el_bulk,
     img_g0_coincident,
     rates_bulk,
-    wave_numbers,
 )
 from .onsager import (
     CavityConfig,
@@ -73,8 +71,6 @@ __all__ = [
     "gamma_ch_from_curl",
     "gamma_el_from_img",
     "gamma_vacuum",
-    "CircularWaveNumbers",
-    "wave_numbers",
     "curl_img_g0_coincident",
     "img_g0_coincident",
     "gamma_ch_bulk",

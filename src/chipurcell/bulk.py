@@ -1,8 +1,9 @@
 """Decay rates in an unbounded homogeneous chiral medium.
 
-The two circularly polarized eigenmodes propagate with wave numbers
-k-minus = k0 (n_r + kappa) and k-plus = k0 (n_r - kappa); their imbalance is
-what a chiral transition feels. At coincidence the curl of Im G is isotropic,
+The two circularly polarized eigenmodes propagate with the medium's wave
+numbers ``MediumResponse.k_minus`` = k0 (n_r + kappa) and
+``MediumResponse.k_plus`` = k0 (n_r - kappa); their imbalance is what a
+chiral transition feels. At coincidence the curl of Im G is isotropic,
 
     curl Im G = mu (k+^3 - k-^3) / (6 pi (k+ + k-)) * I,
 
@@ -14,8 +15,6 @@ to machine precision; the leading-order forms are recovered for small kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import CONSTANTS
@@ -23,27 +22,6 @@ from .errors import LosslessRequiredError, PhysicsError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import Method, RateBreakdown, degree_of_discrimination, gamma_vacuum
-
-@dataclass(frozen=True)
-class CircularWaveNumbers:
-    """Wave numbers of the two circularly polarized modes (1/m)."""
-
-    k_plus: complex
-    k_minus: complex
-    k0: float
-    n_r: complex
-
-
-def wave_numbers(med: MediumResponse) -> CircularWaveNumbers:
-    """Circular-mode wave numbers; the minus mode carries +kappa."""
-    k0 = med.k0
-    n_r = med.n_r
-    return CircularWaveNumbers(
-        k_plus=k0 * (n_r - med.kappa),
-        k_minus=k0 * (n_r + med.kappa),
-        k0=k0,
-        n_r=n_r,
-    )
 
 
 def _require_lossless(med: MediumResponse, what: str):
@@ -65,8 +43,8 @@ def curl_img_g0_coincident(med: MediumResponse) -> np.ndarray:
     negative-diagonal for kappa > 0 (the plus mode is the slower one).
     """
     _require_lossless(med, "curl_img_g0_coincident")
-    wn = wave_numbers(med)
-    scalar = med.mu * (wn.k_plus**3 - wn.k_minus**3) / (6.0 * np.pi * (wn.k_plus + wn.k_minus))
+    kp, km = med.k_plus, med.k_minus
+    scalar = med.mu * (kp**3 - km**3) / (6.0 * np.pi * (kp + km))
     return scalar.real * np.eye(3)
 
 
@@ -90,8 +68,8 @@ def gamma_ch_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     _require_propagating(med, "gamma_ch_bulk")
     c = CONSTANTS
     n_r = med.n_r.real
-    kap = complex(med.kappa).real
-    mu = complex(med.mu).real
+    kap = med.kappa.real
+    mu = med.mu.real
     r_ik = rotatory_strength(mol)
     w = mol.omega_ik
     return (
@@ -105,7 +83,7 @@ def gamma_el_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     _require_lossless(med, "gamma_el_bulk")
     c = CONSTANTS
     return (
-        complex(med.mu).real * med.n_r.real * mol.omega_ik**3 * mol.d_norm_sq
+        med.mu.real * med.n_r.real * mol.omega_ik**3 * mol.d_norm_sq
         / (3.0 * np.pi * c.eps0 * c.hbar * c.c**3)
     )
 

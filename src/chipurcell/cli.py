@@ -84,6 +84,12 @@ def _real_from(node, where: str) -> float:
     raise SchemaError(f"{where}: expected a finite number, got {node!r}")
 
 
+def _omega_from(node, where: str) -> float:
+    if _finite(node) and node > 0:
+        return float(node)
+    raise SchemaError(f"{where}: must be a positive finite number (rad/s), got {node!r}")
+
+
 def _number_from(node, where: str) -> complex:
     """A finite number or an [re, im] pair of them."""
     if isinstance(node, (int, float)):
@@ -166,15 +172,13 @@ def _bool_from(node, where: str) -> bool:
 
 def parse_molecule(node, where: str = "molecule") -> TransitionDipoles:
     _fields(node, where, _MOLECULE, _ISOTROPIC)
-    omega = node["omega_ik"]
-    if not (_finite(omega) and omega > 0):
-        raise SchemaError(f"{where}.omega_ik: must be a positive finite number (rad/s)")
+    omega = _omega_from(node["omega_ik"], f"{where}.omega_ik")
     isotropic = _bool_from(node.get("isotropic", False), f"{where}.isotropic")
     try:
         return TransitionDipoles(
             d=_vector3_from(node["d"], f"{where}.d"),
             m=_vector3_from(node["m"], f"{where}.m"),
-            omega_ik=float(omega),
+            omega_ik=omega,
             isotropic=isotropic,
         )
     except ValueError as exc:
@@ -496,7 +500,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _parse_complex_arg(args.eps, "eps"),
                 _parse_complex_arg(args.mu, "mu"),
                 _parse_complex_arg(args.kappa, "kappa"),
-                _real_from(args.omega, "--omega"),
+                _omega_from(args.omega, "--omega"),
                 _real_from(args.kpar_max, "--kpar-max"),
                 args.points,
             )

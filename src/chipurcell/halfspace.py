@@ -57,7 +57,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bulk import wave_numbers
 from .constants import CONSTANTS
 from .errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from .media import MediumResponse
@@ -154,25 +153,22 @@ def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
     against k0^2 (kappa = +-n_r), which alpha = K^2 - 1 cannot hold."""
     if eps == 0 or mu == 0:
         raise PhysicsError(f"planar reflections need nonzero eps and mu, got eps = {eps!r}, mu = {mu!r}")
-    wn = wave_numbers(MediumResponse(eps, mu, kappa, CONSTANTS.c))  # k0 = 1
+    unit = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
+    k_plus, k_minus = unit.k_plus, unit.k_minus
     cuts = {}
-    for mode, k in enumerate((wn.k_plus, wn.k_minus)):
+    for mode, k in enumerate((k_plus, k_minus)):
         if (k * k).imag < 0:
             cuts.setdefault(cmath.sqrt(1.0 - k * k), []).append(mode)
-    k = np.array([wn.k_plus, wn.k_minus])
+    k = np.array([k_plus, k_minus])
     alpha = k * k - 1.0
     if (alpha == -1.0).any():
         raise PhysicsError(
-            f"a circular wave number vanishes (kappa = +-n_r): k+/k0 = {wn.k_plus!r}, k-/k0 = {wn.k_minus!r}"
+            f"a circular wave number vanishes (kappa = +-n_r): k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}"
         )
     c = np.sqrt(mu / eps) / k
     alpha.flags.writeable = c.flags.writeable = False
     return _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
                  tuple((x_b, tuple(modes)) for x_b, modes in cuts.items()))
-
-
-def _medium_plan(med: MediumResponse) -> _Plan:
-    return _plan(complex(med.eps), complex(med.mu), complex(med.kappa))
 
 
 def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -275,7 +271,7 @@ def planar_reflections(med: MediumResponse, k_perp) -> tuple:
     ``fresnel_nonretarded``. An exact pole (k_perp = 0, or a vanishing
     denominator) gives non-finite entries.
     """
-    plan = _medium_plan(med)
+    plan = _plan(med.eps, med.mu, med.kappa)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _reflections(plan, _amplitudes(plan, np.asarray(k_perp, dtype=complex) / med.k0))[:3]
 
@@ -286,7 +282,7 @@ def fresnel_nonretarded(med: MediumResponse) -> tuple:
     r_sp = 2 i kappa / (eps mu - kappa^2 + eps + mu + 1), with diagonal
     coefficients even in kappa. Purely imaginary r_sp for lossless media.
     """
-    eps, mu, kap = complex(med.eps), complex(med.mu), complex(med.kappa)
+    eps, mu, kap = med.eps, med.mu, med.kappa
     den = eps * mu - kap * kap + eps + mu + 1.0
     if den == 0:
         raise PoleError("nonretarded reflection denominator vanished")
@@ -311,9 +307,8 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
     incidence. At kappa = 0 the diagonal coefficients reduce to
     +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)).
     """
-    eps, mu = complex(med.eps), complex(med.mu)
-    wn = wave_numbers(med)
-    n_r, kp, km = wn.n_r, wn.k_plus, wn.k_minus
+    eps, mu = med.eps, med.mu
+    n_r, kp, km = med.n_r, med.k_plus, med.k_minus
     if n_r == 0:
         raise PhysicsError(f"retarded reflections need a nonzero index, got eps = {eps!r}, mu = {mu!r}")
     akp, akm = abs(kp), abs(km)
@@ -403,7 +398,7 @@ def scatter_numeric(
         raise PhysicsError("the planar numeric pathway requires a medium")
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
-    plan = _medium_plan(med)
+    plan = _plan(med.eps, med.mu, med.kappa)
     if plan.poles:
         raise PoleError(
             f"reflection pole at k_perp = {plan.poles[0]!r} k0 between the real-axis contour and "
@@ -616,9 +611,7 @@ def rates_halfspace(
         osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
         g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
                 + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
-        r_s = (np.sqrt(complex(med.mu)) - np.sqrt(complex(med.eps))) / (
-            np.sqrt(complex(med.mu)) + np.sqrt(complex(med.eps))
-        )
+        r_s = (np.sqrt(med.mu) - np.sqrt(med.eps)) / (np.sqrt(med.mu) + np.sqrt(med.eps))
         g_el = (
             c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
             * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real)

@@ -7,6 +7,7 @@ medium. All response functions are evaluated at a single angular frequency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ class MediumResponse:
     ----------
     eps, mu, kappa : complex
         Relative permittivity, relative permeability and chiral
-        cross-susceptibility (all dimensionless).
+        cross-susceptibility (all dimensionless). Any number is accepted
+        and stored as a Python ``complex``.
     omega : float
         Angular frequency in rad/s.
     """
@@ -35,29 +37,37 @@ class MediumResponse:
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
+        for name in ("eps", "mu", "kappa"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     @property
     def k0(self) -> float:
         """Vacuum wave number omega/c (1/m)."""
         return self.omega / CONSTANTS.c
 
-    @property
+    @functools.cached_property
     def n_r(self) -> complex:
         """Non-chiral refractive index, principal sqrt(eps*mu) with Re >= 0."""
-        n = np.sqrt(complex(self.eps) * complex(self.mu))
+        n = np.sqrt(self.eps * self.mu)
         # principal branch already has Re >= 0; guard the negative-real-axis cut
         if n.real < 0:
             n = -n
         return complex(n)
 
     @property
+    def k_plus(self) -> complex:
+        """Wave number k0 (n_r - kappa) of the plus circular mode (1/m)."""
+        return self.k0 * (self.n_r - self.kappa)
+
+    @property
+    def k_minus(self) -> complex:
+        """Wave number k0 (n_r + kappa) of the minus circular mode (1/m)."""
+        return self.k0 * (self.n_r + self.kappa)
+
+    @property
     def lossless(self) -> bool:
         """True only when Im eps = Im mu = Im kappa = 0 exactly."""
-        return (
-            complex(self.eps).imag == 0.0
-            and complex(self.mu).imag == 0.0
-            and complex(self.kappa).imag == 0.0
-        )
+        return self.eps.imag == 0.0 and self.mu.imag == 0.0 and self.kappa.imag == 0.0
 
     def with_kappa(self, kappa: complex) -> "MediumResponse":
         return MediumResponse(self.eps, self.mu, kappa, self.omega)

@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bulk import gamma_ch_bulk, gamma_el_bulk, wave_numbers
+from .bulk import gamma_ch_bulk, gamma_el_bulk
 from .constants import CONSTANTS
-from .errors import PoleError, RadiusTooLargeError
+from .errors import PhysicsError, PoleError, RadiusTooLargeError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
@@ -54,7 +54,7 @@ class CavityConfig:
 
     def __post_init__(self):
         if not (self.radius_a > 0):
-            raise ValueError("radius_a must be positive")
+            raise PhysicsError(f"radius_a must be positive, got {self.radius_a}")
 
     @property
     def k0a(self) -> float:
@@ -84,12 +84,18 @@ class FFactors(NamedTuple):
 
 
 def _denoms(med: MediumResponse):
-    nr2 = complex(med.eps) * complex(med.mu)
-    d1 = 2.0 * complex(med.mu) + 1.0
-    d2 = complex(med.mu) + 2.0 * nr2
+    nr2 = med.eps * med.mu
+    d1 = 2.0 * med.mu + 1.0
+    d2 = med.mu + 2.0 * nr2
     if d1 == 0 or d2 == 0:
         raise PoleError("cavity factors have a pole at (2 mu + 1)(mu + 2 n_r^2) = 0")
     return d1, d2
+
+
+def _f3(mu: complex, d1: complex, d2: complex) -> complex:
+    """The O(1/a^3) cavity factor 3 mu/(2 d1 d2), from the denominators of
+    ``_denoms``."""
+    return 3.0 * mu / (2.0 * d1 * d2)
 
 
 def f_factors(med: MediumResponse) -> FFactors:
@@ -100,7 +106,7 @@ def f_factors(med: MediumResponse) -> FFactors:
     3 mu/(2(2 mu + 1)(mu + 2 n_r^2)) = 3/(2(2 mu + 1)(2 eps + 1)) identically
     since mu + 2 n_r^2 = mu (2 eps + 1).
     """
-    mu = complex(med.mu)
+    mu = med.mu
     n_r = med.n_r
     d1, d2 = _denoms(med)
     f0 = 3.0 * mu * ((4.0 * mu + 3.0) * n_r**5 + mu * (3.0 * mu + 2.0) * n_r**3) / (d1**2 * d2**2)
@@ -109,8 +115,7 @@ def f_factors(med: MediumResponse) -> FFactors:
         * (mu * (3.0 * mu + 1.0) + 20.0 * (mu + 1.0) * n_r**4
            + (20.0 * mu**2 + 23.0 * mu + 3.0) * n_r**2)
     )
-    f3 = 3.0 * mu / (2.0 * d1 * d2)
-    return FFactors(f0, f1, f3)
+    return FFactors(f0, f1, _f3(mu, d1, d2))
 
 
 def f0_main(med: MediumResponse) -> complex:
@@ -122,13 +127,13 @@ def f0_main(med: MediumResponse) -> complex:
     Degenerate at kappa = 0; |kappa| < 1e-12 returns the analytic limit
     F_em + F_k n_r / 3 and emits DegenerateKappaWarning.
     """
-    eps, mu = complex(med.eps), complex(med.mu)
+    eps, mu = med.eps, med.mu
     n_r = med.n_r
     if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0:
         raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1) = 0")
     f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / (2.0 * mu + 1.0))
     f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n_r**2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
-    kap = complex(med.kappa)
+    kap = med.kappa
     if abs(kap) < 1e-12:
         warnings.warn(
             "kappa ~ 0: mode-resolved f0 is degenerate, returning its limit",
@@ -136,8 +141,7 @@ def f0_main(med: MediumResponse) -> complex:
             stacklevel=2,
         )
         return f_em + f_k * n_r / 3.0
-    wn = wave_numbers(med)
-    km3, kp3 = wn.k_minus**3, wn.k_plus**3
+    km3, kp3 = med.k_minus**3, med.k_plus**3
     return ((f_em + kap * f_k) * km3 - (f_em - kap * f_k) * kp3) / (km3 - kp3)
 
 
@@ -149,7 +153,7 @@ def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
     6 (k0^2 f0 - i (f3/(k0 a^3) + k0 f1/a)) of the cavity factors.
     """
     med = cav.host
-    mu = complex(med.mu)
+    mu = med.mu
     n = med.n_r
     k0 = med.k0
     a = cav.radius_a
@@ -170,7 +174,7 @@ def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
         / (10.0 * a * d1**2 * d2**2)
     )
     v_even = v_a3 + v_a0 + v_a1
-    v_odd = 6.0 * complex(med.kappa) * (k0**2 * f.f0 - 1j * (f.f3 / (k0 * a**3) + k0 * f.f1 / a))
+    v_odd = 6.0 * med.kappa * (k0**2 * f.f0 - 1j * (f.f3 / (k0 * a**3) + k0 * f.f1 / a))
     diff = n**2 - mu**2
     w_a3 = 9j * diff / (2.0 * a**3 * k0 * d1 * d2)
     w_a1 = (
@@ -193,7 +197,7 @@ def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     cav.check_small_radius()
     med = cav.host
     f = f_factors(med)
-    kap = complex(med.kappa)
+    kap = med.kappa
     w = med.omega
     a = cav.radius_a
     c = CONSTANTS.c
@@ -230,7 +234,7 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     if med.lossless:
         return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
     c = CONSTANTS
-    im_kf3 = (complex(med.kappa) * f_factors(med).f3).imag
+    im_kf3 = (med.kappa * _f3(med.mu, *_denoms(med))).imag
     return -4.0 * rotatory_strength(mol) * im_kf3 / (np.pi * c.hbar * c.eps0 * c.c * cav.radius_a**3)
 
 
@@ -245,7 +249,7 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     """
     cav.check_small_radius()
     med = cav.host
-    eps = complex(med.eps)
+    eps = med.eps
     if med.lossless:
         factor = abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2
         return factor * gamma_el_bulk(med, mol)

@@ -41,7 +41,6 @@ from chipurcell import (
     rates_lfc,
     rates_mirror,
     rotatory_strength,
-    wave_numbers,
 )
 import chipurcell.halfspace as hs
 from chipurcell.onsager import DegenerateKappaWarning
@@ -93,7 +92,7 @@ def test_criterion_02_coincidence_limit_extrapolation(rng):
             target = curl_img_g0_coincident(med)[0, 0].real
             if target == 0.0:
                 continue
-            rho0 = 0.05 / wave_numbers(med).k_minus.real
+            rho0 = 0.05 / med.k_minus.real
             extrap = richardson_rho2(
                 lambda rho: curl_g0_finite(med, rho).imag[0, 0], rho0, levels=5
             )

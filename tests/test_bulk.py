@@ -12,7 +12,6 @@ from chipurcell import (
     gamma_vacuum,
     rates_bulk,
     rotatory_strength,
-    wave_numbers,
 )
 from chipurcell.errors import LosslessRequiredError, PhysicsError
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
@@ -22,29 +21,25 @@ from oracles import curl_g0_finite, richardson_rho2
 class TestWaveNumbers:
     def test_vacuum(self):
         med = MediumResponse(1.0, 1.0, 0.0, CONSTANTS.c)  # omega = c -> k0 = 1
-        wn = wave_numbers(med)
-        assert wn.k_plus == pytest.approx(1.0) and wn.k_minus == pytest.approx(1.0)
+        assert med.k_plus == pytest.approx(1.0) and med.k_minus == pytest.approx(1.0)
 
     def test_direct_substitution(self):
         med = MediumResponse(4.0, 1.0, 0.1, CONSTANTS.c)
-        wn = wave_numbers(med)
-        assert wn.k_minus == pytest.approx(2.1, rel=1e-14)
-        assert wn.k_plus == pytest.approx(1.9, rel=1e-14)
+        assert med.k_minus == pytest.approx(2.1, rel=1e-14)
+        assert med.k_plus == pytest.approx(1.9, rel=1e-14)
 
     def test_complex_draw_frozen(self):
         # principal-branch arithmetic, 40-digit cross-check
         med = MediumResponse(2 + 0.1j, 1.0, 0.01j, CONSTANTS.c)
-        wn = wave_numbers(med)
-        assert wn.k_plus == pytest.approx(1.4146551592967945934 + 0.025344302582442994199j, rel=1e-14)
-        assert wn.k_minus == pytest.approx(1.4146551592967945934 + 0.045344302582442994615j, rel=1e-14)
+        assert med.k_plus == pytest.approx(1.4146551592967945934 + 0.025344302582442994199j, rel=1e-14)
+        assert med.k_minus == pytest.approx(1.4146551592967945934 + 0.045344302582442994615j, rel=1e-14)
 
     def test_sum_rule_and_degeneracy(self, rng):
         for _ in range(20):
             med = random_lossless_medium(rng)
-            wn = wave_numbers(med)
-            assert wn.k_plus + wn.k_minus == pytest.approx(2 * wn.n_r * wn.k0, rel=1e-12)
-        wn0 = wave_numbers(MediumResponse(3.0, 1.2, 0.0, OMEGA))
-        assert wn0.k_plus == wn0.k_minus
+            assert med.k_plus + med.k_minus == pytest.approx(2 * med.n_r * med.k0, rel=1e-12)
+        med0 = MediumResponse(3.0, 1.2, 0.0, OMEGA)
+        assert med0.k_plus == med0.k_minus
 
 
 class TestFiniteSeparationCurl:
@@ -60,21 +55,21 @@ class TestFiniteSeparationCurl:
 
     def test_richardson_limit_matches_coincidence(self, medium_std):
         target = curl_img_g0_coincident(medium_std)[0, 0]
-        rho0 = 0.05 / wave_numbers(medium_std).k_minus.real
+        rho0 = 0.05 / medium_std.k_minus.real
         extrap = richardson_rho2(lambda rho: curl_g0_finite(medium_std, rho).imag[0, 0], rho0)
         assert extrap.real == pytest.approx(target.real, rel=1e-8)
 
     def test_near_field_scalings(self, medium_std):
         """Assembled entries scale as 1/rho^2 (antisym) and 1/rho (Re diag);
         the per-mode prefactor scales as 1/rho^3 (mode sum cancels it)."""
-        rho = 0.01 / wave_numbers(medium_std).k_minus.real
+        rho = 0.01 / medium_std.k_minus.real
         m1 = curl_g0_finite(medium_std, rho)
         m2 = curl_g0_finite(medium_std, rho / 2)
         assert abs(m2[0, 1] / m1[0, 1]) == pytest.approx(4.0, rel=0.01)
         assert m2[0, 0].real / m1[0, 0].real == pytest.approx(2.0, rel=0.01)
         # single-mode prefactor: exp(ik rho)(1 - ik rho)/rho^3 scale
-        wn = wave_numbers(medium_std)
-        pref = lambda r: np.exp(1j * wn.k_plus * r) * (1 - 1j * wn.k_plus * r) / r**3
+        k_plus = medium_std.k_plus
+        pref = lambda r: np.exp(1j * k_plus * r) * (1 - 1j * k_plus * r) / r**3
         assert abs(pref(rho / 2) / pref(rho)) == pytest.approx(8.0, rel=0.01)
 
 
@@ -85,10 +80,8 @@ class TestCoincidenceCurl:
 
     def test_frozen_exact_value(self, medium_std):
         # mu (k+^3 - k-^3)/(6 pi (k+ + k-)), 40-digit evaluation
-        wn = wave_numbers(medium_std)
-        expected = float(
-            np.real((wn.k_plus**3 - wn.k_minus**3) / (6 * np.pi * (wn.k_plus + wn.k_minus)))
-        )
+        kp, km = medium_std.k_plus, medium_std.k_minus
+        expected = float(np.real((kp**3 - km**3) / (6 * np.pi * (kp + km))))
         m = curl_img_g0_coincident(medium_std)
         assert m[0, 0].real == pytest.approx(expected, rel=1e-14)
         assert np.max(np.abs(m.imag)) == 0.0

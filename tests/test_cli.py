@@ -196,6 +196,11 @@ class TestSweep:
             assert ln.endswith("error:LosslessRequiredError")
             assert "nan" in ln
 
+    def test_nonpositive_radius_points_are_flagged(self):
+        # a radius_a <= 0 aborted the whole sweep with a ValueError
+        lines = run_sweep(copy.deepcopy(LFC), "geometry.radius_a", -1e-9, 1e-9, 3, log=False)
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["error:PhysicsError"] * 2 + ["ok"]
+
     def test_log_grid_monotone(self):
         scen = copy.deepcopy(BULK)
         lines = run_sweep(scen, "molecule.omega_ik", 1e15, 1e16, 7, log=True)
@@ -333,6 +338,19 @@ class TestExitCodesAndGolden:
         cfg.write_text(json.dumps(scen))
         code = main(["rate", "--config", str(cfg)])
         assert f"medium.{field}" in capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9])
+    @pytest.mark.parametrize("base, field", [(LFC, "radius_a"), (HALFSPACE, "z_m")], ids=["lfc", "halfspace"])
+    def test_nonpositive_length_exits_physics(self, tmp_path, capsys, base, field, value):
+        # a radius_a <= 0 ended in a ValueError traceback (exit 1), where a
+        # z_m <= 0 exited 3
+        scen = copy.deepcopy(base)
+        scen["geometry"][field] = value
+        cfg = tmp_path / "nonpositive.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert capsys.readouterr().err.startswith(f"error (physics): {field} must be positive")
         assert code == EXIT_PHYSICS
 
     def test_quadrature_exit_code(self, tmp_path, capsys):
@@ -565,13 +583,15 @@ class TestExitCodesAndGolden:
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan,0"), ("--kappa", "0,inf"), ("--omega", "inf"), ("--kpar-max", "nan"),
+        ("--omega", "0"), ("--omega", "-3e15"),
     ])
     def test_non_finite_fresnel_argument_exits_schema(self, tmp_path, capsys, flag, value):
         # each one ended in a LAPACK error (exit 1) or in a table of NaN rows,
-        # all flagged as poles (exit 0)
+        # all flagged as poles (exit 0); a non-positive --omega, in the
+        # medium's ValueError traceback (exit 1)
         args = {"--eps": "2.25,0", "--mu": "1,0", "--kappa": "0.05,0", "--omega": "3e15",
                 "--kpar-max": "2", "--points": "3", "--csv": str(tmp_path / "t.csv"), flag: value}
-        code = main(["fresnel", *(x for kv in args.items() for x in kv)])
+        code = main(["fresnel", *(f"{k}={v}" for k, v in args.items())])  # "=" takes "-3e15"
         assert flag in capsys.readouterr().err
         assert code == EXIT_SCHEMA
 

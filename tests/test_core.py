@@ -28,7 +28,7 @@ from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
 def test_public_surface_is_pinned():
     """Adding or removing a public name is a decision this list records."""
     assert sorted(chipurcell.__all__) == [
-        "CONSTANTS", "CavityConfig", "CircularWaveNumbers", "Contraction", "Handedness",
+        "CONSTANTS", "CavityConfig", "Contraction", "Handedness",
         "Limit", "MediumResponse", "Method", "OnsagerCoefficients", "PhysicalConstants",
         "PlanarGeometry", "QuadratureResult", "QuadratureSpec", "RateBreakdown",
         "TransitionDipoles", "curl_img_g0_coincident",
@@ -37,7 +37,7 @@ def test_public_surface_is_pinned():
         "gamma_ch_lfc", "gamma_el_bulk", "gamma_el_from_img", "gamma_el_lfc", "gamma_vacuum",
         "img_g0_coincident", "integrate_evanescent", "onsager_coefficients",
         "planar_reflections", "rates_bulk", "rates_halfspace", "rates_lfc", "rates_mirror",
-        "rotatory_strength", "scatter_numeric", "vacuum", "wave_numbers",
+        "rotatory_strength", "scatter_numeric", "vacuum",
     ]
 
 
@@ -58,6 +58,21 @@ def test_isotropic_flag_is_read_in_one_function():
     assert readers.keys() == {"rates"}
     total, funcs = readers["rates"]
     assert funcs.keys() == {"contract"} and funcs["contract"] == total
+
+
+def test_medium_fields_are_stored_in_one_place():
+    """``MediumResponse`` holds eps, mu and kappa as complex and owns the
+    circular wave numbers: no other module coerces its fields, and the
+    half-space reads k+- from the medium, not from the bulk module."""
+    package = Path(chipurcell.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "media.py":
+            text = path.read_text()
+            assert "complex(med." not in text and "complex(self." not in text, path.name
+    imports = [node for node in ast.walk(ast.parse((package / "halfspace.py").read_text()))
+               if isinstance(node, ast.ImportFrom)]
+    assert imports and not any(node.module == "bulk" or any(alias.name == "bulk" for alias in node.names)
+                               for node in imports)
 
 
 def test_constants_identity():

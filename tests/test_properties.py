@@ -1,6 +1,7 @@
 """Property-based invariants on the core algebra."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from chipurcell import (
     rates_lfc,
     rates_mirror,
     rotatory_strength,
-    wave_numbers,
 )
 from conftest import OMEGA
 
@@ -71,14 +71,16 @@ def test_chiral_contraction_real_linear(d, m, a, b):
     st.floats(min_value=1.0, max_value=10.0),
     st.floats(min_value=0.5, max_value=2.0),
     st.floats(min_value=-0.3, max_value=0.3),
+    # an int, a float, numpy scalars or a complex
+    st.sampled_from([math.ceil, float, np.float64, np.complex128, complex]),
 )
 @settings(max_examples=200, deadline=None)
-def test_wave_number_sum_rule(eps, mu, kappa):
-    med = MediumResponse(eps, mu, kappa, OMEGA)
-    wn = wave_numbers(med)
-    assert abs(wn.k_plus + wn.k_minus - 2 * wn.n_r * wn.k0) <= 1e-12 * abs(2 * wn.n_r * wn.k0)
-    if kappa == 0.0:
-        assert wn.k_plus == wn.k_minus
+def test_wave_number_sum_rule(eps, mu, kappa, number):
+    med = MediumResponse(number(eps), number(mu), number(kappa), OMEGA)
+    assert all(type(v) is complex for v in (med.eps, med.mu, med.kappa))
+    assert abs(med.k_plus + med.k_minus - 2 * med.n_r * med.k0) <= 1e-12 * abs(2 * med.n_r * med.k0)
+    if med.kappa == 0.0:
+        assert med.k_plus == med.k_minus
 
 
 def cube_rotations():
