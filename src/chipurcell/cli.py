@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from typing import Optional
 
@@ -195,13 +196,14 @@ def parse_medium(node, omega: float, where: str = "medium") -> MediumResponse:
     )
 
 
-def _choose_limit(name, omega: float, z_m: float) -> Limit:
+def _choose_limit(name, omega: float, z_m: float, med: Optional[MediumResponse]) -> Limit:
     """The ``method.limit`` value; ``"auto"`` takes each closed form inside
-    its range of k0 z and the numeric pathway between them."""
+    its range of k0 z, and the numeric pathway between them and for a lossy
+    ``med`` (None for the mirror) below the nonretarded range."""
     if name == "auto":
         k0z = omega * z_m / CONSTANTS.c
         if k0z < NONRETARDED_BELOW:
-            return Limit.NONRETARDED
+            return Limit.NONRETARDED if med is None or med.lossless else Limit.NUMERIC
         if k0z > RETARDED_ABOVE:
             return Limit.RETARDED
         return Limit.NUMERIC
@@ -227,7 +229,20 @@ def parse_quadrature(node) -> QuadratureSpec:
 
 
 def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
-    """Validate and execute one scenario; returns (breakdown, annotations)."""
+    """Validate and execute one scenario; returns (breakdown, annotations).
+    Arithmetic that leaves the float range raises PhysicsError."""
+    try:
+        b, annotations = _run_scenario(scenario)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
+    fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
+    if not all(map(math.isfinite, fields)):
+        raise PhysicsError("the arithmetic left the float range: gamma_el, gamma_ch, gamma_vac, "
+                           "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
+    return b, annotations
+
+
+def _run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     geometry = scenario.get("geometry") if isinstance(scenario, dict) else None
     kind = geometry.get("kind") if isinstance(geometry, dict) else None
     if not (isinstance(kind, str) and kind in _KINDS):
@@ -251,7 +266,7 @@ def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     quad = parse_quadrature(method.get("quadrature"))  # the mirror validates it and uses none
     compare = _bool_from(method.get("compare_numeric", False), "method.compare_numeric")
     z_m = _real_from(geometry["z_m"], "geometry.z_m")
-    limit = _choose_limit(method.get("limit", "auto"), mol.omega_ik, z_m)
+    limit = _choose_limit(method.get("limit", "auto"), mol.omega_ik, z_m, med)
     annotations = {"geometry": kind, "limit": limit.value}
     if kind == "mirror":
         hand = geometry["handedness"]

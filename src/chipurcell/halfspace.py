@@ -29,15 +29,13 @@ Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)), and
 a reflection pole inside it, which only a medium with gain has, raises
 PoleError. The integrand is dimensionless:
 a function of x = k_perp/k0 = 1 + i t/k0 with four channels (curl G xx
-and x-y, G xx and zz; curl G zz is twice curl G xx and is set at
-assembly). Each node carries only the real decay exp(-2 t z) of
-exp(2i k_perp z) = exp(2i k0 z) exp(-2 t z); the unit-modulus
-exp(2i k0 z) multiplies the totals once. The reflections of a medium come
-from one cached per-medium plan (``_plan``), in units of k0, which
-``planar_reflections`` uses as well. The perfect mirror's reflections are
-constant, so its exact integral is elementary: ``rates_mirror`` takes its
-numeric rate from that closed form (``_mirror_curl``) and runs no
-quadrature.
+and x-y, G xx and zz; curl G zz is twice curl G xx). Each node carries
+only the real decay exp(-2 t z) of exp(2i k_perp z), and one function
+(``_assemble``) turns the four channel totals into tensor entries. The
+reflections of a medium come from one cached per-medium plan (``_plan``),
+in units of k0, which ``planar_reflections`` uses as well. The perfect
+mirror's reflections are constant, so ``_mirror_curl`` assembles its
+elementary totals the same way and runs no quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -51,6 +49,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -226,20 +225,24 @@ def _strip_poles(plan: _Plan) -> tuple:
     """
     e = plan.e
     alpha = plan.alpha
-    c2 = 1.0 / (e * (alpha + 1.0))
-    cc, s, p = c2.prod(), alpha.sum(), alpha.prod()
-    l2 = 4.0 + 4.0 * e * e * cc - (1.0 + e) ** 2 * c2.sum()
-    l1 = 4.0 * e * e * cc * s - (1.0 + e) ** 2 * (c2 @ alpha)
-    l0 = 4.0 * e * e * cc * p
-    r = 4.0 * cc * (1.0 - e) ** 4
-    y = np.roots([
-        l2 * l2 - r, 2.0 * l1 * l2 - r * s, l1 * l1 + 2.0 * l0 * l2 - r * p, 2.0 * l0 * l1, l0 * l0,
-    ])
-    x = np.sqrt(y.astype(complex))  # Re >= 0: the half-plane of the strip
-    x = x[(x.real > -1e-3) & (x.real < 1.0 + 1e-3) & (x.imag > -1e-3)]
-    alpha = alpha[:, None]
-    # a root that Newton throws off to a non-finite value fails the pole test
+    # a medium beyond the float range ends in an OverflowError of a Python
+    # power or in the PhysicsError below; a root that Newton throws off to a
+    # non-finite value fails the pole test
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c2 = 1.0 / (e * (alpha + 1.0))
+        cc, s, p = c2.prod(), alpha.sum(), alpha.prod()
+        l2 = 4.0 + 4.0 * e * e * cc - (1.0 + e) ** 2 * c2.sum()
+        l1 = 4.0 * e * e * cc * s - (1.0 + e) ** 2 * (c2 @ alpha)
+        l0 = 4.0 * e * e * cc * p
+        r = 4.0 * cc * (1.0 - e) ** 4
+        quartic = [
+            l2 * l2 - r, 2.0 * l1 * l2 - r * s, l1 * l1 + 2.0 * l0 * l2 - r * p, 2.0 * l0 * l1, l0 * l0,
+        ]
+        if not np.isfinite(quartic).all():
+            raise PhysicsError(f"the reflection-pole quartic leaves the float range at eps/mu = {e!r}")
+        x = np.sqrt(np.roots(quartic).astype(complex))  # Re >= 0: the half-plane of the strip
+        x = x[(x.real > -1e-3) & (x.real < 1.0 + 1e-3) & (x.imag > -1e-3)]
+        alpha = alpha[:, None]
         for _ in range(4):
             a = _amplitudes(plan, x)
             da = -a * alpha / (x * (x * x + alpha))
@@ -382,8 +385,8 @@ def scatter_numeric(
     exp(-2 t z) without oscillating, so the panel count does not grow with
     z. The integrand is dimensionless: a function of x = k_perp/k0 =
     1 + i tau, tau = t/k0, integrated over tau. Each node carries only the
-    real decay exp(-2 k0 z tau), and the unit-modulus exp(2i k0 z)
-    multiplies the totals once. The reflections come from the medium's
+    real decay exp(-2 k0 z tau), and ``_assemble`` applies the rest of
+    exp(2i k_perp z) to the totals. The reflections come from the medium's
     cached ``_Plan``; each vertical branch cut inside the strip the
     deformation sweeps is added as a hairpin, the difference of the
     channels on its two sides at x = x_b + i tau with the roots of every
@@ -440,32 +443,42 @@ def scatter_numeric(
         return out
 
     res = integrate_evanescent(integrand, k0z, spec, breakpoints=_PATH_BREAKPOINTS)
-    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * _run_quadrature(res)).tolist()
+    xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res), k0, k0z)
+    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, 2.0 * xx]])
+    return curl, np.diag([g_xx, g_xx, g_zz])
+
+
+def _assemble(totals: np.ndarray, k0: float, k0z: float) -> tuple:
+    """(curl Im G xx, x-y; Im G xx, zz), in 1/m^2 and 1/m, from the complex
+    totals of the four ``_CHANNELS`` over tau on the path x = 1 + i tau,
+    whose phase exp(2i k0 z) multiplies them once here."""
+    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * totals).tolist()
     # the t = k0 tau Jacobian, and the prefactors -i k0/(8 pi) of curl G and
     # i/(8 pi) of G, whose channels are written over i and 2i
     pre = k0 / (8.0 * np.pi)
-    xx, asym = -pre * k0 * xx.real, -pre * k0 * asym.real
-    g_xx, g_zz = pre * g_xx.imag, 2.0 * pre * g_zz.imag
-    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, 2.0 * xx]])
-    return curl, np.diag([g_xx, g_xx, g_zz])
+    return -pre * k0 * xx.real, -pre * k0 * asym.real, pre * g_xx.imag, 2.0 * pre * g_zz.imag
 
 
 def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
     """curl Im G of the perfect chiral mirror, a real 3x3 array: the
     integral of ``scatter_numeric`` in closed form.
 
-    Its reflections are constant (r_ss = r_pp = 0, r_sp = +-1), so the x-y
-    block vanishes and the curl xx channel on the path x = 1 + i tau is
+    Its reflections are constant (r_ss = r_pp = 0, r_sp = +-1), so only the
+    curl xx channel is nonzero, and on the path x = 1 + i tau it is
     +-int_0^inf (tau^2 - 2i tau) e^{-s tau} dtau = +-(2/s^3 - 2i/s^2) with
-    s = 2 k0 z. Taking the assembly of ``scatter_numeric``,
-    xx = -+(k0^2/4pi)(cos s/s^3 + sin s/s^2) and the matrix is
-    diag(xx, xx, 2 xx), with xx -> -+1/(32 pi k0 z^3) in the near field and
-    -+sin(2 k0 z)/(16 pi z^2) in the far field.
+    s = 2 k0 z. That total is assembled as the quadrature totals are
+    (``_assemble``), and the matrix is diag(xx, xx, 2 xx), with
+    xx -> -+1/(32 pi k0 z^3) in the near field and -+sin(2 k0 z)/(16 pi z^2)
+    in the far field.
     """
     k0 = omega / CONSTANTS.c
-    s = 2.0 * (k0 * geom.z_m)
-    xx = -geom.handedness.sign * k0 * k0 / (4.0 * np.pi) * (np.cos(s) / s**3 + np.sin(s) / s**2)
-    return np.diag([xx, xx, 2.0 * xx])
+    k0z = k0 * geom.z_m
+    s = 2.0 * k0z
+    xx = _assemble(np.array([geom.handedness.sign * (2.0 / s**3 - 2j / s**2), 0j, 0j, 0j]), k0, k0z)[0]
+    curl = np.zeros((3, 3))  # filled, which is faster than np.diag of a list
+    curl[0, 0] = curl[1, 1] = xx
+    curl[2, 2] = 2.0 * xx
+    return curl
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +503,28 @@ def _d_par_sq(mol: TransitionDipoles) -> float:
     return float(np.real(contract(mol, mol.d, _D_PAR, mol.d)))
 
 
+# (comparison, symbol, bound): the k0 z on which each closed form leaves its range
+_OUT_OF_RANGE = {
+    Limit.RETARDED: (operator.lt, "<", RETARDED_ABOVE),
+    Limit.NONRETARDED: (operator.gt, ">", NONRETARDED_BELOW),
+}
+
+
 def _warn_limit(limit: Limit, k0z: float):
-    if limit is Limit.RETARDED and k0z < RETARDED_ABOVE:
-        warnings.warn(
-            f"retarded closed form used at omega z/c = {k0z:.3g} < {RETARDED_ABOVE:g}; "
-            "accuracy degrades, consider the numeric method",
-            UserWarning,
-            stacklevel=3,
-        )
-    if limit is Limit.NONRETARDED and k0z > NONRETARDED_BELOW:
-        warnings.warn(
-            f"nonretarded closed form used at omega z/c = {k0z:.3g} > {NONRETARDED_BELOW:g}; "
-            "accuracy degrades, consider the numeric method",
-            UserWarning,
-            stacklevel=3,
-        )
+    if limit in _OUT_OF_RANGE:
+        outside, symbol, bound = _OUT_OF_RANGE[limit]
+        if outside(k0z, bound):
+            warnings.warn(f"{limit.value} closed form used at omega z/c = {k0z:.3g} {symbol} {bound:g}; "
+                          "accuracy degrades, consider the numeric method", UserWarning, stacklevel=3)
+
+
+def _planar_breakdown(g_el: float, g_ch: float, g_vac: float, g_nd: float, method: Method) -> RateBreakdown:
+    """Vacuum plus scattering rates; s_disc = g_ch / g_nd, the non-discriminating rate."""
+    return RateBreakdown(
+        gamma_el=g_el, gamma_ch=g_ch, gamma_vac=g_vac, gamma_total=g_vac + g_el + g_ch,
+        s_disc=degree_of_discrimination(g_ch, g_nd), method=method,
+        assembly="vacuum + scattering (gamma_el is the scattering-only part)",
+    )
 
 
 def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> RateBreakdown:
@@ -533,33 +553,21 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
     z = geom.z_m
     w = mol.omega_ik
     c = CONSTANTS
-    k0 = w / c.c
     sgn = geom.handedness.sign
     g_vac = gamma_vacuum(mol)
-    method = Method.CLOSED_FORM
+    _warn_limit(limit, w / c.c * z)
 
     if limit is Limit.RETARDED:
-        _warn_limit(limit, k0 * z)
         osc = np.sin(2.0 * w * z / c.c)
         g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
         g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
     elif limit is Limit.NONRETARDED:
-        _warn_limit(limit, k0 * z)
         g_ch = sgn * c.mu0 * c.c * _chiral(mol, _FULL_Z) / (6.0 * np.pi * c.hbar * z**3)
         g_el = 0.0
     else:
         g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
         g_el = 0.0  # diagonal reflections vanish for the perfect chiral mirror
-
-    return RateBreakdown(
-        gamma_el=g_el,
-        gamma_ch=g_ch,
-        gamma_vac=g_vac,
-        gamma_total=g_vac + g_el + g_ch,
-        s_disc=degree_of_discrimination(g_ch, g_vac),
-        method=method,
-        assembly="vacuum + scattering (gamma_el is the scattering-only part)",
-    )
+    return _planar_breakdown(g_el, g_ch, g_vac, g_vac, Method.CLOSED_FORM)
 
 
 def rates_halfspace(
@@ -598,12 +606,11 @@ def rates_halfspace(
     z = geom.z_m
     w = mol.omega_ik
     c = CONSTANTS
-    k0 = w / c.c
     g_vac = gamma_vacuum(mol)
     method = Method.CLOSED_FORM
+    _warn_limit(limit, w / c.c * z)
 
     if limit is Limit.RETARDED:
-        _warn_limit(limit, k0 * z)
         r_ss, r_pp, r_sp = fresnel_retarded(med)
         arg = 2.0 * w * z / c.c
         osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
@@ -617,7 +624,6 @@ def rates_halfspace(
             * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real)
         )
     elif limit is Limit.NONRETARDED:
-        _warn_limit(limit, k0 * z)
         if not med.lossless:
             raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
         r_ss, r_pp, r_sp = fresnel_nonretarded(med)
@@ -631,16 +637,7 @@ def rates_halfspace(
         g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
         g_el = gamma_el_from_img(img_g, mol)
         method = Method.QUADRATURE
-
-    return RateBreakdown(
-        gamma_el=g_el,
-        gamma_ch=g_ch,
-        gamma_vac=g_vac,
-        gamma_total=g_vac + g_el + g_ch,
-        s_disc=degree_of_discrimination(g_ch, g_vac + g_el),
-        method=method,
-        assembly="vacuum + scattering (gamma_el is the scattering-only part)",
-    )
+    return _planar_breakdown(g_el, g_ch, g_vac, g_vac + g_el, method)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def _f3(mu: complex, d1: complex, d2: complex) -> complex:
     return 3.0 * mu / (2.0 * d1 * d2)
 
 
+def _f0_appendix(mu: complex, n_r: complex, d1: complex, d2: complex) -> complex:
+    """The factor f0 of ``f_factors``, from the denominators of ``_denoms``."""
+    return 3.0 * mu * ((4.0 * mu + 3.0) * n_r**5 + mu * (3.0 * mu + 2.0) * n_r**3) / (d1**2 * d2**2)
+
+
 def f_factors(med: MediumResponse) -> FFactors:
     """Rational cavity factors (f0, f1, f3) of (eps, mu).
 
@@ -109,13 +114,12 @@ def f_factors(med: MediumResponse) -> FFactors:
     mu = med.mu
     n_r = med.n_r
     d1, d2 = _denoms(med)
-    f0 = 3.0 * mu * ((4.0 * mu + 3.0) * n_r**5 + mu * (3.0 * mu + 2.0) * n_r**3) / (d1**2 * d2**2)
     f1 = (
         3.0 * mu / (10.0 * d1**2 * d2**2)
         * (mu * (3.0 * mu + 1.0) + 20.0 * (mu + 1.0) * n_r**4
            + (20.0 * mu**2 + 23.0 * mu + 3.0) * n_r**2)
     )
-    return FFactors(f0, f1, _f3(mu, d1, d2))
+    return FFactors(_f0_appendix(mu, n_r, d1, d2), f1, _f3(mu, d1, d2))
 
 
 def f0_main(med: MediumResponse) -> complex:
@@ -212,7 +216,7 @@ def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
 def _f0(med: MediumResponse, f0_source: str) -> complex:
     """The cavity factor f0 of a lossless host in the normalization named
     by ``f0_source``."""
-    return f_factors(med).f0 if f0_source == "appendix" else f0_main(med)
+    return _f0_appendix(med.mu, med.n_r, *_denoms(med)) if f0_source == "appendix" else f0_main(med)
 
 
 def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:

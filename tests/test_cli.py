@@ -101,6 +101,21 @@ class TestRunScenario:
         _, ann = run_scenario(scen)
         assert ann["limit"] == "numeric"
 
+    def test_auto_limit_takes_numeric_for_lossy_near_field(self, tmp_path, capsys):
+        # the nonretarded closed form refuses a lossy medium: auto took it
+        # at k0 z = 0.03 and exited 3 (LosslessRequiredError)
+        scen = copy.deepcopy(HALFSPACE)
+        scen["medium"]["eps"] = [2.25, 0.1]
+        scen["method"] = {}
+        cfg = tmp_path / "lossy_auto.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--json", "--config", str(cfg)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK and out["limit"] == "numeric"
+        numeric, _ = run_scenario({**scen, "method": {"limit": "numeric"}})
+        for key in ("gamma_el", "gamma_ch", "gamma_vac", "gamma_total", "s_disc"):
+            assert out[key].hex() == getattr(numeric, key).hex()
+
     def test_json_round_trip_is_bit_exact(self, tmp_path, capsys):
         cfg = tmp_path / "scen.json"
         cfg.write_text(json.dumps(BULK))
@@ -195,6 +210,14 @@ class TestSweep:
         for ln in lines[1:]:
             assert ln.endswith("error:LosslessRequiredError")
             assert "nan" in ln
+
+    def test_overflow_points_are_flagged(self):
+        # eps 1e200 and 1e300 overflow n_r**5 of the cavity factors: the
+        # OverflowError aborted the whole sweep
+        lines = run_sweep(copy.deepcopy(LFC), "medium.eps.re", 1e100, 1e300, 3, log=True)
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [row[-1] for row in rows] == ["ok"] + ["error:PhysicsError"] * 2
+        assert all(np.isfinite(float(v)) for v in rows[0][1:5])
 
     def test_nonpositive_radius_points_are_flagged(self):
         # a radius_a <= 0 aborted the whole sweep with a ValueError
@@ -377,11 +400,27 @@ class TestExitCodesAndGolden:
         # absorbing cavity lossy only in mu: its electric rate, the quotient's
         # denominator, is zero
         (LFC, {"eps": [2.25, 0.0], "mu": [1.0, 0.1], "kappa": [0.05, 0.0]}),
+        # finite inputs whose arithmetic leaves the float range: n_r**5 of
+        # the cavity factors, |2 eps + 1|**2 of the absorbing cavity, w0**2
+        # of a Lorentz model, (1 + eps/mu)**2 and the quartic of the strip
+        # poles, and the retarded reflections (NaN rates)
+        (LFC, {"eps": [1e200, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (LFC, {"eps": [1e300, 1.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (BULK, {"eps": {**LORENTZ, "omega0": 1e200}, "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (NUMERIC, {"eps": [1e300, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        (NUMERIC, {"eps": [1e160, 0.0], "mu": [1e100, 0.0], "kappa": [0.05, 0.0]}),
+        (NUMERIC, {"eps": [1e-300, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
+        ({**HALFSPACE, "geometry": {"kind": "halfspace", "z_m": 1.5e-6}, "method": {"limit": "retarded"}},
+         {"eps": [1e300, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}),
     ], ids=["numeric-eps0", "numeric-mu0", "retarded-eps0", "bulk-eps0", "lfc-re-n0",
-            "numeric-k-plus-lost", "numeric-k-plus-0", "lfc-lossy-mu-only"])
+            "numeric-k-plus-lost", "numeric-k-plus-0", "lfc-lossy-mu-only", "lfc-overflow",
+            "lfc-absorbing-overflow", "lorentz-overflow", "numeric-overflow", "numeric-quartic-overflow",
+            "numeric-eps-tiny", "retarded-nan"])
     def test_degenerate_medium_exits_physics(self, tmp_path, capsys, base, medium):
-        # each one ended in a ZeroDivisionError or a LinAlgError traceback
-        # (exit 1), or in exit 0 with s_disc 0 (lfc-lossy-mu-only)
+        # each one ended in a ZeroDivisionError, LinAlgError or OverflowError
+        # traceback (exit 1), in exit 0 with s_disc 0 (lfc-lossy-mu-only), or
+        # in exit 0 with NaN rates, which the JSON output wrote as NaN
+        # (retarded-nan)
         scen = copy.deepcopy(base)
         scen["medium"] = medium
         cfg = tmp_path / "degenerate.json"
@@ -626,6 +665,20 @@ class TestExitCodesAndGolden:
         capsys.readouterr()
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("z_m", [1.0e-9, 1.5e-6, 1.0e-4])
+    @pytest.mark.parametrize("hand", ["right", "left"])
+    def test_mirror_numeric_electric_rate_prints_zero(self, tmp_path, capsys, hand, z_m):
+        # the mirror's diagonal reflections vanish: its exact electric rate is
+        # +0.0, never the -0 that a contraction through the phase could give
+        scen = {**MIRROR, "geometry": {**MIRROR["geometry"], "handedness": hand, "z_m": z_m},
+                "method": {"limit": "numeric"}}
+        cfg, out = tmp_path / "mirror.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg), "--csv", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[1].split(",")[3] == "0"
 
     def test_readme_scenario_runs(self):
         # the documented schema is the one the reader takes

@@ -75,6 +75,26 @@ def test_medium_fields_are_stored_in_one_place():
                                for node in imports)
 
 
+def test_planar_assembly_is_written_once():
+    """The planar conventions have one home each: one builder of the planar
+    breakdown, one prefactor k0/(8 pi), one function that turns channel
+    totals into tensor entries (the quadrature's and the mirror's exact
+    ones, with no hand-simplified cos/sin form) and one range check per
+    planar rates function."""
+    text = (Path(chipurcell.__file__).parent / "halfspace.py").read_text()
+    assert text.count("RateBreakdown(") == 1
+    assert text.count("k0 / (8.0 * np.pi)") == 1
+    funcs = {f.name: f for f in ast.parse(text).body if isinstance(f, ast.FunctionDef)}
+
+    def calls(name):
+        return [ast.unparse(n.func) for n in ast.walk(funcs[name]) if isinstance(n, ast.Call)]
+
+    assert "_assemble" in calls("scatter_numeric") and "_assemble" in calls("_mirror_curl")
+    assert not {"np.cos", "np.sin"} & set(calls("_mirror_curl"))
+    for rates in ("rates_mirror", "rates_halfspace"):
+        assert calls(rates).count("_warn_limit") == 1
+
+
 def test_constants_identity():
     c = CONSTANTS
     assert abs(c.c**2 * c.eps0 * c.mu0 - 1.0) < 1e-12
