@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from typing import Optional
 
@@ -75,40 +74,48 @@ _FLOAT_MAX = sys.float_info.max
 
 def _finite(node) -> bool:
     """Whether a scenario value is a finite number; a JSON bool is not one."""
-    # the comparison fails for NaN, and for an integer beyond the float range
-    return isinstance(node, (int, float)) and not isinstance(node, bool) and abs(node) <= _FLOAT_MAX
+    # the type test settles a JSON float at once; the comparison fails for
+    # NaN, and for an integer beyond the float range
+    number = type(node) is float or isinstance(node, (int, float)) and not isinstance(node, bool)
+    return number and abs(node) <= _FLOAT_MAX
 
 
-def _real_from(node, where: str) -> float:
+def _path(where) -> str:
+    """A field path: a string, or a (parent path, suffix) pair such as
+    (path, ".eps") or (path, "[0]"), joined only when an error names it."""
+    return where if isinstance(where, str) else _path(where[0]) + where[1]
+
+
+def _real_from(node, where) -> float:
     if _finite(node):
         return float(node)
-    raise SchemaError(f"{where}: expected a finite number, got {node!r}")
+    raise SchemaError(f"{_path(where)}: expected a finite number, got {node!r}")
 
 
-def _omega_from(node, where: str) -> float:
+def _omega_from(node, where) -> float:
     if _finite(node) and node > 0:
         return float(node)
-    raise SchemaError(f"{where}: must be a positive finite number (rad/s), got {node!r}")
+    raise SchemaError(f"{_path(where)}: must be a positive finite number (rad/s), got {node!r}")
 
 
-def _number_from(node, where: str) -> complex:
+def _number_from(node, where) -> complex:
     """A finite number or an [re, im] pair of them."""
-    if isinstance(node, (int, float)):
-        return complex(_real_from(node, where))
     if isinstance(node, list):
         if len(node) == 2 and _finite(node[0]) and _finite(node[1]):
             return complex(node[0], node[1])
-        raise SchemaError(f"{where}: complex values are two-element [re, im] arrays of finite numbers")
-    raise SchemaError(f"{where}: expected a number or an [re, im] pair, got {node!r}")
+        raise SchemaError(f"{_path(where)}: complex values are two-element [re, im] arrays of finite numbers")
+    if isinstance(node, (int, float)):
+        return complex(_real_from(node, where))
+    raise SchemaError(f"{_path(where)}: expected a number or an [re, im] pair, got {node!r}")
 
 
-def _fields(node, where: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
+def _fields(node, where, required: frozenset, optional: frozenset = frozenset()) -> dict:
     """``node``, checked to be an object with every field of ``required`` and
     none outside ``required | optional`` (disjoint); ``where`` is its path."""
     if not isinstance(node, dict):
-        raise SchemaError(f"{where or 'scenario'}: expected an object")
+        raise SchemaError(f"{_path(where) or 'scenario'}: expected an object")
     if node.keys() - optional != required:
-        prefix = f"{where}." if where else ""
+        prefix = f"{_path(where)}." if where else ""
         missing = sorted(required.difference(node))
         if missing:
             raise SchemaError(f"{prefix}{missing[0]}: missing required field")
@@ -127,6 +134,7 @@ _BACKGROUND = frozenset({"background"})
 _QUADRATURE = frozenset({"rel_tol", "max_panels"})
 _METHOD = frozenset({"method"})
 _KIND = frozenset({"kind"})
+_DEFAULT_QUADRATURE = QuadratureSpec()  # frozen, so every scenario without one shares it
 _ROOT = frozenset({"molecule", "medium", "geometry"})
 _PLANAR_METHOD = frozenset({"limit", "compare_numeric", "quadrature"})
 # For each geometry.kind: the fields the scenario root requires (method is
@@ -140,60 +148,53 @@ _KINDS = {
 }
 
 
-def _complex_from(node, where: str, omega: float) -> complex:
+def _complex_from(node, where, omega: float) -> complex:
     """A response channel: a number, an [re, im] pair or a model object
     evaluated at ``omega``."""
     if isinstance(node, dict):
         model = node.get("model")
         if model not in ("lorentz", "lorentz_chiral"):
-            raise SchemaError(f"{where}: unknown response model {model!r}")
+            raise SchemaError(f"{_path(where)}: unknown response model {model!r}")
         _fields(node, where, _MODEL, _BACKGROUND if model == "lorentz" else _NONE)
-        s, w0, g, bg = (_real_from(node.get(key, 1.0), f"{where}.{key}")
+        s, w0, g, bg = (_real_from(node.get(key, 1.0), (where, "." + key))
                         for key in ("strength", "omega0", "gamma", "background"))
         den = w0**2 - omega**2 - 1j * g * omega
         if den == 0:
-            raise PoleError(f"{where}: Lorentz model on resonance (omega0 = {w0!r}) with zero damping")
+            raise PoleError(f"{_path(where)}: Lorentz model on resonance (omega0 = {w0!r}) with zero damping")
         return bg + s * w0**2 / den if model == "lorentz" else s * w0 * omega / den
     if isinstance(node, (int, float, list)):
         return _number_from(node, where)
-    raise SchemaError(f"{where}: expected number, [re, im] or model object")
+    raise SchemaError(f"{_path(where)}: expected number, [re, im] or model object")
 
 
-def _vector3_from(node, where: str) -> np.ndarray:
+def _vector3_from(node, where) -> np.ndarray:
     if not (isinstance(node, list) and len(node) == 3):
-        raise SchemaError(f"{where}: expected a 3-element array of [re, im] pairs")
-    return np.array([_number_from(c, f"{where}[{i}]") for i, c in enumerate(node)])
+        raise SchemaError(f"{_path(where)}: expected a 3-element array of [re, im] pairs")
+    return np.array([_number_from(c, (where, i)) for c, i in zip(node, ("[0]", "[1]", "[2]"))], dtype=complex)
 
 
-def _bool_from(node, where: str) -> bool:
+def _bool_from(node, where) -> bool:
     if isinstance(node, bool):
         return node
-    raise SchemaError(f"{where}: expected true or false, got {node!r}")
+    raise SchemaError(f"{_path(where)}: expected true or false, got {node!r}")
 
 
-def parse_molecule(node, where: str = "molecule") -> TransitionDipoles:
+def parse_molecule(node, where="molecule") -> TransitionDipoles:
     _fields(node, where, _MOLECULE, _ISOTROPIC)
-    omega = _omega_from(node["omega_ik"], f"{where}.omega_ik")
-    isotropic = _bool_from(node.get("isotropic", False), f"{where}.isotropic")
+    omega = _omega_from(node["omega_ik"], (where, ".omega_ik"))
+    isotropic = _bool_from(node.get("isotropic", False), (where, ".isotropic"))
     try:
-        return TransitionDipoles(
-            d=_vector3_from(node["d"], f"{where}.d"),
-            m=_vector3_from(node["m"], f"{where}.m"),
-            omega_ik=omega,
-            isotropic=isotropic,
-        )
+        return TransitionDipoles(_vector3_from(node["d"], (where, ".d")),
+                                 _vector3_from(node["m"], (where, ".m")), omega, isotropic)
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        raise SchemaError(f"{_path(where)}: {exc}") from exc
 
 
-def parse_medium(node, omega: float, where: str = "medium") -> MediumResponse:
+def parse_medium(node, omega: float, where="medium") -> MediumResponse:
     _fields(node, where, _MEDIUM)
-    return MediumResponse(
-        eps=_complex_from(node["eps"], f"{where}.eps", omega),
-        mu=_complex_from(node["mu"], f"{where}.mu", omega),
-        kappa=_complex_from(node["kappa"], f"{where}.kappa", omega),
-        omega=omega,
-    )
+    return MediumResponse(_complex_from(node["eps"], (where, ".eps"), omega),
+                          _complex_from(node["mu"], (where, ".mu"), omega),
+                          _complex_from(node["kappa"], (where, ".kappa"), omega), omega)
 
 
 def _choose_limit(name, omega: float, z_m: float, med: Optional[MediumResponse]) -> Limit:
@@ -214,7 +215,7 @@ def _choose_limit(name, omega: float, z_m: float, med: Optional[MediumResponse])
 
 def parse_quadrature(node) -> QuadratureSpec:
     if node is None:
-        return QuadratureSpec()
+        return _DEFAULT_QUADRATURE
     _fields(node, "method.quadrature", _NONE, _QUADRATURE)
     kwargs = {key: _real_from(value, f"method.quadrature.{key}") for key, value in node.items()}
     if "max_panels" in kwargs:
@@ -230,16 +231,12 @@ def parse_quadrature(node) -> QuadratureSpec:
 
 def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     """Validate and execute one scenario; returns (breakdown, annotations).
-    Arithmetic that leaves the float range raises PhysicsError."""
+    Arithmetic that leaves the float range raises PhysicsError, here or, for
+    a breakdown field that is not finite, in ``RateBreakdown``."""
     try:
-        b, annotations = _run_scenario(scenario)
+        return _run_scenario(scenario)
     except (OverflowError, ZeroDivisionError) as exc:
         raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
-    fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
-    if not all(map(math.isfinite, fields)):
-        raise PhysicsError("the arithmetic left the float range: gamma_el, gamma_ch, gamma_vac, "
-                           "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
-    return b, annotations
 
 
 def _run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:

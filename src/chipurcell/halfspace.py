@@ -443,16 +443,20 @@ def scatter_numeric(
         return out
 
     res = integrate_evanescent(integrand, k0z, spec, breakpoints=_PATH_BREAKPOINTS)
-    xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res), k0, k0z)
-    curl = np.array([[xx, asym, 0.0], [-asym, xx, 0.0], [0.0, 0.0, 2.0 * xx]])
-    return curl, np.diag([g_xx, g_xx, g_zz])
+    xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res).tolist(), k0, k0z)
+    curl, img_g = np.zeros((3, 3)), np.zeros((3, 3))  # filled: faster than np.array or np.diag
+    curl[0, 0] = curl[1, 1] = xx
+    img_g[0, 0] = img_g[1, 1] = g_xx
+    curl[0, 1], curl[1, 0], curl[2, 2], img_g[2, 2] = asym, -asym, 2.0 * xx, g_zz
+    return curl, img_g
 
 
-def _assemble(totals: np.ndarray, k0: float, k0z: float) -> tuple:
-    """(curl Im G xx, x-y; Im G xx, zz), in 1/m^2 and 1/m, from the complex
-    totals of the four ``_CHANNELS`` over tau on the path x = 1 + i tau,
+def _assemble(totals, k0: float, k0z: float) -> tuple:
+    """(curl Im G xx, x-y; Im G xx, zz), in 1/m^2 and 1/m, from the four
+    complex totals of the ``_CHANNELS`` over tau on the path x = 1 + i tau,
     whose phase exp(2i k0 z) multiplies them once here."""
-    xx, asym, g_xx, g_zz = (cmath.exp(2j * k0z) * totals).tolist()
+    phase = cmath.exp(2j * k0z)
+    xx, asym, g_xx, g_zz = [phase * total for total in totals]
     # the t = k0 tau Jacobian, and the prefactors -i k0/(8 pi) of curl G and
     # i/(8 pi) of G, whose channels are written over i and 2i
     pre = k0 / (8.0 * np.pi)
@@ -474,7 +478,7 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
     s = 2.0 * k0z
-    xx = _assemble(np.array([geom.handedness.sign * (2.0 / s**3 - 2j / s**2), 0j, 0j, 0j]), k0, k0z)[0]
+    xx = _assemble((geom.handedness.sign * (2.0 / s**3 - 2j / s**2), 0j, 0j, 0j), k0, k0z)[0]
     curl = np.zeros((3, 3))  # filled, which is faster than np.diag of a list
     curl[0, 0] = curl[1, 1] = xx
     curl[2, 2] = 2.0 * xx
@@ -557,16 +561,19 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
     g_vac = gamma_vacuum(mol)
     _warn_limit(limit, w / c.c * z)
 
-    if limit is Limit.RETARDED:
-        osc = np.sin(2.0 * w * z / c.c)
-        g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
-        g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
-    elif limit is Limit.NONRETARDED:
-        g_ch = sgn * c.mu0 * c.c * _chiral(mol, _FULL_Z) / (6.0 * np.pi * c.hbar * z**3)
-        g_el = 0.0
-    else:
-        g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
-        g_el = 0.0  # diagonal reflections vanish for the perfect chiral mirror
+    try:
+        if limit is Limit.RETARDED:
+            osc = np.sin(2.0 * w * z / c.c)
+            g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
+            g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
+        elif limit is Limit.NONRETARDED:
+            g_ch = sgn * c.mu0 * c.c * _chiral(mol, _FULL_Z) / (6.0 * np.pi * c.hbar * z**3)
+            g_el = 0.0
+        else:
+            g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
+            g_el = 0.0  # diagonal reflections vanish for the perfect chiral mirror
+    except (OverflowError, ZeroDivisionError) as exc:  # a power of z left the float range
+        raise PhysicsError(f"the arithmetic left the float range at z_m = {z!r}: {exc}") from exc
     return _planar_breakdown(g_el, g_ch, g_vac, g_vac, Method.CLOSED_FORM)
 
 
@@ -610,33 +617,34 @@ def rates_halfspace(
     method = Method.CLOSED_FORM
     _warn_limit(limit, w / c.c * z)
 
-    if limit is Limit.RETARDED:
-        r_ss, r_pp, r_sp = fresnel_retarded(med)
-        arg = 2.0 * w * z / c.c
-        osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
-        diag = r_ss + r_pp
-        osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
-        g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
-                + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
-        r_s = (np.sqrt(med.mu) - np.sqrt(med.eps)) / (np.sqrt(med.mu) + np.sqrt(med.eps))
-        g_el = (
-            c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
-            * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real)
-        )
-    elif limit is Limit.NONRETARDED:
-        if not med.lossless:
-            raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
-        r_ss, r_pp, r_sp = fresnel_nonretarded(med)
-        g_ch = float(np.real(
-            -1j * w * _chiral(mol, _FULL_Z) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
-            - c.mu0 * w**2 * _chiral(mol, _CROSS_Z) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
-        ))
-        g_el = 0.0  # the near-field reflections of a lossless medium are real: Im G vanishes
-    else:
-        curl, img_g = scatter_numeric(geom, w, spec)
-        g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
-        g_el = gamma_el_from_img(img_g, mol)
-        method = Method.QUADRATURE
+    try:
+        if limit is Limit.RETARDED:
+            r_ss, r_pp, r_sp = fresnel_retarded(med)
+            arg = 2.0 * w * z / c.c
+            osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
+            diag = r_ss + r_pp
+            osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
+            g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
+                    + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
+            r_s = (np.sqrt(med.mu) - np.sqrt(med.eps)) / (np.sqrt(med.mu) + np.sqrt(med.eps))
+            g_el = (c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
+                    * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real))
+        elif limit is Limit.NONRETARDED:
+            if not med.lossless:
+                raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
+            r_ss, r_pp, r_sp = fresnel_nonretarded(med)
+            g_ch = float(np.real(
+                -1j * w * _chiral(mol, _FULL_Z) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
+                - c.mu0 * w**2 * _chiral(mol, _CROSS_Z) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
+            ))
+            g_el = 0.0  # the near-field reflections of a lossless medium are real: Im G vanishes
+        else:
+            curl, img_g = scatter_numeric(geom, w, spec)
+            g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
+            g_el = gamma_el_from_img(img_g, mol)
+            method = Method.QUADRATURE
+    except (OverflowError, ZeroDivisionError) as exc:  # a power of z left the float range
+        raise PhysicsError(f"the arithmetic left the float range at z_m = {z!r}: {exc}") from exc
     return _planar_breakdown(g_el, g_ch, g_vac, g_vac + g_el, method)
 
 

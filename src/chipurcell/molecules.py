@@ -36,15 +36,18 @@ class TransitionDipoles:
     isotropic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=complex).reshape(3))
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=complex).reshape(3))
+        d, m = np.asarray(self.d, dtype=complex), np.asarray(self.m, dtype=complex)
+        if d.shape != (3,) or m.shape != (3,):
+            raise ValueError(f"d and m must have shape (3,), got {d.shape} and {m.shape}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
         if not (self.omega_ik > 0):
             raise ValueError(f"omega_ik must be positive, got {self.omega_ik}")
 
     @property
     def d_norm_sq(self) -> float:
         """|d|^2 = sum_i |d_i|^2 (C^2 m^2)."""
-        return float(np.sum(np.abs(self.d) ** 2))
+        return float(np.vdot(self.d, self.d).real)
 
     def flipped(self) -> "TransitionDipoles":
         """Enantiomer partner: m -> -m (flips the rotatory strength)."""

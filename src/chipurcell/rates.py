@@ -31,6 +31,7 @@ factor 4/3 (for diag(1,1,2) matrices).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,9 @@ class RateBreakdown:
     ``s_disc`` is gamma_ch over the geometry's non-discriminating rate, formed
     by ``degree_of_discrimination``: gamma_el for the bulk medium and the
     cavity, gamma_vac for the perfect mirror, and gamma_vac + gamma_el for
-    the half-space in every limit. A zero denominator raises PhysicsError.
+    the half-space in every limit. A zero denominator raises PhysicsError,
+    and so does a field that is not finite (arithmetic that left the float
+    range), so every rates function ends in finite fields or a typed error.
     """
 
     gamma_el: float
@@ -75,14 +78,21 @@ class RateBreakdown:
     assembly: str = ""
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        fields = (self.gamma_el, self.gamma_ch, self.gamma_vac, self.gamma_total, self.s_disc)
+        if not all(map(math.isfinite, fields)):
+            raise PhysicsError("the arithmetic left the float range: gamma_el, gamma_ch, gamma_vac, "
+                               "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
+
 
 def contract(mol: TransitionDipoles, a: np.ndarray, t: np.ndarray, b: np.ndarray) -> complex:
     """The dipole contraction a . t . b* for ``mol``, where a and b are its
-    dipoles and t is a 3x3 complex array; for an isotropic molecule, its
-    orientation average (1/3) Tr(t) (a . b*)."""
+    dipoles and t is a real or complex 3x3 array; for an isotropic molecule,
+    its orientation average (1/3) Tr(t) (a . b*). np.vdot(b, v) is v . b*,
+    and a real t is cast by the product with a, not before it."""
     if mol.isotropic:
-        return t.trace() / 3.0 * a.dot(b.conj())
-    return a @ t @ b.conj()
+        return (t[0, 0] + t[1, 1] + t[2, 2]) * np.vdot(b, a) / 3.0
+    return np.vdot(b, np.dot(a, t))
 
 
 def gamma_ch_from_curl(
@@ -93,15 +103,13 @@ def gamma_ch_from_curl(
     """Chiral decay-rate contribution from the curl of Im G at the molecule.
 
     ``curl`` is the 3x3 curl Im G at coincidence (units 1/m^2), real or
-    complex; it is contracted as a complex array. Returns
-    (4 mu0 w / hbar) * Im[d . T . m*] (default ordering; see module
-    docstring), or the orientation-averaged (1/3) Tr form for isotropic
-    molecules. Real-linear in the curl matrix.
+    complex. Returns (4 mu0 w / hbar) * Im[d . T . m*] (default ordering;
+    see module docstring), or the orientation-averaged (1/3) Tr form for
+    isotropic molecules. Real-linear in the curl matrix.
     """
-    t = np.asarray(curl, dtype=complex).reshape(3, 3)
     pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
     a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
-    return pref * float(np.imag(contract(mol, a, t, b)))
+    return pref * float(contract(mol, a, np.asarray(curl), b).imag)
 
 
 def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
@@ -111,9 +119,8 @@ def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
     real for the symmetric matrices produced by reciprocal environments; the
     residual imaginary part is discarded.
     """
-    t = np.asarray(img_g, dtype=complex).reshape(3, 3)
     pref = 2.0 * CONSTANTS.mu0 * mol.omega_ik**2 / CONSTANTS.hbar
-    return pref * float(np.real(contract(mol, mol.d, t, mol.d)))
+    return pref * float(contract(mol, mol.d, np.asarray(img_g), mol.d).real)
 
 
 def gamma_vacuum(mol: TransitionDipoles) -> float:

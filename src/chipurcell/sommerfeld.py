@@ -49,6 +49,9 @@ _WG = np.array([
 _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascending
 _W15 = np.concatenate([_WGK, _WGK[-2::-1]])  # Kronrod weights of the 15 nodes
 _W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nodes
+# (15, 2): the Kronrod weights, and the Kronrod minus the Gauss weights (I15 - I7)
+_WSUMS = np.column_stack([_W15, _W15])
+_WSUMS[1::2, 1] -= _W7
 _TINY = float(np.finfo(float).tiny)
 _CUTOFF_U = 40.0  # the tail is truncated at u = 2 t z = 40, an e^-40 remainder
 
@@ -88,17 +91,19 @@ def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
     """
     half = 0.5 * (b - a)
     rows = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _X15), dtype=complex)
-    # einsum, not matmul: a BLAS matrix-vector product over many panels
-    # spreads onto threads, which stall whenever the other cores are busy
-    i15 = half * np.einsum("...j,j", rows, _W15)
-    i7 = half * np.einsum("...j,j", rows[..., 1::2], _W7)
-    resabs = np.abs(half) * np.einsum("...j,j", np.abs(rows), _W15)
-    raw = np.abs(i15 - i7)
+    # np.dot of a 3-d array takes one BLAS dot product per (channel, panel) row
+    # and weight column, so a row's sums never depend on its companions; a
+    # matrix product (matmul, or np.dot of 2-d arrays) would go to BLAS gemm,
+    # whose threads stall on large rounds whenever the other cores are busy
+    sums = np.dot(rows, _WSUMS)  # (channels, panels, 2): the I15 and I15 - I7 sums
+    raw = np.abs(sums[..., 1])
+    resabs = np.dot(np.abs(rows), _W15)
     # rescaled error estimate; guards against |I15-I7| underestimating on
-    # smooth integrands (same shape as the classic QUADPACK heuristic)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rescaled = np.maximum(raw, resabs * np.minimum(1.0, (200.0 * raw / resabs) ** 1.5))
-    return i15, np.where(resabs > 0, rescaled, raw)
+    # smooth integrands (same shape as the classic QUADPACK heuristic). The
+    # ratio is that of the unscaled sums; a zero resabs means zero rows,
+    # and the floor keeps their estimate at zero with no 0/0.
+    ratio = 200.0 * raw / np.maximum(resabs, _TINY)
+    return sums[..., 0] * half, np.abs(half) * np.maximum(raw, resabs * np.minimum(1.0, ratio**1.5))
 
 
 def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
@@ -120,7 +125,7 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     while True:
         value, err_sum = val.sum(axis=1), err.sum(axis=1)
         tol = spec.rel_tol * np.abs(value)
-        converged = bool(np.all(err_sum <= tol))
+        converged = bool((err_sum <= tol).all())
         if converged or len(a) >= spec.max_panels:
             break
         mid = 0.5 * (a + b)

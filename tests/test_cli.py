@@ -430,6 +430,20 @@ class TestExitCodesAndGolden:
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "Traceback" not in err
 
+    @pytest.mark.parametrize("limit, z_m", [
+        ("numeric", 1e-110), ("numeric", 1e-120), ("nonretarded", 1e-100),
+    ])
+    def test_mirror_beyond_the_float_range_exits_physics(self, tmp_path, capsys, limit, z_m):
+        # the library now raises PhysicsError itself (NaN rates at 1e-110, a
+        # ZeroDivisionError at the others); the CLI still exits 3
+        scen = {**MIRROR, "geometry": {**MIRROR["geometry"], "z_m": z_m}, "method": {"limit": limit}}
+        cfg = tmp_path / "mirror.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error (physics):") and "float range" in err and "Traceback" not in err
+
     def test_lossless_eps_minus_one_nonretarded_exits_ok(self, tmp_path, capsys):
         # eps = -1 is the pole of the quasi-static r_p; the near-field
         # electric rate divided by |eps + 1| and ended in a ZeroDivisionError

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chipurcell.halfspace as hs
+import chipurcell.sommerfeld as sommerfeld
 from chipurcell import (
     CONSTANTS,
     Contraction,
@@ -278,6 +279,23 @@ class TestNumericCurl:
     def test_missing_medium(self):
         with pytest.raises(PhysicsError, match="requires a medium"):
             scatter_numeric(PlanarGeometry(z_m=1.0 / K0, handedness=Handedness.RIGHT), W)
+
+    @pytest.mark.parametrize("medium, k0z, panels", [
+        ("lossless", 1.0, 8), ("absorbing", 1.0, 8), ("lossless", 0.05, 14), ("absorbing", 0.05, 14),
+        ("absorbing", 30.0, 10), ("absorbing", 300.0, 8),
+    ])
+    def test_benchmark_anchors_converge_in_the_seed_round(self, monkeypatch, medium, k0z, panels):
+        """The half-space anchors of bench/workloads.py converge on their
+        seed panels: one GK15 call, no refinement. Pinned so that a change
+        in the cost of a point cannot come from a change in refinement."""
+        calls = []
+        gk15 = sommerfeld._gk15
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: calls.append(len(a)) or gk15(f, a, b))
+        results = record_integrals(monkeypatch)
+        med = MediumResponse(*ORACLE_MEDIA[medium], omega=W)
+        scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
+        assert calls == [panels]
+        assert [(r.panels_used, r.converged) for r in results] == [(panels, True)]
 
 
 class TestPlan:
@@ -561,6 +579,39 @@ class TestHalfspaceRates:
     def test_missing_medium(self, mol_iso):
         with pytest.raises(PhysicsError):
             rates_halfspace(PlanarGeometry(z_m=1.0 / K0), mol_iso, Limit.NUMERIC)
+
+
+class TestFloatRange:
+    """Distances whose powers leave the float range end in PhysicsError from
+    the library, not in NaN or infinite rates or a bare ZeroDivisionError.
+    Where numpy warns on the way (ROADMAP item 8 owns those warnings), the
+    test ignores RuntimeWarning explicitly."""
+
+    @pytest.mark.parametrize("limit, z_m", [
+        (Limit.NUMERIC, 1e-110),  # NaN rates: 2/s^3 in the mirror's totals overflows
+        (Limit.NUMERIC, 1e-120),  # s^3 underflows to 0: ZeroDivisionError
+        (Limit.NONRETARDED, 1e-100),  # z^3 underflows to 0: ZeroDivisionError
+    ])
+    def test_mirror_ends_typed(self, mol_iso, limit, z_m):
+        with pytest.raises(PhysicsError, match="left the float range"):
+            rates_mirror(PlanarGeometry(z_m=z_m, handedness=Handedness.RIGHT), mol_iso, limit)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:retarded closed form used:UserWarning")
+    def test_retarded_mirror_ends_typed(self, mol_iso):
+        # -inf rates: z^2 underflows in the chiral rate
+        with pytest.raises(PhysicsError, match="left the float range"):
+            rates_mirror(PlanarGeometry(z_m=1e-200, handedness=Handedness.RIGHT), mol_iso, Limit.RETARDED)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("limit, z_m", [
+        (Limit.NUMERIC, 1e-120),  # NaN rates: the path's totals overflow
+        (Limit.RETARDED, 1e300),  # NaN rates: cos and sin of 2 k0 z
+        (Limit.NONRETARDED, 1e-200),  # z^2 underflows to 0: ZeroDivisionError
+    ])
+    def test_halfspace_ends_typed(self, mol_iso, limit, z_m):
+        med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
+        with pytest.raises(PhysicsError, match="left the float range"):
+            rates_halfspace(PlanarGeometry(z_m=z_m, medium=med), mol_iso, limit)
 
 
 class TestHalfspaceDiscrimination:

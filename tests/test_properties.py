@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chipurcell import (
     rates_mirror,
     rotatory_strength,
 )
+from chipurcell.rates import contract
 from conftest import OMEGA
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -37,6 +39,45 @@ def test_rotatory_strength_antisymmetric_under_magnetic_flip(d, m):
     mol = TransitionDipoles(d * 1e-30, m * 1e-23, OMEGA)
     assert rotatory_strength(mol.flipped()) == -rotatory_strength(mol)
     assert isinstance(rotatory_strength(mol), float)
+
+
+# components away from the subnormal range, where no product underflows
+moderate = st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+ccomp = st.tuples(moderate, moderate).map(lambda t: complex(*t))
+cvec3 = st.lists(ccomp, min_size=3, max_size=3).map(np.array)
+tensors = (st.lists(moderate, min_size=9, max_size=9) | st.lists(ccomp, min_size=9, max_size=9)).map(
+    lambda v: np.array(v).reshape(3, 3))
+
+
+def exact_sum(terms) -> tuple:
+    """The sum of the products of each term's complex factors, in exact
+    rational arithmetic, as (re, im) Fractions."""
+    re = im = Fraction(0)
+    for factors in terms:
+        pr, pi = Fraction(1), Fraction(0)
+        for z in factors:
+            zr, zi = Fraction(z.real), Fraction(z.imag)
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        re, im = re + pr, im + pi
+    return re, im
+
+
+@given(cvec3, cvec3, tensors, st.booleans())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_contract_is_the_explicit_sum(a, b, t, isotropic):
+    """contract equals sum_ij a_i t_ij b_j*, or for an isotropic molecule
+    (1/3) Tr t sum_i a_i b_i*, to 4 ulp of the summed magnitudes, for real
+    and complex t."""
+    mol = TransitionDipoles(a, b, OMEGA, isotropic)
+    got = complex(contract(mol, mol.d, t, mol.m))
+    if isotropic:
+        re, im = exact_sum((t[k, k], a[i], b[i].conjugate()) for k in range(3) for i in range(3))
+        re, im = re / 3, im / 3
+        size = abs(np.diag(t)).sum() * (abs(a) * abs(b)).sum() / 3.0
+    else:
+        re, im = exact_sum((a[i], t[i, j], b[j].conjugate()) for i in range(3) for j in range(3))
+        size = abs(a) @ abs(t) @ abs(b)
+    assert math.hypot(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)) <= 4 * np.spacing(size)
 
 
 @given(cvec, cvec, finite, finite)

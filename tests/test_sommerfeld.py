@@ -163,6 +163,44 @@ def test_gk15_channel_row_is_independent_of_companions(f, ends):
     assert np.array_equal(together_err[1], alone_err[0])
 
 
+def test_gk15_matches_plain_kronrod_and_gauss_sums():
+    """(I15, err) of each channel and panel against the rule written out in
+    Python: I15 = h sum w15_j f_j and I7 = h sum w7_j f_(2j+1) with h the
+    panel's half width, resabs = |h| sum w15_j |f_j|, and
+    err = max(|I15 - I7|, resabs min(1, (200 |I15 - I7| / resabs)^1.5)),
+    or |I15 - I7| where resabs is zero. Channels: random complex rows, a
+    Lorentzian (whose rescaled error is below resabs), a cubic (whose two
+    rules agree to round-off) and a zero row."""
+    rng = np.random.default_rng(18)
+    a, b = np.array([0.0, 0.3, 1.0, 2.5]), np.array([0.3, 1.0, 2.5, 40.0])
+    noise = rng.normal(size=(2, 4, 15)) + 1j * rng.normal(size=(2, 4, 15))
+    rows = lambda x: np.concatenate(
+        [noise, [1j / (1 + 100 * (x - 0.5) ** 2), (1 + 2j) * x**3 - x + 0.5j, 0 * x]])
+    i15, err = _gk15(rows, a, b)
+    xgk = [0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+           0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0]
+    wgk = [0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+           0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728]
+    wg = [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
+    nodes = [-x for x in xgk] + xgk[-2::-1]
+    w15, w7 = wgk + wgk[-2::-1], wg + wg[-2::-1]
+    values = rows(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * np.array(nodes))
+    for c in range(values.shape[0]):
+        for p in range(len(a)):
+            h, f = 0.5 * (b[p] - a[p]), values[c, p].tolist()
+            kronrod = h * sum(w * v for w, v in zip(w15, f))
+            gauss = h * sum(w * v for w, v in zip(w7, f[1::2]))
+            resabs = abs(h) * sum(w * abs(v) for w, v in zip(w15, f))
+            raw = abs(kronrod - gauss)
+            want = max(raw, resabs * min(1.0, (200.0 * raw / resabs) ** 1.5)) if resabs > 0 else raw
+            # the sums differ by their rounding, a few ulp of resabs; the
+            # rescaling amplifies an error in raw by at most 1.5 * 200^1.5
+            assert abs(i15[c, p] - kronrod) <= 1e-14 * resabs
+            assert abs(err[c, p] - want) <= 1e-11 * resabs
+    assert not i15[-1].any() and not err[-1].any()
+    assert (err[3] < 1e-6 * np.abs(i15[3])).all()  # the cubic is resolved
+
+
 @pytest.mark.parametrize("integrate, seed_panels", [
     (lambda f: _adaptive(f, [0.0, 1.0], QuadratureSpec(rel_tol=1e-12)), 1),
     (lambda f: integrate_evanescent(f, 0.5, QuadratureSpec(rel_tol=1e-12)), 8),
