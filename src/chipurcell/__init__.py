@@ -8,7 +8,7 @@ asymptotic limits and an independent numerical-quadrature pathway.
 """
 
 from .constants import CONSTANTS, PhysicalConstants
-from .media import MediumResponse, vacuum
+from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
     Contraction,
@@ -48,11 +48,7 @@ from .halfspace import (
     rates_mirror,
     scatter_numeric,
 )
-from .sommerfeld import (
-    QuadratureResult,
-    QuadratureSpec,
-    integrate_evanescent,
-)
+from .sommerfeld import QuadratureResult, QuadratureSpec
 from . import errors
 
 __version__ = "0.1.0"
@@ -61,7 +57,6 @@ __all__ = [
     "CONSTANTS",
     "PhysicalConstants",
     "MediumResponse",
-    "vacuum",
     "TransitionDipoles",
     "rotatory_strength",
     "Contraction",
@@ -96,6 +91,5 @@ __all__ = [
     "rates_halfspace",
     "QuadratureSpec",
     "QuadratureResult",
-    "integrate_evanescent",
     "errors",
 ]

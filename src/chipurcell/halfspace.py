@@ -20,22 +20,19 @@ k-parallel limit coincides with ``fresnel_nonretarded``.
 The numeric pathway (``scatter_numeric``) evaluates the exact wavevector
 integrals of the scattering Green's tensor of a half-space and is the
 physical arbiter between the two closed-form limits. Their contour in the
-vacuum perpendicular wave number (the evanescent axis, then the traveling
-segment [0, k0]) is deformed onto the steepest-descent path
-k_perp = k0 + i t, on which exp(2i k_perp z) decays without oscillating, so
-one adaptive integral of a few panels covers any distance; branch cuts of
-the reflections inside the swept strip are integrated around (deformed
-Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)), and
-a reflection pole inside it, which only a medium with gain has, raises
-PoleError. The integrand is dimensionless:
-a function of x = k_perp/k0 = 1 + i t/k0 with four channels (curl G xx
-and x-y, G xx and zz; curl G zz is twice curl G xx). Each node carries
-only the real decay exp(-2 t z) of exp(2i k_perp z), and one function
-(``_assemble``) turns the four channel totals into tensor entries. The
-reflections of a medium come from one cached per-medium plan (``_plan``),
-in units of k0, which ``planar_reflections`` uses as well. The perfect
-mirror's reflections are constant, so ``_mirror_curl`` assembles its
-elementary totals the same way and runs no quadrature.
+vacuum perpendicular wave number is deformed onto the steepest-descent
+path x = k_perp/k0 = 1 + i tau, on which exp(2i k_perp z) decays like
+exp(-2 k0 z tau) without oscillating, so one adaptive integral over tau,
+seeded here at the scales of the decay and of the reflections, covers any
+distance. Branch cuts inside the swept strip are integrated around as
+hairpins in the same integrand (deformed Sommerfeld contours: Paulus,
+Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a reflection pole inside it,
+which only gain can put there, raises PoleError. One function
+(``_assemble``) turns the four channel totals into tensor entries, and the
+reflections come from one cached per-medium plan (``_plan``), in units of
+k0, shared with ``planar_reflections``. The perfect mirror's reflections
+are constant, so ``_mirror_curl`` assembles its elementary totals the same
+way and runs no quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -49,6 +46,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -70,7 +68,7 @@ from .rates import (
     gamma_el_from_img,
     gamma_vacuum,
 )
-from .sommerfeld import QuadratureResult, QuadratureSpec, integrate_evanescent
+from .sommerfeld import QuadratureResult, QuadratureSpec, integrate
 
 
 # the k0 z ranges in which the closed forms hold: the nonretarded limit
@@ -148,12 +146,16 @@ class _Plan:
 def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
     """The ``_Plan`` of a medium; built once per (eps, mu, kappa). Raises
     ``PhysicsError`` for eps = 0 or mu = 0, where the impedance sqrt(mu/eps)
-    is 0 or infinite, and for a circular wave number K whose square vanishes
-    against k0^2 (kappa = +-n_r), which alpha = K^2 - 1 cannot hold."""
+    is 0 or infinite, for a circular wave number K beyond the float range,
+    and for one whose square vanishes against k0^2 (kappa = +-n_r), which
+    alpha = K^2 - 1 cannot hold."""
     if eps == 0 or mu == 0:
         raise PhysicsError(f"planar reflections need nonzero eps and mu, got eps = {eps!r}, mu = {mu!r}")
     unit = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
     k_plus, k_minus = unit.k_plus, unit.k_minus
+    if not (cmath.isfinite(k_plus) and cmath.isfinite(k_minus)):
+        raise PhysicsError(
+            f"the circular wave numbers leave the float range: k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}")
     cuts = {}
     for mode, k in enumerate((k_plus, k_minus)):
         if (k * k).imag < 0:
@@ -333,9 +335,9 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
 
 # the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
-# panel seeds of the steepest-descent path, in units of k0: the reflections
-# vary on the scale of k0 whatever the distance
-_PATH_BREAKPOINTS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+# the path's totals are of the order of the mirror's moment 2/(2 k0 z)^3
+# (``_mirror_curl``), past the float range below this k0 z (about 8.9e-104)
+_K0Z_MIN = 0.5 / float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 def _run_quadrature(res: QuadratureResult) -> np.ndarray:
@@ -381,20 +383,16 @@ def scatter_numeric(
     zz; curl G zz is twice curl G xx, set at assembly.
 
     By Cauchy's theorem C is deformed onto the steepest-descent path
-    k_perp = k0 + i t, t in [0, inf), on which exp(2i k_perp z) decays like
-    exp(-2 t z) without oscillating, so the panel count does not grow with
-    z. The integrand is dimensionless: a function of x = k_perp/k0 =
-    1 + i tau, tau = t/k0, integrated over tau. Each node carries only the
-    real decay exp(-2 k0 z tau), and ``_assemble`` applies the rest of
-    exp(2i k_perp z) to the totals. The reflections come from the medium's
-    cached ``_Plan``; each vertical branch cut inside the strip the
-    deformation sweeps is added as a hairpin, the difference of the
-    channels on its two sides at x = x_b + i tau with the roots of every
-    mode cut there negated, in the same integrand and with its constant
-    phase exp(2i k0 z (x_b - 1)); a pole inside the strip (possible only
-    with gain) raises PoleError. One adaptive integral evaluates the
-    reflections once per refinement round, on the nodes of every panel the
-    round evaluates.
+    x = k_perp/k0 = 1 + i tau, tau in [0, inf), on which exp(2i k_perp z)
+    decays like exp(-2 k0 z tau) without oscillating, so the panel count
+    does not grow with z. One ``sommerfeld.integrate`` over tau, truncated
+    at an e^-40 tail, evaluates each refinement round as one stack of lines
+    x = start + i tau: the path, and both sides of every vertical branch cut
+    inside the swept strip, whose difference (a hairpin) enters with its
+    constant phase exp(2i k0 z (x_b - 1)). Each node carries only the real
+    decay, and ``_assemble`` applies the rest of exp(2i k_perp z) to the
+    totals. A pole inside the strip (possible only with gain) raises
+    PoleError, and a k0 z so small that the totals overflow PhysicsError.
     """
     med = geom.medium
     if med is None:
@@ -408,41 +406,48 @@ def scatter_numeric(
             "the steepest-descent path (a medium with gain); the numeric pathway does not "
             "integrate around it"
         )
-    # (x_b, the modes cut upward from it, the phase relative to the path)
-    hairpins = [(x_b, list(modes), cmath.exp(2j * k0z * (x_b - 1.0)))
-                for x_b, modes in plan.cuts if x_b.real < 1.0]
-
-    def channels(out: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        r_ss, r_pp, r_sp, r_diff = _reflections(plan, a)
-        x2 = x * x
-        par = 1.0 - x2  # k_par^2 / k0^2
-        np.multiply(r_sp, par, out=out[0])  # curl xx
-        np.multiply(x, r_diff, out=out[1])  # curl x-y
-        np.subtract(r_ss, x2 * r_pp, out=out[2])  # G xx over i
-        np.multiply(par, r_pp, out=out[3])  # G zz over 2i
-        if not np.isfinite(out).all():
-            bad = x[~np.isfinite(out).all(axis=0)][0]
-            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
-        return out
+    if k0z < _K0Z_MIN:
+        raise PhysicsError(f"the arithmetic left the float range at k0 z = {k0z!r}: the path's totals, "
+                           "of order (2 k0 z)^-3, overflow")
+    # seeds in tau: 0, the end of an e^-40 tail (far below any realistic
+    # tolerance), where the decay reaches e^-u, and, below the end, the
+    # scales on which the reflections vary whatever the distance
+    end = 40.0 / (2.0 * k0z)
+    seeds = sorted({0.0, end, *(u / (2.0 * k0z) for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0)),
+                    *(tau for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0) if tau < end)})
+    # the lines x = start + i tau: the path, then the left and right side of
+    # each vertical cut in the strip (one float right of x_b, where
+    # _amplitudes negates the roots of the modes cut there)
+    cuts = [x_b for x_b, _ in plan.cuts if x_b.real < 1.0]
+    starts = np.array([1.0, *(x for x_b in cuts
+                              for x in (x_b, complex(math.nextafter(x_b.real, 2.0), x_b.imag)))])
+    re, im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
+    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in cuts]  # of each hairpin, relative to the path
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        out = np.empty((4,) + tau.shape, dtype=complex)
-        x = np.empty(tau.shape, dtype=complex)
+        x = np.empty((len(starts),) + tau.shape, dtype=complex)
+        x.real, x.imag = re, im + tau  # with no complex arithmetic
+        out = np.empty((len(starts), 4) + tau.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x.real, x.imag = 1.0, tau  # x = 1 + i tau, with no complex arithmetic
-            channels(out, x, _amplitudes(plan, x))
-            for x_b, modes, phase in hairpins:
-                x.real, x.imag = x_b.real, x_b.imag + tau  # x = x_b + i tau, reusing the buffer
-                a = _amplitudes(plan, x)  # the left side of the cut
-                side = channels(np.empty_like(out), x, a)
-                a[modes] *= -1.0  # the right side: the cut modes' roots negated
-                side -= channels(np.empty_like(out), x, a)
-                side *= phase
-                out += side
-        out *= np.exp(-2.0 * k0z * tau)
-        return out
+            r_ss, r_pp, r_sp, r_diff = _reflections(plan, _amplitudes(plan, x))
+            x2 = x * x
+            par = 1.0 - x2  # k_par^2 / k0^2
+            np.multiply(r_sp, par, out=out[:, 0])  # curl xx
+            np.multiply(x, r_diff, out=out[:, 1])  # curl x-y
+            np.subtract(r_ss, x2 * r_pp, out=out[:, 2])  # G xx over i
+            np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
+        if not np.isfinite(out).all():
+            bad = x[~np.isfinite(out).all(axis=1)][0]
+            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
+        total = out[0]
+        for i, phase in enumerate(phases):
+            side = out[2 * i + 1] - out[2 * i + 2]
+            side *= phase
+            total += side
+        total *= np.exp(-2.0 * k0z * tau)
+        return total
 
-    res = integrate_evanescent(integrand, k0z, spec, breakpoints=_PATH_BREAKPOINTS)
+    res = integrate(integrand, seeds, spec)
     xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res).tolist(), k0, k0z)
     curl, img_g = np.zeros((3, 3)), np.zeros((3, 3))  # filled: faster than np.array or np.diag
     curl[0, 0] = curl[1, 1] = xx
@@ -477,8 +482,8 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
     """
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
-    s = 2.0 * k0z
-    xx = _assemble((geom.handedness.sign * (2.0 / s**3 - 2j / s**2), 0j, 0j, 0j), k0, k0z)[0]
+    u = 1.0 / (2.0 * k0z)  # 1/s: its powers vanish in the far field rather than overflow
+    xx = _assemble((geom.handedness.sign * (2.0 * u**3 - 2j * u**2), 0j, 0j, 0j), k0, k0z)[0]
     curl = np.zeros((3, 3))  # filled, which is faster than np.diag of a list
     curl[0, 0] = curl[1, 1] = xx
     curl[2, 2] = 2.0 * xx
@@ -522,6 +527,15 @@ def _warn_limit(limit: Limit, k0z: float):
                           "accuracy degrades, consider the numeric method", UserWarning, stacklevel=3)
 
 
+def _round_trip(w: float, z: float) -> float:
+    """The retarded forms' round-trip phase 2 w z / c. Raises OverflowError
+    where it leaves the float range, as a power of z_m does."""
+    arg = 2.0 * w * z / CONSTANTS.c
+    if arg == math.inf:
+        raise OverflowError("2 w z / c is not finite")
+    return arg
+
+
 def _planar_breakdown(g_el: float, g_ch: float, g_vac: float, g_nd: float, method: Method) -> RateBreakdown:
     """Vacuum plus scattering rates; s_disc = g_ch / g_nd, the non-discriminating rate."""
     return RateBreakdown(
@@ -563,7 +577,7 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
 
     try:
         if limit is Limit.RETARDED:
-            osc = np.sin(2.0 * w * z / c.c)
+            osc = math.sin(_round_trip(w, z))
             g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
             g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
         elif limit is Limit.NONRETARDED:
@@ -620,15 +634,16 @@ def rates_halfspace(
     try:
         if limit is Limit.RETARDED:
             r_ss, r_pp, r_sp = fresnel_retarded(med)
-            arg = 2.0 * w * z / c.c
-            osc_sp = (np.cos(arg) - 1.0) * r_sp.real + np.sin(arg) * r_sp.imag
+            arg = _round_trip(w, z)
+            cos, sin = math.cos(arg), math.sin(arg)
+            osc_sp = (cos - 1.0) * r_sp.real + sin * r_sp.imag
             diag = r_ss + r_pp
-            osc_diag = np.cos(arg) * diag.real - np.sin(arg) * diag.imag
+            osc_diag = cos * diag.real - sin * diag.imag
             g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
                     + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
             r_s = (np.sqrt(med.mu) - np.sqrt(med.eps)) / (np.sqrt(med.mu) + np.sqrt(med.eps))
             g_el = (c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
-                    * (np.cos(arg) * r_s.imag + np.sin(arg) * r_s.real))
+                    * (cos * r_s.imag + sin * r_s.real))
         elif limit is Limit.NONRETARDED:
             if not med.lossless:
                 raise LosslessRequiredError("nonretarded closed forms require a lossless medium")

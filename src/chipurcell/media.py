@@ -71,7 +71,3 @@ class MediumResponse:
 
     def with_kappa(self, kappa: complex) -> "MediumResponse":
         return MediumResponse(self.eps, self.mu, kappa, self.omega)
-
-
-def vacuum(omega: float) -> MediumResponse:
-    return MediumResponse(1.0, 1.0, 0.0, omega)

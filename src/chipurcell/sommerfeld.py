@@ -1,31 +1,29 @@
 """Adaptive Gauss-Kronrod quadrature for planar-interface wavevector integrals.
 
-One integrator, ``integrate_evanescent``, integrates a decaying tail over
-t in [0, inf), damped at least like exp(-2 t z): the planar scattering
-integrals on the steepest-descent path k_perp = k0 + i t, or the evanescent
-axis k_perp = i t. The tail is mapped to u = 2 t z and truncated at
-u = 40 (an e^-40 tail, far below any realistic tolerance), and integrated
-by an adaptive 7-15 Gauss-Kronrod driver on bisected panels.
+One function, ``integrate(f, seeds, spec)``, integrates f from seeds[0] to
+seeds[-1] by an adaptive 7-15 Gauss-Kronrod rule, bisecting the panels
+between consecutive seeds. The caller owns the variable, the truncation and
+the seeds: ``halfspace.scatter_numeric`` seeds its steepest-descent path at
+the scales of its decay and of its reflections.
 
-An integrand has one shape: it is called once per refinement round with an
-(n, 15) array of panel nodes, one row per panel, must be elementwise over
-nodes, and returns (channels, n, 15) values, one row of node values per
-channel. Several integrals that share one costly evaluation are channels of
+An integrand is called once per refinement round with the (n, 15) nodes of
+n panels, must be elementwise over nodes, and returns (channels, n, 15)
+values. Several integrals that share one costly evaluation are channels of
 one integrand, and the result has one entry per channel. Every channel must
-meet rel_tol on its own running value before the integral stops, so a
-small channel is not resolved relative to a large one.
-
-Panel refinement order and the final summation order are deterministic, so
-identical inputs give bit-identical results.
+meet rel_tol on its own running value, so a small channel is not resolved
+relative to a large one. Refinement and summation order are deterministic,
+so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import QuadratureError
 
 # f(x) with x the (n, 15) nodes of n panels -> the node values, (channels, n, 15)
 Integrand = Callable[[np.ndarray], np.ndarray]
@@ -53,12 +51,11 @@ _W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nod
 _WSUMS = np.column_stack([_W15, _W15])
 _WSUMS[1::2, 1] -= _W7
 _TINY = float(np.finfo(float).tiny)
-_CUTOFF_U = 40.0  # the tail is truncated at u = 2 t z = 40, an e^-40 remainder
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrators."""
+    """Tolerance and panel budget of ``integrate``."""
 
     rel_tol: float = 1e-8
     max_panels: int = 10_000
@@ -106,19 +103,19 @@ def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
     return sums[..., 0] * half, np.abs(half) * np.maximum(raw, resabs * np.minimum(1.0, ratio**1.5))
 
 
-def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptively bisect the seeded panels until every channel meets the
-    tolerance on its own running value.
+def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
+    """Integrate f from seeds[0] to seeds[-1], starting from the panels
+    between the ascending ``seeds``; raises QuadratureError, before any call
+    to f, when they are more than ``max_panels``.
 
-    Works in rounds, each one integrand call: the seed pass, then both
-    halves of every panel split in a round. A round ranks the panels by
-    their worst channel's err/tol and splits the shortest prefix of that
-    ranking whose removal leaves an error within tolerance in every channel
-    (at least one panel, at most what ``max_panels`` still allows).
+    Works in rounds, each one call of f: the seed panels, then both halves
+    of every panel split in a round. A round ranks the panels by their worst
+    channel's err/tol and splits the shortest prefix of that ranking whose
+    removal leaves an error within tolerance in every channel (at least one
+    panel, at most what ``max_panels`` still allows).
     """
     if len(seeds) - 1 > spec.max_panels:
-        # the panel budget is a hard cap; fall back to a uniform coarse seeding
-        seeds = np.linspace(seeds[0], seeds[-1], spec.max_panels + 1)
+        raise QuadratureError(f"{len(seeds) - 1} seed panels exceed max_panels = {spec.max_panels}")
     seeds = np.asarray(seeds, dtype=float)
     a, b = seeds[:-1], seeds[1:]
     val, err = _gk15(f, a, b)
@@ -149,31 +146,3 @@ def _adaptive(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         by_start = np.argsort(a)
         a, b, val, err = a[by_start], b[by_start], val[:, by_start], err[:, by_start]
     return QuadratureResult(value, err_sum, len(a), converged)
-
-
-def integrate_evanescent(
-    f: Integrand,
-    z: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    breakpoints: Iterable[float] = (),
-) -> QuadratureResult:
-    """Integrate f(t) over [0, inf) for integrands decaying at least as
-    exp(-2 t z), such as the planar integrands on the steepest-descent path
-    k_perp = k0 + i t or the evanescent axis k_perp = i t.
-
-    Uses the substitution u = 2 t z, truncating at u = 40; panels are
-    seeded at fixed u, where the decay sets the scale. ``breakpoints`` are
-    t values (branch points, the scale on which f itself varies) added to
-    the panel seeds. ``f`` is called
-    once per refinement round with an (n, 15) array of panel nodes, returns
-    (channels, n, 15) values, and converges channel by channel.
-    """
-    if z <= 0:
-        raise ValueError("evanescent integral requires z > 0")
-    scale = 1.0 / (2.0 * z)
-    inner = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0] + [2.0 * z * b for b in breakpoints]
-    seeds = sorted({0.0, _CUTOFF_U, *(u for u in inner if 0.0 < u < _CUTOFF_U)})
-    res = _adaptive(lambda u: f(u * scale), seeds, spec)
-    return QuadratureResult(
-        res.value * scale, res.err_estimate * scale, res.panels_used, res.converged
-    )

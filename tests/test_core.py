@@ -35,9 +35,9 @@ def test_public_surface_is_pinned():
         "curl_img_lfc", "degree_of_discrimination", "errors", "f0_main", "f_factors",
         "fresnel_nonretarded", "fresnel_retarded", "gamma_ch_bulk", "gamma_ch_from_curl",
         "gamma_ch_lfc", "gamma_el_bulk", "gamma_el_from_img", "gamma_el_lfc", "gamma_vacuum",
-        "img_g0_coincident", "integrate_evanescent", "onsager_coefficients",
+        "img_g0_coincident", "onsager_coefficients",
         "planar_reflections", "rates_bulk", "rates_halfspace", "rates_lfc", "rates_mirror",
-        "rotatory_strength", "scatter_numeric", "vacuum",
+        "rotatory_strength", "scatter_numeric",
     ]
 
 

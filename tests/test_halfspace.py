@@ -57,13 +57,13 @@ ORACLE_MEDIA = {
 def record_integrals(monkeypatch) -> list:
     """Every QuadratureResult the numeric pathway's integrator returns."""
     results = []
-    inner = hs.integrate_evanescent
+    inner = hs.integrate
 
     def spy(*args, **kwargs):
         results.append(inner(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(hs, "integrate_evanescent", spy)
+    monkeypatch.setattr(hs, "integrate", spy)
     return results
 
 
@@ -102,11 +102,11 @@ class TestNumericCurl:
         assert np.all(img_g == 0)
 
     def test_nonconvergence_raises(self):
-        # a tolerance that a tiny panel budget cannot meet
+        # a panel budget below the path's 8 seed panels is refused up front
         med = MediumResponse(2.25, 1.0, 0.05, W)
         geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
         spec = QuadratureSpec(rel_tol=1e-13, max_panels=6)
-        with pytest.raises(QuadratureError, match="steepest-descent quadrature did not converge"):
+        with pytest.raises(QuadratureError, match="8 seed panels exceed max_panels = 6"):
             scatter_numeric(geom, W, spec)
 
     def test_non_finite_integrand_raises_pole_error(self, monkeypatch):
@@ -168,25 +168,44 @@ class TestNumericCurl:
         ("gain_mode", True), ("lossless", False), ("absorbing", False),
     ])
     def test_hairpin_runs_only_for_a_cut_in_the_strip(self, monkeypatch, name, hairpin):
-        """The branch-cut hairpin evaluates the mode amplitudes at Re k_perp
-        = Re k_b once per round, beside the path's evaluation at Re k_perp
-        = k0."""
-        seen = []
-        inner = hs._amplitudes
+        """Each refinement round evaluates the mode amplitudes once, on the
+        path (Re k_perp = k0) and, for a cut inside the strip, on both sides
+        of it: at Re k_b and at the next float above it."""
+        eps, mu, kappa = ORACLE_MEDIA[name]
+        med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
+        plan = hs._plan(med.eps, med.mu, med.kappa)
+        assert plan.poles == ()  # the pole search, which evaluates amplitudes too, is cached now
+        seen, rounds = [], []
+        inner, gk15 = hs._amplitudes, sommerfeld._gk15
 
         def spy(plan, x):  # x = k_perp / k0
-            seen.append(np.unique(x.real) * K0)
+            seen.append(set(np.unique(x.real).tolist()))
             return inner(plan, x)
 
         monkeypatch.setattr(hs, "_amplitudes", spy)
-        eps, mu, kappa = ORACLE_MEDIA[name]
-        med = MediumResponse(eps=eps, mu=mu, kappa=kappa, omega=W)
-        geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
-        scatter_numeric(geom, W)
-        assert all(re_k.size == 1 for re_k in seen)
-        on_path = sum(re_k[0] == K0 for re_k in seen)
-        assert on_path >= 1
-        assert len(seen) - on_path == (on_path if hairpin else 0)
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        scatter_numeric(PlanarGeometry(z_m=1.0 / K0, medium=med), W)
+        assert len(seen) == len(rounds) >= 1
+        cut = [x_b.real for x_b, _ in plan.cuts if x_b.real < 1.0]
+        assert len(cut) == hairpin
+        want = {1.0, cut[0], float(np.nextafter(cut[0], 2.0))} if hairpin else {1.0}
+        assert all(re_x == want for re_x in seen)
+
+    @pytest.mark.parametrize("k0z", [1e-3, 1.0, 30.0, 1e3])
+    def test_path_seeds(self, monkeypatch, k0z):
+        """The path's panels are seeded in tau = t/k0 at 0, at the e^-40
+        tail end 40/(2 k0 z), at the decay seeds u/(2 k0 z), and at the
+        reflections' scales below the end."""
+        seeds = []
+        inner = hs.integrate
+        monkeypatch.setattr(hs, "integrate", lambda f, s, spec: seeds.append(s) or inner(f, s, spec))
+        med = MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)
+        scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
+        k0z = K0 * (k0z / K0)  # the product scatter_numeric forms
+        end = 40.0 / (2.0 * k0z)
+        want = {0.0, end, *(u / (2.0 * k0z) for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0)),
+                *(tau for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0) if tau < end)}
+        assert list(seeds[0]) == sorted(want)
 
     @pytest.mark.parametrize("eps, kappa", [
         (2.25 - 0.1j, 0.05),  # gain in eps: a Brewster-side pole at 0.554 + 0.008i k0
@@ -583,9 +602,8 @@ class TestHalfspaceRates:
 
 class TestFloatRange:
     """Distances whose powers leave the float range end in PhysicsError from
-    the library, not in NaN or infinite rates or a bare ZeroDivisionError.
-    Where numpy warns on the way (ROADMAP item 8 owns those warnings), the
-    test ignores RuntimeWarning explicitly."""
+    the library, not in NaN or infinite rates, a bare ZeroDivisionError or a
+    numpy warning; where the exact rates tend to zero, they return."""
 
     @pytest.mark.parametrize("limit, z_m", [
         (Limit.NUMERIC, 1e-110),  # NaN rates: 2/s^3 in the mirror's totals overflows
@@ -596,22 +614,37 @@ class TestFloatRange:
         with pytest.raises(PhysicsError, match="left the float range"):
             rates_mirror(PlanarGeometry(z_m=z_m, handedness=Handedness.RIGHT), mol_iso, limit)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:retarded closed form used:UserWarning")
+    @pytest.mark.filterwarnings("ignore:retarded closed form used:UserWarning")
     def test_retarded_mirror_ends_typed(self, mol_iso):
-        # -inf rates: z^2 underflows in the chiral rate
-        with pytest.raises(PhysicsError, match="left the float range"):
-            rates_mirror(PlanarGeometry(z_m=1e-200, handedness=Handedness.RIGHT), mol_iso, Limit.RETARDED)
+        # z^2 underflows to 0 in the chiral rate; 2 w z / c overflows
+        for z_m in (1e-200, 1e300):
+            with pytest.raises(PhysicsError, match="left the float range"):
+                rates_mirror(PlanarGeometry(z_m=z_m, handedness=Handedness.RIGHT), mol_iso, Limit.RETARDED)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("z_m", [1e100, 1e200, 1e300])
+    def test_numeric_mirror_far_limit(self, mol_aniso, z_m):
+        """The exact curl falls like 1/z^2: far out the rates are finite and
+        the chiral one tends to zero, not to an overflow of (2 k0 z)^3."""
+        b = rates_mirror(PlanarGeometry(z_m=z_m, handedness=Handedness.RIGHT), mol_aniso, Limit.NUMERIC)
+        assert abs(b.gamma_ch) <= 1e-200 * b.gamma_vac
+        assert b.gamma_el == 0.0
+
     @pytest.mark.parametrize("limit, z_m", [
-        (Limit.NUMERIC, 1e-120),  # NaN rates: the path's totals overflow
-        (Limit.RETARDED, 1e300),  # NaN rates: cos and sin of 2 k0 z
+        (Limit.NUMERIC, 1e-120),  # the path's totals overflow
+        (Limit.NUMERIC, 1e-200),  # the same, not a PoleError from overflowing nodes
+        (Limit.RETARDED, 1e300),  # 2 k0 z overflows
         (Limit.NONRETARDED, 1e-200),  # z^2 underflows to 0: ZeroDivisionError
     ])
     def test_halfspace_ends_typed(self, mol_iso, limit, z_m):
         med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
         with pytest.raises(PhysicsError, match="left the float range"):
             rates_halfspace(PlanarGeometry(z_m=z_m, medium=med), mol_iso, limit)
+
+    def test_halfspace_medium_beyond_float_range_ends_typed(self, mol_iso):
+        # eps mu = 1e390: the circular wave numbers are infinite
+        med = MediumResponse(1e200, 1e190, 0.05, W)
+        with pytest.raises(PhysicsError, match="wave numbers leave the float range"):
+            rates_halfspace(PlanarGeometry(z_m=1.0 / K0, medium=med), mol_iso, Limit.NUMERIC)
 
 
 class TestHalfspaceDiscrimination:

@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from chipurcell.sommerfeld import QuadratureSpec, _adaptive, _gk15, integrate_evanescent
+from chipurcell.errors import QuadratureError
+from chipurcell.sommerfeld import QuadratureSpec, _gk15, integrate
 
 
 def zero(k):
@@ -16,23 +18,29 @@ def channel(f):
     return lambda k: f(k)[None]
 
 
+def tail(z):
+    """Seeds for a tail decaying like exp(-2 k z): where the decay reaches
+    e^-u, up to the e^-40 end, as the planar path seeds its decay."""
+    return [u / (2.0 * z) for u in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 40.0)]
+
+
 def test_constant_integrand_exact():
-    res = _adaptive(channel(lambda k: zero(k) + 1.0), [0.0, 2.0], QuadratureSpec())
+    res = integrate(channel(lambda k: zero(k) + 1.0), [0.0, 2.0], QuadratureSpec())
     assert res.converged
     assert res.value[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_zero_integrand():
-    res = _adaptive(channel(zero), [0.0, 2.0], QuadratureSpec())
+    res = integrate(channel(zero), [0.0, 2.0], QuadratureSpec())
     assert res.converged
     assert res.value[0] == 0.0
-    res = integrate_evanescent(channel(zero), z=1.0)
+    res = integrate(channel(zero), tail(1.0), QuadratureSpec())
     assert res.converged
     assert res.value[0] == 0.0
     # a zero channel meets its zero tolerance without dividing by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = _adaptive(lambda k: np.array([zero(k), np.exp(2j * k)]), [0.0, 2.0], QuadratureSpec())
+        res = integrate(lambda k: np.array([zero(k), np.exp(2j * k)]), [0.0, 2.0], QuadratureSpec())
     assert res.converged
     assert res.value[0] == 0.0 and res.err_estimate[0] == 0.0
     # next to a narrow peak that needs refining, a zero channel under its
@@ -41,11 +49,11 @@ def test_zero_integrand():
     peak = lambda k: 1.0 / (1.0 + w * (k - 0.3) ** 2) + 0.0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = _adaptive(lambda k: np.array([zero(k), peak(k)]), [0.0, 1.0], spec)
+        res = integrate(lambda k: np.array([zero(k), peak(k)]), [0.0, 1.0], spec)
     exact = (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w)
     assert res.converged and res.value[0] == 0.0
     assert abs(res.value[1] - exact) <= spec.rel_tol * exact
-    assert res.panels_used == _adaptive(channel(peak), [0.0, 1.0], spec).panels_used
+    assert res.panels_used == integrate(channel(peak), [0.0, 1.0], spec).panels_used
 
 
 @pytest.mark.parametrize("k0z", [0.1, 10.0, 100.0])
@@ -54,7 +62,7 @@ def test_oscillatory_phase_matches_antiderivative(k0z):
     k0 = 1.0
     z = k0z / k0
     spec = QuadratureSpec(rel_tol=1e-10)
-    res = _adaptive(channel(lambda k: np.exp(2j * k * z)), [0.0, k0], spec)
+    res = integrate(channel(lambda k: np.exp(2j * k * z)), [0.0, k0], spec)
     exact = (np.exp(2j * k0 * z) - 1.0) / (2j * z)
     assert res.converged
     assert abs(res.value[0] - exact) <= 1e-8 * abs(exact)
@@ -62,7 +70,7 @@ def test_oscillatory_phase_matches_antiderivative(k0z):
 
 def test_evanescent_exponential():
     z = 1.0
-    res = integrate_evanescent(channel(lambda k: np.exp(-2.0 * k * z)), z)
+    res = integrate(channel(lambda k: np.exp(-2.0 * k * z)), tail(z), QuadratureSpec())
     assert res.converged
     assert res.value[0].real == pytest.approx(0.5, rel=1e-10)
     assert res.value[0].imag == 0.0
@@ -71,7 +79,7 @@ def test_evanescent_exponential():
 def test_evanescent_power_weighted():
     # int_0^inf k^2 e^{-2kz} dk = 2/(2z)^3
     for z in (0.3, 1.0, 4.0):
-        res = integrate_evanescent(channel(lambda k: k**2 * np.exp(-2.0 * k * z)), z)
+        res = integrate(channel(lambda k: k**2 * np.exp(-2.0 * k * z)), tail(z), QuadratureSpec())
         assert res.converged
         assert res.value[0].real == pytest.approx(1.0 / (4.0 * z**3), rel=1e-9)
 
@@ -82,7 +90,7 @@ def test_linearity(rng):
     g = lambda k: np.cos(k) + 0.5j * k**2
     a, b = 1.7, -0.9
     spec = QuadratureSpec(rel_tol=1e-11)
-    integral = lambda h: _adaptive(channel(h), [0.0, k0], spec).value[0]
+    integral = lambda h: integrate(channel(h), [0.0, k0], spec).value[0]
     lhs = integral(lambda k: a * f(k) + b * g(k))
     rhs = a * integral(f) + b * integral(g)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
@@ -96,7 +104,7 @@ def test_refinement_monotonicity():
     exact = (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w)
     errs = []
     for tol in (1e-2, 5e-3, 2.5e-3, 1e-4, 1e-6, 1e-10):
-        res = _adaptive(channel(f), [0.0, 1.0], QuadratureSpec(rel_tol=tol, max_panels=4000))
+        res = integrate(channel(f), [0.0, 1.0], QuadratureSpec(rel_tol=tol, max_panels=4000))
         errs.append(abs(res.value[0] - exact))
     floor = 5e-15 * abs(exact)
     for coarse, fine in zip(errs[:-1], errs[1:]):
@@ -106,22 +114,22 @@ def test_refinement_monotonicity():
 
 def test_determinism():
     f = channel(lambda k: np.exp(2j * k * 3.3) / (1.0 + k**2))
-    r1 = _adaptive(f, [0.0, 2.0], QuadratureSpec())
-    r2 = _adaptive(f, [0.0, 2.0], QuadratureSpec())
+    r1 = integrate(f, [0.0, 2.0], QuadratureSpec())
+    r2 = integrate(f, [0.0, 2.0], QuadratureSpec())
     assert np.array_equal(r1.value, r2.value) and np.array_equal(r1.err_estimate, r2.err_estimate)
     g = channel(lambda k: np.exp(-2.0 * k * 0.2) * np.sin(k))
-    e1 = integrate_evanescent(g, 0.2)
-    e2 = integrate_evanescent(g, 0.2)
+    e1 = integrate(g, tail(0.2), QuadratureSpec())
+    e2 = integrate(g, tail(0.2), QuadratureSpec())
     assert np.array_equal(e1.value, e2.value) and e1.panels_used == e2.panels_used
 
 
 def test_converged_flag_honours_tolerance():
     # max_panels too small for a hard oscillatory target: converged=False
     spec = QuadratureSpec(rel_tol=1e-14, max_panels=3)
-    res = _adaptive(channel(lambda k: np.exp(2j * k * 200.0)), [0.0, 1.0], spec)
+    res = integrate(channel(lambda k: np.exp(2j * k * 200.0)), [0.0, 1.0], spec)
     assert not res.converged
     assert res.err_estimate[0] > spec.rel_tol * abs(res.value[0])
-    ok = integrate_evanescent(channel(lambda k: np.exp(-2.0 * k)), 1.0)
+    ok = integrate(channel(lambda k: np.exp(-2.0 * k)), tail(1.0), QuadratureSpec())
     assert ok.converged
     assert ok.err_estimate[0] <= 1e-8 * abs(ok.value[0]) + 1e-300
 
@@ -132,7 +140,7 @@ def test_vector_channels_each_meet_their_own_tolerance():
     z, w = 3.0, 4000.0
     f = lambda k: np.array([np.exp(2j * k * z), 1e-8 / (1.0 + w * (k - 0.3) ** 2)])
     spec = QuadratureSpec(rel_tol=1e-10)
-    res = _adaptive(f, [0.0, 1.0], spec)
+    res = integrate(f, [0.0, 1.0], spec)
     exact = [
         (np.exp(2j * z) - 1.0) / (2j * z),
         1e-8 * (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w),
@@ -141,7 +149,7 @@ def test_vector_channels_each_meet_their_own_tolerance():
     for got, want in zip(res.value, exact):
         assert abs(got - want) <= spec.rel_tol * abs(want)
     g = lambda k: np.array([np.exp(-2.0 * k * z), 1e8 * k**2 * np.exp(-2.0 * k * z)])
-    res = integrate_evanescent(g, z, spec)
+    res = integrate(g, tail(z), spec)
     for got, want in zip(res.value, [1.0 / (2.0 * z), 1e8 / (4.0 * z**3)]):
         assert abs(got - want) <= spec.rel_tol * abs(want)
 
@@ -202,8 +210,8 @@ def test_gk15_matches_plain_kronrod_and_gauss_sums():
 
 
 @pytest.mark.parametrize("integrate, seed_panels", [
-    (lambda f: _adaptive(f, [0.0, 1.0], QuadratureSpec(rel_tol=1e-12)), 1),
-    (lambda f: integrate_evanescent(f, 0.5, QuadratureSpec(rel_tol=1e-12)), 8),
+    (lambda f: integrate(f, [0.0, 1.0], QuadratureSpec(rel_tol=1e-12)), 1),
+    (lambda f: integrate(f, tail(0.5), QuadratureSpec(rel_tol=1e-12)), 8),
 ], ids=["traveling", "evanescent"])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_integrand_sees_one_panel_of_nodes_per_call(integrate, seed_panels, channels):
@@ -231,8 +239,18 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
-    with pytest.raises(ValueError):
-        integrate_evanescent(zero, z=0.0)
+
+
+def test_too_many_seeds_are_refused_before_the_integrand_runs():
+    # the panel budget is a hard cap: seeds beyond it are refused, not
+    # integrated and not thinned out
+    calls = []
+    f = channel(lambda k: calls.append(k) or np.exp(-k) + 0j)
+    with pytest.raises(QuadratureError, match="11 seed panels exceed max_panels = 10"):
+        integrate(f, np.linspace(0.0, 1.0, 12), QuadratureSpec(max_panels=10))
+    assert calls == []
+    res = integrate(f, np.linspace(0.0, 1.0, 11), QuadratureSpec(max_panels=10))
+    assert len(calls) == 1 and res.panels_used == 10
 
 
 @pytest.mark.parametrize("field, value", [
@@ -248,3 +266,7 @@ def test_spec_rejects_out_of_range_or_non_finite(field, value):
 
 def test_spec_has_only_tolerance_and_budget():
     assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "max_panels"]
+
+
+def test_integrate_takes_only_integrand_seeds_and_spec():
+    assert list(inspect.signature(integrate).parameters) == ["f", "seeds", "spec"]
