@@ -9,13 +9,13 @@ polarization by pi/2 (cross coefficients +-1, diagonal ones zero); a
 realistic chiral half-space has all four coefficients, with the cross ones
 odd in the medium's kappa and obeying r_ps = -r_sp (reciprocity).
 
-Sign conventions: the closed-form rates in this module were assembled from
-their curl matrices with the ``PLANAR_PAPER`` ordering of the chiral
-contraction, and the numeric pathway uses the same ordering so quadrature
-and closed forms are mutually consistent (see chipurcell.rates). Every
-reflection set is the triple (r_ss, r_pp, r_sp), r_ps = -r_sp; the cross
-coefficient of ``planar_reflections`` is oriented so that its large
-k-parallel limit coincides with ``fresnel_nonretarded``.
+Every planar rate, closed form or numeric, is one contraction of its Green
+tensors: each limit gives five entries, ``_tensors`` lays them out and
+``_planar_rates`` applies the master formulas of chipurcell.rates (the
+``PLANAR_PAPER`` ordering). Every reflection set is the triple
+(r_ss, r_pp, r_sp), r_ps = -r_sp; the cross coefficient of
+``planar_reflections`` is oriented so that its large k-parallel limit
+coincides with ``fresnel_nonretarded``.
 
 The numeric pathway (``scatter_numeric``) evaluates the exact wavevector
 integrals of the scattering Green's tensor of a half-space and is the
@@ -50,7 +50,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .rates import (
     Contraction,
     Method,
     RateBreakdown,
-    contract,
     degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_el_from_img,
@@ -335,8 +334,13 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
 
 # the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
-# the path's totals are of the order of the mirror's moment 2/(2 k0 z)^3
-# (``_mirror_curl``), past the float range below this k0 z (about 8.9e-104)
+# a planar tensor whose entries all vanish (``_tensors``): ``_planar_rates`` does not contract it
+_ZERO = np.zeros((3, 3))
+_ZERO.flags.writeable = False
+# the path's totals are of the order of |r| (2 k0 z)^-3 (the mirror's moment
+# is 2/(2 k0 z)^3, ``_mirror_curl``), past the float range below this k0 z
+# (about 8.9e-104); a reflection above 1/2 overflows them a little above it,
+# and ``_tensors`` refuses what overflowed
 _K0Z_MIN = 0.5 / float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
@@ -391,8 +395,9 @@ def scatter_numeric(
     inside the swept strip, whose difference (a hairpin) enters with its
     constant phase exp(2i k0 z (x_b - 1)). Each node carries only the real
     decay, and ``_assemble`` applies the rest of exp(2i k_perp z) to the
-    totals. A pole inside the strip (possible only with gain) raises
-    PoleError, and a k0 z so small that the totals overflow PhysicsError.
+    totals, and ``_tensors`` lays the entries out. A pole inside the strip
+    (possible only with gain) raises PoleError, and a k0 z so small that the
+    totals overflow PhysicsError.
     """
     med = geom.medium
     if med is None:
@@ -447,13 +452,10 @@ def scatter_numeric(
         total *= np.exp(-2.0 * k0z * tau)
         return total
 
-    res = integrate(integrand, seeds, spec)
+    with np.errstate(over="ignore"):  # totals past the float range: _tensors refuses them
+        res = integrate(integrand, seeds, spec)
     xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res).tolist(), k0, k0z)
-    curl, img_g = np.zeros((3, 3)), np.zeros((3, 3))  # filled: faster than np.array or np.diag
-    curl[0, 0] = curl[1, 1] = xx
-    img_g[0, 0] = img_g[1, 1] = g_xx
-    curl[0, 1], curl[1, 0], curl[2, 2], img_g[2, 2] = asym, -asym, 2.0 * xx, g_zz
-    return curl, img_g
+    return _tensors(xx, 2.0 * xx, asym, g_xx, g_zz)
 
 
 def _assemble(totals, k0: float, k0z: float) -> tuple:
@@ -478,39 +480,41 @@ def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
     s = 2 k0 z. That total is assembled as the quadrature totals are
     (``_assemble``), and the matrix is diag(xx, xx, 2 xx), with
     xx -> -+1/(32 pi k0 z^3) in the near field and -+sin(2 k0 z)/(16 pi z^2)
-    in the far field.
+    in the far field: the entries of the two closed forms.
     """
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
     u = 1.0 / (2.0 * k0z)  # 1/s: its powers vanish in the far field rather than overflow
     xx = _assemble((geom.handedness.sign * (2.0 * u**3 - 2j * u**2), 0j, 0j, 0j), k0, k0z)[0]
-    curl = np.zeros((3, 3))  # filled, which is faster than np.diag of a list
-    curl[0, 0] = curl[1, 1] = xx
-    curl[2, 2] = 2.0 * xx
-    return curl
+    return _tensors(xx, 2.0 * xx, 0.0, 0.0, 0.0)[0]
+
+
+def _tensors(xx: float, zz: float, xy: float, g_xx: float, g_zz: float) -> tuple[np.ndarray, np.ndarray]:
+    """(curl Im G, Im G) in front of a planar interface, real 3x3 arrays,
+    from the five entries its symmetry about z leaves: curl Im G xx (= yy),
+    zz and x-y (= -y-x), in 1/m^2, and Im G xx (= yy) and zz, in 1/m. A
+    tensor whose entries all vanish is the shared, read-only ``_ZERO``.
+    PhysicsError where an entry, or the trace an isotropic contraction sums,
+    has left the float range: no contraction meets an infinity."""
+    # sums of Python floats: they overflow to inf silently, where numpy's warn
+    if not (math.isfinite(xx + xx + zz + xy) and math.isfinite(g_xx + g_xx + g_zz)):
+        raise PhysicsError("the arithmetic left the float range: curl Im G xx, zz, x-y = %g, %g, %g; "
+                           "Im G xx, zz = %g, %g" % (xx, zz, xy, g_xx, g_zz))
+    curl = img_g = _ZERO
+    if xx or zz or xy:
+        curl = np.zeros((3, 3))  # filled: faster than np.array or np.diag
+        curl[0, 0] = curl[1, 1] = xx
+        curl[0, 1], curl[1, 0], curl[2, 2] = xy, -xy, zz
+    if g_xx or g_zz:
+        img_g = np.zeros((3, 3))
+        img_g[0, 0] = img_g[1, 1] = g_xx
+        img_g[2, 2] = g_zz
+    return curl, img_g
 
 
 # ---------------------------------------------------------------------------
-# Closed-form rates
+# Planar rates
 # ---------------------------------------------------------------------------
-
-# The dipole responses of the planar closed forms are contractions with
-# constant weight matrices. Their traces, 3, 3, 0 and 2, make the orientation
-# average of an isotropic molecule R = Im(d . m*), R, 0 and (2/3)|d|^2. They
-# are complex so that the contraction with the complex dipoles casts nothing.
-_PAR = np.diag([1.5, 1.5, 0.0]).astype(complex)          # (3/2) Im(d_par . m_par*)
-_FULL_Z = np.diag([0.75, 0.75, 1.5]).astype(complex)     # (3/4) Im(d . m* + d_z m_z*)
-_CROSS_Z = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)  # Im[(d x m*) . e_z]
-_D_PAR = np.diag([1.0, 1.0, 0.0]).astype(complex)        # |d_par|^2
-
-
-def _chiral(mol: TransitionDipoles, weight: np.ndarray) -> float:
-    return float(np.imag(contract(mol, mol.d, weight, mol.m)))
-
-
-def _d_par_sq(mol: TransitionDipoles) -> float:
-    return float(np.real(contract(mol, mol.d, _D_PAR, mol.d)))
-
 
 # (comparison, symbol, bound): the k0 z on which each closed form leaves its range
 _OUT_OF_RANGE = {
@@ -536,59 +540,63 @@ def _round_trip(w: float, z: float) -> float:
     return arg
 
 
-def _planar_breakdown(g_el: float, g_ch: float, g_vac: float, g_nd: float, method: Method) -> RateBreakdown:
-    """Vacuum plus scattering rates; s_disc = g_ch / g_nd, the non-discriminating rate."""
+def _planar_rates(geom: PlanarGeometry, mol: TransitionDipoles, method: Method, nd_with_el: bool,
+                  tensors: Callable[..., tuple], *args) -> RateBreakdown:
+    """The one tail of every planar rate: contracts the (curl Im G, Im G) of
+    ``tensors(geom, omega, *args)`` with the master formulas (``PLANAR_PAPER``
+    ordering) into vacuum plus scattering rates, s_disc = g_ch / g_nd with
+    g_nd = g_vac (+ g_el where ``nd_with_el``). A vanishing tensor (``_ZERO``)
+    is not contracted: its rate is 0.0, never a -0.0 of signed zeros. An
+    OverflowError or ZeroDivisionError of the entries raises PhysicsError."""
+    try:
+        curl, img_g = tensors(geom, mol.omega_ik, *args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise PhysicsError(f"the arithmetic left the float range at z_m = {geom.z_m!r}: {exc}") from exc
+    g_ch = 0.0 if curl is _ZERO else gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
+    g_el = 0.0 if img_g is _ZERO else gamma_el_from_img(img_g, mol)
+    g_vac = gamma_vacuum(mol)
     return RateBreakdown(
         gamma_el=g_el, gamma_ch=g_ch, gamma_vac=g_vac, gamma_total=g_vac + g_el + g_ch,
-        s_disc=degree_of_discrimination(g_ch, g_nd), method=method,
+        s_disc=degree_of_discrimination(g_ch, g_vac + g_el if nd_with_el else g_vac), method=method,
         assembly="vacuum + scattering (gamma_el is the scattering-only part)",
     )
 
 
 def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> RateBreakdown:
-    """Decay-rate breakdown in front of a perfect chiral mirror.
+    """Decay-rate breakdown in front of a perfect chiral mirror. Entries of
+    curl Im G and Im G in each limit (``_tensors``; s = 2 w z/c, sgn = +-1
+    the handedness, unnamed entries zero):
 
-    The scattering contribution is purely chiral in the nonretarded limit
-    (the idealized dielectric-mirror electric part vanishes there); in the
-    retarded limit the electric scattering part is
-    mu0 w^2 |d_par|^2 sin(2wz/c)/(8 pi hbar z), consistent in units with the
-    electric master formula (``gamma_el_mirror_retarded_variant`` keeps the
-    published form without the w^2).
+    * RETARDED: curl xx = -sgn sin s/(16 pi z^2), Im G xx = sin s/(16 pi z).
+      The electric rate mu0 w^2 |d_par|^2 sin s/(8 pi hbar z) is consistent
+      in units with the master formula; ``gamma_el_mirror_retarded_variant``
+      keeps the published form without the w^2.
+    * NONRETARDED: curl xx = -sgn/(32 pi k0 z^3), zz = 2 xx.
+    * NUMERIC: the exact curl xx of ``_mirror_curl``, zz = 2 xx: constant
+      reflections make the wavevector integral elementary, and the vanishing
+      diagonal ones leave Im G = 0.
 
-    The mirror's reflections are constant, so its exact wavevector integral
-    is elementary: ``Limit.NUMERIC`` contracts that closed-form curl
-    (``_mirror_curl``) and runs no quadrature. The retarded closed form keeps
-    only the parallel-dipole chiral channel; the exact curl also carries the
-    same-order z-dipole channel, so the two agree for molecules with
-    in-plane dipoles and for the nonretarded limit, where the closed
-    diag(1,1,2) structure is complete.
-
-    s_disc is gamma_ch / gamma_vac; for an isotropic molecule in the
-    retarded limit it is +-(c R/(2 w^2 z^2 |d|^2)) sin(2wz/c).
+    The retarded form lacks the same-order z-dipole channel (curl zz) of the
+    exact curl, so the two agree for in-plane dipoles; the nonretarded
+    diag(1,1,2) is complete. s_disc is gamma_ch / gamma_vac; for an
+    isotropic molecule in the retarded limit, +-(c R/(2 w^2 z^2 |d|^2)) sin s.
     """
     if geom.handedness is None:
         raise PhysicsError("mirror geometry requires a handedness")
-    z = geom.z_m
-    w = mol.omega_ik
-    c = CONSTANTS
-    sgn = geom.handedness.sign
-    g_vac = gamma_vacuum(mol)
-    _warn_limit(limit, w / c.c * z)
+    _warn_limit(limit, mol.omega_ik / CONSTANTS.c * geom.z_m)
+    return _planar_rates(geom, mol, Method.CLOSED_FORM, False, _mirror_tensors, limit)
 
-    try:
-        if limit is Limit.RETARDED:
-            osc = math.sin(_round_trip(w, z))
-            g_ch = sgn * c.mu0 * w * _chiral(mol, _PAR) * osc / (6.0 * np.pi * c.hbar * z**2)
-            g_el = c.mu0 * w**2 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z)
-        elif limit is Limit.NONRETARDED:
-            g_ch = sgn * c.mu0 * c.c * _chiral(mol, _FULL_Z) / (6.0 * np.pi * c.hbar * z**3)
-            g_el = 0.0
-        else:
-            g_ch = gamma_ch_from_curl(_mirror_curl(geom, w), mol, Contraction.PLANAR_PAPER)
-            g_el = 0.0  # diagonal reflections vanish for the perfect chiral mirror
-    except (OverflowError, ZeroDivisionError) as exc:  # a power of z left the float range
-        raise PhysicsError(f"the arithmetic left the float range at z_m = {z!r}: {exc}") from exc
-    return _planar_breakdown(g_el, g_ch, g_vac, g_vac, Method.CLOSED_FORM)
+
+def _mirror_tensors(geom: PlanarGeometry, w: float, limit: Limit) -> tuple:
+    """The mirror's (curl Im G, Im G) in ``limit``; see ``rates_mirror``."""
+    if limit is Limit.NUMERIC:
+        return _mirror_curl(geom, w), _ZERO
+    z, sgn = geom.z_m, geom.handedness.sign
+    if limit is Limit.RETARDED:
+        sin = math.sin(_round_trip(w, z))
+        return _tensors(-sgn * sin / (16.0 * math.pi * z**2), 0.0, 0.0, sin / (16.0 * math.pi * z), 0.0)
+    xx = -sgn * CONSTANTS.c / (32.0 * math.pi * w * z**3)
+    return _tensors(xx, 2.0 * xx, 0.0, 0.0, 0.0)
 
 
 def rates_halfspace(
@@ -598,69 +606,61 @@ def rates_halfspace(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> RateBreakdown:
     """Decay-rate breakdown in front of a realistic chiral half-space.
+    Entries of curl Im G and Im G in each limit (``_tensors``; s = 2 k0 z,
+    unnamed entries zero):
 
-    Closed forms: the retarded limit uses the normal-incidence reflection
-    set (complex parameters allowed; the cross channel requires an absorbing
-    medium); the nonretarded limit uses the k-independent near-field set and
-    requires a lossless medium. Anisotropic molecules pick up, besides the
-    discriminating cross-reflection term, a kappa-even term driven by the
-    diagonal reflections and Im[(d x m*) . e_z].
+    * RETARDED, from the normal-incidence set ``fresnel_retarded`` (complex
+      parameters allowed) and the achiral r_s = (sqrt mu - sqrt eps)/(sqrt mu
+      + sqrt eps): curl xx = -k0 [(cos s - 1) Re r_sp + sin s Im r_sp]/(8 pi z),
+      x-y = k0 Re(e^{is} (r_ss + r_pp))/(16 pi z) and
+      Im G xx = (cos s Im r_s + sin s Re r_s)/(8 pi z).
+    * NONRETARDED, from the near-field set ``fresnel_nonretarded``, which
+      requires a lossless medium: curl xx = -Im r_sp/(16 pi z^2), zz = 2 xx,
+      x-y = -k0 Re(r_ss + r_pp)/(16 pi z); real reflections leave Im G = 0.
+    * NUMERIC: the entries of ``scatter_numeric``, the arbiter between the
+      limits; PoleError for a medium with gain whose reflections have a pole
+      between its contours.
 
-    The numeric method integrates the full k-dependent reflection set and is
-    the arbiter between the limits; it raises PoleError for a medium with
-    gain whose reflections have a pole between its contours. Note the nonretarded closed form is an
-    extrapolation whose 1/z^2 growth is not reproduced by the exact
-    integrals for lossless media (whose near-field chiral response stays
-    bounded); the CLI's ``compare_numeric`` option exposes the honest
-    comparison.
+    Curl x-y gives anisotropic molecules a kappa-even term in
+    Im[(d x m*) . e_z]. Two closed-form entries are not limits of the exact
+    ones: the nonretarded curl xx grows as 1/z^2 where the exact lossless
+    integrals stay bounded, and the retarded x-y is driven by r_ss + r_pp,
+    which vanishes at normal incidence, where the exact channel carries
+    r_ss - r_pp; the CLI's ``compare_numeric`` shows the comparison.
 
-    s_disc is gamma_ch/(gamma_vac + gamma_el) in every limit; in the
-    nonretarded one gamma_el is exactly zero (lossless medium), so it is
-    gamma_ch/gamma_vac there. For an isotropic molecule the nonretarded
+    s_disc is gamma_ch/(gamma_vac + gamma_el) in every limit (gamma_el = 0
+    in the nonretarded one). For an isotropic molecule the nonretarded
     quotient is Re(-i c R r_sp)/(w^2 z^2 |d|^2), and the retarded one is
-    approximated by (R/(w z |d|^2)) [(cos(2wz/c) - 1) Re r_sp +
-    sin(2wz/c) Im r_sp] where gamma_el is small against gamma_vac.
+    about (R/(w z |d|^2)) [(cos s - 1) Re r_sp + sin s Im r_sp] where
+    gamma_el is small against gamma_vac.
     """
-    med = geom.medium
-    if med is None:
+    if geom.medium is None:
         raise PhysicsError("half-space geometry requires a medium")
-    z = geom.z_m
-    w = mol.omega_ik
-    c = CONSTANTS
-    g_vac = gamma_vacuum(mol)
-    method = Method.CLOSED_FORM
-    _warn_limit(limit, w / c.c * z)
+    _warn_limit(limit, mol.omega_ik / CONSTANTS.c * geom.z_m)
+    method = Method.QUADRATURE if limit is Limit.NUMERIC else Method.CLOSED_FORM
+    return _planar_rates(geom, mol, method, True, _halfspace_tensors, limit, spec)
 
-    try:
-        if limit is Limit.RETARDED:
-            r_ss, r_pp, r_sp = fresnel_retarded(med)
-            arg = _round_trip(w, z)
-            cos, sin = math.cos(arg), math.sin(arg)
-            osc_sp = (cos - 1.0) * r_sp.real + sin * r_sp.imag
-            diag = r_ss + r_pp
-            osc_diag = cos * diag.real - sin * diag.imag
-            g_ch = (c.mu0 * w**2 * _chiral(mol, _PAR) / (3.0 * np.pi * c.c * c.hbar * z) * osc_sp
-                    + c.mu0 * w**2 * _chiral(mol, _CROSS_Z) / (4.0 * np.pi * c.c * c.hbar * z) * osc_diag)
-            r_s = (np.sqrt(med.mu) - np.sqrt(med.eps)) / (np.sqrt(med.mu) + np.sqrt(med.eps))
-            g_el = (c.mu0 * w**2 * _d_par_sq(mol) / (4.0 * np.pi * c.hbar * z)
-                    * (cos * r_s.imag + sin * r_s.real))
-        elif limit is Limit.NONRETARDED:
-            if not med.lossless:
-                raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
-            r_ss, r_pp, r_sp = fresnel_nonretarded(med)
-            g_ch = float(np.real(
-                -1j * w * _chiral(mol, _FULL_Z) * r_sp / (3.0 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
-                - c.mu0 * w**2 * _chiral(mol, _CROSS_Z) * (r_pp + r_ss) / (4.0 * np.pi * c.c * c.hbar * z)
-            ))
-            g_el = 0.0  # the near-field reflections of a lossless medium are real: Im G vanishes
-        else:
-            curl, img_g = scatter_numeric(geom, w, spec)
-            g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
-            g_el = gamma_el_from_img(img_g, mol)
-            method = Method.QUADRATURE
-    except (OverflowError, ZeroDivisionError) as exc:  # a power of z left the float range
-        raise PhysicsError(f"the arithmetic left the float range at z_m = {z!r}: {exc}") from exc
-    return _planar_breakdown(g_el, g_ch, g_vac, g_vac + g_el, method)
+
+def _halfspace_tensors(geom: PlanarGeometry, w: float, limit: Limit, spec: QuadratureSpec) -> tuple:
+    """The half-space's (curl Im G, Im G) in ``limit``; see ``rates_halfspace``."""
+    med, z = geom.medium, geom.z_m
+    if limit is Limit.NUMERIC:
+        return scatter_numeric(geom, w, spec)
+    k0 = w / CONSTANTS.c
+    if limit is Limit.RETARDED:
+        r_ss, r_pp, r_sp = fresnel_retarded(med)
+        arg = _round_trip(w, z)
+        cos, sin = math.cos(arg), math.sin(arg)
+        diag = r_ss + r_pp
+        r_s = (cmath.sqrt(med.mu) - cmath.sqrt(med.eps)) / (cmath.sqrt(med.mu) + cmath.sqrt(med.eps))
+        xx = -k0 * ((cos - 1.0) * r_sp.real + sin * r_sp.imag) / (8.0 * math.pi * z)
+        xy = k0 * (cos * diag.real - sin * diag.imag) / (16.0 * math.pi * z)
+        return _tensors(xx, 0.0, xy, (cos * r_s.imag + sin * r_s.real) / (8.0 * math.pi * z), 0.0)
+    if not med.lossless:
+        raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
+    r_ss, r_pp, r_sp = fresnel_nonretarded(med)
+    xx = -r_sp.imag / (16.0 * math.pi * z**2)
+    return _tensors(xx, 2.0 * xx, -k0 * (r_ss + r_pp).real / (16.0 * math.pi * z), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +672,9 @@ def rates_halfspace(
 def gamma_el_mirror_retarded_variant(mol: TransitionDipoles, z_m: float) -> float:
     """Far-field mirror electric rate as printed, mu0 |d_par|^2 sin(2wz/c)/(8 pi hbar z),
     in anomalous units: rates_mirror's retarded electric rate is this times w^2."""
-    c = CONSTANTS
-    osc = np.sin(2.0 * mol.omega_ik * z_m / c.c)
-    return c.mu0 * _d_par_sq(mol) * osc / (8.0 * np.pi * c.hbar * z_m)
+    w = mol.omega_ik
+    img_g = _tensors(0.0, 0.0, 0.0, np.sin(2.0 * w * z_m / CONSTANTS.c) / (16.0 * np.pi * z_m), 0.0)[1]
+    return gamma_el_from_img(img_g, mol) / w**2
 
 
 def gamma_ch_mirror_nonretarded_variant(

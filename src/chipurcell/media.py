@@ -68,6 +68,3 @@ class MediumResponse:
     def lossless(self) -> bool:
         """True only when Im eps = Im mu = Im kappa = 0 exactly."""
         return self.eps.imag == 0.0 and self.mu.imag == 0.0 and self.kappa.imag == 0.0
-
-    def with_kappa(self, kappa: complex) -> "MediumResponse":
-        return MediumResponse(self.eps, self.mu, kappa, self.omega)

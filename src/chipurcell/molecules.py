@@ -49,10 +49,6 @@ class TransitionDipoles:
         """|d|^2 = sum_i |d_i|^2 (C^2 m^2)."""
         return float(np.vdot(self.d, self.d).real)
 
-    def flipped(self) -> "TransitionDipoles":
-        """Enantiomer partner: m -> -m (flips the rotatory strength)."""
-        return TransitionDipoles(self.d, -self.m, self.omega_ik, self.isotropic)
-
 
 def rotatory_strength(mol: TransitionDipoles) -> float:
     """Optical rotatory strength R = Im(d . m*) = sum_i Im(d_i m_i*), in C A m^3.

@@ -13,19 +13,20 @@ the symmetric part of the curl matrix (antisymmetric parts are insensitive
 to the ordering). The default ``BULK_LOCKED`` ordering is calibrated so the
 contraction of the homogeneous-medium coincidence curl reproduces the bulk
 closed form. The transposed ordering ``PLANAR_PAPER`` is the one under which
-the planar-interface closed forms in this package were derived; the planar
-numeric pathway uses it so that quadrature and closed forms agree. The two
+the planar-interface closed forms in this package were derived; every planar
+rate, closed form or quadrature, applies these formulas under it to the
+five entries of its Green tensors (see chipurcell.halfspace). The two
 conventions differ by an overall sign of the symmetric-part contribution
 only; this mirrors a sign ambiguity between the bulk and planar families of
 closed forms that cannot be reconciled by any single ordering.
 
-Every dipole contraction in the package, these two and the planar closed
-forms' weighted responses, goes through ``contract``, the one place that
-reads ``TransitionDipoles.isotropic``. For an isotropic molecule it takes
-the rigid orientation average <a_i b_j*> = (1/3) delta_ij (a . b*), which
-turns any matrix contraction into (1/3) Tr. This reproduces the familiar
-parallel projection factor 2/3 (for diag(1,1,0) matrices) and the full+z
-factor 4/3 (for diag(1,1,2) matrices).
+Both formulas go through ``contract``, the one place that reads
+``TransitionDipoles.isotropic``; the bulk and cavity closed forms, whose
+tensors are multiples of the identity, are written in R = Im(d . m*) and
+|d|^2. For an isotropic molecule ``contract`` takes the rigid orientation
+average <a_i b_j*> = (1/3) delta_ij (a . b*), which turns any matrix
+contraction into (1/3) Tr: the parallel projection factor 2/3 (for
+diag(1,1,0) matrices) and the full+z factor 4/3 (for diag(1,1,2) matrices).
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ class RateBreakdown:
 def contract(mol: TransitionDipoles, a: np.ndarray, t: np.ndarray, b: np.ndarray) -> complex:
     """The dipole contraction a . t . b* for ``mol``, where a and b are its
     dipoles and t is a real or complex 3x3 array; for an isotropic molecule,
-    its orientation average (1/3) Tr(t) (a . b*). np.vdot(b, v) is v . b*,
-    and a real t is cast by the product with a, not before it."""
+    its orientation average (1/3) Tr(t) (a . b*). The two master formulas
+    below are its callers. np.vdot(b, v) is v . b*, and a real t is cast by
+    the product with a, not before it."""
     if mol.isotropic:
         return (t[0, 0] + t[1, 1] + t[2, 2]) * np.vdot(b, a) / 3.0
     return np.vdot(b, np.dot(a, t))

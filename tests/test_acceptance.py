@@ -12,6 +12,7 @@ papered over.
 """
 
 import contextlib
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -146,7 +147,7 @@ def test_criterion_04_cavity_coefficients_vs_boundary_solve(rng):
             cav = CavityConfig(float(rng.uniform(0.5, 2.0)) * 1e-9, med)
             co = onsager_coefficients(cav)
             co_f = onsager_coefficients(
-                CavityConfig(cav.radius_a, med.with_kappa(-complex(med.kappa)))
+                CavityConfig(cav.radius_a, dataclasses.replace(med, kappa=-complex(med.kappa)))
             )
             assert co.b0v == co_f.a0w and co.b0w == co_f.a0v
 
@@ -278,7 +279,8 @@ def test_criterion_09_curie_principle_and_sign_flips(rng, mol_iso, mol_aniso):
 
         # sign flips: kappa -> -kappa (bulk, cavity, half-space), handedness
         # (mirror), m -> -m (everything)
-        med_f = med.with_kappa(-0.05)
+        med_f = dataclasses.replace(med, kappa=-0.05)
+        iso_f, aniso_f = dataclasses.replace(mol_iso, m=-mol_iso.m), dataclasses.replace(mol_aniso, m=-mol_aniso.m)
         assert gamma_ch_bulk(med_f, mol_aniso) == -gamma_ch_bulk(med, mol_aniso)
         assert rates_lfc(CavityConfig(1e-9, med_f), mol_iso).gamma_ch == -rates_lfc(
             CavityConfig(1e-9, med), mol_iso
@@ -287,15 +289,15 @@ def test_criterion_09_curie_principle_and_sign_flips(rng, mol_iso, mol_aniso):
             right = quiet(rates_mirror, PlanarGeometry(z_m=z, handedness=Handedness.RIGHT), mol_aniso, limit)
             left = quiet(rates_mirror, PlanarGeometry(z_m=z, handedness=Handedness.LEFT), mol_aniso, limit)
             assert left.gamma_ch == -right.gamma_ch
-            flip = quiet(rates_mirror, PlanarGeometry(z_m=z, handedness=Handedness.RIGHT), mol_aniso.flipped(), limit)
+            flip = quiet(rates_mirror, PlanarGeometry(z_m=z, handedness=Handedness.RIGHT), aniso_f, limit)
             assert flip.gamma_ch == -right.gamma_ch
             hs = quiet(rates_halfspace, PlanarGeometry(z_m=z, medium=med), mol_iso, limit)
             hs_k = quiet(rates_halfspace, PlanarGeometry(z_m=z, medium=med_f), mol_iso, limit)
-            hs_m = quiet(rates_halfspace, PlanarGeometry(z_m=z, medium=med), mol_iso.flipped(), limit)
+            hs_m = quiet(rates_halfspace, PlanarGeometry(z_m=z, medium=med), iso_f, limit)
             assert hs_k.gamma_ch == pytest.approx(-hs.gamma_ch, rel=1e-12, abs=1e-300)
             assert hs_m.gamma_ch == pytest.approx(-hs.gamma_ch, rel=1e-12, abs=1e-300)
         # electric rates unchanged under every flip
-        assert gamma_ch_bulk(med, mol_aniso.flipped()) == -gamma_ch_bulk(med, mol_aniso)
+        assert gamma_ch_bulk(med, aniso_f) == -gamma_ch_bulk(med, mol_aniso)
 
 
 def test_criterion_10_orientation_averaging():

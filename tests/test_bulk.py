@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,7 @@ class TestBulkRates:
         for _ in range(50):
             med = random_lossless_medium(rng)
             mol = random_molecule(rng, omega=med.omega)
-            flipped = med.with_kappa(-complex(med.kappa).real)
+            flipped = dataclasses.replace(med, kappa=-complex(med.kappa).real)
             assert gamma_ch_bulk(flipped, mol) == pytest.approx(-gamma_ch_bulk(med, mol), rel=1e-13, abs=1e-280)
             assert gamma_el_bulk(flipped, mol) == gamma_el_bulk(med, mol)
 
@@ -155,7 +157,7 @@ class TestDiscrimination:
         assert rates_bulk(med, mol_iso).s_disc == 0.0
 
     def test_odd_in_kappa(self, medium_std, mol_iso):
-        flipped = medium_std.with_kappa(-0.05)
+        flipped = dataclasses.replace(medium_std, kappa=-0.05)
         assert rates_bulk(flipped, mol_iso).s_disc == pytest.approx(
             -rates_bulk(medium_std, mol_iso).s_disc, rel=1e-14)
 

@@ -431,11 +431,12 @@ class TestExitCodesAndGolden:
         assert err.startswith("error (physics):") and "Traceback" not in err
 
     @pytest.mark.parametrize("limit, z_m", [
-        ("numeric", 1e-110), ("numeric", 1e-120), ("nonretarded", 1e-100),
+        ("numeric", 1e-110), ("numeric", 1e-120), ("nonretarded", 1e-110),
     ])
     def test_mirror_beyond_the_float_range_exits_physics(self, tmp_path, capsys, limit, z_m):
-        # the library now raises PhysicsError itself (NaN rates at 1e-110, a
-        # ZeroDivisionError at the others); the CLI still exits 3
+        # the library now raises PhysicsError itself (NaN rates at numeric
+        # 1e-110, a ZeroDivisionError at the others: z^3 underflows in the
+        # nonretarded limit); the CLI still exits 3
         scen = {**MIRROR, "geometry": {**MIRROR["geometry"], "z_m": z_m}, "method": {"limit": limit}}
         cfg = tmp_path / "mirror.json"
         cfg.write_text(json.dumps(scen))
@@ -680,19 +681,30 @@ class TestExitCodesAndGolden:
         assert code == EXIT_OK
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:(non)?retarded closed form used:UserWarning")
     @pytest.mark.parametrize("z_m", [1.0e-9, 1.5e-6, 1.0e-4])
     @pytest.mark.parametrize("hand", ["right", "left"])
     def test_mirror_numeric_electric_rate_prints_zero(self, tmp_path, capsys, hand, z_m):
-        # the mirror's diagonal reflections vanish: its exact electric rate is
-        # +0.0, never the -0 that a contraction through the phase could give
-        scen = {**MIRROR, "geometry": {**MIRROR["geometry"], "handedness": hand, "z_m": z_m},
-                "method": {"limit": "numeric"}}
-        cfg, out = tmp_path / "mirror.json", tmp_path / "out.csv"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg), "--csv", str(out)])
-        capsys.readouterr()
-        assert code == EXIT_OK
-        assert out.read_text().splitlines()[1].split(",")[3] == "0"
+        # a vanishing tensor gives a rate of +0.0 for every molecule, never
+        # the -0 that a contraction through the phase could give: Im G of the
+        # mirror in its exact and nonretarded limits (its diagonal
+        # reflections vanish) and of the nonretarded half-space (real
+        # near-field reflections), and curl Im G of the retarded lossless
+        # half-space (no cross reflection and r_ss + r_pp = 0 at normal
+        # incidence for |kappa| < n_r; the anisotropic molecule printed -0)
+        mirror = {**MIRROR, "geometry": {**MIRROR["geometry"], "handedness": hand, "z_m": z_m}}
+        halfspace = {**HALFSPACE, "geometry": {**HALFSPACE["geometry"], "z_m": z_m},
+                     "medium": {**HALFSPACE["medium"], "kappa": [0.05 if hand == "right" else -0.05, 0.0]}}
+        cfg, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+        for base, limit, zeros in ((mirror, "numeric", [3]), (mirror, "nonretarded", [3]),
+                                   (halfspace, "nonretarded", [3]), (halfspace, "retarded", [4, 7])):
+            for molecule in (MIRROR["molecule"], ANISOTROPIC):
+                cfg.write_text(json.dumps({**base, "molecule": molecule, "method": {"limit": limit}}))
+                code = main(["rate", "--config", str(cfg), "--csv", str(out)])
+                capsys.readouterr()
+                assert code == EXIT_OK
+                fields = out.read_text().splitlines()[1].split(",")
+                assert [fields[i] for i in zeros] == ["0"] * len(zeros)
 
     def test_readme_scenario_runs(self):
         # the documented schema is the one the reader takes

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,12 @@ def test_planar_assembly_is_written_once():
     """The planar conventions have one home each: one builder of the planar
     breakdown, one prefactor k0/(8 pi), one function that turns channel
     totals into tensor entries (the quadrature's and the mirror's exact
-    ones, with no hand-simplified cos/sin form) and one range check per
-    planar rates function."""
+    ones, with no hand-simplified cos/sin form), one range check per
+    planar rates function, one layout of the five tensor entries
+    (``_tensors``) and one tail (``_planar_rates``) through which every
+    planar rate reaches the master contractions. The closed forms' weight
+    matrices are gone, and mu0, hbar and eps0 appear only in the published
+    ``*_variant`` forms."""
     text = (Path(chipurcell.__file__).parent / "halfspace.py").read_text()
     assert text.count("RateBreakdown(") == 1
     assert text.count("k0 / (8.0 * np.pi)") == 1
@@ -93,6 +98,26 @@ def test_planar_assembly_is_written_once():
     assert not {"np.cos", "np.sin"} & set(calls("_mirror_curl"))
     for rates in ("rates_mirror", "rates_halfspace"):
         assert calls(rates).count("_warn_limit") == 1
+
+    names = {n.id for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)} | set(funcs)
+    assert not names & {"_PAR", "_FULL_Z", "_CROSS_Z", "_D_PAR", "_chiral", "_d_par_sq", "contract"}
+    for node in ast.parse(text).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.endswith("_variant")):
+            assert not {"mu0", "hbar", "eps0"} & {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert "_tensors" in calls("scatter_numeric") and "_tensors" in calls("_mirror_curl")
+    contractions = {"gamma_ch_from_curl", "gamma_el_from_img"}
+
+    def reached(name, seen):
+        # the module's functions that ``name`` calls or passes on
+        seen.add(name)
+        for n in ast.walk(funcs[name]):
+            if isinstance(n, ast.Name) and n.id in funcs and n.id not in seen:
+                reached(n.id, seen)
+        return seen
+
+    for rates in ("rates_mirror", "rates_halfspace"):
+        assert "_planar_rates" in calls(rates)
+        assert {f for f in reached(rates, set()) if contractions & set(calls(f))} == {"_planar_rates"}
 
 
 def test_constants_identity():
@@ -161,7 +186,7 @@ class TestChiralContraction:
     def test_magnetic_flip_negates(self, rng):
         mol = random_molecule(rng)
         t = rng.normal(size=(3, 3))
-        assert gamma_ch_from_curl(t, mol.flipped()) == -gamma_ch_from_curl(t, mol)
+        assert gamma_ch_from_curl(t, dataclasses.replace(mol, m=-mol.m)) == -gamma_ch_from_curl(t, mol)
 
 
 class TestElectricContraction:
@@ -182,7 +207,7 @@ class TestElectricContraction:
     def test_magnetic_flip_leaves_electric(self, rng):
         mol = random_molecule(rng)
         img = rng.normal(size=(3, 3))
-        assert gamma_el_from_img(img, mol.flipped()) == gamma_el_from_img(img, mol)
+        assert gamma_el_from_img(img, dataclasses.replace(mol, m=-mol.m)) == gamma_el_from_img(img, mol)
 
 
 class TestVacuumRate:

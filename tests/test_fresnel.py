@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestGeneralCoefficients:
             assert abs(a - b) <= 1e-6 * abs(b)
 
     def test_cross_channel_odd_in_kappa(self, medium_std):
-        flipped = medium_std.with_kappa(-0.05)
+        flipped = dataclasses.replace(medium_std, kappa=-0.05)
         k = 0.6 * medium_std.k0
         r_ss, _, r_sp = reflections_at(medium_std, k)
         f_ss, _, f_sp = reflections_at(flipped, k)
@@ -120,7 +122,7 @@ class TestNearFieldSet:
 
     def test_kappa_parity(self, medium_std):
         r_ss, r_pp, r_sp = fresnel_nonretarded(medium_std)
-        f_ss, f_pp, f_sp = fresnel_nonretarded(medium_std.with_kappa(-0.05))
+        f_ss, f_pp, f_sp = fresnel_nonretarded(dataclasses.replace(medium_std, kappa=-0.05))
         assert f_sp == pytest.approx(-r_sp, rel=1e-14)
         assert f_ss == pytest.approx(r_ss, rel=1e-14)
         assert f_pp == pytest.approx(r_pp, rel=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -505,7 +506,7 @@ class TestHalfspaceRates:
             -1j * W * rotatory_strength(mol_iso) * r_sp / (3 * np.pi * c.hbar * c.eps0 * c.c**2 * z**2)
         ))
         assert b.gamma_ch == pytest.approx(expected, rel=1e-13)
-        flipped = PlanarGeometry(z_m=z, medium=medium_std.with_kappa(-0.05))
+        flipped = PlanarGeometry(z_m=z, medium=dataclasses.replace(medium_std, kappa=-0.05))
         assert quiet(rates_halfspace, flipped, mol_iso, Limit.NONRETARDED).gamma_ch == pytest.approx(
             -b.gamma_ch, rel=1e-13
         )
@@ -542,6 +543,22 @@ class TestHalfspaceRates:
         c = CONSTANTS
         expected = c.mu0 * W**2 * rotatory_strength(mol_iso) / (3 * np.pi * c.c * c.hbar * z) * osc
         assert b.gamma_ch == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "documented gap of the far-field half-space closed form: its curl x-y is driven by "
+        "r_ss + r_pp, which vanishes at normal incidence for every medium, while the exact "
+        "channel carries r_ss - r_pp; measured x-y entries (1/m^2), numeric vs closed: "
+        "-2.47e10 vs 4.26e8 at k0 z = 30, -2.66e9 vs -6.89e6 at 300, 2.46e8 vs 6.11e6 at 3000"
+    ))
+    def test_retarded_cross_entry_is_the_far_field_limit(self):
+        # d || x and m || i y: the chiral rate comes from curl x-y alone
+        med = MediumResponse(*ORACLE_MEDIA["absorbing"], W)
+        mol = TransitionDipoles([DEBYE, 0, 0], [0, 1e-23j, 0], W)
+        for k0z in (30.0, 300.0, 3000.0):
+            geom = PlanarGeometry(z_m=k0z / K0, medium=med)
+            numeric = rates_halfspace(geom, mol, Limit.NUMERIC)
+            closed = rates_halfspace(geom, mol, Limit.RETARDED)
+            assert closed.gamma_ch == pytest.approx(numeric.gamma_ch, rel=0.1)
 
     def test_anisotropic_term_vector_structure(self, medium_std):
         """The diagonal-reflection channel is maximal for an orthogonal (d, m,
@@ -584,7 +601,7 @@ class TestHalfspaceRates:
         geom = PlanarGeometry(z_m=0.5 / K0, medium=med)
         b = rates_halfspace(geom, mol_iso, Limit.NUMERIC)
         assert np.isfinite(b.gamma_ch) and np.isfinite(b.gamma_el)
-        flipped = PlanarGeometry(z_m=0.5 / K0, medium=med.with_kappa(-0.2))
+        flipped = PlanarGeometry(z_m=0.5 / K0, medium=dataclasses.replace(med, kappa=-0.2))
         b2 = rates_halfspace(flipped, mol_iso, Limit.NUMERIC)
         assert b2.gamma_ch == pytest.approx(-b.gamma_ch, rel=1e-9)
 
@@ -608,11 +625,19 @@ class TestFloatRange:
     @pytest.mark.parametrize("limit, z_m", [
         (Limit.NUMERIC, 1e-110),  # NaN rates: 2/s^3 in the mirror's totals overflows
         (Limit.NUMERIC, 1e-120),  # s^3 underflows to 0: ZeroDivisionError
-        (Limit.NONRETARDED, 1e-100),  # z^3 underflows to 0: ZeroDivisionError
+        (Limit.NONRETARDED, 1e-110),  # z^3 underflows to 0: ZeroDivisionError
     ])
     def test_mirror_ends_typed(self, mol_iso, limit, z_m):
         with pytest.raises(PhysicsError, match="left the float range"):
             rates_mirror(PlanarGeometry(z_m=z_m, handedness=Handedness.RIGHT), mol_iso, limit)
+
+    def test_nonretarded_mirror_near_limit(self, mol_iso):
+        """Its curl entry -sgn/(32 pi k0 z^3) is finite at z_m 1e-100, where a
+        prefactor hbar z^3 used to underflow: the rates return, finite."""
+        b = rates_mirror(PlanarGeometry(z_m=1e-100, handedness=Handedness.RIGHT), mol_iso, Limit.NONRETARDED)
+        assert all(map(np.isfinite, (b.gamma_ch, b.gamma_total, b.s_disc)))
+        assert b.gamma_ch == pytest.approx(-6.32e282, rel=1e-3)
+        assert b.gamma_el == 0.0
 
     @pytest.mark.filterwarnings("ignore:retarded closed form used:UserWarning")
     def test_retarded_mirror_ends_typed(self, mol_iso):
@@ -639,6 +664,17 @@ class TestFloatRange:
         med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
         with pytest.raises(PhysicsError, match="left the float range"):
             rates_halfspace(PlanarGeometry(z_m=z_m, medium=med), mol_iso, limit)
+
+    @pytest.mark.parametrize("k0z", [1e-103, 1e-102, 1e-101, 1e-100])
+    @pytest.mark.parametrize("medium", [(-2.0 + 0.3j, 1.0, 0.05 + 0.01j), (-2.0 + 0.01j, 1.0, 0.05)],
+                             ids=["lossy_plasmonic", "weakly_lossy_plasmonic"])
+    def test_strongly_reflecting_halfspace_ends_typed(self, mol_iso, medium, k0z):
+        """Reflections above 1 overflow the path's totals just above the
+        k0 z bound (in the integrator at 1e-103), and the tensor entries up
+        to 1e-100: each ends typed, with no numpy warning on the way."""
+        geom = PlanarGeometry(z_m=k0z / K0, medium=MediumResponse(*medium, W))
+        with pytest.raises(PhysicsError, match="left the float range"):
+            rates_halfspace(geom, mol_iso, Limit.NUMERIC)
 
     def test_halfspace_medium_beyond_float_range_ends_typed(self, mol_iso):
         # eps mu = 1e390: the circular wave numbers are infinite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestCavityCoefficients:
             med = random_complex_medium(rng)
             cav = CavityConfig(float(rng.uniform(0.3, 3.0)) * 1e-9, med)
             co = onsager_coefficients(cav)
-            flipped = CavityConfig(cav.radius_a, med.with_kappa(-complex(med.kappa)))
+            flipped = CavityConfig(cav.radius_a, dataclasses.replace(med, kappa=-complex(med.kappa)))
             co_f = onsager_coefficients(flipped)
             assert co.b0v == co_f.a0w
             assert co.b0w == co_f.a0v
@@ -144,7 +146,7 @@ class TestCavityCoefficients:
         sp, _ = solve_cavity_coefficients(med0.eps, med0.mu, +dk, k0, a)
         sm, _ = solve_cavity_coefficients(med0.eps, med0.mu, -dk, k0, a)
         d_solve = (sp - sm) / (2 * dk)
-        c1 = onsager_coefficients(CavityConfig(a, med0.with_kappa(1.0))).a0v
+        c1 = onsager_coefficients(CavityConfig(a, dataclasses.replace(med0, kappa=1.0))).a0v
         c0 = onsager_coefficients(CavityConfig(a, med0)).a0v
         assert abs(d_solve - (c1 - c0)) / abs(c1 - c0) < 1e-6
 
@@ -239,7 +241,7 @@ class TestCorrectedRates:
         for _ in range(20):
             med = random_complex_medium(rng)
             cav = CavityConfig(1e-9, med)
-            flipped = CavityConfig(1e-9, med.with_kappa(-complex(med.kappa)))
+            flipped = CavityConfig(1e-9, dataclasses.replace(med, kappa=-complex(med.kappa)))
             assert gamma_ch_lfc(flipped, mol_iso) == pytest.approx(
                 -gamma_ch_lfc(cav, mol_iso), rel=1e-13, abs=1e-300
             )
