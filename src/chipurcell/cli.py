@@ -37,11 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .bulk import rates_bulk
-from .constants import CONSTANTS
 from .errors import PhysicsError, PoleError, QuadratureError, SchemaError
 from .halfspace import (
-    NONRETARDED_BELOW,
-    RETARDED_ABOVE,
     Handedness,
     Limit,
     PlanarGeometry,
@@ -197,16 +194,11 @@ def parse_medium(node, omega: float, where="medium") -> MediumResponse:
                           _complex_from(node["kappa"], (where, ".kappa"), omega), omega)
 
 
-def _choose_limit(name, omega: float, z_m: float, med: Optional[MediumResponse]) -> Limit:
-    """The ``method.limit`` value; ``"auto"`` takes each closed form inside
-    its range of k0 z, and the numeric pathway between them and for a lossy
-    ``med`` (None for the mirror) below the nonretarded range."""
+def _choose_limit(name) -> Limit:
+    """The ``method.limit`` value; ``"auto"`` takes the exact planar
+    pathway, ``Limit.NUMERIC``, for the mirror and the half-space at every
+    distance. The closed forms are taken only by name."""
     if name == "auto":
-        k0z = omega * z_m / CONSTANTS.c
-        if k0z < NONRETARDED_BELOW:
-            return Limit.NONRETARDED if med is None or med.lossless else Limit.NUMERIC
-        if k0z > RETARDED_ABOVE:
-            return Limit.RETARDED
         return Limit.NUMERIC
     if name in ("retarded", "nonretarded", "numeric"):
         return Limit(name)
@@ -263,7 +255,7 @@ def _run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     quad = parse_quadrature(method.get("quadrature"))  # the mirror validates it and uses none
     compare = _bool_from(method.get("compare_numeric", False), "method.compare_numeric")
     z_m = _real_from(geometry["z_m"], "geometry.z_m")
-    limit = _choose_limit(method.get("limit", "auto"), mol.omega_ik, z_m, med)
+    limit = _choose_limit(method.get("limit", "auto"))
     annotations = {"geometry": kind, "limit": limit.value}
     if kind == "mirror":
         hand = geometry["handedness"]

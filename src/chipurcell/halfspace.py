@@ -22,17 +22,20 @@ integrals of the scattering Green's tensor of a half-space and is the
 physical arbiter between the two closed-form limits. Their contour in the
 vacuum perpendicular wave number is deformed onto the steepest-descent
 path x = k_perp/k0 = 1 + i tau, on which exp(2i k_perp z) decays like
-exp(-2 k0 z tau) without oscillating, so one adaptive integral over tau,
-seeded here at the scales of the decay and of the reflections, covers any
-distance. Branch cuts inside the swept strip are integrated around as
-hairpins in the same integrand (deformed Sommerfeld contours: Paulus,
-Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a reflection pole inside it,
-which only gain can put there, raises PoleError. One function
-(``_assemble``) turns the four channel totals into tensor entries, and the
-reflections come from one cached per-medium plan (``_plan``), in units of
-k0, shared with ``planar_reflections``. The perfect mirror's reflections
-are constant, so ``_mirror_curl`` assembles its elementary totals the same
-way and runs no quadrature.
+exp(-2 k0 z tau) without oscillating, so one adaptive integral over tau
+covers any distance. It is seeded at powers of two on the scales of the
+decay and of the reflections, so distances meet the same panels. Branch cuts inside the swept strip
+are integrated around as hairpins in the same integrand (deformed
+Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a
+reflection pole inside it, which only gain can put there, raises
+PoleError. One function (``_assemble``) turns the four channel totals into
+tensor entries, and the reflections come from one cached per-medium plan
+(``_plan``), in units of k0, shared with ``planar_reflections``. The plan
+also stores the integrand's node values per panel before the distance
+enters (``_Store``), so a sweep over distances evaluates each panel of a
+medium once. The perfect mirror's reflections are constant, so
+``_mirror_curl`` assembles its elementary totals the same way and runs no
+quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -48,6 +51,7 @@ import enum
 import functools
 import math
 import operator
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -139,6 +143,12 @@ class _Plan:
         """Reflection poles inside the strip (see ``_strip_poles``), found
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
+
+    @functools.cached_property
+    def store(self) -> "_Store":
+        """The numeric pathway's node values of this medium (``_Store``),
+        built on first use, like ``poles``."""
+        return _Store(self)
 
 
 @functools.lru_cache(maxsize=128)
@@ -334,6 +344,9 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
 
 # the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
+# the bytes of node values each plan's ``_Store`` keeps: with the 128 plans
+# ``_plan`` caches, at most 32 MiB
+_STORE_BYTES = 256 * 1024
 # a planar tensor whose entries all vanish (``_tensors``): ``_planar_rates`` does not contract it
 _ZERO = np.zeros((3, 3))
 _ZERO.flags.writeable = False
@@ -358,6 +371,105 @@ def _run_quadrature(res: QuadratureResult) -> np.ndarray:
         f"(err={res.err_estimate[i]:.3e}, value={abs(res.value[i]):.3e}, "
         f"panels={res.panels_used})"
     )
+
+
+class _Store:
+    """The node values of the numeric pathway's integrand for one medium,
+    kept per panel of tau and shared by every distance.
+
+    The path's panels are fixed intervals of tau (``_path_seeds``), so a
+    panel's centre and last node name it at any distance, and its 15 nodes
+    are the same floats whichever round asks for them. A panel keeps the
+    four channels of ``_CHANNELS`` on the path, and for each hairpin the
+    left side's minus the right side's, before the decay exp(-2 k0 z tau)
+    and the hairpin phases, which depend on the distance. Panels are kept until their
+    values fill ``_STORE_BYTES``; later ones are evaluated whenever asked
+    for, to the same values: a node's value does not depend on the batch
+    it is evaluated in. The store holds no reference to its plan, so an
+    evicted plan is freed at once, with no cycle for the collector."""
+
+    def __init__(self, plan: _Plan):
+        # x_b of each vertical cut inside the strip: the path carries its hairpin
+        self.cuts = tuple(x_b for x_b, _ in plan.cuts if x_b.real < 1.0)
+        # the lines x = start + i tau: the path, the left side of each cut,
+        # then the right sides, one float right of x_b, where _amplitudes
+        # negates the roots of the modes cut there
+        starts = np.array([1.0, *self.cuts, *(complex(math.nextafter(x_b.real, 2.0), x_b.imag)
+                                              for x_b in self.cuts)])
+        self._re, self._im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
+        rows = 1 + len(self.cuts)
+        self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
+        # (rows, channels, panels, nodes), grown by doubling up to the panels
+        # that fit in _STORE_BYTES: a panel takes rows * 4 * 15 complex values of 16 bytes
+        self._values = np.empty((rows, 4, 0, 15), dtype=complex)
+        self._capacity = _STORE_BYTES // (rows * 4 * 15 * 16)
+        self._lock = threading.Lock()
+
+    def values_at(self, plan: _Plan, tau: np.ndarray, k0: float) -> np.ndarray:
+        """The values at the (panels, 15) nodes ``tau`` of one round, as a
+        new (1 + hairpins, channels, panels, 15) array. Only the panels not
+        kept are evaluated, in one call of ``_amplitudes`` and
+        ``_reflections``, and kept; a round they would not fit in is
+        evaluated whole and kept nowhere. PoleError, with nothing kept, if
+        a value is not finite (``k0`` names its node in 1/m)."""
+        keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))  # centre and last node: the panel
+        with self._lock:  # two threads must not fill the same free slots
+            slots = [self._slots.get(key, -1) for key in keys]
+            if -1 not in slots:
+                return self._values.take(slots, axis=2)
+            new = [i for i, slot in enumerate(slots) if slot < 0]
+            first, end = len(self._slots), len(self._slots) + len(new)
+            if end > self._capacity:
+                return self._evaluate(plan, tau, k0)
+            fresh = len(new) == len(keys)  # a cold round: its values are the round's
+            values = self._evaluate(plan, tau if fresh else tau[new], k0)
+            if end > self._values.shape[2]:
+                grown = np.empty(self._values.shape[:2] + (min(2 * end, self._capacity), 15), dtype=complex)
+                grown[:, :, :first] = self._values[:, :, :first]
+                self._values = grown
+            self._values[:, :, first:end] = values
+            for j, i in enumerate(new):
+                slots[i] = self._slots[keys[i]] = first + j
+            return values if fresh else self._values.take(slots, axis=2)
+
+    def _evaluate(self, plan: _Plan, tau: np.ndarray, k0: float) -> np.ndarray:
+        x = np.empty((len(self._re),) + tau.shape, dtype=complex)
+        x.real, x.imag = self._re, self._im + tau  # with no complex arithmetic
+        out = np.empty((len(self._re), 4) + tau.shape, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_ss, r_pp, r_sp, r_diff = _reflections(plan, _amplitudes(plan, x))
+            x2 = x * x
+            par = 1.0 - x2  # k_par^2 / k0^2
+            np.multiply(r_sp, par, out=out[:, 0])  # curl xx
+            np.multiply(x, r_diff, out=out[:, 1])  # curl x-y
+            np.subtract(r_ss, x2 * r_pp, out=out[:, 2])  # G xx over i
+            np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
+        if not np.isfinite(out).all():
+            bad = x[~np.isfinite(out).all(axis=1)][0]
+            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
+        rows = 1 + len(self.cuts)
+        np.subtract(out[1:rows], out[rows:], out=out[1:rows])  # each hairpin: left minus right
+        return out[:rows]
+
+
+def _path_seeds(k0z: float) -> list:
+    """The seeds in tau of the path: 0, then powers of two in two runs. The
+    first covers the scales on which the reflections vary, 1/4 to 8; the
+    second the decay, from half its scale 2^floor(log2(1/(2 k0 z))) to the
+    first power at or past the end 40/(2 k0 z) of an e^-40 tail (far below
+    any realistic tolerance). Far out, the decay scale starts the first run
+    and the end stops it, and the runs merge. Below k0 z = 1/128 one panel
+    bridges 8 and the second run, where the reflections hardly vary and the
+    decay has not begun, so a point has 7 to 15 seed panels at any
+    distance. Each seed is fixed over an octave of k0 z, and every panel but
+    the bridge, and every half of one, is a dyadic interval that every
+    distance meets."""
+    first = math.frexp(1.0 / (2.0 * k0z))[1] - 1  # floor(log2): frexp's mantissa is in [1/2, 1)
+    mantissa, exponent = math.frexp(40.0 / (2.0 * k0z))
+    last = exponent - 1 if mantissa == 0.5 else exponent
+    near = range(min(-2, first), min(3, last) + 1)
+    decay = range(max(4, first - 1), last + 1)
+    return [0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))]
 
 
 def scatter_numeric(
@@ -390,14 +502,17 @@ def scatter_numeric(
     x = k_perp/k0 = 1 + i tau, tau in [0, inf), on which exp(2i k_perp z)
     decays like exp(-2 k0 z tau) without oscillating, so the panel count
     does not grow with z. One ``sommerfeld.integrate`` over tau, truncated
-    at an e^-40 tail, evaluates each refinement round as one stack of lines
-    x = start + i tau: the path, and both sides of every vertical branch cut
-    inside the swept strip, whose difference (a hairpin) enters with its
-    constant phase exp(2i k0 z (x_b - 1)). Each node carries only the real
-    decay, and ``_assemble`` applies the rest of exp(2i k_perp z) to the
-    totals, and ``_tensors`` lays the entries out. A pole inside the strip
-    (possible only with gain) raises PoleError, and a k0 z so small that the
-    totals overflow PhysicsError.
+    at an e^-40 tail, is seeded at powers of two (``_path_seeds``), and each
+    refinement round evaluates one stack of lines x = start + i tau: the
+    path, and both sides of every vertical branch cut inside the swept
+    strip, whose difference (a hairpin) enters with its constant phase
+    exp(2i k0 z (x_b - 1)). Those values do not depend on the distance: the
+    medium's ``_Store`` keeps them per panel, and a round evaluates only the
+    panels it lacks. Each node then takes the real decay, ``_assemble``
+    applies the rest of exp(2i k_perp z) to the totals, and ``_tensors``
+    lays the entries out. A pole inside the strip (possible only with gain)
+    raises PoleError, and a k0 z so small that the totals overflow
+    PhysicsError.
     """
     med = geom.medium
     if med is None:
@@ -414,46 +529,20 @@ def scatter_numeric(
     if k0z < _K0Z_MIN:
         raise PhysicsError(f"the arithmetic left the float range at k0 z = {k0z!r}: the path's totals, "
                            "of order (2 k0 z)^-3, overflow")
-    # seeds in tau: 0, the end of an e^-40 tail (far below any realistic
-    # tolerance), where the decay reaches e^-u, and, below the end, the
-    # scales on which the reflections vary whatever the distance
-    end = 40.0 / (2.0 * k0z)
-    seeds = sorted({0.0, end, *(u / (2.0 * k0z) for u in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0)),
-                    *(tau for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0) if tau < end)})
-    # the lines x = start + i tau: the path, then the left and right side of
-    # each vertical cut in the strip (one float right of x_b, where
-    # _amplitudes negates the roots of the modes cut there)
-    cuts = [x_b for x_b, _ in plan.cuts if x_b.real < 1.0]
-    starts = np.array([1.0, *(x for x_b in cuts
-                              for x in (x_b, complex(math.nextafter(x_b.real, 2.0), x_b.imag)))])
-    re, im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
-    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in cuts]  # of each hairpin, relative to the path
+    store = plan.store
+    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in store.cuts]  # of each hairpin, relative to the path
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        x = np.empty((len(starts),) + tau.shape, dtype=complex)
-        x.real, x.imag = re, im + tau  # with no complex arithmetic
-        out = np.empty((len(starts), 4) + tau.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_ss, r_pp, r_sp, r_diff = _reflections(plan, _amplitudes(plan, x))
-            x2 = x * x
-            par = 1.0 - x2  # k_par^2 / k0^2
-            np.multiply(r_sp, par, out=out[:, 0])  # curl xx
-            np.multiply(x, r_diff, out=out[:, 1])  # curl x-y
-            np.subtract(r_ss, x2 * r_pp, out=out[:, 2])  # G xx over i
-            np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
-        if not np.isfinite(out).all():
-            bad = x[~np.isfinite(out).all(axis=1)][0]
-            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
-        total = out[0]
-        for i, phase in enumerate(phases):
-            side = out[2 * i + 1] - out[2 * i + 2]
+        values = store.values_at(plan, tau, k0)
+        total = values[0]
+        for side, phase in zip(values[1:], phases):
             side *= phase
             total += side
         total *= np.exp(-2.0 * k0z * tau)
         return total
 
     with np.errstate(over="ignore"):  # totals past the float range: _tensors refuses them
-        res = integrate(integrand, seeds, spec)
+        res = integrate(integrand, _path_seeds(k0z), spec)
     xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res).tolist(), k0, k0z)
     return _tensors(xx, 2.0 * xx, asym, g_xx, g_zz)
 
@@ -592,10 +681,11 @@ def _mirror_tensors(geom: PlanarGeometry, w: float, limit: Limit) -> tuple:
     if limit is Limit.NUMERIC:
         return _mirror_curl(geom, w), _ZERO
     z, sgn = geom.z_m, geom.handedness.sign
+    # successive divisions by z: a power of a small z_m would be subnormal
     if limit is Limit.RETARDED:
-        sin = math.sin(_round_trip(w, z))
-        return _tensors(-sgn * sin / (16.0 * math.pi * z**2), 0.0, 0.0, sin / (16.0 * math.pi * z), 0.0)
-    xx = -sgn * CONSTANTS.c / (32.0 * math.pi * w * z**3)
+        g_xx = math.sin(_round_trip(w, z)) / (16.0 * math.pi * z)
+        return _tensors(-sgn * g_xx / z, 0.0, 0.0, g_xx, 0.0)
+    xx = -sgn * CONSTANTS.c / (32.0 * math.pi * w * z) / z / z
     return _tensors(xx, 2.0 * xx, 0.0, 0.0, 0.0)
 
 
@@ -659,7 +749,7 @@ def _halfspace_tensors(geom: PlanarGeometry, w: float, limit: Limit, spec: Quadr
     if not med.lossless:
         raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
     r_ss, r_pp, r_sp = fresnel_nonretarded(med)
-    xx = -r_sp.imag / (16.0 * math.pi * z**2)
+    xx = -r_sp.imag / (16.0 * math.pi * z) / z  # never z^2, which a small z_m makes subnormal
     return _tensors(xx, 2.0 * xx, -k0 * (r_ss + r_pp).real / (16.0 * math.pi * z), 0.0, 0.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/oracles.py importable
 
 import chipurcell
-from chipurcell import MediumResponse, TransitionDipoles, planar_reflections
+from chipurcell import MediumResponse, TransitionDipoles, halfspace, planar_reflections
 
 OMEGA = 3.0e15  # rad/s, a visible/UV-ish transition
 DEBYE = 3.33564e-30  # C m
@@ -21,6 +21,18 @@ def package_env() -> dict:
     package_root = str(Path(chipurcell.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.fixture
+def cold_store():
+    """Empties the cache of per-medium plans, and with it every plan's
+    stored node values, before and after the test: a test that injects a
+    fault or counts calls through ``_amplitudes``, ``_reflections`` or
+    ``integrate`` neither reads values stored by another test nor leaves
+    its own behind."""
+    halfspace._plan.cache_clear()
+    yield
+    halfspace._plan.cache_clear()
 
 
 @pytest.fixture

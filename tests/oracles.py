@@ -13,6 +13,26 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# The half-space media the planar tests sweep, as (eps, mu, kappa)
+# ---------------------------------------------------------------------------
+
+ORACLE_MEDIA = {
+    "lossless": (2.25, 1.0, 0.05),
+    "absorbing": (2.25 + 0.1j, 1.0, 0.05 + 0.001j),
+    "kappa_above_n": (4.0, 1.0, 2.5),
+    # a circular mode with Im k^2 < 0 puts a branch cut inside the strip
+    # the contour deformation sweeps: a gain mode, and a lossy |kappa| > Re n
+    "gain_mode": (2.25, 1.0, 0.05 + 0.01j),
+    "lossy_kappa_above_n": (4.0 + 0.4j, 1.0, 2.5),
+    "lossy_plasmonic": (-2.0 + 0.3j, 1.0, 0.05 + 0.01j),
+    # Im(eps mu) < 0 at kappa = 0: both modes share one branch point and cut
+    "shared_cut": (-2.0 + 0.1j, -1.0 + 0.1j, 0.0),
+    # eps = mu: r_ss = r_pp, so the curl x-y channel is exactly zero
+    "dual": (2.0, 2.0, 0.05),
+}
+
+
+# ---------------------------------------------------------------------------
 # Textbook Fresnel coefficients for a vacuum | (eps, mu) dielectric interface
 # ---------------------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from chipurcell.cli import (
 )
 from chipurcell.errors import PhysicsError, QuadratureError, SchemaError
 from conftest import package_env
-from oracles import chiral_reflections
+from oracles import ORACLE_MEDIA, chiral_reflections
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -90,16 +90,38 @@ class TestRunScenario:
         assert ann["comparison"]["rel_diff_gamma_ch"] <= 0.03
 
     def test_auto_limit_selection(self):
-        scen = copy.deepcopy(HALFSPACE)
-        scen["method"] = {}
-        _, ann = run_scenario(scen)  # k0 z = 0.03
-        assert ann["limit"] == "nonretarded"
-        scen["geometry"]["z_m"] = 1.5e-6
-        _, ann = run_scenario(scen)
-        assert ann["limit"] == "retarded"
-        scen["geometry"]["z_m"] = 1.0e-7
-        _, ann = run_scenario(scen)
-        assert ann["limit"] == "numeric"
+        """With no method.limit the mirror and the half-space take the exact
+        pathway at every distance: k0 z 0.03, 1 and 30 alike."""
+        for base in (HALFSPACE, MIRROR):
+            scen = copy.deepcopy(base)
+            scen["method"] = {}
+            for z_m in (3.0e-9, 1.0e-7, 3.0e-6):
+                scen["geometry"]["z_m"] = z_m
+                _, ann = run_scenario(scen)
+                assert ann["limit"] == "numeric"
+
+    @pytest.mark.parametrize("medium", [*ORACLE_MEDIA.values(), (12.0, 1.0, 3.5), None],
+                             ids=[*ORACLE_MEDIA, "eps12_kappa3.5", "mirror"])
+    def test_auto_is_the_numeric_pathway(self, medium):
+        """``auto`` equals an explicit ``numeric`` bit for bit, result or
+        error, from k0 z 1e-4 to 1e6."""
+        if medium is None:
+            base = MIRROR
+        else:
+            pairs = {key: [complex(v).real, complex(v).imag] for key, v in zip(("eps", "mu", "kappa"), medium)}
+            base = {**HALFSPACE, "medium": pairs}
+        k0 = base["molecule"]["omega_ik"] / CONSTANTS.c
+
+        def outcome(limit, k0z):
+            scen = {**base, "geometry": {**base["geometry"], "z_m": k0z / k0}, "method": {"limit": limit}}
+            try:
+                b, _ = run_scenario(scen)
+            except (PhysicsError, QuadratureError) as exc:
+                return type(exc).__name__, str(exc)
+            return [getattr(b, key).hex() for key in ("gamma_el", "gamma_ch", "gamma_vac", "gamma_total", "s_disc")]
+
+        for k0z in (1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+            assert outcome("auto", k0z) == outcome("numeric", k0z), k0z
 
     def test_auto_limit_takes_numeric_for_lossy_near_field(self, tmp_path, capsys):
         # the nonretarded closed form refuses a lossy medium: auto took it
