@@ -33,9 +33,9 @@ tensor entries, and the reflections come from one cached per-medium plan
 (``_plan``), in units of k0, shared with ``planar_reflections``. The plan
 also stores the integrand's node values per panel before the distance
 enters (``_Store``), so a sweep over distances evaluates each panel of a
-medium once. The perfect mirror's reflections are constant, so
-``_mirror_curl`` assembles its elementary totals the same way and runs no
-quadrature.
+medium once, and a round it has seen whole is served by one lookup. The
+perfect mirror's reflections are constant, so ``_mirror_curl`` assembles
+its elementary totals the same way and runs no quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -51,6 +51,7 @@ import enum
 import functools
 import math
 import operator
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -382,11 +383,16 @@ class _Store:
     are the same floats whichever round asks for them. A panel keeps the
     four channels of ``_CHANNELS`` on the path, and for each hairpin the
     left side's minus the right side's, before the decay exp(-2 k0 z tau)
-    and the hairpin phases, which depend on the distance. Panels are kept until their
-    values fill ``_STORE_BYTES``; later ones are evaluated whenever asked
-    for, to the same values: a node's value does not depend on the batch
-    it is evaluated in. The store holds no reference to its plan, so an
-    evicted plan is freed at once, with no cycle for the collector."""
+    and the hairpin phases, which depend on the distance. A round whose
+    panels are all kept is indexed under one key, the bytes of its panels'
+    centres and last nodes, so that the next time it is served by one
+    lookup and one ``take``; a round with new panels is found panel by
+    panel. The slab of panel values and the round index share
+    ``_STORE_BYTES``; past it, panels are evaluated whenever asked for, to
+    the same values (a node's value does not depend on the batch it is
+    evaluated in), and no more rounds are indexed. The store holds no
+    reference to its plan, so an evicted plan is freed at once, with no
+    cycle for the collector."""
 
     def __init__(self, plan: _Plan):
         # x_b of each vertical cut inside the strip: the path carries its hairpin
@@ -399,10 +405,12 @@ class _Store:
         self._re, self._im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
         rows = 1 + len(self.cuts)
         self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
-        # (rows, channels, panels, nodes), grown by doubling up to the panels
-        # that fit in _STORE_BYTES: a panel takes rows * 4 * 15 complex values of 16 bytes
+        self._rounds = {}  # the key of a round whose panels are all kept -> their slots
+        # (rows, channels, panels, nodes), grown by doubling as far as _STORE_BYTES
+        # allows: a panel takes rows * 4 * 15 complex values of 16 bytes
+        self._panel_bytes = rows * 4 * 15 * 16
         self._values = np.empty((rows, 4, 0, 15), dtype=complex)
-        self._capacity = _STORE_BYTES // (rows * 4 * 15 * 16)
+        self._free = _STORE_BYTES  # the bytes that slab growth and round index may still take
         self._lock = threading.Lock()
 
     def values_at(self, plan: _Plan, tau: np.ndarray, k0: float) -> np.ndarray:
@@ -412,20 +420,31 @@ class _Store:
         ``_reflections``, and kept; a round they would not fit in is
         evaluated whole and kept nowhere. PoleError, with nothing kept, if
         a value is not finite (``k0`` names its node in 1/m)."""
-        keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))  # centre and last node: the panel
+        key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
         with self._lock:  # two threads must not fill the same free slots
-            slots = [self._slots.get(key, -1) for key in keys]
-            if -1 not in slots:
+            slots = self._rounds.get(key)
+            if slots is not None:
+                return self._values.take(slots, axis=2)
+            keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))
+            slots = [self._slots.get(panel, -1) for panel in keys]
+            if -1 not in slots:  # every panel kept: index the round, if it fits
+                slots = np.array(slots)
+                size = sys.getsizeof(key) + sys.getsizeof(slots)
+                if size <= self._free:
+                    self._free -= size
+                    self._rounds[key] = slots
                 return self._values.take(slots, axis=2)
             new = [i for i, slot in enumerate(slots) if slot < 0]
             first, end = len(self._slots), len(self._slots) + len(new)
-            if end > self._capacity:
+            room = self._values.shape[2] + self._free // self._panel_bytes  # panels the slab may hold
+            if end > room:
                 return self._evaluate(plan, tau, k0)
             fresh = len(new) == len(keys)  # a cold round: its values are the round's
             values = self._evaluate(plan, tau if fresh else tau[new], k0)
             if end > self._values.shape[2]:
-                grown = np.empty(self._values.shape[:2] + (min(2 * end, self._capacity), 15), dtype=complex)
+                grown = np.empty(self._values.shape[:2] + (min(2 * end, room), 15), dtype=complex)
                 grown[:, :, :first] = self._values[:, :, :first]
+                self._free -= (grown.shape[2] - self._values.shape[2]) * self._panel_bytes
                 self._values = grown
             self._values[:, :, first:end] = values
             for j, i in enumerate(new):
@@ -452,7 +471,7 @@ class _Store:
         return out[:rows]
 
 
-def _path_seeds(k0z: float) -> list:
+def _path_seeds(k0z: float) -> np.ndarray:
     """The seeds in tau of the path: 0, then powers of two in two runs. The
     first covers the scales on which the reflections vary, 1/4 to 8; the
     second the decay, from half its scale 2^floor(log2(1/(2 k0 z))) to the
@@ -463,13 +482,21 @@ def _path_seeds(k0z: float) -> list:
     decay has not begun, so a point has 7 to 15 seed panels at any
     distance. Each seed is fixed over an octave of k0 z, and every panel but
     the bridge, and every half of one, is a dyadic interval that every
-    distance meets."""
+    distance meets. The seeds of a pair of octaves are built once, as one
+    read-only array (``_seeds_between``)."""
     first = math.frexp(1.0 / (2.0 * k0z))[1] - 1  # floor(log2): frexp's mantissa is in [1/2, 1)
     mantissa, exponent = math.frexp(40.0 / (2.0 * k0z))
-    last = exponent - 1 if mantissa == 0.5 else exponent
+    return _seeds_between(first, exponent - 1 if mantissa == 0.5 else exponent)
+
+
+@functools.lru_cache(maxsize=None)  # the float range holds about 2,700 pairs, under 1 MB of seeds
+def _seeds_between(first: int, last: int) -> np.ndarray:
+    """``_path_seeds`` of a decay scale 2^first and a tail end 2^last."""
     near = range(min(-2, first), min(3, last) + 1)
     decay = range(max(4, first - 1), last + 1)
-    return [0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))]
+    seeds = np.array([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
+    seeds.flags.writeable = False
+    return seeds
 
 
 def scatter_numeric(
@@ -507,8 +534,10 @@ def scatter_numeric(
     path, and both sides of every vertical branch cut inside the swept
     strip, whose difference (a hairpin) enters with its constant phase
     exp(2i k0 z (x_b - 1)). Those values do not depend on the distance: the
-    medium's ``_Store`` keeps them per panel, and a round evaluates only the
-    panels it lacks. Each node then takes the real decay, ``_assemble``
+    medium's ``_Store`` keeps them per panel, a round evaluates only the
+    panels it lacks, and a round whose panels are all kept is found by one
+    lookup. The integrand's own work per round is the hairpin phases and the
+    decay: each node takes the real decay, ``_assemble``
     applies the rest of exp(2i k_perp z) to the totals, and ``_tensors``
     lays the entries out. A pole inside the strip (possible only with gain)
     raises PoleError, and a k0 z so small that the totals overflow
@@ -531,6 +560,7 @@ def scatter_numeric(
                            "of order (2 k0 z)^-3, overflow")
     store = plan.store
     phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in store.cuts]  # of each hairpin, relative to the path
+    rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
         values = store.values_at(plan, tau, k0)
@@ -538,8 +568,7 @@ def scatter_numeric(
         for side, phase in zip(values[1:], phases):
             side *= phase
             total += side
-        total *= np.exp(-2.0 * k0z * tau)
-        return total
+        return total * np.exp(rate * tau)  # a new array: faster than in place, for a complex one
 
     with np.errstate(over="ignore"):  # totals past the float range: _tensors refuses them
         res = integrate(integrand, _path_seeds(k0z), spec)
@@ -777,7 +806,8 @@ def gamma_ch_mirror_nonretarded_variant(
     pathway confirms the 4/3-consistent value.
     """
     c = CONSTANTS
-    return handedness.sign * c.mu0 * c.c * rotatory_strength(mol) / (8.0 * np.pi * c.hbar * z_m**3)
+    # successive divisions by z_m, as in the closed forms: z_m^3 would be subnormal
+    return handedness.sign * c.mu0 * c.c * rotatory_strength(mol) / (8.0 * np.pi * c.hbar * z_m) / z_m / z_m
 
 
 def s_mirror_nonretarded_variant(mol: TransitionDipoles, z_m: float, handedness: Handedness) -> float:
@@ -789,7 +819,7 @@ def s_mirror_nonretarded_variant(mol: TransitionDipoles, z_m: float, handedness:
     c = CONSTANTS
     return (
         handedness.sign * 3.0 * c.c**2 * rotatory_strength(mol)
-        / (mol.omega_ik**3 * z_m**3 * mol.d_norm_sq)
+        / (mol.omega_ik**3 * z_m * mol.d_norm_sq) / z_m / z_m
     )
 
 
@@ -799,5 +829,5 @@ def s_halfspace_nonretarded_variant(med: MediumResponse, mol: TransitionDipoles,
     r_sp = fresnel_nonretarded(med)[2]
     return float(np.real(
         1j * CONSTANTS.c * rotatory_strength(mol) * r_sp
-        / (mol.omega_ik**2 * z_m**2 * mol.d_norm_sq)
+        / (mol.omega_ik**2 * z_m * mol.d_norm_sq) / z_m
     ))

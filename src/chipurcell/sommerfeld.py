@@ -2,9 +2,12 @@
 
 One function, ``integrate(f, seeds, spec)``, integrates f from seeds[0] to
 seeds[-1] by an adaptive 7-15 Gauss-Kronrod rule, bisecting the panels
-between consecutive seeds. The caller owns the variable, the truncation and
+between consecutive seeds, which must be at least two finite floats in
+strictly ascending order. The caller owns the variable, the truncation and
 the seeds: ``halfspace.scatter_numeric`` seeds its steepest-descent path at
-the scales of its decay and of its reflections.
+the scales of its decay and of its reflections. A panel's error estimate is
+QUADPACK's rescaled one (``_gk15``), and a seed round that meets every
+tolerance is the only round.
 
 An integrand is called once per refinement round with the (n, 15) nodes of
 n panels, must be elementwise over nodes, and returns (channels, n, 15)
@@ -45,11 +48,15 @@ _WG = np.array([
     0.417959183673469,
 ])
 _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascending
+_U15 = 0.5 * (1.0 + _X15)  # the same nodes on [0, 1]: a panel's are a + (b - a) * _U15
 _W15 = np.concatenate([_WGK, _WGK[-2::-1]])  # Kronrod weights of the 15 nodes
 _W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nodes
-# (15, 2): the Kronrod weights, and the Kronrod minus the Gauss weights (I15 - I7)
+# (15, 2): the Kronrod weights, and the Kronrod minus the Gauss weights (I15 - I7),
+# halved for the width b - a of [0, 1], as is _W15 in _WABS (exact: a power of two)
 _WSUMS = np.column_stack([_W15, _W15])
 _WSUMS[1::2, 1] -= _W7
+_WSUMS *= 0.5
+_WABS = 0.5 * _W15
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -79,34 +86,44 @@ class QuadratureResult:
 
 
 def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
-    """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends).
+    """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends, a < b).
 
     ``f`` is called once with the nodes of every panel, shape (panels, 15).
     Returns (I15, err), each of shape (channels, panels). Every channel is
     reduced by the same weight products on its own row, so a channel's
     result does not depend on how many channels or panels travel with it.
     """
-    half = 0.5 * (b - a)
-    rows = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _X15), dtype=complex)
+    width = b - a
+    rows = np.asarray(f(a[:, None] + width[:, None] * _U15), dtype=complex)
     # np.dot of a 3-d array takes one BLAS dot product per (channel, panel) row
     # and weight column, so a row's sums never depend on its companions; a
     # matrix product (matmul, or np.dot of 2-d arrays) would go to BLAS gemm,
     # whose threads stall on large rounds whenever the other cores are busy
     sums = np.dot(rows, _WSUMS)  # (channels, panels, 2): the I15 and I15 - I7 sums
     raw = np.abs(sums[..., 1])
-    resabs = np.dot(np.abs(rows), _W15)
-    # rescaled error estimate; guards against |I15-I7| underestimating on
-    # smooth integrands (same shape as the classic QUADPACK heuristic). The
-    # ratio is that of the unscaled sums; a zero resabs means zero rows,
-    # and the floor keeps their estimate at zero with no 0/0.
-    ratio = 200.0 * raw / np.maximum(resabs, _TINY)
-    return sums[..., 0] * half, np.abs(half) * np.maximum(raw, resabs * np.minimum(1.0, ratio**1.5))
+    resabs = np.dot(np.abs(rows), _WABS)
+    # rescaled error estimate, max(raw, resabs min(1, (200 raw/resabs)^1.5)):
+    # QUADPACK's qk15 rescaling (Piessens et al. 1983, section 2.2) with
+    # resabs in place of its resasc; it guards against |I15 - I7|
+    # underestimating on smooth integrands. It is formed in fewer array
+    # operations as max(raw, min(resabs, 200^1.5 raw sqrt(raw/resabs))).
+    # A zero resabs means zero rows, and the floor keeps their estimate at
+    # zero with no 0/0.
+    err = np.sqrt(raw / np.maximum(resabs, _TINY))
+    err *= raw
+    err *= 200.0**1.5
+    np.minimum(err, resabs, out=err)
+    np.maximum(err, raw, out=err)
+    err *= width
+    return sums[..., 0] * width, err
 
 
 def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
     """Integrate f from seeds[0] to seeds[-1], starting from the panels
-    between the ascending ``seeds``; raises QuadratureError, before any call
-    to f, when they are more than ``max_panels``.
+    between the ``seeds``, which must be at least two finite floats in
+    strictly ascending order (ValueError otherwise); raises QuadratureError
+    when they make more than ``max_panels`` panels. Both are raised before
+    any call to f.
 
     Works in rounds, each one call of f: the seed panels, then both halves
     of every panel split in a round. A round ranks the panels by their worst
@@ -114,16 +131,21 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     removal leaves an error within tolerance in every channel (at least one
     panel, at most what ``max_panels`` still allows).
     """
-    if len(seeds) - 1 > spec.max_panels:
-        raise QuadratureError(f"{len(seeds) - 1} seed panels exceed max_panels = {spec.max_panels}")
-    seeds = np.asarray(seeds, dtype=float)
+    seeds = np.array(seeds, dtype=float, copy=None, ndmin=1)  # a scalar is one seed
     a, b = seeds[:-1], seeds[1:]
+    # a NaN fails every comparison, and ascending seeds are finite if their ends are
+    # (count_nonzero, not all(): the fixed cost of every call counts here)
+    if not (seeds.ndim == 1 and len(seeds) > 1 and -math.inf < seeds[0] and seeds[-1] < math.inf
+            and np.count_nonzero(a < b) == len(a)):
+        raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
+    if len(a) > spec.max_panels:
+        raise QuadratureError(f"{len(a)} seed panels exceed max_panels = {spec.max_panels}")
     val, err = _gk15(f, a, b)
     while True:
-        value, err_sum = val.sum(axis=1), err.sum(axis=1)
+        value, err_sum = np.add.reduce(val, 1), np.add.reduce(err, 1)
         tol = spec.rel_tol * np.abs(value)
-        converged = bool((err_sum <= tol).all())
-        if converged or len(a) >= spec.max_panels:
+        converged = np.count_nonzero(err_sum <= tol) == len(tol)
+        if converged or len(a) >= spec.max_panels:  # a seed round that converges ends here
             break
         mid = 0.5 * (a + b)
         splittable = np.flatnonzero((a < mid) & (mid < b))  # not exhausted at float resolution

@@ -26,10 +26,10 @@ def package_env() -> dict:
 @pytest.fixture
 def cold_store():
     """Empties the cache of per-medium plans, and with it every plan's
-    stored node values, before and after the test: a test that injects a
-    fault or counts calls through ``_amplitudes``, ``_reflections`` or
-    ``integrate`` neither reads values stored by another test nor leaves
-    its own behind."""
+    stored node values and round index, before and after the test: a test
+    that injects a fault or counts calls through ``_amplitudes``,
+    ``_reflections`` or ``integrate`` neither reads values stored by
+    another test nor leaves its own behind."""
     halfspace._plan.cache_clear()
     yield
     halfspace._plan.cache_clear()

@@ -427,6 +427,51 @@ class TestStore:
                 assert point(med, k0z) == cold, (name, k0z)
 
     @pytest.mark.usefixtures("cold_store")
+    @pytest.mark.parametrize("name", ["gain_mode", "lossless"], ids=["hairpin", "cut_free"])
+    def test_a_partly_stored_round_gives_the_cold_values(self, monkeypatch, name):
+        """At k0 z 0.3 the seed round shares its panels up to tau 32 with
+        k0 z 1.2 and adds two: after k0 z 1.2 it evaluates only those two,
+        and its tensors equal, bit for bit, those of a fresh store."""
+        med = MediumResponse(*ORACLE_MEDIA[name], omega=W)
+        near, far = PlanarGeometry(z_m=0.3 / K0, medium=med), PlanarGeometry(z_m=1.2 / K0, medium=med)
+        assert len(hs._path_seeds(K0 * near.z_m)) - 1 == 10 and hs._path_seeds(K0 * far.z_m)[-1] == 32.0
+        cold = [a.tobytes() for a in scatter_numeric(near, W)]
+        hs._plan.cache_clear()
+        scatter_numeric(far, W)
+        panels = []
+        inner = hs._amplitudes
+        monkeypatch.setattr(hs, "_amplitudes", lambda plan, x: panels.append(x.shape[1]) or inner(plan, x))
+        assert [a.tobytes() for a in scatter_numeric(near, W)] == cold
+        assert panels[0] == 2
+
+    @pytest.mark.usefixtures("cold_store")
+    def test_a_stored_round_is_served_by_one_lookup(self, monkeypatch):
+        """A round found with all its panels kept is indexed under one key,
+        and its next visit reads the index alone, to the same bits. Panels
+        and index are counted against one budget, _STORE_BYTES."""
+        med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)  # a path and a hairpin
+        geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
+        first = [a.tobytes() for a in scatter_numeric(geom, W)]  # stores the panels
+        store = hs._plan(med.eps, med.mu, med.kappa).store
+        assert store._rounds == {}
+        rounds = []
+        gk15 = sommerfeld._gk15
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        assert [a.tobytes() for a in scatter_numeric(geom, W)] == first  # finds them: indexes the rounds
+        assert len(store._rounds) == len(rounds) > 1  # this point refines
+        indexed = {slot for slots in store._rounds.values() for slot in slots.tolist()}
+        assert indexed == set(range(len(store._slots)))
+        index = sum(sys.getsizeof(key) + sys.getsizeof(slots) for key, slots in store._rounds.items())
+        assert store._free == hs._STORE_BYTES - store._values.shape[2] * store._panel_bytes - index
+
+        class NoPanelLookups(dict):
+            def get(self, *args):
+                raise AssertionError("a panel was looked up")
+
+        store._slots = NoPanelLookups(store._slots)
+        assert [a.tobytes() for a in scatter_numeric(geom, W)] == first
+
+    @pytest.mark.usefixtures("cold_store")
     def test_a_sweep_evaluates_each_panel_once(self, monkeypatch):
         """A 100-point log sweep of k0 z 0.01-100 on one medium evaluates at
         most 600 nodes: its distances share their panels."""
@@ -519,7 +564,7 @@ class TestStore:
             scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
         store = hs._plan(med.eps, med.mu, med.kappa).store
         kept = dict(store._slots)
-        assert 0 < len(kept) <= store._capacity
+        assert 0 < len(kept) <= hs._STORE_BYTES // store._panel_bytes
         nodes = []
         amplitudes = hs._amplitudes
         monkeypatch.setattr(hs, "_amplitudes", lambda plan, x: nodes.append(x[0].size) or amplitudes(plan, x))
@@ -834,6 +879,29 @@ class TestFloatRange:
             return rates_halfspace(PlanarGeometry(z_m=z, medium=med), mol_iso, limit).gamma_ch
 
         assert gamma_ch(z_m) == pytest.approx(gamma_ch(normal) * (normal / z_m) ** power, rel=1e-12)
+
+    @pytest.mark.parametrize("variant, power, z_m, normal", [
+        ("gamma_ch_mirror", 3, 1e-96, 1e-80),
+        ("gamma_ch_mirror", 3, 1e-97, 1e-80),
+        ("gamma_ch_mirror", 3, 1e-98, 1e-80),
+        ("s_mirror", 3, 1e-103, 1e-90),
+        ("s_mirror", 3, 1e-105, 1e-90),
+        ("s_halfspace", 2, 1e-150, 1e-140),
+    ])
+    def test_variant_forms_keep_their_power_law(self, mol_iso, variant, power, z_m, normal):
+        """The compact variants divide by z in turn, as the closed forms do:
+        forming z_m^3 or z_m^2 lost 8.4e-4 at 1e-96 and 0.46 at 1e-97
+        (gamma_ch mirror) and 3.2e-3 at 1e-103 (s mirror), and a power that
+        underflowed to zero raised ZeroDivisionError (1e-98, 1e-105, and the
+        weakly chiral half-space at 1e-150), where the values are finite."""
+        def form(z):
+            if variant == "gamma_ch_mirror":
+                return gamma_ch_mirror_nonretarded_variant(mol_iso, z, Handedness.RIGHT)
+            if variant == "s_mirror":
+                return s_mirror_nonretarded_variant(mol_iso, z, Handedness.RIGHT)
+            return s_halfspace_nonretarded_variant(MediumResponse(2.25, 1.0, 1e-12, W), mol_iso, z)
+
+        assert form(z_m) == pytest.approx(form(normal) * (normal / z_m) ** power, rel=1e-12)
 
     @pytest.mark.parametrize("z_m", [1e100, 1e200, 1e300])
     def test_numeric_mirror_far_limit(self, mol_aniso, z_m):

@@ -7,6 +7,7 @@ import pytest
 
 from chipurcell.errors import QuadratureError
 from chipurcell.sommerfeld import QuadratureSpec, _gk15, integrate
+from oracles import qk15_nodes, qk15_panel
 
 
 def zero(k):
@@ -173,40 +174,71 @@ def test_gk15_channel_row_is_independent_of_companions(f, ends):
 
 def test_gk15_matches_plain_kronrod_and_gauss_sums():
     """(I15, err) of each channel and panel against the rule written out in
-    Python: I15 = h sum w15_j f_j and I7 = h sum w7_j f_(2j+1) with h the
-    panel's half width, resabs = |h| sum w15_j |f_j|, and
-    err = max(|I15 - I7|, resabs min(1, (200 |I15 - I7| / resabs)^1.5)),
-    or |I15 - I7| where resabs is zero. Channels: random complex rows, a
+    scalar loops (``oracles.qk15_panel``). Channels: random complex rows, a
     Lorentzian (whose rescaled error is below resabs), a cubic (whose two
     rules agree to round-off) and a zero row."""
     rng = np.random.default_rng(18)
     a, b = np.array([0.0, 0.3, 1.0, 2.5]), np.array([0.3, 1.0, 2.5, 40.0])
     noise = rng.normal(size=(2, 4, 15)) + 1j * rng.normal(size=(2, 4, 15))
-    rows = lambda x: np.concatenate(
-        [noise, [1j / (1 + 100 * (x - 0.5) ** 2), (1 + 2j) * x**3 - x + 0.5j, 0 * x]])
+    values = []
+    rows = lambda x: values.append(np.concatenate(
+        [noise, [1j / (1 + 100 * (x - 0.5) ** 2), (1 + 2j) * x**3 - x + 0.5j, 0 * x]])) or values[0]
     i15, err = _gk15(rows, a, b)
-    xgk = [0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-           0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0]
-    wgk = [0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-           0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728]
-    wg = [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
-    nodes = [-x for x in xgk] + xgk[-2::-1]
-    w15, w7 = wgk + wgk[-2::-1], wg + wg[-2::-1]
-    values = rows(0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * np.array(nodes))
+    values = values[0]
     for c in range(values.shape[0]):
         for p in range(len(a)):
-            h, f = 0.5 * (b[p] - a[p]), values[c, p].tolist()
-            kronrod = h * sum(w * v for w, v in zip(w15, f))
-            gauss = h * sum(w * v for w, v in zip(w7, f[1::2]))
-            resabs = abs(h) * sum(w * abs(v) for w, v in zip(w15, f))
-            raw = abs(kronrod - gauss)
-            want = max(raw, resabs * min(1.0, (200.0 * raw / resabs) ** 1.5)) if resabs > 0 else raw
+            kronrod, want, resabs = qk15_panel(values[c, p], a[p], b[p])
             # the sums differ by their rounding, a few ulp of resabs; the
             # rescaling amplifies an error in raw by at most 1.5 * 200^1.5
             assert abs(i15[c, p] - kronrod) <= 1e-14 * resabs
             assert abs(err[c, p] - want) <= 1e-11 * resabs
     assert not i15[-1].any() and not err[-1].any()
     assert (err[3] < 1e-6 * np.abs(i15[3])).all()  # the cubic is resolved
+
+
+def test_gk15_matches_the_loop_reference_on_random_panels():
+    """Nodes, value and error estimate of every channel on 40 random panels
+    against ``oracles.qk15_panel``, with tolerances fixed by the float type
+    alone. Let eps be the machine epsilon; resabs = h sum wgk |f| is the sum
+    of the magnitudes of a panel's I15 terms. A node is a + (b - a)(1 + x)/2,
+    three roundings from centre + h x. A 15-term complex sum of rounded
+    products is off an exactly rounded one by at most (sqrt(2) 15 + 2) eps
+    times the sum of its terms' magnitudes, so I15 by 24 eps resabs, and
+    I15 - I7 (whose weights are below 1.05 wgk) by 32 eps resabs. The
+    rescaled estimate moves by at most 300 times an error in |I15 - I7|
+    (1.5 * 200^1.5 / 200^0.5, its slope at ratio 1) and otherwise stays
+    within 1e-13 of itself. Channels: two smooth ones, a zero one (value and
+    error exactly 0), and, last, an oscillating one, whose ratio
+    200 |I15 - I7| / resabs is at least 1 on most panels."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2203)
+    a = np.sort(rng.uniform(0.0, 50.0, 40))
+    b = a + rng.uniform(1e-3, 20.0, 40)
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return np.array([
+            np.exp(-0.3 * x) * (1.0 + 2j * np.sin(x)),
+            1.0 / (1.0 + (x - 20.0) ** 2) + 0.5j * x**2,
+            0.0 * x,
+            np.exp(40j * x),
+        ])
+
+    i15, err = _gk15(f, a, b)
+    assert i15.shape == err.shape == (4, 40)
+    ratio_above_one = 0
+    for p in range(len(a)):
+        want_nodes = qk15_nodes(a[p], b[p])
+        assert np.all(np.abs(nodes[0][p] - want_nodes) <= 4 * eps * b[p])
+        for c in range(4):
+            value, want, resabs = qk15_panel(f(nodes[0][p])[c], a[p], b[p])
+            assert abs(i15[c, p] - value) <= 24 * eps * resabs
+            assert abs(err[c, p] - want) <= 1e-13 * want + 300 * 32 * eps * resabs
+        # the oscillating channel's: err = max(raw, resabs) exactly where the ratio is >= 1
+        ratio_above_one += want >= resabs > 0
+    assert not i15[2].any() and not err[2].any()
+    assert ratio_above_one >= 20
 
 
 @pytest.mark.parametrize("integrate, seed_panels", [
@@ -251,6 +283,31 @@ def test_too_many_seeds_are_refused_before_the_integrand_runs():
     assert calls == []
     res = integrate(f, np.linspace(0.0, 1.0, 11), QuadratureSpec(max_panels=10))
     assert len(calls) == 1 and res.panels_used == 10
+
+
+@pytest.mark.parametrize("seeds", [
+    [0.0, np.inf],  # was a NaN value, not converged, with two numpy warnings
+    [-np.inf, 0.0],
+    [0.0, np.nan, 1.0],
+    [1.0, 0.5, 2.0],  # was "converged" through a reversed panel that is never split
+    [2.0, 1.0],  # descending
+    [0.0, 1.0, 1.0, 2.0],  # was a zero-width panel
+    [0.0],  # was 0 from no panels
+    [],
+    0.0,
+    [[0.0, 1.0], [2.0, 3.0]],
+], ids=["inf_end", "inf_start", "nan", "reversed_panel", "descending", "zero_width", "one_seed", "no_seed",
+        "scalar", "two_dimensional"])
+def test_malformed_seeds_are_refused_before_the_integrand_runs(seeds):
+    # a panel is [a, b] with a < b, both finite: anything else has no
+    # integral the rule or the refinement can give
+    calls = []
+    f = channel(lambda k: calls.append(k) or np.exp(-k) + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="seeds must be at least two finite floats in strictly ascending order"):
+            integrate(f, seeds, QuadratureSpec())
+    assert calls == []
 
 
 @pytest.mark.parametrize("field, value", [
