@@ -30,12 +30,13 @@ Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a
 reflection pole inside it, which only gain can put there, raises
 PoleError. One function (``_assemble``) turns the four channel totals into
 tensor entries, and the reflections come from one cached per-medium plan
-(``_plan``), in units of k0, shared with ``planar_reflections``. The plan
-also stores the integrand's node values per panel before the distance
-enters (``_Store``), so a sweep over distances evaluates each panel of a
-medium once, and a round it has seen whole is served by one lookup. The
-perfect mirror's reflections are constant, so ``_mirror_curl`` assembles
-its elementary totals the same way and runs no quadrature.
+(``_plan``), in units of k0, shared with ``planar_reflections``. The same
+plan keeps the integrand's node values per panel before the distance
+enters (``_Plan.values_at``), so a sweep over distances evaluates each
+panel of a medium once, and a round it has seen whole is served by one
+lookup. The perfect mirror's reflections are constant, so
+``_mirror_curl`` assembles its elementary totals the same way and runs no
+quadrature.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -117,27 +118,86 @@ class PlanarGeometry:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """The per-medium constants of the reflections, in units of k0: they
-    depend on eps, mu and kappa only, and the reflections on them and on
-    x = k_perp/k0. Mode arrays are read-only, modes first (0 is k_plus,
-    1 is k_minus), with K = k/k0."""
+# the bytes of node values each plan keeps (``_Plan.values_at``): with the
+# 128 plans ``_plan`` caches, at most 32 MiB
+_STORE_BYTES = 256 * 1024
 
-    alpha: np.ndarray  # K^2 - 1
-    c: np.ndarray  # sqrt(mu/eps) / K
-    e: complex  # eps/mu
-    cross: complex  # 2i sqrt(eps/mu), the prefactor of r_sp
-    # (x_b, modes) of each vertical branch cut: x_b = sqrt(1 - K^2) of the
-    # modes with Im K^2 < 0, whose root is cut vertically upward from x_b.
-    # A mode with Im K^2 >= 0 keeps the Im >= 0 root, which is analytic over
-    # the strip 0 <= Re x <= 1, Im x >= 0. A mode with Im K^2 < 0 (gain, or
-    # a lossy |kappa| > Re n) has x_b in the first quadrant, where the
-    # Im >= 0 root jumps along a curve running right from x_b. Its root is
-    # cut vertically instead, which changes no value on the real segment or
-    # the imaginary axis; when Re x_b < 1 the cut lies inside the strip and
-    # the numeric pathway integrates around it.
-    cuts: tuple
+
+class _Plan:
+    """One medium's plan, in units of k0, built once per (eps, mu, kappa)
+    by ``_plan``. It holds the constants of the reflections, which depend on
+    eps, mu and kappa only (the reflections on them and on x = k_perp/k0),
+    and the numeric pathway's node values of the medium (``values_at``).
+    Mode arrays are read-only, modes first (0 is k_plus, 1 is k_minus),
+    with K = k/k0. Raises ``PhysicsError`` for eps = 0 or mu = 0, where the
+    impedance sqrt(mu/eps) is 0 or infinite, for a circular wave number K
+    beyond the float range, and for one whose square vanishes against k0^2
+    (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
+
+    The node values are kept per panel of tau and shared by every distance.
+    The path's panels are fixed intervals of tau (``_path_seeds``), so a
+    panel's centre and last node name it at any distance, and its 15 nodes
+    are the same floats whichever round asks for them. A panel keeps the
+    four channels of ``_CHANNELS`` on the path, and for each hairpin the
+    left side's minus the right side's, before the decay exp(-2 k0 z tau)
+    and the hairpin phases, which depend on the distance. A round whose
+    panels are all kept is indexed under one key, the bytes of its panels'
+    centres and last nodes, so that the next time it is served by one
+    lookup and one ``take``; a round with new panels is found panel by
+    panel. The slab of panel values and the round index share
+    ``_STORE_BYTES``; past it, panels are evaluated whenever asked for, to
+    the same values (a node's value does not depend on the batch it is
+    evaluated in), and no more rounds are indexed."""
+
+    def __init__(self, eps: complex, mu: complex, kappa: complex):
+        if eps == 0 or mu == 0:
+            raise PhysicsError(f"planar reflections need nonzero eps and mu, got eps = {eps!r}, mu = {mu!r}")
+        unit = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
+        k_plus, k_minus = unit.k_plus, unit.k_minus
+        if not (cmath.isfinite(k_plus) and cmath.isfinite(k_minus)):
+            raise PhysicsError(
+                f"the circular wave numbers leave the float range: k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}")
+        cuts = {}
+        for mode, k in enumerate((k_plus, k_minus)):
+            if (k * k).imag < 0:
+                cuts.setdefault(cmath.sqrt(1.0 - k * k), []).append(mode)
+        k = np.array([k_plus, k_minus])
+        self.alpha = k * k - 1.0  # K^2 - 1
+        if (self.alpha == -1.0).any():
+            raise PhysicsError(
+                f"a circular wave number vanishes (kappa = +-n_r): k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}"
+            )
+        self.c = np.sqrt(mu / eps) / k  # sqrt(mu/eps) / K
+        self.alpha.flags.writeable = self.c.flags.writeable = False
+        self.e = eps / mu
+        self.cross = 2j * np.sqrt(eps / mu)  # the prefactor of r_sp
+        # (x_b, modes) of each vertical branch cut: x_b = sqrt(1 - K^2) of the
+        # modes with Im K^2 < 0, whose root is cut vertically upward from x_b.
+        # A mode with Im K^2 >= 0 keeps the Im >= 0 root, which is analytic over
+        # the strip 0 <= Re x <= 1, Im x >= 0. A mode with Im K^2 < 0 (gain, or
+        # a lossy |kappa| > Re n) has x_b in the first quadrant, where the
+        # Im >= 0 root jumps along a curve running right from x_b. Its root is
+        # cut vertically instead, which changes no value on the real segment or
+        # the imaginary axis; when Re x_b < 1 the cut lies inside the strip and
+        # the numeric pathway integrates around it.
+        self.cuts = tuple((x_b, tuple(modes)) for x_b, modes in cuts.items())
+        # x_b of each cut inside the strip: the path carries its hairpin
+        self.hairpins = tuple(x_b for x_b, _ in self.cuts if x_b.real < 1.0)
+        # the lines x = start + i tau of values_at: the path, the left side of
+        # each hairpin, then the right sides, one float right of x_b, where
+        # _amplitudes negates the roots of the modes cut there
+        starts = np.array([1.0, *self.hairpins, *(complex(math.nextafter(x_b.real, 2.0), x_b.imag)
+                                                  for x_b in self.hairpins)])
+        self._re, self._im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
+        rows = 1 + len(self.hairpins)
+        self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
+        self._rounds = {}  # the key of a round whose panels are all kept -> their slots
+        # (rows, channels, panels, nodes), grown by doubling as far as _STORE_BYTES
+        # allows: a panel takes rows * 4 * 15 complex values of 16 bytes
+        self._panel_bytes = rows * 4 * 15 * 16
+        self._values = np.empty((rows, 4, 0, 15), dtype=complex)
+        self._free = _STORE_BYTES  # the bytes that slab growth and round index may still take
+        self._lock = threading.Lock()
 
     @functools.cached_property
     def poles(self) -> tuple:
@@ -145,41 +205,66 @@ class _Plan:
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
 
-    @functools.cached_property
-    def store(self) -> "_Store":
-        """The numeric pathway's node values of this medium (``_Store``),
-        built on first use, like ``poles``."""
-        return _Store(self)
+    def values_at(self, tau: np.ndarray, k0: float) -> np.ndarray:
+        """The values at the (panels, 15) nodes ``tau`` of one round, as a
+        new (1 + hairpins, channels, panels, 15) array. Only the panels not
+        kept are evaluated, in one call of ``_amplitudes`` and
+        ``_reflections``, and kept; a round they would not fit in is
+        evaluated whole and kept nowhere. PoleError, with nothing kept, if
+        a value is not finite (``k0`` names its node in 1/m)."""
+        key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
+        with self._lock:  # two threads must not fill the same free slots
+            slots = self._rounds.get(key)
+            if slots is not None:
+                return self._values.take(slots, axis=2)
+            keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))
+            slots = [self._slots.get(panel, -1) for panel in keys]
+            if -1 not in slots:  # every panel kept: index the round, if it fits
+                slots = np.array(slots)
+                size = sys.getsizeof(key) + sys.getsizeof(slots)
+                if size <= self._free:
+                    self._free -= size
+                    self._rounds[key] = slots
+                return self._values.take(slots, axis=2)
+            new = [i for i, slot in enumerate(slots) if slot < 0]
+            first, end = len(self._slots), len(self._slots) + len(new)
+            room = self._values.shape[2] + self._free // self._panel_bytes  # panels the slab may hold
+            if end > room:
+                return self._evaluate(tau, k0)
+            fresh = len(new) == len(keys)  # a cold round: its values are the round's
+            values = self._evaluate(tau if fresh else tau[new], k0)
+            if end > self._values.shape[2]:
+                grown = np.empty(self._values.shape[:2] + (min(2 * end, room), 15), dtype=complex)
+                grown[:, :, :first] = self._values[:, :, :first]
+                self._free -= (grown.shape[2] - self._values.shape[2]) * self._panel_bytes
+                self._values = grown
+            self._values[:, :, first:end] = values
+            for j, i in enumerate(new):
+                slots[i] = self._slots[keys[i]] = first + j
+            return values if fresh else self._values.take(slots, axis=2)
+
+    def _evaluate(self, tau: np.ndarray, k0: float) -> np.ndarray:
+        x = np.empty((len(self._re),) + tau.shape, dtype=complex)
+        x.real, x.imag = self._re, self._im + tau  # with no complex arithmetic
+        out = np.empty((len(self._re), 4) + tau.shape, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_ss, r_pp, r_sp, r_diff = _reflections(self, _amplitudes(self, x))
+            x2 = x * x
+            par = 1.0 - x2  # k_par^2 / k0^2
+            np.multiply(r_sp, par, out=out[:, 0])  # curl xx
+            np.multiply(x, r_diff, out=out[:, 1])  # curl x-y
+            np.subtract(r_ss, x2 * r_pp, out=out[:, 2])  # G xx over i
+            np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
+        if not np.isfinite(out).all():
+            bad = x[~np.isfinite(out).all(axis=1)][0]
+            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
+        rows = 1 + len(self.hairpins)
+        np.subtract(out[1:rows], out[rows:], out=out[1:rows])  # each hairpin: left minus right
+        return out[:rows]
 
 
-@functools.lru_cache(maxsize=128)
-def _plan(eps: complex, mu: complex, kappa: complex) -> _Plan:
-    """The ``_Plan`` of a medium; built once per (eps, mu, kappa). Raises
-    ``PhysicsError`` for eps = 0 or mu = 0, where the impedance sqrt(mu/eps)
-    is 0 or infinite, for a circular wave number K beyond the float range,
-    and for one whose square vanishes against k0^2 (kappa = +-n_r), which
-    alpha = K^2 - 1 cannot hold."""
-    if eps == 0 or mu == 0:
-        raise PhysicsError(f"planar reflections need nonzero eps and mu, got eps = {eps!r}, mu = {mu!r}")
-    unit = MediumResponse(eps, mu, kappa, CONSTANTS.c)  # k0 = 1
-    k_plus, k_minus = unit.k_plus, unit.k_minus
-    if not (cmath.isfinite(k_plus) and cmath.isfinite(k_minus)):
-        raise PhysicsError(
-            f"the circular wave numbers leave the float range: k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}")
-    cuts = {}
-    for mode, k in enumerate((k_plus, k_minus)):
-        if (k * k).imag < 0:
-            cuts.setdefault(cmath.sqrt(1.0 - k * k), []).append(mode)
-    k = np.array([k_plus, k_minus])
-    alpha = k * k - 1.0
-    if (alpha == -1.0).any():
-        raise PhysicsError(
-            f"a circular wave number vanishes (kappa = +-n_r): k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}"
-        )
-    c = np.sqrt(mu / eps) / k
-    alpha.flags.writeable = c.flags.writeable = False
-    return _Plan(alpha, c, eps / mu, 2j * np.sqrt(eps / mu),
-                 tuple((x_b, tuple(modes)) for x_b, modes in cuts.items()))
+# the plan of a medium (``_Plan``), built once per (eps, mu, kappa)
+_plan = functools.lru_cache(maxsize=128)(_Plan)
 
 
 def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -345,9 +430,6 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
 
 # the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
-# the bytes of node values each plan's ``_Store`` keeps: with the 128 plans
-# ``_plan`` caches, at most 32 MiB
-_STORE_BYTES = 256 * 1024
 # a planar tensor whose entries all vanish (``_tensors``): ``_planar_rates`` does not contract it
 _ZERO = np.zeros((3, 3))
 _ZERO.flags.writeable = False
@@ -372,103 +454,6 @@ def _run_quadrature(res: QuadratureResult) -> np.ndarray:
         f"(err={res.err_estimate[i]:.3e}, value={abs(res.value[i]):.3e}, "
         f"panels={res.panels_used})"
     )
-
-
-class _Store:
-    """The node values of the numeric pathway's integrand for one medium,
-    kept per panel of tau and shared by every distance.
-
-    The path's panels are fixed intervals of tau (``_path_seeds``), so a
-    panel's centre and last node name it at any distance, and its 15 nodes
-    are the same floats whichever round asks for them. A panel keeps the
-    four channels of ``_CHANNELS`` on the path, and for each hairpin the
-    left side's minus the right side's, before the decay exp(-2 k0 z tau)
-    and the hairpin phases, which depend on the distance. A round whose
-    panels are all kept is indexed under one key, the bytes of its panels'
-    centres and last nodes, so that the next time it is served by one
-    lookup and one ``take``; a round with new panels is found panel by
-    panel. The slab of panel values and the round index share
-    ``_STORE_BYTES``; past it, panels are evaluated whenever asked for, to
-    the same values (a node's value does not depend on the batch it is
-    evaluated in), and no more rounds are indexed. The store holds no
-    reference to its plan, so an evicted plan is freed at once, with no
-    cycle for the collector."""
-
-    def __init__(self, plan: _Plan):
-        # x_b of each vertical cut inside the strip: the path carries its hairpin
-        self.cuts = tuple(x_b for x_b, _ in plan.cuts if x_b.real < 1.0)
-        # the lines x = start + i tau: the path, the left side of each cut,
-        # then the right sides, one float right of x_b, where _amplitudes
-        # negates the roots of the modes cut there
-        starts = np.array([1.0, *self.cuts, *(complex(math.nextafter(x_b.real, 2.0), x_b.imag)
-                                              for x_b in self.cuts)])
-        self._re, self._im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
-        rows = 1 + len(self.cuts)
-        self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
-        self._rounds = {}  # the key of a round whose panels are all kept -> their slots
-        # (rows, channels, panels, nodes), grown by doubling as far as _STORE_BYTES
-        # allows: a panel takes rows * 4 * 15 complex values of 16 bytes
-        self._panel_bytes = rows * 4 * 15 * 16
-        self._values = np.empty((rows, 4, 0, 15), dtype=complex)
-        self._free = _STORE_BYTES  # the bytes that slab growth and round index may still take
-        self._lock = threading.Lock()
-
-    def values_at(self, plan: _Plan, tau: np.ndarray, k0: float) -> np.ndarray:
-        """The values at the (panels, 15) nodes ``tau`` of one round, as a
-        new (1 + hairpins, channels, panels, 15) array. Only the panels not
-        kept are evaluated, in one call of ``_amplitudes`` and
-        ``_reflections``, and kept; a round they would not fit in is
-        evaluated whole and kept nowhere. PoleError, with nothing kept, if
-        a value is not finite (``k0`` names its node in 1/m)."""
-        key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
-        with self._lock:  # two threads must not fill the same free slots
-            slots = self._rounds.get(key)
-            if slots is not None:
-                return self._values.take(slots, axis=2)
-            keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))
-            slots = [self._slots.get(panel, -1) for panel in keys]
-            if -1 not in slots:  # every panel kept: index the round, if it fits
-                slots = np.array(slots)
-                size = sys.getsizeof(key) + sys.getsizeof(slots)
-                if size <= self._free:
-                    self._free -= size
-                    self._rounds[key] = slots
-                return self._values.take(slots, axis=2)
-            new = [i for i, slot in enumerate(slots) if slot < 0]
-            first, end = len(self._slots), len(self._slots) + len(new)
-            room = self._values.shape[2] + self._free // self._panel_bytes  # panels the slab may hold
-            if end > room:
-                return self._evaluate(plan, tau, k0)
-            fresh = len(new) == len(keys)  # a cold round: its values are the round's
-            values = self._evaluate(plan, tau if fresh else tau[new], k0)
-            if end > self._values.shape[2]:
-                grown = np.empty(self._values.shape[:2] + (min(2 * end, room), 15), dtype=complex)
-                grown[:, :, :first] = self._values[:, :, :first]
-                self._free -= (grown.shape[2] - self._values.shape[2]) * self._panel_bytes
-                self._values = grown
-            self._values[:, :, first:end] = values
-            for j, i in enumerate(new):
-                slots[i] = self._slots[keys[i]] = first + j
-            return values if fresh else self._values.take(slots, axis=2)
-
-    def _evaluate(self, plan: _Plan, tau: np.ndarray, k0: float) -> np.ndarray:
-        x = np.empty((len(self._re),) + tau.shape, dtype=complex)
-        x.real, x.imag = self._re, self._im + tau  # with no complex arithmetic
-        out = np.empty((len(self._re), 4) + tau.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_ss, r_pp, r_sp, r_diff = _reflections(plan, _amplitudes(plan, x))
-            x2 = x * x
-            par = 1.0 - x2  # k_par^2 / k0^2
-            np.multiply(r_sp, par, out=out[:, 0])  # curl xx
-            np.multiply(x, r_diff, out=out[:, 1])  # curl x-y
-            np.subtract(r_ss, x2 * r_pp, out=out[:, 2])  # G xx over i
-            np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
-        if not np.isfinite(out).all():
-            bad = x[~np.isfinite(out).all(axis=1)][0]
-            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
-        rows = 1 + len(self.cuts)
-        np.subtract(out[1:rows], out[rows:], out=out[1:rows])  # each hairpin: left minus right
-        return out[:rows]
 
 
 def _path_seeds(k0z: float) -> np.ndarray:
@@ -534,12 +519,12 @@ def scatter_numeric(
     path, and both sides of every vertical branch cut inside the swept
     strip, whose difference (a hairpin) enters with its constant phase
     exp(2i k0 z (x_b - 1)). Those values do not depend on the distance: the
-    medium's ``_Store`` keeps them per panel, a round evaluates only the
-    panels it lacks, and a round whose panels are all kept is found by one
-    lookup. The integrand's own work per round is the hairpin phases and the
-    decay: each node takes the real decay, ``_assemble``
-    applies the rest of exp(2i k_perp z) to the totals, and ``_tensors``
-    lays the entries out. A pole inside the strip (possible only with gain)
+    medium's plan keeps them per panel (``_Plan.values_at``), a round
+    evaluates only the panels it lacks, and a round whose panels are all
+    kept is found by one lookup. The integrand's own work per round is the
+    hairpin phases and the decay: each node takes the real decay,
+    ``_assemble`` applies the rest of exp(2i k_perp z) to the totals, and
+    ``_tensors`` lays the entries out. A pole inside the strip (possible only with gain)
     raises PoleError, and a k0 z so small that the totals overflow
     PhysicsError.
     """
@@ -558,12 +543,11 @@ def scatter_numeric(
     if k0z < _K0Z_MIN:
         raise PhysicsError(f"the arithmetic left the float range at k0 z = {k0z!r}: the path's totals, "
                            "of order (2 k0 z)^-3, overflow")
-    store = plan.store
-    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in store.cuts]  # of each hairpin, relative to the path
+    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in plan.hairpins]  # of each hairpin, relative to the path
     rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        values = store.values_at(plan, tau, k0)
+        values = plan.values_at(tau, k0)
         total = values[0]
         for side, phase in zip(values[1:], phases):
             side *= phase

@@ -8,6 +8,7 @@ medium. All response functions are evaluated at a single angular frequency.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ class MediumResponse:
         cross-susceptibility (all dimensionless). Any number is accepted
         and stored as a Python ``complex``.
     omega : float
-        Angular frequency in rad/s.
+        Angular frequency in rad/s, positive and finite.
     """
 
     eps: complex
@@ -35,8 +36,8 @@ class MediumResponse:
     omega: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (0 < self.omega < math.inf):  # NaN fails too
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         for name in ("eps", "mu", "kappa"):
             object.__setattr__(self, name, complex(getattr(self, name)))
 

@@ -8,6 +8,7 @@ R = Im(d . m*): mirror-image molecules (enantiomers) differ by the sign of R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ class TransitionDipoles:
     m : array_like of complex, shape (3,)
         Magnetic transition dipole (A m^2), Cartesian components.
     omega_ik : float
-        Transition angular frequency (rad/s), > 0.
+        Transition angular frequency (rad/s), positive and finite.
     isotropic : bool
         When True, geometry code orientation-averages the dipole pair
         instead of using the explicit Cartesian components.
@@ -41,8 +42,8 @@ class TransitionDipoles:
             raise ValueError(f"d and m must have shape (3,), got {d.shape} and {m.shape}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
-        if not (self.omega_ik > 0):
-            raise ValueError(f"omega_ik must be positive, got {self.omega_ik}")
+        if not (0 < self.omega_ik < math.inf):  # NaN fails too
+            raise ValueError(f"omega_ik must be positive and finite, got {self.omega_ik}")
 
     @property
     def d_norm_sq(self) -> float:

@@ -71,8 +71,8 @@ class QuadratureSpec:
         # written so that NaN fails each check
         if not (0 < self.rel_tol < math.inf):
             raise ValueError("rel_tol must be positive and finite")
-        if self.max_panels < 1:
-            raise ValueError("max_panels must be >= 1")
+        if not (self.max_panels >= 1 and self.max_panels % 1 == 0):
+            raise ValueError("max_panels must be a whole number >= 1")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ def package_env() -> dict:
 
 @pytest.fixture
 def cold_store():
-    """Empties the cache of per-medium plans, and with it every plan's
-    stored node values and round index, before and after the test: a test
+    """Empties the cache of per-medium plans, which hold the stored node
+    values and round index of their media, before and after the test: a test
     that injects a fault or counts calls through ``_amplitudes``,
     ``_reflections`` or ``integrate`` neither reads values stored by
     another test nor leaves its own behind."""

@@ -125,6 +125,16 @@ def test_constants_identity():
     assert abs(c.c**2 * c.eps0 * c.mu0 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
+def test_frequencies_must_be_positive_and_finite(omega):
+    # a NaN omega passed a plain `<= 0` check: the cavity's curl tensor came
+    # out all NaN with no error, and its rate finite without reading omega
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        MediumResponse(2.25, 1.0, 0.05, omega)
+    with pytest.raises(ValueError, match="omega_ik must be positive and finite"):
+        TransitionDipoles([DEBYE, 0.0, 0.0], [0.0, 0.0, 0.0], omega)
+
+
 class TestRotatoryStrength:
     def test_colinear_quarter_phase(self):
         mol = TransitionDipoles([1e-30, 0, 0], [1e-23j, 0, 0], OMEGA)

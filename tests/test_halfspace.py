@@ -398,8 +398,8 @@ class TestPlan:
 
 class TestStore:
     """Each plan stores its integrand's node values per panel of tau
-    (``halfspace._Store``), shared by every distance: the store saves
-    evaluations and changes no result."""
+    (``halfspace._Plan.values_at``), shared by every distance: the stored
+    values save evaluations and change no result."""
 
     @pytest.mark.usefixtures("cold_store")
     def test_cold_and_warm_tensors_are_bit_identical(self):
@@ -452,23 +452,23 @@ class TestStore:
         med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)  # a path and a hairpin
         geom = PlanarGeometry(z_m=1.0 / K0, medium=med)
         first = [a.tobytes() for a in scatter_numeric(geom, W)]  # stores the panels
-        store = hs._plan(med.eps, med.mu, med.kappa).store
-        assert store._rounds == {}
+        plan = hs._plan(med.eps, med.mu, med.kappa)
+        assert plan._rounds == {}
         rounds = []
         gk15 = sommerfeld._gk15
         monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
         assert [a.tobytes() for a in scatter_numeric(geom, W)] == first  # finds them: indexes the rounds
-        assert len(store._rounds) == len(rounds) > 1  # this point refines
-        indexed = {slot for slots in store._rounds.values() for slot in slots.tolist()}
-        assert indexed == set(range(len(store._slots)))
-        index = sum(sys.getsizeof(key) + sys.getsizeof(slots) for key, slots in store._rounds.items())
-        assert store._free == hs._STORE_BYTES - store._values.shape[2] * store._panel_bytes - index
+        assert len(plan._rounds) == len(rounds) > 1  # this point refines
+        indexed = {slot for slots in plan._rounds.values() for slot in slots.tolist()}
+        assert indexed == set(range(len(plan._slots)))
+        index = sum(sys.getsizeof(key) + sys.getsizeof(slots) for key, slots in plan._rounds.items())
+        assert plan._free == hs._STORE_BYTES - plan._values.shape[2] * plan._panel_bytes - index
 
         class NoPanelLookups(dict):
             def get(self, *args):
                 raise AssertionError("a panel was looked up")
 
-        store._slots = NoPanelLookups(store._slots)
+        plan._slots = NoPanelLookups(plan._slots)
         assert [a.tobytes() for a in scatter_numeric(geom, W)] == first
 
     @pytest.mark.usefixtures("cold_store")
@@ -485,16 +485,15 @@ class TestStore:
 
     @pytest.mark.usefixtures("cold_store")
     def test_an_evicted_plan_is_freed_at_once(self):
-        """The store holds no reference to its plan: evicting the plan frees
-        it and its store by reference counting, with no cycle left for the
-        collector."""
+        """Evicting a plan frees it and its stored values by reference
+        counting, with no cycle left for the collector."""
         med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)
         scatter_numeric(PlanarGeometry(z_m=1.0 / K0, medium=med), W)
-        store = weakref.ref(hs._plan(med.eps, med.mu, med.kappa).store)
+        plan = weakref.ref(hs._plan(med.eps, med.mu, med.kappa))
         gc.disable()
         try:
             hs._plan.cache_clear()
-            assert store() is None
+            assert plan() is None
         finally:
             gc.enable()
 
@@ -508,7 +507,7 @@ class TestStore:
         monkeypatch.setattr(hs, "_reflections", lambda plan, a: (np.inf,) * 4)
         with pytest.raises(PoleError, match="planar integrand not finite"):
             scatter_numeric(geom, W)
-        assert hs._plan(med.eps, med.mu, med.kappa).store._slots == {}
+        assert hs._plan(med.eps, med.mu, med.kappa)._slots == {}
         monkeypatch.setattr(hs, "_reflections", inner)
         fresh = scatter_numeric(geom, W)
         nodes = []
@@ -519,9 +518,9 @@ class TestStore:
 
     @pytest.mark.usefixtures("cold_store")
     def test_threads_fill_one_store(self):
-        """Six threads filling one medium's store at once, switching every
+        """Six threads filling one medium's plan at once, switching every
         microsecond, give the tensors of a serial run bit for bit, and no
-        two panels share a slot: twenty times, each on a fresh store."""
+        two panels share a slot: twenty times, each on a fresh plan."""
         med = MediumResponse(*ORACLE_MEDIA["gain_mode"], omega=W)  # a path and a hairpin
         distances = np.logspace(-2, 2, 12)
 
@@ -537,7 +536,7 @@ class TestStore:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):  # each time on a fresh store
+            for _ in range(20):  # each time on a fresh plan
                 hs._plan.cache_clear()
                 found = [None] * len(distances)
                 threads = [threading.Thread(target=work, args=(i, found)) for i in range(6)]
@@ -547,7 +546,7 @@ class TestStore:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert found == serial
-                slots = list(hs._plan(med.eps, med.mu, med.kappa).store._slots.values())
+                slots = list(hs._plan(med.eps, med.mu, med.kappa)._slots.values())
                 assert sorted(slots) == list(range(len(slots)))
         finally:
             sys.setswitchinterval(interval)
@@ -562,9 +561,9 @@ class TestStore:
         med = MediumResponse(1.0, 1.0, 0.0, W)
         with pytest.raises(QuadratureError, match="did not converge in channel G xx") as cold:
             scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
-        store = hs._plan(med.eps, med.mu, med.kappa).store
-        kept = dict(store._slots)
-        assert 0 < len(kept) <= hs._STORE_BYTES // store._panel_bytes
+        plan = hs._plan(med.eps, med.mu, med.kappa)
+        kept = dict(plan._slots)
+        assert 0 < len(kept) <= hs._STORE_BYTES // plan._panel_bytes
         nodes = []
         amplitudes = hs._amplitudes
         monkeypatch.setattr(hs, "_amplitudes", lambda plan, x: nodes.append(x[0].size) or amplitudes(plan, x))
@@ -577,7 +576,7 @@ class TestStore:
         }))
         assert main(["rate", "--config", str(cfg)]) == EXIT_QUADRATURE
         assert str(cold.value) in capsys.readouterr().err
-        assert sum(nodes) > 10_000 and store._slots == kept
+        assert sum(nodes) > 10_000 and plan._slots == kept
 
 
 class TestMirrorRates:

@@ -271,6 +271,12 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
+    # a NaN max_panels passed a plain `< 1` check and switched the panel cap
+    # off: an integral ran to millions of panels and out of memory
+    for max_panels in (float("nan"), float("inf"), 2.5):
+        with pytest.raises(ValueError, match="max_panels must be a whole number >= 1"):
+            QuadratureSpec(max_panels=max_panels)
+    assert QuadratureSpec(max_panels=100.0).max_panels == 100.0
 
 
 def test_too_many_seeds_are_refused_before_the_integrand_runs():

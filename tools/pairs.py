@@ -3,30 +3,36 @@
 recorded in the BENCH_*.json trajectory files.
 
     python3 tools/pairs.py bench  PARENT CHANGE --workload W --seeds 2201-2210 [--seconds 30]
-    python3 tools/pairs.py cold   PARENT CHANGE --range 1e-3:10 --points 400 --pairs 8 [--seed 301]
+    python3 tools/pairs.py cold   PARENT CHANGE --range 1e-3:10 [--points 600] [--seed 301]
     python3 tools/pairs.py layers PARENT CHANGE [--seed 1]
     python3 tools/pairs.py counts TREE [--seed 1]
     python3 tools/pairs.py values PARENT CHANGE [--seeds 1-3]
 
 PARENT and CHANGE are checkouts of the two commits (a ``git archive`` of
 each, say), each with its own ``src/`` and ``bench/``. Runs alternate which
-tree goes first: odd pairs run the parent first. Every run is a fresh
-process that imports the package of its own tree only.
+tree goes first: odd pairs run the parent first. ``bench`` starts a fresh
+process per run, which imports the package of its own tree only;
+``counts`` imports its one tree, and ``cold``, ``layers`` and ``values``
+both trees, each under its own alias, into the tool's own process.
 
 * ``bench`` runs ``bench/run.py --trace 0`` once per seed and tree and
   reports, per end-to-end metric, both trees' medians and quartiles, the
   change of the median, the parent's interquartile range as a share of its
   median and the pairs the change won.
-* ``cold`` scores ``scatter_numeric`` on a new random medium at every point
+* ``cold`` times ``scatter_numeric`` on a new random medium at every point
   (the plan cache never hits, so nothing is stored from an earlier point),
-  at log-uniform k0 z over the range, one process per run, and reports
-  points/s as above.
-* ``layers`` imports both trees into one process and splits one warm
-  half-space point of ``near_field_numeric`` (all its panels stored) into
-  minimum times over passes that alternate the trees, in us, averaged over
-  the pass's half-space points (or rounds, for the last three): the whole
-  ``run_point``, ``scatter_numeric``, ``integrate``, ``_gk15`` with its
-  integrand, the integrand, and ``_Store.values_at``; and from these the
+  at log-uniform k0 z over the range, on both trees in one process, in
+  alternating order point by point, and reports the median, quartiles and
+  mean of the per-point time ratio change/parent and the points each tree
+  won: pairing each medium on both trees removes the spread between
+  processes, so an A/A run (one tree as both) resolves a few percent.
+* ``layers`` splits one warm half-space point of ``near_field_numeric``
+  (all its panels stored) into minimum times over passes that alternate
+  the trees, in us, averaged over the pass's half-space points (or rounds,
+  for the last three): the whole ``run_point``, ``scatter_numeric``,
+  ``integrate``, ``_gk15`` with its integrand, the integrand, and the
+  plan's ``values_at`` (``_Plan.values_at``, or ``_Store.values_at`` in a
+  tree that keeps node values in a separate store); and from these the
   self times of ``_gk15`` and ``integrate`` and the part of
   ``scatter_numeric`` outside the integral.
 * ``counts`` runs two passes of ``near_field_numeric`` in one process and
@@ -105,45 +111,41 @@ def bench(args) -> dict:
                         for m, better in END_TO_END.items()}}
 
 
-COLD_CHILD = r"""
-import sys, time, numpy as np
-sys.path.insert(0, "src")
-from chipurcell import MediumResponse, PlanarGeometry, halfspace, scatter_numeric
-from chipurcell.errors import PhysicsError
-lo, hi, n, seed = float(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-rng = np.random.default_rng(seed)
-w = 3.0e15
-k0 = w / 299792458.0
-points = []
-for _ in range(n):
-    eps = rng.uniform(1.5, 4.0) + (1j * rng.uniform(0.01, 0.3) if rng.random() < 0.5 else 0.0)
-    kappa = rng.uniform(0.0, 0.3) + (1j * rng.uniform(0.0, 0.01) if rng.random() < 0.5 else 0.0)
-    k0z = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    points.append((MediumResponse(complex(eps), 1.0, complex(kappa), w), k0z / k0))
-scatter_numeric(PlanarGeometry(z_m=1.0 / k0, medium=MediumResponse(2.0, 1.0, 0.0, w)), w)  # warm-up
-t = time.perf_counter()
-for med, z in points:
-    try:
-        scatter_numeric(PlanarGeometry(z_m=z, medium=med), w)
-    except PhysicsError:  # totals past the float range near k0 z 1e-103
-        pass
-print(n / (time.perf_counter() - t))
-"""
-
-
 def cold(args) -> dict:
+    import numpy as np
+
     lo, _, hi = args.range.partition(":")
+    lo, hi = float(lo), float(hi or lo)
+    sides = [load_tree(args.parent, "parent_chipurcell"), load_tree(args.change, "change_chipurcell")]
+    rng = np.random.default_rng(args.seed)
+    w = 3.0e15
+    k0 = w / 299792458.0
+    media = []
+    for _ in range(args.points):
+        eps = rng.uniform(1.5, 4.0) + (1j * rng.uniform(0.01, 0.3) if rng.random() < 0.5 else 0.0)
+        kappa = rng.uniform(0.0, 0.3) + (1j * rng.uniform(0.0, 0.01) if rng.random() < 0.5 else 0.0)
+        k0z = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        media.append(((complex(eps), 1.0, complex(kappa)), k0z / k0))
+    for side in sides:  # warm-up
+        side.scatter_numeric(side.PlanarGeometry(z_m=1.0 / k0, medium=side.MediumResponse(2.0, 1.0, 0.0, w)), w)
 
-    def run(side, i):
-        tree = Path(args.parent if side == "parent" else args.change)
-        out = subprocess.run([sys.executable, "-c", COLD_CHILD, lo, hi or lo, str(args.points),
-                              str(args.seed + i)], cwd=tree, capture_output=True, text=True, check=True)
-        return float(out.stdout.strip())
+    def seconds(side, medium, z) -> float:
+        geom = side.PlanarGeometry(z_m=z, medium=side.MediumResponse(*medium, w))
+        t = time.perf_counter()
+        try:
+            side.scatter_numeric(geom, w)
+        except side.errors.PhysicsError:  # totals past the float range near k0 z 1e-103
+            pass
+        return time.perf_counter() - t
 
-    parent, change = in_pairs(args.pairs, run)
-    return {"k0z": [float(lo), float(hi or lo)], "points": args.points, "pairs": args.pairs,
-            "process_seeds": [args.seed + i for i in range(args.pairs)],
-            "points_per_s": compare(parent, change, "higher")}
+    ratios = []
+    for i, (medium, z) in enumerate(media):  # odd points run the parent first
+        order = sides if i % 2 == 0 else sides[::-1]
+        times = {side.__name__: seconds(side, medium, z) for side in order}
+        ratios.append(times["change_chipurcell"] / times["parent_chipurcell"])
+    return {"k0z": [lo, hi], "points": args.points, "seed": args.seed,
+            "time_ratio_change_over_parent": {**quartiles(ratios), "mean": statistics.mean(ratios)},
+            "points_won": {"change": sum(r < 1.0 for r in ratios), "parent": sum(r > 1.0 for r in ratios)}}
 
 
 def layers(args) -> dict:
@@ -181,7 +183,10 @@ def layers(args) -> dict:
             "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
             "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
             "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
-            "values_at": [lambda p=p, x=x: p.store.values_at(p, x, k0) for p, x in zip(plans, nodes)],
+            # the plan's own values_at, or that of a separate store it is handed back to
+            "values_at": ([lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)]
+                          if hasattr(hs._Plan, "values_at") else
+                          [lambda p=p, x=x: p.store.values_at(p, x, k0) for p, x in zip(plans, nodes)]),
         }
     best = {side: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
             for side, by_layer in jobs.items()}
@@ -317,8 +322,7 @@ def main(argv=None):
     c.add_argument("parent")
     c.add_argument("change")
     c.add_argument("--range", required=True, help="LO:HI of k0 z, or one value")
-    c.add_argument("--points", type=int, default=400)
-    c.add_argument("--pairs", type=int, default=8)
+    c.add_argument("--points", type=int, default=600)
     c.add_argument("--seed", type=int, default=301)
     lay = sub.add_parser("layers")
     lay.add_argument("parent")
