@@ -5,12 +5,13 @@ numbers ``MediumResponse.k_minus`` = k0 (n_r + kappa) and
 ``MediumResponse.k_plus`` = k0 (n_r - kappa); their imbalance is what a
 chiral transition feels. At coincidence the curl of Im G is isotropic,
 
-    curl Im G = mu (k+^3 - k-^3) / (6 pi (k+ + k-)) * I,
+    curl Im G = mu (k+^3 - k-^3) / (6 pi (k+ + k-)) * I
+              = -mu kappa k0^2 (3 n_r^2 + kappa^2) / (6 pi n_r) * I,
 
 and contracting it with the molecule gives the chiral rate. The closed forms
-below keep the exact cubic ratio (k+^3 - k-^3)/(k+ + k-) rather than its
-leading order in kappa, so the closed-form and matrix-contraction paths agree
-to machine precision; the leading-order forms are recovered for small kappa.
+below keep this exact ratio, in n_r and kappa and not as a difference of
+cubes (which loses digits like 1e-16/kappa), so the closed-form and
+contraction paths agree to machine precision at every kappa.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .constants import CONSTANTS
 from .errors import LosslessRequiredError, PhysicsError
 from .media import MediumResponse
 from .molecules import TransitionDipoles, rotatory_strength
-from .rates import Method, RateBreakdown, degree_of_discrimination, gamma_vacuum
+from .rates import Method, RateBreakdown, _ends_typed, degree_of_discrimination, gamma_vacuum
 
 
 def _require_lossless(med: MediumResponse, what: str):
@@ -39,12 +40,13 @@ def _require_propagating(med: MediumResponse, what: str):
 def curl_img_g0_coincident(med: MediumResponse) -> np.ndarray:
     """Coincidence limit of curl Im G for a lossless chiral medium.
 
-    Exact cubic form mu (k+^3 - k-^3)/(6 pi (k+ + k-)) * I; zero for kappa=0,
-    negative-diagonal for kappa > 0 (the plus mode is the slower one).
+    Exact form -mu kappa k0^2 (3 n_r^2 + kappa^2)/(6 pi n_r) * I; zero for
+    kappa = 0, negative-diagonal for kappa > 0 (the plus mode is the slower
+    one). Taken real last: eps mu < 0 (imaginary n_r) gives zero.
     """
     _require_lossless(med, "curl_img_g0_coincident")
-    kp, km = med.k_plus, med.k_minus
-    scalar = med.mu * (kp**3 - km**3) / (6.0 * np.pi * (kp + km))
+    n_r, kap = med.n_r, med.kappa
+    scalar = -med.mu * kap * med.k0**2 * (3.0 * n_r**2 + kap**2) / (6.0 * np.pi * n_r)
     return scalar.real * np.eye(3)
 
 
@@ -88,6 +90,7 @@ def gamma_el_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     )
 
 
+@_ends_typed
 def rates_bulk(med: MediumResponse, mol: TransitionDipoles) -> RateBreakdown:
     """Full breakdown for the bulk medium; gamma_el is the in-medium total."""
     g_el = gamma_el_bulk(med, mol)

@@ -68,6 +68,7 @@ from .rates import (
     Contraction,
     Method,
     RateBreakdown,
+    _ends_typed,
     degree_of_discrimination,
     gamma_ch_from_curl,
     gamma_el_from_img,
@@ -642,6 +643,7 @@ def _round_trip(w: float, z: float) -> float:
     return arg
 
 
+@_ends_typed
 def _planar_rates(geom: PlanarGeometry, mol: TransitionDipoles, method: Method, nd_with_el: bool,
                   tensors: Callable[..., tuple], *args) -> RateBreakdown:
     """The one tail of every planar rate: contracts the (curl Im G, Im G) of
@@ -650,10 +652,7 @@ def _planar_rates(geom: PlanarGeometry, mol: TransitionDipoles, method: Method, 
     g_nd = g_vac (+ g_el where ``nd_with_el``). A vanishing tensor (``_ZERO``)
     is not contracted: its rate is 0.0, never a -0.0 of signed zeros. An
     OverflowError or ZeroDivisionError of the entries raises PhysicsError."""
-    try:
-        curl, img_g = tensors(geom, mol.omega_ik, *args)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise PhysicsError(f"the arithmetic left the float range at z_m = {geom.z_m!r}: {exc}") from exc
+    curl, img_g = tensors(geom, mol.omega_ik, *args)
     g_ch = 0.0 if curl is _ZERO else gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
     g_el = 0.0 if img_g is _ZERO else gamma_el_from_img(img_g, mol)
     g_vac = gamma_vacuum(mol)

@@ -13,14 +13,13 @@ explicit argument, defaulting to the cavity-coefficient derivation
 applies is the host's to decide: ``gamma_ch_lfc``, ``gamma_el_lfc`` and
 ``rates_lfc`` read ``host.lossless``, and ``gamma_ch_lfc`` checks the
 ``f0_source`` name whichever form the host selects. The degree of
-discrimination is the breakdown's ``s_disc``, gamma_ch_lfc / gamma_el_lfc;
-it raises PhysicsError for a host lossy only in mu or kappa, whose absorbing
-electric rate is zero.
+discrimination is the breakdown's ``s_disc``, gamma_ch_lfc / gamma_el_lfc.
+Nothing here warns: a host lossy only in mu or kappa, where the absorbing
+electric form vanishes, ends in the PhysicsError of ``gamma_el_lfc``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,15 +33,12 @@ from .molecules import TransitionDipoles, rotatory_strength
 from .rates import (
     Method,
     RateBreakdown,
+    _ends_typed,
     degree_of_discrimination,
     gamma_vacuum,
 )
 
 SMALL_RADIUS_THRESHOLD = 0.1  # max k0*a for the small-cavity asymptotics
-
-
-class DegenerateKappaWarning(UserWarning):
-    """Raised when f0_main falls back to its kappa -> 0 limit."""
 
 
 @dataclass(frozen=True)
@@ -127,26 +123,21 @@ def f0_main(med: MediumResponse) -> complex:
 
     [(F_em + kappa F_k) k-^3 - (F_em - kappa F_k) k+^3] / (k-^3 - k+^3),
     with F_em = (3 eps/(2 eps + 1))(3/(2 mu + 1)) and
-    F_k = 9 sqrt(eps/mu)(4 n_r^2 - 1)/((2 eps + 1)^2 (2 mu + 1)^2).
-    Degenerate at kappa = 0; |kappa| < 1e-12 returns the analytic limit
-    F_em + F_k n_r / 3 and emits DegenerateKappaWarning.
+    F_k = 9 sqrt(eps/mu)(4 n_r^2 - 1)/((2 eps + 1)^2 (2 mu + 1)^2). By the
+    cube identity k-^3 - k+^3 = 2 kappa k0^3 (3 n_r^2 + kappa^2) (and
+    k-^3 + k+^3 = 2 n_r k0^3 (n_r^2 + 3 kappa^2)) this ratio is the form
+    evaluated, F_em + F_k n_r (n_r^2 + 3 kappa^2)/(3 n_r^2 + kappa^2): exact
+    at kappa = 0 (F_em + F_k n_r/3), and free of the difference of cubes,
+    which loses digits like 1e-16/kappa.
     """
     eps, mu = med.eps, med.mu
-    n_r = med.n_r
-    if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0:
-        raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1) = 0")
+    n_r, kap = med.n_r, med.kappa
+    n2, kap2 = n_r**2, kap**2
+    if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0 or (3.0 * n2 + kap2) == 0:
+        raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1)(3 n_r^2 + kappa^2) = 0")
     f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / (2.0 * mu + 1.0))
-    f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n_r**2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
-    kap = med.kappa
-    if abs(kap) < 1e-12:
-        warnings.warn(
-            "kappa ~ 0: mode-resolved f0 is degenerate, returning its limit",
-            DegenerateKappaWarning,
-            stacklevel=2,
-        )
-        return f_em + f_k * n_r / 3.0
-    km3, kp3 = med.k_minus**3, med.k_plus**3
-    return ((f_em + kap * f_k) * km3 - (f_em - kap * f_k) * kp3) / (km3 - kp3)
+    f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
+    return f_em + f_k * n_r * (n2 + 3.0 * kap2) / (3.0 * n2 + kap2)
 
 
 def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
@@ -213,12 +204,6 @@ def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     return scalar * np.eye(3)
 
 
-def _f0(med: MediumResponse, f0_source: str) -> complex:
-    """The cavity factor f0 of a lossless host in the normalization named
-    by ``f0_source``."""
-    return _f0_appendix(med.mu, med.n_r, *_denoms(med)) if f0_source == "appendix" else f0_main(med)
-
-
 def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
     """Cavity-corrected chiral rate, in the form the host selects.
 
@@ -236,7 +221,8 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     cav.check_small_radius()
     med = cav.host
     if med.lossless:
-        return float(np.real(_f0(med, f0_source))) * gamma_ch_bulk(med, mol)
+        f0 = _f0_appendix(med.mu, med.n_r, *_denoms(med)) if f0_source == "appendix" else f0_main(med)
+        return float(np.real(f0)) * gamma_ch_bulk(med, mol)
     c = CONSTANTS
     im_kf3 = (med.kappa * _f3(med.mu, *_denoms(med))).imag
     return -4.0 * rotatory_strength(mol) * im_kf3 / (np.pi * c.hbar * c.eps0 * c.c * cav.radius_a**3)
@@ -247,9 +233,9 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
 
     Lossless host: (3 eps/(2 eps + 1))^2 * gamma_el_bulk. Absorbing host:
     the near-field 1/a^3 form
-    |d|^2 3 Im(eps) / (pi hbar eps0 a^3 |2 eps + 1|^2), which vanishes (with
-    a diagnostic warning) when Im eps = 0, i.e. for a host lossy in mu or
-    kappa only.
+    |d|^2 3 Im(eps) / (pi hbar eps0 a^3 |2 eps + 1|^2). It vanishes at
+    Im eps = 0, for a host lossy in mu or kappa only, where the form carries
+    no leading order: that host raises PhysicsError.
     """
     cav.check_small_radius()
     med = cav.host
@@ -258,8 +244,8 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
         factor = abs(3.0 * eps / (2.0 * eps + 1.0)) ** 2
         return factor * gamma_el_bulk(med, mol)
     if eps.imag == 0:
-        warnings.warn("absorbing gamma_el_lfc is zero for Im eps = 0", UserWarning, stacklevel=2)
-        return 0.0
+        raise PhysicsError("the absorbing cavity's electric form vanishes at Im eps = 0: "
+                           "a host lossy only in mu or kappa has no 1/a^3 electric rate")
     c = CONSTANTS
     return (
         mol.d_norm_sq / (np.pi * c.hbar * c.eps0 * cav.radius_a**3)
@@ -267,14 +253,11 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     )
 
 
+@_ends_typed
 def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> RateBreakdown:
     """Full cavity-corrected breakdown, in the forms the host selects."""
     g_ch = gamma_ch_lfc(cav, mol, f0_source)
-    with warnings.catch_warnings():
-        # a zero electric rate (absorbing host with Im eps = 0) ends in the
-        # PhysicsError of the quotient below, not in this diagnostic
-        warnings.filterwarnings("ignore", "absorbing gamma_el_lfc is zero", UserWarning)
-        g_el = gamma_el_lfc(cav, mol)
+    g_el = gamma_el_lfc(cav, mol)
     return RateBreakdown(
         gamma_el=g_el,
         gamma_ch=g_ch,

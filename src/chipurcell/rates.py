@@ -32,8 +32,10 @@ diag(1,1,0) matrices) and the full+z factor 4/3 (for diag(1,1,2) matrices).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -66,8 +68,9 @@ class RateBreakdown:
     by ``degree_of_discrimination``: gamma_el for the bulk medium and the
     cavity, gamma_vac for the perfect mirror, and gamma_vac + gamma_el for
     the half-space in every limit. A zero denominator raises PhysicsError,
-    and so does a field that is not finite (arithmetic that left the float
-    range), so every rates function ends in finite fields or a typed error.
+    as do a field that is not finite and, through ``_ends_typed``, arithmetic
+    that left the float range with an OverflowError or ZeroDivisionError, so
+    every rates function ends in finite fields or a typed error.
     """
 
     gamma_el: float
@@ -84,6 +87,18 @@ class RateBreakdown:
         if not all(map(math.isfinite, fields)):
             raise PhysicsError("the arithmetic left the float range: gamma_el, gamma_ch, gamma_vac, "
                                "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
+
+
+def _ends_typed(rates: Callable[..., RateBreakdown]) -> Callable[..., RateBreakdown]:
+    """The rates function ``rates``, with an OverflowError or
+    ZeroDivisionError of its float arithmetic raised as PhysicsError."""
+    @functools.wraps(rates)
+    def typed(*args, **kwargs):
+        try:
+            return rates(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
+    return typed
 
 
 def contract(mol: TransitionDipoles, a: np.ndarray, t: np.ndarray, b: np.ndarray) -> complex:
@@ -137,8 +152,7 @@ def degree_of_discrimination(gamma_disc: float, gamma_nd: float) -> float:
     ``gamma_disc`` is the part of the rate that flips sign between
     enantiomers and ``gamma_nd`` the non-discriminating part; every
     ``rates_*`` function forms its ``s_disc`` here. A zero ``gamma_nd`` (a
-    vanishing electric dipole, or a cavity host lossy only in mu or kappa)
-    raises PhysicsError.
+    vanishing electric dipole) raises PhysicsError.
     """
     if gamma_nd == 0:
         raise PhysicsError("degree of discrimination undefined: the non-discriminating rate is zero")

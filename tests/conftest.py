@@ -13,6 +13,10 @@ from chipurcell import MediumResponse, TransitionDipoles, halfspace, planar_refl
 
 OMEGA = 3.0e15  # rad/s, a visible/UV-ish transition
 DEBYE = 3.33564e-30  # C m
+# kappa from zero through small values at which a difference of the cubes
+# k-^3 - k+^3 loses digits, on lossless (eps, mu) and one absorbing pair
+SMALL_KAPPA = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05]
+SMALL_KAPPA_MEDIA = [(2.25, 1.0), (12.0, 1.0), (4.0, 1.5), (2.25 + 0.1j, 1.0 + 0.02j)]
 
 
 def package_env() -> dict:

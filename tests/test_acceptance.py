@@ -44,7 +44,6 @@ from chipurcell import (
     rotatory_strength,
 )
 import chipurcell.halfspace as hs
-from chipurcell.onsager import DegenerateKappaWarning
 from specfun import Parity, RadialKind, WaveFunctionIndex, vector_wave_cartesian
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule, reflections_at
 from oracles import (
@@ -339,9 +338,7 @@ def test_criterion_11_documented_discrepancies(rng, mol_iso):
         # the two f0 normalizations pinned to their own vacuum limits
         vac = MediumResponse(1.0, 1.0, 0.0, OMEGA)
         assert abs(f_factors(vac).f0 - 4.0 / 9.0) <= 1e-12
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateKappaWarning)
-            assert abs(f0_main(vac) - 10.0 / 9.0) <= 1e-12
+        assert abs(f0_main(vac) - 10.0 / 9.0) <= 1e-12
 
 
 def test_criterion_12_cli_golden_files(tmp_path, capsys):

@@ -16,7 +16,7 @@ from chipurcell import (
     rotatory_strength,
 )
 from chipurcell.errors import LosslessRequiredError, PhysicsError
-from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
+from conftest import DEBYE, OMEGA, SMALL_KAPPA, SMALL_KAPPA_MEDIA, random_lossless_medium, random_molecule
 from oracles import curl_g0_finite, richardson_rho2
 
 
@@ -95,6 +95,20 @@ class TestCoincidenceCurl:
         med = MediumResponse(2.25 + 0.01j, 1.0, 0.05, OMEGA)
         with pytest.raises(LosslessRequiredError):
             curl_img_g0_coincident(med)
+
+    @pytest.mark.parametrize("eps, mu", [m for m in SMALL_KAPPA_MEDIA if not isinstance(m[0], complex)])
+    @pytest.mark.parametrize("kappa", [k for k in SMALL_KAPPA if k])
+    def test_small_kappa_dual_path(self, eps, mu, kappa, mol_iso):
+        # the difference of cubes k+^3 - k-^3 was off by 3.6e-4 at kappa
+        # 1e-12 (eps 12)
+        med = MediumResponse(eps, mu, kappa, OMEGA)
+        via = gamma_ch_from_curl(curl_img_g0_coincident(med), mol_iso)
+        direct = gamma_ch_bulk(med, mol_iso)
+        assert abs(via - direct) <= 1e-14 * abs(direct)
+
+    def test_imaginary_index_gives_zero(self):
+        # lossless with eps mu < 0: the complex form is imaginary, taken real
+        assert np.all(curl_img_g0_coincident(MediumResponse(-2.25, 1.0, 0.05, OMEGA)) == 0)
 
 
 class TestBulkRates:

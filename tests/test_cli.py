@@ -419,8 +419,8 @@ class TestExitCodesAndGolden:
         # kappa = Re n_r: k+^2 = -1e-18 k0^2 is lost in k+^2 - k0^2
         (NUMERIC, {"eps": [12.0, 1e-9], "mu": [12.0, 1e-9], "kappa": [12.0, 0.0]}),
         (NUMERIC, {"eps": [1.0, 0.0], "mu": [1.0, 0.0], "kappa": [1.0, 0.0]}),
-        # absorbing cavity lossy only in mu: its electric rate, the quotient's
-        # denominator, is zero
+        # absorbing cavity lossy only in mu: its electric form vanishes, and
+        # gamma_el_lfc raises
         (LFC, {"eps": [2.25, 0.0], "mu": [1.0, 0.1], "kappa": [0.05, 0.0]}),
         # finite inputs whose arithmetic leaves the float range: n_r**5 of
         # the cavity factors, |2 eps + 1|**2 of the absorbing cavity, w0**2
@@ -482,6 +482,20 @@ class TestExitCodesAndGolden:
         assert out["gamma_el"] == 0.0
         for key in ("gamma_el", "gamma_ch", "gamma_vac", "gamma_total", "s_disc"):
             assert np.isfinite(out[key])
+
+    def test_achiral_cavity_mode_resolved_exits_ok_silently(self, tmp_path, capsys):
+        # kappa = 0 with f0_source "main": f0_main warned on stderr that it
+        # returned its kappa -> 0 limit; its one rational form is exact there
+        scen = {**LFC, "method": {"f0_source": "main"},
+                "medium": {"eps": [2.25, 0.0], "mu": [1.0, 0.0], "kappa": [0.0, 0.0]}}
+        cfg = tmp_path / "achiral_main.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--json", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["gamma_ch"] == out["s_disc"] == 0.0
+        assert out["gamma_total"] == out["gamma_el"] > 0
 
     @pytest.mark.parametrize("base", [
         BULK,
@@ -765,6 +779,7 @@ DEGENERATE_GEOMETRIES = {
        for hand in ("right", "left") for limit, k0z in _LIMIT_K0Z.items()},
     "bulk": ({"kind": "bulk"}, {}),
     "bulk_lfc": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {}),
+    "bulk_lfc-main": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {"f0_source": "main"}),
 }
 ANISOTROPIC = {
     "d": [[2.0e-30, 0.5e-30], [-1.0e-30, 0.0], [2.5e-30, -0.7e-30]],

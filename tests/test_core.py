@@ -20,8 +20,10 @@ from chipurcell import (
     gamma_vacuum,
     img_g0_coincident,
     rates_bulk,
+    rates_lfc,
     rotatory_strength,
 )
+from chipurcell.onsager import CavityConfig
 from chipurcell.errors import PhysicsError
 from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule
 
@@ -133,6 +135,39 @@ def test_frequencies_must_be_positive_and_finite(omega):
         MediumResponse(2.25, 1.0, 0.05, omega)
     with pytest.raises(ValueError, match="omega_ik must be positive and finite"):
         TransitionDipoles([DEBYE, 0.0, 0.0], [0.0, 0.0, 0.0], omega)
+
+
+def _quarter_phase(omega=OMEGA):
+    return TransitionDipoles([DEBYE, 0.0, 0.0], [1e-23j, 0.0, 0.0], omega, isotropic=True)
+
+
+@pytest.mark.parametrize("rates", [
+    # w**3 of the rates
+    lambda: rates_bulk(MediumResponse(2.25, 1.0, 0.05, 1e110), _quarter_phase(1e110)),
+    # n_r**5 of the cavity factors
+    lambda: rates_lfc(CavityConfig(1e-9, MediumResponse(1e200, 1.0, 0.05, OMEGA)), _quarter_phase()),
+    # a**3 underflows to zero in the absorbing forms
+    lambda: rates_lfc(CavityConfig(1e-120, MediumResponse(2.25 + 0.1j, 1.0, 0.05, OMEGA)), _quarter_phase()),
+    # |2 eps + 1|**2 of the absorbing electric form
+    lambda: rates_lfc(CavityConfig(1e-9, MediumResponse(1e300 + 1j, 1.0, 0.05, OMEGA)), _quarter_phase()),
+], ids=["bulk-omega", "lfc-lossless-eps", "lfc-radius", "lfc-absorbing-eps"])
+def test_rates_beyond_the_float_range_end_typed(rates):
+    # each raised a bare OverflowError or ZeroDivisionError to the caller
+    with pytest.raises(PhysicsError, match="left the float range"):
+        rates()
+
+
+def test_float_range_conversion_is_written_once():
+    """Every rates function goes through ``rates._ends_typed``; the CLI keeps
+    a conversion of its own for the parsing before any rate runs."""
+    src = Path(chipurcell.__file__).parent
+    handler = "except (OverflowError, ZeroDivisionError)"
+    counts = {p.name: p.read_text().count(handler) for p in src.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"rates.py": 1, "cli.py": 1}
+    for module, func in (("bulk", "rates_bulk"), ("onsager", "rates_lfc"), ("halfspace", "_planar_rates")):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        (node,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == func]
+        assert [ast.unparse(d) for d in node.decorator_list] == ["_ends_typed"]
 
 
 class TestRotatoryStrength:

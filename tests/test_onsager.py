@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,10 +21,9 @@ from chipurcell import (
     rates_lfc,
     rotatory_strength,
 )
-from chipurcell.errors import PoleError, RadiusTooLargeError
+from chipurcell.errors import PhysicsError, PoleError, RadiusTooLargeError
 from chipurcell import onsager
-from chipurcell.onsager import DegenerateKappaWarning
-from conftest import OMEGA
+from conftest import OMEGA, SMALL_KAPPA, SMALL_KAPPA_MEDIA
 from oracles import solve_cavity_coefficients
 
 
@@ -74,18 +74,43 @@ class TestF0Main:
         f_em = (3 * 2.0 / 5.0) * (3.0 / 3.0)
         f_k = 9 * np.sqrt(2.0) * (4 * 2.0 - 1) / (25.0 * 9.0)
         assert f_em == pytest.approx(1.2)
-        with pytest.warns(DegenerateKappaWarning):
-            val = f0_main(med)
-        assert val == pytest.approx(f_em + f_k * n_r / 3.0, rel=1e-13)
+        assert f0_main(med) == pytest.approx(f_em + f_k * n_r / 3.0, rel=1e-13)
 
     def test_vacuum_limit_value(self):
         # the two normalizations genuinely disagree: 10/9 here vs 4/9 above
         med = MediumResponse(1.0, 1.0, 0.0, OMEGA)
-        with pytest.warns(DegenerateKappaWarning):
-            assert f0_main(med) == pytest.approx(10.0 / 9.0, rel=1e-13)
+        assert f0_main(med) == pytest.approx(10.0 / 9.0, rel=1e-13)
 
     def test_frozen_value(self, medium_std):
         assert f0_main(medium_std) == pytest.approx(1.4262073122596161201, rel=1e-13)
+
+    @pytest.mark.parametrize("eps, mu", SMALL_KAPPA_MEDIA)
+    @pytest.mark.parametrize("kappa", SMALL_KAPPA)
+    def test_small_kappa_against_the_printed_ratio(self, eps, mu, kappa):
+        """The rational form against a 40-digit evaluation of the printed
+        ratio over k-^3 and k+^3 (its kappa -> 0 limit at kappa = 0); the
+        difference of cubes in double precision was off by 5.6e-5 at
+        kappa 1e-12 and 6.4e-8 at 1e-9."""
+        with mpmath.workdps(40):
+            eps_, mu_, kap = mpmath.mpc(eps), mpmath.mpc(mu), mpmath.mpf(kappa)
+            n = mpmath.sqrt(eps_ * mu_)
+            f_em = 3 * eps_ / (2 * eps_ + 1) * 3 / (2 * mu_ + 1)
+            f_k = 9 * mpmath.sqrt(eps_ / mu_) * (4 * n**2 - 1) / ((2 * eps_ + 1) ** 2 * (2 * mu_ + 1) ** 2)
+            if kappa == 0:
+                ref = f_em + f_k * n / 3
+            else:
+                km3, kp3 = (n + kap) ** 3, (n - kap) ** 3  # k0^3 cancels
+                ref = ((f_em + kap * f_k) * km3 - (f_em - kap * f_k) * kp3) / (km3 - kp3)
+            ref = complex(ref)
+        got = f0_main(MediumResponse(eps, mu, kappa, OMEGA))
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("eps, mu", [(0.0, 1.0), (2.25, 0.0)])
+    def test_vanishing_cube_difference_is_a_pole(self, eps, mu):
+        # n_r = kappa = 0 zeroes 3 n_r^2 + kappa^2; eps = 0 returned 0.0
+        # with a warning, and mu = 0 raised a bare ZeroDivisionError
+        with pytest.raises(PoleError):
+            f0_main(MediumResponse(eps, mu, 0.0, OMEGA))
 
 
 class TestCavityCoefficients:
@@ -192,7 +217,7 @@ class TestCorrectedCurl:
 class TestCorrectedRates:
     def test_forced_unity_factor(self, medium_std, mol_iso, monkeypatch):
         # f0 = 1 recovers the uncorrected rate exactly: no other term enters
-        monkeypatch.setattr(onsager, "_f0", lambda med, f0_source: 1.0)
+        monkeypatch.setattr(onsager, "_f0_appendix", lambda mu, n_r, d1, d2: 1.0)
         cav = CavityConfig(1e-9, medium_std)
         assert gamma_ch_lfc(cav, mol_iso) == gamma_ch_bulk(medium_std, mol_iso)
 
@@ -276,11 +301,14 @@ class TestCorrectedRates:
         ratio = gamma_el_lfc(cav, mol_iso) / gamma_el_bulk(med, mol_iso)
         assert ratio == pytest.approx(1.5061983471074380165, rel=1e-13)
 
-    def test_electric_absorbing_lossless_is_zero(self, mol_iso):
-        # lossy in kappa only: the absorbing form, which Im eps = 0 zeroes
-        cav = CavityConfig(1e-9, MediumResponse(2.25, 1.0, 0.05 + 0.01j, OMEGA))
-        with pytest.warns(UserWarning, match="Im eps = 0"):
-            assert gamma_el_lfc(cav, mol_iso) == 0.0
+    @pytest.mark.parametrize("mu, kappa", [(1.0, 0.05 + 0.01j), (1.0 + 0.1j, 0.05)], ids=["kappa", "mu"])
+    def test_electric_absorbing_without_im_eps_raises(self, mol_iso, mu, kappa):
+        # lossy in kappa or mu only: the absorbing form, which Im eps = 0
+        # zeroes, has no leading order (it returned 0.0 with a warning)
+        cav = CavityConfig(1e-9, MediumResponse(2.25, mu, kappa, OMEGA))
+        for rates in (gamma_el_lfc, rates_lfc):
+            with pytest.raises(PhysicsError, match="vanishes at Im eps = 0"):
+                rates(cav, mol_iso)
 
 
 def absorbing_s(med, mol):
@@ -335,7 +363,7 @@ class TestCorrectedDiscrimination:
         assert s == pytest.approx(f0 / factor * rates_bulk(medium_std, mol_iso).s_disc, rel=1e-12)
 
     def test_reduction_to_uncorrected(self, medium_std, mol_iso, monkeypatch):
-        monkeypatch.setattr(onsager, "_f0", lambda med, f0_source: 1.0)
+        monkeypatch.setattr(onsager, "_f0_appendix", lambda mu, n_r, d1, d2: 1.0)
         s = rates_lfc(CavityConfig(1e-9, medium_std), mol_iso).s_disc
         factor = (3 * 2.25 / 5.5) ** 2
         assert s == pytest.approx(rates_bulk(medium_std, mol_iso).s_disc / factor, rel=1e-13)

@@ -31,10 +31,8 @@ both trees, each under its own alias, into the tool's own process.
   the trees, in us, averaged over the pass's half-space points (or rounds,
   for the last three): the whole ``run_point``, ``scatter_numeric``,
   ``integrate``, ``_gk15`` with its integrand, the integrand, and the
-  plan's ``values_at`` (``_Plan.values_at``, or ``_Store.values_at`` in a
-  tree that keeps node values in a separate store); and from these the
-  self times of ``_gk15`` and ``integrate`` and the part of
-  ``scatter_numeric`` outside the integral.
+  plan's ``values_at``; and from these the self times of ``_gk15`` and
+  ``integrate`` and the part of ``scatter_numeric`` outside the integral.
 * ``counts`` runs two passes of ``near_field_numeric`` in one process and
   counts, per pass, integrals, GK15 rounds, panels and the path nodes whose
   reflections were evaluated: counts that repeat on any machine.
@@ -183,10 +181,7 @@ def layers(args) -> dict:
             "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
             "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
             "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
-            # the plan's own values_at, or that of a separate store it is handed back to
-            "values_at": ([lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)]
-                          if hasattr(hs._Plan, "values_at") else
-                          [lambda p=p, x=x: p.store.values_at(p, x, k0) for p, x in zip(plans, nodes)]),
+            "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
         }
     best = {side: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
             for side, by_layer in jobs.items()}
