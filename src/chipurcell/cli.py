@@ -180,9 +180,9 @@ def parse_molecule(node, where="molecule") -> TransitionDipoles:
     _fields(node, where, _MOLECULE, _ISOTROPIC)
     omega = _omega_from(node["omega_ik"], (where, ".omega_ik"))
     isotropic = _bool_from(node.get("isotropic", False), (where, ".isotropic"))
+    d, m = _vector3_from(node["d"], (where, ".d")), _vector3_from(node["m"], (where, ".m"))
     try:
-        return TransitionDipoles(_vector3_from(node["d"], (where, ".d")),
-                                 _vector3_from(node["m"], (where, ".m")), omega, isotropic)
+        return TransitionDipoles(d, m, omega, isotropic)
     except ValueError as exc:
         raise SchemaError(f"{_path(where)}: {exc}") from exc
 
@@ -214,7 +214,6 @@ def parse_quadrature(node) -> QuadratureSpec:
         panels = kwargs["max_panels"]
         if not panels.is_integer():
             raise SchemaError(f"method.quadrature.max_panels: expected a whole number, got {panels!r}")
-        kwargs["max_panels"] = int(panels)
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:

@@ -119,8 +119,9 @@ class PlanarGeometry:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-# the bytes of node values each plan keeps (``_Plan.values_at``): with the
-# 128 plans ``_plan`` caches, at most 32 MiB
+# the bytes of each plan's slab of node values (``_Plan.values_at``), and of
+# the panels it keeps plus their round index: with the 128 plans ``_plan``
+# caches, at most 32 MiB, of which only the filled part is resident
 _STORE_BYTES = 256 * 1024
 
 
@@ -141,14 +142,15 @@ class _Plan:
     are the same floats whichever round asks for them. A panel keeps the
     four channels of ``_CHANNELS`` on the path, and for each hairpin the
     left side's minus the right side's, before the decay exp(-2 k0 z tau)
-    and the hairpin phases, which depend on the distance. A round whose
-    panels are all kept is indexed under one key, the bytes of its panels'
-    centres and last nodes, so that the next time it is served by one
-    lookup and one ``take``; a round with new panels is found panel by
-    panel. The slab of panel values and the round index share
-    ``_STORE_BYTES``; past it, panels are evaluated whenever asked for, to
-    the same values (a node's value does not depend on the batch it is
-    evaluated in), and no more rounds are indexed."""
+    and the hairpin phases, which depend on the distance. A round is
+    indexed under one key, the bytes of its panels' centres and last nodes,
+    once all its panels are kept (a round of new panels only, on its next
+    visit), so that from then on it is served by one lookup and one
+    ``take``; a round not indexed is found panel by panel. The slab is allocated once, at the panels ``_STORE_BYTES``
+    holds, and the kept panels and the round index share that budget; past
+    it, panels are evaluated whenever asked for, to the same values (a
+    node's value does not depend on the batch it is evaluated in), and no
+    more rounds are indexed."""
 
     def __init__(self, eps: complex, mu: complex, kappa: complex):
         if eps == 0 or mu == 0:
@@ -193,11 +195,12 @@ class _Plan:
         rows = 1 + len(self.hairpins)
         self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
         self._rounds = {}  # the key of a round whose panels are all kept -> their slots
-        # (rows, channels, panels, nodes), grown by doubling as far as _STORE_BYTES
-        # allows: a panel takes rows * 4 * 15 complex values of 16 bytes
+        # (rows, channels, panels, nodes), allocated once for the panels _STORE_BYTES
+        # holds: a panel takes rows * 4 * 15 complex values of 16 bytes, and a
+        # page of the slab becomes resident only when a panel is written to it
         self._panel_bytes = rows * 4 * 15 * 16
-        self._values = np.empty((rows, 4, 0, 15), dtype=complex)
-        self._free = _STORE_BYTES  # the bytes that slab growth and round index may still take
+        self._values = np.empty((rows, 4, _STORE_BYTES // self._panel_bytes, 15), dtype=complex)
+        self._free = _STORE_BYTES  # the bytes that kept panels and round index may still take
         self._lock = threading.Lock()
 
     @functools.cached_property
@@ -216,33 +219,28 @@ class _Plan:
         key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
         with self._lock:  # two threads must not fill the same free slots
             slots = self._rounds.get(key)
-            if slots is not None:
-                return self._values.take(slots, axis=2)
-            keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))
-            slots = [self._slots.get(panel, -1) for panel in keys]
-            if -1 not in slots:  # every panel kept: index the round, if it fits
-                slots = np.array(slots)
+            if slots is None:
+                keys = list(zip(tau[:, 7].tolist(), tau[:, 14].tolist()))
+                slots = [self._slots.get(panel, -1) for panel in keys]
+                new = [i for i, slot in enumerate(slots) if slot < 0]
+                if len(new) * self._panel_bytes > self._free:
+                    return self._evaluate(tau, k0)
+                if new:
+                    fresh = len(new) == len(keys)  # a cold round: its values are the round's
+                    values = self._evaluate(tau if fresh else tau[new], k0)
+                    first = len(self._slots)
+                    self._values[:, :, first:first + len(new)] = values
+                    for slot, i in enumerate(new, first):
+                        slots[i] = self._slots[keys[i]] = slot
+                    self._free -= len(new) * self._panel_bytes
+                    if fresh:  # returned as evaluated, and indexed if it comes again
+                        return values
+                slots = np.array(slots)  # every panel kept: index the round, if it fits
                 size = sys.getsizeof(key) + sys.getsizeof(slots)
                 if size <= self._free:
                     self._free -= size
                     self._rounds[key] = slots
-                return self._values.take(slots, axis=2)
-            new = [i for i, slot in enumerate(slots) if slot < 0]
-            first, end = len(self._slots), len(self._slots) + len(new)
-            room = self._values.shape[2] + self._free // self._panel_bytes  # panels the slab may hold
-            if end > room:
-                return self._evaluate(tau, k0)
-            fresh = len(new) == len(keys)  # a cold round: its values are the round's
-            values = self._evaluate(tau if fresh else tau[new], k0)
-            if end > self._values.shape[2]:
-                grown = np.empty(self._values.shape[:2] + (min(2 * end, room), 15), dtype=complex)
-                grown[:, :, :first] = self._values[:, :, :first]
-                self._free -= (grown.shape[2] - self._values.shape[2]) * self._panel_bytes
-                self._values = grown
-            self._values[:, :, first:end] = values
-            for j, i in enumerate(new):
-                slots[i] = self._slots[keys[i]] = first + j
-            return values if fresh else self._values.take(slots, axis=2)
+            return self._values.take(slots, axis=2)
 
     def _evaluate(self, tau: np.ndarray, k0: float) -> np.ndarray:
         x = np.empty((len(self._re),) + tau.shape, dtype=complex)

@@ -49,11 +49,7 @@ class MediumResponse:
     @functools.cached_property
     def n_r(self) -> complex:
         """Non-chiral refractive index, principal sqrt(eps*mu) with Re >= 0."""
-        n = np.sqrt(self.eps * self.mu)
-        # principal branch already has Re >= 0; guard the negative-real-axis cut
-        if n.real < 0:
-            n = -n
-        return complex(n)
+        return complex(np.sqrt(self.eps * self.mu))  # the principal root: Re >= 0, signed zeros too
 
     @property
     def k_plus(self) -> complex:

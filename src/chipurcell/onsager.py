@@ -84,7 +84,7 @@ def _denoms(med: MediumResponse):
     d1 = 2.0 * med.mu + 1.0
     d2 = med.mu + 2.0 * nr2
     if d1 == 0 or d2 == 0:
-        raise PoleError("cavity factors have a pole at (2 mu + 1)(mu + 2 n_r^2) = 0")
+        raise PoleError("cavity factors have a pole at (2 mu + 1)(mu + 2 n_r^2) = (2 mu + 1) mu (2 eps + 1) = 0")
     return d1, d2
 
 
@@ -133,10 +133,11 @@ def f0_main(med: MediumResponse) -> complex:
     eps, mu = med.eps, med.mu
     n_r, kap = med.n_r, med.kappa
     n2, kap2 = n_r**2, kap**2
-    if (2.0 * eps + 1.0) == 0 or (2.0 * mu + 1.0) == 0 or (3.0 * n2 + kap2) == 0:
-        raise PoleError("f0_main has a pole at (2 eps + 1)(2 mu + 1)(3 n_r^2 + kappa^2) = 0")
-    f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / (2.0 * mu + 1.0))
-    f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * (2.0 * mu + 1.0) ** 2)
+    d1, _ = _denoms(med)  # its mu + 2 n_r^2 = mu (2 eps + 1) holds the poles at mu = 0 and 2 eps + 1 = 0
+    if (3.0 * n2 + kap2) == 0:
+        raise PoleError("f0_main has a pole at 3 n_r^2 + kappa^2 = 0")
+    f_em = (3.0 * eps / (2.0 * eps + 1.0)) * (3.0 / d1)
+    f_k = 9.0 * np.sqrt(eps / mu) * (4.0 * n2 - 1.0) / ((2.0 * eps + 1.0) ** 2 * d1**2)
     return f_em + f_k * n_r * (n2 + 3.0 * kap2) / (3.0 * n2 + kap2)
 
 

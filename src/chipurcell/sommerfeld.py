@@ -73,6 +73,7 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive and finite")
         if not (self.max_panels >= 1 and self.max_panels % 1 == 0):
             raise ValueError("max_panels must be a whole number >= 1")
+        object.__setattr__(self, "max_panels", int(self.max_panels))  # a slice bound in integrate
 
 
 @dataclass(frozen=True)

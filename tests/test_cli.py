@@ -467,6 +467,28 @@ class TestExitCodesAndGolden:
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "float range" in err and "Traceback" not in err
 
+    def test_mode_resolved_cavity_at_zero_mu_is_a_pole(self, tmp_path, capsys):
+        # f0_main divided by mu: "the arithmetic left the float range:
+        # complex division by zero", still exit 3
+        scen = {**LFC, "method": {"f0_source": "main"},
+                "medium": {"eps": [2.25, 0.0], "mu": [0.0, 0.0], "kappa": [0.05, 0.0]}}
+        cfg = tmp_path / "mu0_main.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error (physics): cavity factors have a pole at") and "mu (2 eps + 1)" in err
+
+    def test_breakdown_beyond_the_float_range_exits_physics(self, tmp_path, capsys):
+        # |d|^2 of a 1e150 C m dipole overflows the electric rate to inf
+        scen = copy.deepcopy(BULK)
+        scen["molecule"]["d"] = [[1e150, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        cfg = tmp_path / "huge_dipole.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert capsys.readouterr().err.startswith("error (physics): the arithmetic left the float range")
+        assert code == EXIT_PHYSICS
+
     def test_lossless_eps_minus_one_nonretarded_exits_ok(self, tmp_path, capsys):
         # eps = -1 is the pole of the quasi-static r_p; the near-field
         # electric rate divided by |eps + 1| and ended in a ZeroDivisionError
@@ -619,6 +641,13 @@ class TestExitCodesAndGolden:
         (MIRROR, "method.typo", 1.0, "method.typo"),
         (HALFSPACE, "method.typo", 1.0, "method.typo"),
         (NUMERIC, "method.quadrature", {"typo": 1.0}, "method.quadrature.typo"),
+        # a value of the right type that the schema or the physics refuses
+        (BULK, "medium", 2.25, "medium: expected an object"),
+        (BULK, "medium.eps", {"model": "drude"}, "medium.eps: unknown response model 'drude'"),
+        (BULK, "molecule.d", [[1.0e-30, 0.0], [0.0, 0.0]], "molecule.d: expected a 3-element array"),
+        (HALFSPACE, "method.limit", "exact", "method.limit: unknown value 'exact'"),
+        (NUMERIC, "method.quadrature", {"rel_tol": 0.0}, "method.quadrature: rel_tol must be positive"),
+        (MIRROR, "geometry.handedness", "up", "geometry.handedness: must be 'right' or 'left'"),
     ], ids=["z_m-string", "radius_a-string", "rel_tol-string", "max_panels-string",
             "quadrature-abs_floor", "quadrature-cutoff", "quadrature-typo",
             "thresholds-string", "thresholds-short", "drreths_form-unknown",
@@ -631,7 +660,9 @@ class TestExitCodesAndGolden:
             "extra-root", "extra-molecule", "extra-medium", "extra-lorentz", "extra-lorentz_chiral",
             "extra-geometry-bulk", "extra-geometry-bulk_lfc", "extra-geometry-mirror",
             "extra-geometry-halfspace", "extra-method-bulk", "extra-method-bulk_lfc",
-            "extra-method-mirror", "extra-method-halfspace", "extra-quadrature"])
+            "extra-method-mirror", "extra-method-halfspace", "extra-quadrature",
+            "medium-not-object", "model-unknown", "d-two-entries", "limit-unknown", "rel_tol-zero",
+            "handedness-unknown"])
     def test_malformed_scalar_exits_schema(self, tmp_path, capsys, base, path, value, field):
         scen = copy.deepcopy(base)
         *parents, leaf = path.split(".")
@@ -669,6 +700,40 @@ class TestExitCodesAndGolden:
         cfg.write_text(json.dumps(scen))
         code = main(["rate", "--config", str(cfg)])
         assert capsys.readouterr().err.startswith(f"error (schema): {path}: missing required field")
+        assert code == EXIT_SCHEMA
+
+    def test_malformed_dipole_names_its_path_once(self, tmp_path, capsys):
+        # the dipole's own SchemaError was wrapped again by the molecule's:
+        # "molecule: molecule.d[1]: complex values are ..."
+        scen = copy.deepcopy(BULK)
+        scen["molecule"]["d"][1] = [1.0]
+        cfg = tmp_path / "dipole.json"
+        cfg.write_text(json.dumps(scen))
+        code = main(["rate", "--config", str(cfg)])
+        assert capsys.readouterr().err.startswith("error (schema): molecule.d[1]: complex values are")
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--param", "molecule.omega"], "sweep param path 'molecule.omega': no field 'omega'"),
+        (["sweep", "--param", "cavity.radius_a"], "sweep param path 'cavity.radius_a': no field 'cavity'"),
+        (["sweep", "--param", "molecule.d"], "sweep param path 'molecule.d': target is not a scalar"),
+        (["sweep", "--param", "molecule.omega_ik", "--points", "0"], "sweep requires points >= 1"),
+        (["sweep", "--param", "molecule.omega_ik", "--from=-1e15", "--log"],
+         "log-scale sweep requires positive endpoints"),
+        (["fresnel", "--points", "1"], "fresnel requires points >= 2"),
+        (["fresnel", "--eps", "2.25"], "--eps: expected RE,IM"),
+    ], ids=["sweep-field", "sweep-parent", "sweep-not-scalar", "sweep-points", "sweep-log-negative",
+            "fresnel-points", "fresnel-complex"])
+    def test_bad_sweep_and_fresnel_arguments_exit_schema(self, tmp_path, capsys, args, message):
+        command, *given = args
+        defaults = {
+            "sweep": ["--config", str(SCENARIOS / "bulk_lossless.json"), "--from", "1e15", "--to", "2e15",
+                      "--points", "3"],
+            "fresnel": ["--eps", "2.25,0", "--mu", "1,0", "--kappa", "0.05,0", "--omega", "3e15",
+                        "--kpar-max", "2", "--points", "3"],
+        }[command]
+        code = main([command, *defaults, *given, "--csv", str(tmp_path / "t.csv")])  # the last value wins
+        assert capsys.readouterr().err == f"error (schema): {message}\n"
         assert code == EXIT_SCHEMA
 
     @pytest.mark.parametrize("flag, value", [
@@ -741,6 +806,13 @@ class TestExitCodesAndGolden:
                 assert code == EXIT_OK
                 fields = out.read_text().splitlines()[1].split(",")
                 assert [fields[i] for i in zeros] == ["0"] * len(zeros)
+
+    def test_rate_prints_the_comparison_line(self, capsys):
+        # halfspace_nonretarded.json asks for compare_numeric
+        code = main(["rate", "--config", str(SCENARIOS / "halfspace_nonretarded.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert lines[-1].startswith("comparison   : numeric gamma_ch = ") and "rel_diff = " in lines[-1]
 
     def test_readme_scenario_runs(self):
         # the documented schema is the one the reader takes

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,25 @@ def test_rates_beyond_the_float_range_end_typed(rates):
     # each raised a bare OverflowError or ZeroDivisionError to the caller
     with pytest.raises(PhysicsError, match="left the float range"):
         rates()
+
+
+def test_breakdown_beyond_the_float_range_is_refused():
+    # |d|^2 of a 1e150 C m dipole overflows the electric rate: the
+    # breakdown refuses its inf fields, with no numpy warning on the way
+    mol = TransitionDipoles([1e150, 0.0, 0.0], [0.0, 0.0, 0.0], OMEGA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhysicsError, match="left the float range"):
+            rates_bulk(MediumResponse(2.25, 1.0, 0.05, OMEGA), mol)
+
+
+@pytest.mark.parametrize("eps", [complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-4.0, 1e-300),
+                                 complex(-4.0, -1e-300), 0j])
+def test_refractive_index_is_the_principal_root(eps):
+    # eps mu = eps, its signed zero kept: numpy's principal root has Re >= 0
+    # on either side of the cut, with no sign flip of its own
+    med = MediumResponse(eps, 1.0, 0.0, OMEGA)
+    assert med.n_r.real >= 0 and med.n_r**2 == pytest.approx(eps, abs=1e-15)
 
 
 def test_float_range_conversion_is_written_once():

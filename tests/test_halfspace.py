@@ -462,7 +462,7 @@ class TestStore:
         indexed = {slot for slots in plan._rounds.values() for slot in slots.tolist()}
         assert indexed == set(range(len(plan._slots)))
         index = sum(sys.getsizeof(key) + sys.getsizeof(slots) for key, slots in plan._rounds.items())
-        assert plan._free == hs._STORE_BYTES - plan._values.shape[2] * plan._panel_bytes - index
+        assert plan._free == hs._STORE_BYTES - len(plan._slots) * plan._panel_bytes - index
 
         class NoPanelLookups(dict):
             def get(self, *args):
@@ -592,6 +592,12 @@ class TestMirrorRates:
             assert b.gamma_el == 0.0
             assert b.gamma_ch == gamma_ch_from_curl(hs._mirror_curl(geom, W), mol_aniso, Contraction.PLANAR_PAPER)
         assert results == []
+
+    @pytest.mark.parametrize("limit", list(Limit))
+    def test_a_mirror_without_handedness_is_refused(self, mol_iso, limit):
+        # the handedness fixes the sign of every chiral rate: no default
+        with pytest.raises(PhysicsError, match="mirror geometry requires a handedness"):
+            rates_mirror(PlanarGeometry(z_m=1.0 / K0), mol_iso, limit)
 
     def test_sine_node_kills_far_field_rate(self, mol_iso):
         z = np.pi / 2 * CONSTANTS.c / W  # 2 w z / c = pi

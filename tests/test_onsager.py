@@ -112,6 +112,12 @@ class TestF0Main:
         with pytest.raises(PoleError):
             f0_main(MediumResponse(eps, mu, 0.0, OMEGA))
 
+    def test_zero_mu_is_a_pole(self):
+        # kappa != 0 keeps 3 n_r^2 + kappa^2 away from zero, while
+        # sqrt(eps/mu) divides by mu: a bare ZeroDivisionError
+        with pytest.raises(PoleError, match=r"mu \(2 eps \+ 1\) = 0"):
+            f0_main(MediumResponse(2.25, 0.0, 0.05, OMEGA))
+
 
 class TestCavityCoefficients:
     def test_vacuum_host_kills_w_channel(self):

@@ -279,6 +279,24 @@ def test_spec_validation():
     assert QuadratureSpec(max_panels=100.0).max_panels == 100.0
 
 
+def test_a_whole_float_panel_cap_binds_as_its_integer():
+    # max_panels = 6.0 passed the spec and ended in a TypeError (a float
+    # slice bound) once the cap bound the refinement
+    f = channel(lambda k: np.sqrt(np.abs(k - 0.3)) * np.sin(50.0 * k) + 0j)
+    as_int, as_float = (integrate(f, [0.0, 1.0], QuadratureSpec(rel_tol=1e-14, max_panels=cap)) for cap in (6, 6.0))
+    assert type(QuadratureSpec(max_panels=6.0).max_panels) is int
+    assert as_float.panels_used == as_int.panels_used == 6 and not as_float.converged
+    assert as_float.value.tobytes() == as_int.value.tobytes()
+
+
+def test_panels_split_to_float_resolution_end_unconverged():
+    # a panel one float wide has no midpoint strictly inside: the
+    # refinement ends with it unsplit, whatever its error
+    f = lambda k: np.where(np.arange(15) % 2, 1.0, -1.0)[None] + 0.0 * k[None] + 0j
+    res = integrate(f, [1.0, np.nextafter(1.0, 2.0)], QuadratureSpec())
+    assert res.panels_used == 1 and not res.converged
+
+
 def test_too_many_seeds_are_refused_before_the_integrand_runs():
     # the panel budget is a hard cap: seeds beyond it are refused, not
     # integrated and not thinned out
