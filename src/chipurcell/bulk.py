@@ -57,6 +57,7 @@ def img_g0_coincident(med: MediumResponse) -> np.ndarray:
     return np.real(scalar) * np.eye(3)
 
 
+@_ends_typed
 def gamma_ch_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     """Chiral decay-rate contribution in the bulk medium (1/s).
 
@@ -80,6 +81,7 @@ def gamma_ch_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     )
 
 
+@_ends_typed
 def gamma_el_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     """Electric decay rate in the bulk medium: mu n_r w^3 |d|^2/(3 pi eps0 hbar c^3)."""
     _require_lossless(med, "gamma_el_bulk")
@@ -90,7 +92,6 @@ def gamma_el_bulk(med: MediumResponse, mol: TransitionDipoles) -> float:
     )
 
 
-@_ends_typed
 def rates_bulk(med: MediumResponse, mol: TransitionDipoles) -> RateBreakdown:
     """Full breakdown for the bulk medium; gamma_el is the in-medium total."""
     g_el = gamma_el_bulk(med, mol)

@@ -49,7 +49,7 @@ from .halfspace import (
 from .media import MediumResponse
 from .molecules import TransitionDipoles
 from .onsager import CavityConfig, rates_lfc
-from .rates import RateBreakdown
+from .rates import RateBreakdown, _ends_typed
 from .sommerfeld import QuadratureSpec
 
 EXIT_OK = 0
@@ -220,17 +220,11 @@ def parse_quadrature(node) -> QuadratureSpec:
         raise SchemaError(f"method.quadrature: {exc}") from exc
 
 
+@_ends_typed
 def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     """Validate and execute one scenario; returns (breakdown, annotations).
     Arithmetic that leaves the float range raises PhysicsError, here or, for
     a breakdown field that is not finite, in ``RateBreakdown``."""
-    try:
-        return _run_scenario(scenario)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
-
-
-def _run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     geometry = scenario.get("geometry") if isinstance(scenario, dict) else None
     kind = geometry.get("kind") if isinstance(geometry, dict) else None
     if not (isinstance(kind, str) and kind in _KINDS):
@@ -511,7 +505,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {len(lines) - 1} rows to {args.csv}")
             return EXIT_OK
-        raise SchemaError(f"unknown command {args.command!r}")
     except SchemaError as exc:
         print(f"error (schema): {exc}", file=sys.stderr)
         return EXIT_SCHEMA

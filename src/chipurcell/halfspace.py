@@ -63,7 +63,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from .media import MediumResponse
-from .molecules import TransitionDipoles, rotatory_strength
+from .molecules import TransitionDipoles
 from .rates import (
     Contraction,
     Method,
@@ -668,8 +668,7 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
 
     * RETARDED: curl xx = -sgn sin s/(16 pi z^2), Im G xx = sin s/(16 pi z).
       The electric rate mu0 w^2 |d_par|^2 sin s/(8 pi hbar z) is consistent
-      in units with the master formula; ``gamma_el_mirror_retarded_variant``
-      keeps the published form without the w^2.
+      in units with the master formula.
     * NONRETARDED: curl xx = -sgn/(32 pi k0 z^3), zz = 2 xx.
     * NUMERIC: the exact curl xx of ``_mirror_curl``, zz = 2 xx: constant
       reflections make the wavevector integral elementary, and the vanishing
@@ -761,54 +760,3 @@ def _halfspace_tensors(geom: PlanarGeometry, w: float, limit: Limit, spec: Quadr
     r_ss, r_pp, r_sp = fresnel_nonretarded(med)
     xx = -r_sp.imag / (16.0 * math.pi * z) / z  # never z^2, which a small z_m makes subnormal
     return _tensors(xx, 2.0 * xx, -k0 * (r_ss + r_pp).real / (16.0 * math.pi * z), 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Alternative published normalizations, retained for cross-checking. Each is
-# pinned by a test to its own formula; their relation to the rate quotients
-# above is documented where they differ.
-# ---------------------------------------------------------------------------
-
-def gamma_el_mirror_retarded_variant(mol: TransitionDipoles, z_m: float) -> float:
-    """Far-field mirror electric rate as printed, mu0 |d_par|^2 sin(2wz/c)/(8 pi hbar z),
-    in anomalous units: rates_mirror's retarded electric rate is this times w^2."""
-    w = mol.omega_ik
-    img_g = _tensors(0.0, 0.0, 0.0, np.sin(2.0 * w * z_m / CONSTANTS.c) / (16.0 * np.pi * z_m), 0.0)[1]
-    return gamma_el_from_img(img_g, mol) / w**2
-
-
-def gamma_ch_mirror_nonretarded_variant(
-    mol: TransitionDipoles, z_m: float, handedness: Handedness
-) -> float:
-    """Compact near-field mirror rate +-mu0 c R/(8 pi hbar z^3).
-
-    Differs from rates_mirror's isotropic value by the orientation-average
-    factor 4/3 (which the compact form absorbs incorrectly); the quadrature
-    pathway confirms the 4/3-consistent value.
-    """
-    c = CONSTANTS
-    # successive divisions by z_m, as in the closed forms: z_m^3 would be subnormal
-    return handedness.sign * c.mu0 * c.c * rotatory_strength(mol) / (8.0 * np.pi * c.hbar * z_m) / z_m / z_m
-
-
-def s_mirror_nonretarded_variant(mol: TransitionDipoles, z_m: float, handedness: Handedness) -> float:
-    """Compact near-field mirror discrimination +-3 c^2 R/(w^3 z^3 |d|^2).
-
-    Six times the exact quotient gamma_ch/gamma_vacuum of this package's
-    closed forms (eight times that of the compact rate variant).
-    """
-    c = CONSTANTS
-    return (
-        handedness.sign * 3.0 * c.c**2 * rotatory_strength(mol)
-        / (mol.omega_ik**3 * z_m * mol.d_norm_sq) / z_m / z_m
-    )
-
-
-def s_halfspace_nonretarded_variant(med: MediumResponse, mol: TransitionDipoles, z_m: float) -> float:
-    """Near-field half-space discrimination in the alternative sign convention,
-    Re(+i c R r_sp)/(w^2 z^2 |d|^2); the exact quotient has the opposite sign."""
-    r_sp = fresnel_nonretarded(med)[2]
-    return float(np.real(
-        1j * CONSTANTS.c * rotatory_strength(mol) * r_sp
-        / (mol.omega_ik**2 * z_m * mol.d_norm_sq) / z_m
-    ))

@@ -141,6 +141,7 @@ def f0_main(med: MediumResponse) -> complex:
     return f_em + f_k * n_r * (n2 + 3.0 * kap2) / (3.0 * n2 + kap2)
 
 
+@_ends_typed
 def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
     """Closed forms of the surviving cavity coefficients (small-radius limit).
 
@@ -183,6 +184,7 @@ def onsager_coefficients(cav: CavityConfig) -> OnsagerCoefficients:
     return OnsagerCoefficients(a0v=v_even + v_odd, a0w=a0w, b0v=a0w, b0w=v_even - v_odd)
 
 
+@_ends_typed
 def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     """Cavity-corrected curl of Im G at the molecule, small-radius asymptotics.
 
@@ -205,6 +207,7 @@ def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     return scalar * np.eye(3)
 
 
+@_ends_typed
 def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> float:
     """Cavity-corrected chiral rate, in the form the host selects.
 
@@ -229,6 +232,7 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     return -4.0 * rotatory_strength(mol) * im_kf3 / (np.pi * c.hbar * c.eps0 * c.c * cav.radius_a**3)
 
 
+@_ends_typed
 def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     """Cavity-corrected electric rate, in the form the host selects.
 
@@ -254,7 +258,6 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     )
 
 
-@_ends_typed
 def rates_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "appendix") -> RateBreakdown:
     """Full cavity-corrected breakdown, in the forms the host selects."""
     g_ch = gamma_ch_lfc(cav, mol, f0_source)

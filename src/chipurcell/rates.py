@@ -89,13 +89,13 @@ class RateBreakdown:
                                "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
 
 
-def _ends_typed(rates: Callable[..., RateBreakdown]) -> Callable[..., RateBreakdown]:
-    """The rates function ``rates``, with an OverflowError or
-    ZeroDivisionError of its float arithmetic raised as PhysicsError."""
-    @functools.wraps(rates)
+def _ends_typed(fn: Callable) -> Callable:
+    """``fn``, with an OverflowError or ZeroDivisionError of its float
+    arithmetic raised as PhysicsError: the package's one such conversion."""
+    @functools.wraps(fn)
     def typed(*args, **kwargs):
         try:
-            return rates(*args, **kwargs)
+            return fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
     return typed
@@ -140,6 +140,7 @@ def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
     return pref * float(contract(mol, mol.d, np.asarray(img_g), mol.d).real)
 
 
+@_ends_typed
 def gamma_vacuum(mol: TransitionDipoles) -> float:
     """Free-space spontaneous decay rate w^3 |d|^2 / (3 pi eps0 hbar c^3)."""
     c = CONSTANTS

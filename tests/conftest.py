@@ -1,6 +1,7 @@
 import cmath
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ DEBYE = 3.33564e-30  # C m
 # k-^3 - k+^3 loses digits, on lossless (eps, mu) and one absorbing pair
 SMALL_KAPPA = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.05]
 SMALL_KAPPA_MEDIA = [(2.25, 1.0), (12.0, 1.0), (4.0, 1.5), (2.25 + 0.1j, 1.0 + 0.02j)]
+# (eps, mu, kappa) on which swapping eps and mu is checked: lossless,
+# absorbing, lossy plasmonic and magnetic
+DUALITY_MEDIA = [(2.25, 1.0, 0.05), (2.25 + 0.1j, 1.0, 0.05 + 0.001j), (-2.0 + 0.3j, 1.0, 0.05 + 0.01j),
+                 (4.0, 2.5, 0.3)]
+
+
+def quiet(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, silencing a closed form's out-of-range UserWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return fn(*args, **kwargs)
 
 
 def package_env() -> dict:

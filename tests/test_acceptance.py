@@ -3,18 +3,13 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
 Criterion 8c is expected to fail and is marked xfail(strict): the near-field
 half-space closed form grows as 1/z^2 while the exact lossless wavevector
-integrals it is meant to approximate stay bounded as z -> 0 (every
-evanescent-tail contribution to the scattering curl is real for lossless
-media, since the diagonal reflections are real and the cross reflection is
-purely imaginary against the -i measure factor). The quadrature pathway is
-therefore the physical arbiter; the discrepancy is documented rather than
-papered over.
+integrals stay bounded as z -> 0. Criteria 8c and 11 check rows 6, 9 and 10
+of the ledger of published-versus-exact discrepancies,
+``tests/test_discrepancies.py``, which holds the other rows.
 """
 
 import contextlib
 import dataclasses
-import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +40,7 @@ from chipurcell import (
 )
 import chipurcell.halfspace as hs
 from specfun import Parity, RadialKind, WaveFunctionIndex, vector_wave_cartesian
-from conftest import DEBYE, OMEGA, random_lossless_medium, random_molecule, reflections_at
+from conftest import DEBYE, OMEGA, quiet, random_lossless_medium, random_molecule, reflections_at
 from oracles import (
     curl_g0_finite,
     fd_curl,
@@ -67,12 +62,6 @@ def report(num, desc):
         print(f"ACCEPTANCE {num}: {desc} ... FAIL")
         raise
     print(f"ACCEPTANCE {num}: {desc} ... PASS")
-
-
-def quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return fn(*args, **kwargs)
 
 
 def test_criterion_01_bulk_dual_path_identity(rng):

@@ -45,6 +45,14 @@ def load(name):
     return json.loads((SCENARIOS / name).read_text())
 
 
+def rate(tmp_path, scenario, *flags):
+    """The exit code of ``chipurcell rate`` on ``scenario``, written to a
+    file (NaN and inf as the tokens NaN and Infinity)."""
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    return main(["rate", *flags, "--config", str(cfg)])
+
+
 BULK = load("bulk_lossless.json")
 MIRROR = load("mirror_retarded.json")
 HALFSPACE = load("halfspace_nonretarded.json")
@@ -129,9 +137,7 @@ class TestRunScenario:
         scen = copy.deepcopy(HALFSPACE)
         scen["medium"]["eps"] = [2.25, 0.1]
         scen["method"] = {}
-        cfg = tmp_path / "lossy_auto.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--json", "--config", str(cfg)])
+        code = rate(tmp_path, scen, "--json")
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK and out["limit"] == "numeric"
         numeric, _ = run_scenario({**scen, "method": {"limit": "numeric"}})
@@ -139,9 +145,7 @@ class TestRunScenario:
             assert out[key].hex() == getattr(numeric, key).hex()
 
     def test_json_round_trip_is_bit_exact(self, tmp_path, capsys):
-        cfg = tmp_path / "scen.json"
-        cfg.write_text(json.dumps(BULK))
-        assert main(["rate", "--config", str(cfg), "--json"]) == EXIT_OK
+        assert rate(tmp_path, BULK, "--json") == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         b, _ = run_scenario(BULK)
         assert out["gamma_ch"] == b.gamma_ch
@@ -335,15 +339,21 @@ def test_schema_rows_equal_per_cell_join(cells):
 
 
 class TestExitCodesAndGolden:
+    @pytest.mark.parametrize("argv", [[], ["nope"]], ids=["no-command", "unknown-command"])
+    def test_missing_or_unknown_command_is_argparse_usage_error(self, capsys, argv):
+        # the subcommand is required: argparse refuses before main dispatches
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: chipurcell" in capsys.readouterr().err
+
     def test_schema_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["rate", "--config", str(cfg)]) == EXIT_SCHEMA
-        cfg2 = tmp_path / "missing_field.json"
         scen = copy.deepcopy(BULK)
         del scen["molecule"]
-        cfg2.write_text(json.dumps(scen))
-        assert main(["rate", "--config", str(cfg2)]) == EXIT_SCHEMA
+        assert rate(tmp_path, scen) == EXIT_SCHEMA
         # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback (exit 1)
         cfg3 = tmp_path / "not_utf8.json"
         cfg3.write_bytes(b"\xff\xfe{}")
@@ -353,9 +363,7 @@ class TestExitCodesAndGolden:
     def test_physics_exit_code(self, tmp_path, capsys):
         scen = copy.deepcopy(BULK)
         scen["medium"]["eps"] = [2.25, 0.3]  # lossy bulk closed form
-        cfg = tmp_path / "lossy.json"
-        cfg.write_text(json.dumps(scen))
-        assert main(["rate", "--config", str(cfg)]) == EXIT_PHYSICS
+        assert rate(tmp_path, scen) == EXIT_PHYSICS
         capsys.readouterr()
 
     @pytest.mark.parametrize("eps", [[2.25, 0.0], [2.25, 0.1]], ids=["lossless", "absorbing"])
@@ -365,9 +373,7 @@ class TestExitCodesAndGolden:
         scen = copy.deepcopy(LFC)
         scen["medium"]["eps"] = eps
         scen["geometry"]["radius_a"] = 1.0e-6
-        cfg = tmp_path / "large_cavity.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert "k0*a < 0.1" in capsys.readouterr().err
         assert code == EXIT_PHYSICS
 
@@ -379,9 +385,7 @@ class TestExitCodesAndGolden:
         # the model's denominator omega0^2 - omega^2 - i gamma omega vanishes
         scen = copy.deepcopy(BULK)
         scen["medium"][field] = {**model, "omega0": scen["molecule"]["omega_ik"], "gamma": 0.0}
-        cfg = tmp_path / "resonance.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert f"medium.{field}" in capsys.readouterr().err
         assert code == EXIT_PHYSICS
 
@@ -392,9 +396,7 @@ class TestExitCodesAndGolden:
         # z_m <= 0 exited 3
         scen = copy.deepcopy(base)
         scen["geometry"][field] = value
-        cfg = tmp_path / "nonpositive.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert capsys.readouterr().err.startswith(f"error (physics): {field} must be positive")
         assert code == EXIT_PHYSICS
 
@@ -402,9 +404,7 @@ class TestExitCodesAndGolden:
         scen = copy.deepcopy(HALFSPACE)
         scen["method"] = {"limit": "numeric", "quadrature": {"rel_tol": 1e-13, "max_panels": 2}}
         scen["geometry"]["z_m"] = 4.0e-6
-        cfg = tmp_path / "hard.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         capsys.readouterr()
         assert code == EXIT_QUADRATURE
 
@@ -445,10 +445,7 @@ class TestExitCodesAndGolden:
         # (retarded-nan)
         scen = copy.deepcopy(base)
         scen["medium"] = medium
-        cfg = tmp_path / "degenerate.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err = rate(tmp_path, scen), capsys.readouterr().err
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "Traceback" not in err
 
@@ -460,10 +457,7 @@ class TestExitCodesAndGolden:
         # 1e-110, a ZeroDivisionError at the others: z^3 underflows in the
         # nonretarded limit); the CLI still exits 3
         scen = {**MIRROR, "geometry": {**MIRROR["geometry"], "z_m": z_m}, "method": {"limit": limit}}
-        cfg = tmp_path / "mirror.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err = rate(tmp_path, scen), capsys.readouterr().err
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "float range" in err and "Traceback" not in err
 
@@ -472,10 +466,7 @@ class TestExitCodesAndGolden:
         # complex division by zero", still exit 3
         scen = {**LFC, "method": {"f0_source": "main"},
                 "medium": {"eps": [2.25, 0.0], "mu": [0.0, 0.0], "kappa": [0.05, 0.0]}}
-        cfg = tmp_path / "mu0_main.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err = rate(tmp_path, scen), capsys.readouterr().err
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics): cavity factors have a pole at") and "mu (2 eps + 1)" in err
 
@@ -483,9 +474,7 @@ class TestExitCodesAndGolden:
         # |d|^2 of a 1e150 C m dipole overflows the electric rate to inf
         scen = copy.deepcopy(BULK)
         scen["molecule"]["d"] = [[1e150, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        cfg = tmp_path / "huge_dipole.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert capsys.readouterr().err.startswith("error (physics): the arithmetic left the float range")
         assert code == EXIT_PHYSICS
 
@@ -495,9 +484,7 @@ class TestExitCodesAndGolden:
         # traceback (exit 1)
         scen = copy.deepcopy(HALFSPACE)
         scen["medium"] = {"eps": [-1.0, 0.0], "mu": [1.0, 0.0], "kappa": [0.05, 0.0]}
-        cfg = tmp_path / "eps_minus_one.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--json", "--config", str(cfg)])
+        code = rate(tmp_path, scen, "--json")
         out = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert out["limit"] == "nonretarded"
@@ -510,9 +497,7 @@ class TestExitCodesAndGolden:
         # returned its kappa -> 0 limit; its one rational form is exact there
         scen = {**LFC, "method": {"f0_source": "main"},
                 "medium": {"eps": [2.25, 0.0], "mu": [1.0, 0.0], "kappa": [0.0, 0.0]}}
-        cfg = tmp_path / "achiral_main.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--json", "--config", str(cfg)])
+        code = rate(tmp_path, scen, "--json")
         captured = capsys.readouterr()
         assert code == EXIT_OK and captured.err == ""
         out = json.loads(captured.out)
@@ -536,10 +521,7 @@ class TestExitCodesAndGolden:
         # with s_disc 0
         scen = copy.deepcopy(base)
         scen["molecule"]["d"] = [[0.0, 0.0]] * 3
-        cfg = tmp_path / "zero_dipole.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--json", "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err = rate(tmp_path, scen, "--json"), capsys.readouterr().err
         assert code == EXIT_PHYSICS
         assert err.startswith("error (physics):") and "Traceback" not in err
 
@@ -553,9 +535,7 @@ class TestExitCodesAndGolden:
     def test_bad_evanescent_cutoff_exits_schema(self, tmp_path, capsys, cutoff):
         scen = copy.deepcopy(HALFSPACE)
         scen["method"] = {"limit": "numeric", "quadrature": {"evanescent_cutoff_u": cutoff}}
-        cfg = tmp_path / "cutoff.json"
-        cfg.write_text(json.dumps(scen))  # NaN is written as the token NaN
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert "evanescent_cutoff_u" in capsys.readouterr().err
         assert code == EXIT_SCHEMA
 
@@ -567,10 +547,7 @@ class TestExitCodesAndGolden:
             scen["medium"]["eps"] = value
         else:
             scen["molecule"]["d"][0] = value
-        cfg = tmp_path / "complex.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
-        err = capsys.readouterr().err
+        code, err = rate(tmp_path, scen), capsys.readouterr().err
         assert code == EXIT_SCHEMA
         assert field in err and "[re, im]" in err
 
@@ -670,9 +647,7 @@ class TestExitCodesAndGolden:
         for key in parents:
             node = node[key]
         node[leaf] = value
-        cfg = tmp_path / "scalar.json"
-        cfg.write_text(json.dumps(scen))  # NaN and inf are written as the tokens NaN and Infinity
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert field in capsys.readouterr().err
         assert code == EXIT_SCHEMA
 
@@ -696,9 +671,7 @@ class TestExitCodesAndGolden:
         for key in parents:
             node = node[key]
         del node[leaf]
-        cfg = tmp_path / "missing.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert capsys.readouterr().err.startswith(f"error (schema): {path}: missing required field")
         assert code == EXIT_SCHEMA
 
@@ -707,9 +680,7 @@ class TestExitCodesAndGolden:
         # "molecule: molecule.d[1]: complex values are ..."
         scen = copy.deepcopy(BULK)
         scen["molecule"]["d"][1] = [1.0]
-        cfg = tmp_path / "dipole.json"
-        cfg.write_text(json.dumps(scen))
-        code = main(["rate", "--config", str(cfg)])
+        code = rate(tmp_path, scen)
         assert capsys.readouterr().err.startswith("error (schema): molecule.d[1]: complex values are")
         assert code == EXIT_SCHEMA
 
@@ -796,12 +767,11 @@ class TestExitCodesAndGolden:
         mirror = {**MIRROR, "geometry": {**MIRROR["geometry"], "handedness": hand, "z_m": z_m}}
         halfspace = {**HALFSPACE, "geometry": {**HALFSPACE["geometry"], "z_m": z_m},
                      "medium": {**HALFSPACE["medium"], "kappa": [0.05 if hand == "right" else -0.05, 0.0]}}
-        cfg, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+        out = tmp_path / "out.csv"
         for base, limit, zeros in ((mirror, "numeric", [3]), (mirror, "nonretarded", [3]),
                                    (halfspace, "nonretarded", [3]), (halfspace, "retarded", [4, 7])):
             for molecule in (MIRROR["molecule"], ANISOTROPIC):
-                cfg.write_text(json.dumps({**base, "molecule": molecule, "method": {"limit": limit}}))
-                code = main(["rate", "--config", str(cfg), "--csv", str(out)])
+                code = rate(tmp_path, {**base, "molecule": molecule, "method": {"limit": limit}}, "--csv", str(out))
                 capsys.readouterr()
                 assert code == EXIT_OK
                 fields = out.read_text().splitlines()[1].split(",")
@@ -827,13 +797,9 @@ class TestExitCodesAndGolden:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "o.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "chipurcell.cli", "rate",
-             "--config", str(SCENARIOS / "bulk_lossless.json"), "--csv", str(out)],
-            capture_output=True,
-            text=True,
-            env=package_env(),
-        )
+        argv = ["rate", "--config", str(SCENARIOS / "bulk_lossless.json"), "--csv", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "chipurcell.cli", *argv],
+                              capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert out.read_bytes() == (GOLDEN / "bulk_lossless.csv").read_bytes()
 

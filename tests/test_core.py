@@ -13,13 +13,17 @@ from chipurcell import (
     MediumResponse,
     TransitionDipoles,
     curl_img_g0_coincident,
+    curl_img_lfc,
     degree_of_discrimination,
     gamma_ch_bulk,
     gamma_ch_from_curl,
+    gamma_ch_lfc,
     gamma_el_bulk,
     gamma_el_from_img,
+    gamma_el_lfc,
     gamma_vacuum,
     img_g0_coincident,
+    onsager_coefficients,
     rates_bulk,
     rates_lfc,
     rotatory_strength,
@@ -87,8 +91,8 @@ def test_planar_assembly_is_written_once():
     planar rates function, one layout of the five tensor entries
     (``_tensors``) and one tail (``_planar_rates``) through which every
     planar rate reaches the master contractions. The closed forms' weight
-    matrices are gone, and mu0, hbar and eps0 appear only in the published
-    ``*_variant`` forms."""
+    matrices are gone, and mu0, hbar and eps0 appear nowhere: the published
+    compact forms are pinned in ``tests/test_discrepancies.py``."""
     text = (Path(chipurcell.__file__).parent / "halfspace.py").read_text()
     assert text.count("RateBreakdown(") == 1
     assert text.count("k0 / (8.0 * np.pi)") == 1
@@ -104,9 +108,7 @@ def test_planar_assembly_is_written_once():
 
     names = {n.id for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)} | set(funcs)
     assert not names & {"_PAR", "_FULL_Z", "_CROSS_Z", "_D_PAR", "_chiral", "_d_par_sq", "contract"}
-    for node in ast.parse(text).body:
-        if not (isinstance(node, ast.FunctionDef) and node.name.endswith("_variant")):
-            assert not {"mu0", "hbar", "eps0"} & {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert not {"mu0", "hbar", "eps0"} & {n.attr for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute)}
     assert "_tensors" in calls("scatter_numeric") and "_tensors" in calls("_mirror_curl")
     contractions = {"gamma_ch_from_curl", "gamma_el_from_img"}
 
@@ -142,20 +144,35 @@ def _quarter_phase(omega=OMEGA):
     return TransitionDipoles([DEBYE, 0.0, 0.0], [1e-23j, 0.0, 0.0], omega, isotropic=True)
 
 
-@pytest.mark.parametrize("rates", [
+_HOT = MediumResponse(2.25, 1.0, 0.05, 1e110)
+_ABSORBING = MediumResponse(2.25 + 0.1j, 1.0, 0.05, OMEGA)
+
+
+@pytest.mark.parametrize("call", [
     # w**3 of the rates
-    lambda: rates_bulk(MediumResponse(2.25, 1.0, 0.05, 1e110), _quarter_phase(1e110)),
+    lambda: rates_bulk(_HOT, _quarter_phase(1e110)),
+    lambda: gamma_vacuum(_quarter_phase(1e110)),
+    lambda: gamma_ch_bulk(_HOT, _quarter_phase(1e110)),
+    lambda: gamma_el_bulk(_HOT, _quarter_phase(1e110)),
+    lambda: gamma_ch_lfc(CavityConfig(1e-120, _HOT), _quarter_phase(1e110)),
+    lambda: gamma_el_lfc(CavityConfig(1e-120, _HOT), _quarter_phase(1e110)),
     # n_r**5 of the cavity factors
     lambda: rates_lfc(CavityConfig(1e-9, MediumResponse(1e200, 1.0, 0.05, OMEGA)), _quarter_phase()),
-    # a**3 underflows to zero in the absorbing forms
-    lambda: rates_lfc(CavityConfig(1e-120, MediumResponse(2.25 + 0.1j, 1.0, 0.05, OMEGA)), _quarter_phase()),
+    # a**3 underflows to zero
+    lambda: rates_lfc(CavityConfig(1e-120, _ABSORBING), _quarter_phase()),
+    lambda: gamma_ch_lfc(CavityConfig(1e-120, _ABSORBING), _quarter_phase()),
+    lambda: gamma_el_lfc(CavityConfig(1e-120, _ABSORBING), _quarter_phase()),
+    lambda: curl_img_lfc(CavityConfig(1e-120, MediumResponse(2.25, 1.0, 0.05, OMEGA))),
+    lambda: onsager_coefficients(CavityConfig(1e-120, MediumResponse(2.25, 1.0, 0.05, OMEGA))),
     # |2 eps + 1|**2 of the absorbing electric form
     lambda: rates_lfc(CavityConfig(1e-9, MediumResponse(1e300 + 1j, 1.0, 0.05, OMEGA)), _quarter_phase()),
-], ids=["bulk-omega", "lfc-lossless-eps", "lfc-radius", "lfc-absorbing-eps"])
-def test_rates_beyond_the_float_range_end_typed(rates):
+], ids=["bulk-omega", "gamma_vacuum", "gamma_ch_bulk", "gamma_el_bulk", "gamma_ch_lfc-lossless",
+        "gamma_el_lfc-lossless", "lfc-lossless-eps", "lfc-radius", "gamma_ch_lfc-absorbing",
+        "gamma_el_lfc-absorbing", "curl_img_lfc", "onsager_coefficients", "lfc-absorbing-eps"])
+def test_rates_beyond_the_float_range_end_typed(call):
     # each raised a bare OverflowError or ZeroDivisionError to the caller
     with pytest.raises(PhysicsError, match="left the float range"):
-        rates()
+        call()
 
 
 def test_breakdown_beyond_the_float_range_is_refused():
@@ -178,16 +195,21 @@ def test_refractive_index_is_the_principal_root(eps):
 
 
 def test_float_range_conversion_is_written_once():
-    """Every rates function goes through ``rates._ends_typed``; the CLI keeps
-    a conversion of its own for the parsing before any rate runs."""
+    """One handler, ``rates._ends_typed``, turns float-range errors into
+    PhysicsError; exactly these functions carry it: each public function
+    whose own arithmetic can leave the float range, the tail of every planar
+    rate and the CLI's scenario runner, which also covers the parsing."""
     src = Path(chipurcell.__file__).parent
     handler = "except (OverflowError, ZeroDivisionError)"
     counts = {p.name: p.read_text().count(handler) for p in src.glob("*.py")}
-    assert {name: n for name, n in counts.items() if n} == {"rates.py": 1, "cli.py": 1}
-    for module, func in (("bulk", "rates_bulk"), ("onsager", "rates_lfc"), ("halfspace", "_planar_rates")):
-        tree = ast.parse((src / f"{module}.py").read_text())
-        (node,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == func]
-        assert [ast.unparse(d) for d in node.decorator_list] == ["_ends_typed"]
+    assert {name: n for name, n in counts.items() if n} == {"rates.py": 1}
+    decorated = {f"{p.stem}.{f.name}": list(map(ast.unparse, f.decorator_list)) for p in src.glob("*.py")
+                 for f in ast.parse(p.read_text()).body
+                 if isinstance(f, ast.FunctionDef) and "_ends_typed" in map(ast.unparse, f.decorator_list)}
+    assert decorated == dict.fromkeys([
+        "rates.gamma_vacuum", "bulk.gamma_ch_bulk", "bulk.gamma_el_bulk", "onsager.onsager_coefficients",
+        "onsager.curl_img_lfc", "onsager.gamma_ch_lfc", "onsager.gamma_el_lfc", "halfspace._planar_rates",
+        "cli.run_scenario"], ["_ends_typed"])
 
 
 class TestRotatoryStrength:
@@ -227,16 +249,6 @@ class TestChiralContraction:
         a, b = 2.5, -1.3
         g = lambda t: gamma_ch_from_curl(t, mol_aniso)
         assert g(a * t1 + b * t2) == pytest.approx(a * g(t1) + b * g(t2), rel=1e-12)
-
-    def test_orderings_differ_by_symmetric_sign(self, rng, mol_aniso):
-        sym = rng.normal(size=(3, 3))
-        sym = sym + sym.T
-        asym = rng.normal(size=(3, 3))
-        asym = asym - asym.T
-        for t, rel_sign in ((sym, -1.0), (asym, 1.0)):
-            a = gamma_ch_from_curl(t, mol_aniso, Contraction.BULK_LOCKED)
-            b = gamma_ch_from_curl(t, mol_aniso, Contraction.PLANAR_PAPER)
-            assert a == pytest.approx(rel_sign * b, rel=1e-12)
 
     @pytest.mark.parametrize("contraction", list(Contraction))
     def test_real_curl_contracts_as_its_complex_cast(self, rng, mol_iso, mol_aniso, contraction):

@@ -10,7 +10,7 @@ from chipurcell import (
     planar_reflections,
 )
 from chipurcell.errors import PoleError
-from conftest import OMEGA, reflections_at
+from conftest import DUALITY_MEDIA, OMEGA, reflections_at
 from oracles import chiral_reflections, polarization_vectors, textbook_fresnel
 
 
@@ -91,6 +91,18 @@ class TestGeneralCoefficients:
         f_ss, _, f_sp = reflections_at(flipped, k)
         assert f_sp == pytest.approx(-r_sp, rel=1e-13)
         assert f_ss == pytest.approx(r_ss, rel=1e-13)
+
+    @pytest.mark.parametrize("eps, mu, kappa", DUALITY_MEDIA)
+    def test_duality_exchanges_the_diagonal_and_keeps_the_cross(self, eps, mu, kappa):
+        """Swapping eps and mu exchanges r_ss with r_pp and keeps r_sp, on
+        the real segment, the imaginary axis and the steepest-descent path."""
+        tail = np.logspace(-3, 3, 50)
+        x = np.concatenate([np.linspace(0.01, 1.0, 50), 1j * tail, 1.0 + 1j * tail])
+        med = MediumResponse(eps, mu, kappa, OMEGA)
+        r_ss, r_pp, r_sp = planar_reflections(med, x * med.k0)
+        d_ss, d_pp, d_sp = planar_reflections(MediumResponse(mu, eps, kappa, OMEGA), x * med.k0)
+        for r, d in ((r_ss, d_pp), (r_pp, d_ss), (r_sp, d_sp)):
+            assert np.all(np.abs(d - r) <= 1e-15 * np.maximum(1.0, np.abs(r)))
 
 
 class TestGrazingIncidence:
