@@ -29,8 +29,8 @@ keeps its sign, and a non-finite value is written nan, inf or -inf.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
+import math
 import sys
 from typing import Optional
 
@@ -165,6 +165,20 @@ def _complex_from(node, where, omega: float) -> complex:
 
 
 def _vector3_from(node, where) -> np.ndarray:
+    """Three components, each a finite number or an [re, im] pair of them.
+    Three pairs of floats, as a JSON dipole is written, are read in one
+    pass; any other vector goes component by component, which names the
+    first component that is not one."""
+    if type(node) is list and len(node) == 3:
+        p, q, r = node
+        if type(p) is type(q) is type(r) is list and len(p) == len(q) == len(r) == 2:
+            (a, b), (c, d), (e, f) = p, q, r
+            # a JSON number with a fraction or an exponent is a float; the sum
+            # of six finite floats is finite unless it overflows, and then
+            # the vector takes the long way
+            if (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float
+                    and math.isfinite(a + b + c + d + e + f)):
+                return np.array([complex(a, b), complex(c, d), complex(e, f)])
     if not (isinstance(node, list) and len(node) == 3):
         raise SchemaError(f"{_path(where)}: expected a 3-element array of [re, im] pairs")
     return np.array([_number_from(c, (where, i)) for c, i in zip(node, ("[0]", "[1]", "[2]"))], dtype=complex)
@@ -194,15 +208,19 @@ def parse_medium(node, omega: float, where="medium") -> MediumResponse:
                           _complex_from(node["kappa"], (where, ".kappa"), omega), omega)
 
 
+# the ``method.limit`` values; ``"auto"`` takes the exact planar pathway,
+# ``Limit.NUMERIC``, for the mirror and the half-space at every distance, and
+# the closed forms are taken only by name
+_LIMITS = {"auto": Limit.NUMERIC, **{limit.value: limit for limit in Limit}}
+_HANDEDNESS = {hand.value: hand for hand in Handedness}
+
+
 def _choose_limit(name) -> Limit:
-    """The ``method.limit`` value; ``"auto"`` takes the exact planar
-    pathway, ``Limit.NUMERIC``, for the mirror and the half-space at every
-    distance. The closed forms are taken only by name."""
-    if name == "auto":
-        return Limit.NUMERIC
-    if name in ("retarded", "nonretarded", "numeric"):
-        return Limit(name)
-    raise SchemaError(f"method.limit: unknown value {name!r}")
+    """The ``method.limit`` value (``_LIMITS``)."""
+    limit = _LIMITS.get(name) if isinstance(name, str) else None  # a JSON list or object is no key
+    if limit is None:
+        raise SchemaError(f"method.limit: unknown value {name!r}")
+    return limit
 
 
 def parse_quadrature(node) -> QuadratureSpec:
@@ -252,9 +270,10 @@ def run_scenario(scenario: dict) -> tuple[RateBreakdown, dict]:
     annotations = {"geometry": kind, "limit": limit.value}
     if kind == "mirror":
         hand = geometry["handedness"]
-        if hand not in ("right", "left"):
+        handedness = _HANDEDNESS.get(hand) if isinstance(hand, str) else None
+        if handedness is None:
             raise SchemaError(f"geometry.handedness: must be 'right' or 'left', got {hand!r}")
-        rates, geom, options = rates_mirror, PlanarGeometry(z_m=z_m, handedness=Handedness(hand)), {}
+        rates, geom, options = rates_mirror, PlanarGeometry(z_m=z_m, handedness=handedness), {}
     else:
         rates, geom, options = rates_halfspace, PlanarGeometry(z_m=z_m, medium=med), {"spec": quad}
     breakdown = rates(geom, mol, limit, **options)
@@ -343,8 +362,10 @@ def _rate_csv(d: dict) -> str:
 # Sweep parameter addressing
 # ---------------------------------------------------------------------------
 
-def _set_path(scenario: dict, path: str, value: float) -> None:
-    """Set a scalar scenario field by dotted path.
+def _set_path(scenario: dict, path: str, value: float) -> dict:
+    """A copy of ``scenario`` with the scalar field at a dotted path set to
+    ``value``. Only the objects on the path and an [re, im] leaf are
+    copied; the rest is shared, and ``scenario`` is left as it was.
 
     Complex [re, im] leaves accept trailing '.re' / '.im' selectors; a bare
     path to a [re, im] leaf sets the real part.
@@ -354,22 +375,25 @@ def _set_path(scenario: dict, path: str, value: float) -> None:
     if parts[-1] in ("re", "im"):
         sel = parts[-1]
         parts = parts[:-1]
-    node = scenario
+    top = node = dict(scenario) if isinstance(scenario, dict) else scenario
     for p in parts[:-1]:
         if not isinstance(node, dict) or p not in node:
             raise SchemaError(f"sweep param path {path!r}: no field {p!r}")
+        if isinstance(node[p], dict):
+            node[p] = dict(node[p])
         node = node[p]
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise SchemaError(f"sweep param path {path!r}: no field {leaf!r}")
     cur = node[leaf]
     if isinstance(cur, list) and len(cur) == 2:
-        idx = 1 if sel == "im" else 0
-        cur[idx] = value
+        node[leaf] = cur = list(cur)
+        cur[1 if sel == "im" else 0] = value
     elif isinstance(cur, (int, float)) and sel is None:
         node[leaf] = value
     else:
         raise SchemaError(f"sweep param path {path!r}: target is not a scalar")
+    return top
 
 
 def run_sweep(scenario: dict, param: str, lo: float, hi: float, points: int, log: bool) -> list[str]:
@@ -384,8 +408,7 @@ def run_sweep(scenario: dict, param: str, lo: float, hi: float, points: int, log
         grid = np.linspace(lo, hi, points)
     lines = [SWEEP_CSV_HEADER]
     for x in grid:
-        scen = copy.deepcopy(scenario)
-        _set_path(scen, param, float(x))
+        scen = _set_path(scenario, param, float(x))
         try:
             b, _ = run_scenario(scen)
             row = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.s_disc, b.method.value, "ok")

@@ -10,12 +10,13 @@ realistic chiral half-space has all four coefficients, with the cross ones
 odd in the medium's kappa and obeying r_ps = -r_sp (reciprocity).
 
 Every planar rate, closed form or numeric, is one contraction of its Green
-tensors: each limit gives five entries, ``_tensors`` lays them out and
-``_planar_rates`` applies the master formulas of chipurcell.rates (the
-``PLANAR_PAPER`` ordering). Every reflection set is the triple
-(r_ss, r_pp, r_sp), r_ps = -r_sp; the cross coefficient of
-``planar_reflections`` is oriented so that its large k-parallel limit
-coincides with ``fresnel_nonretarded``.
+tensors: each limit gives five entries as Python floats, ``_tensors`` lays
+them out as rows and ``_planar_rates`` applies the master formulas of
+chipurcell.rates (the ``PLANAR_PAPER`` ordering) to those rows, through the
+one contraction ``rates.contract``; no 3x3 array is built on the way. Every
+reflection set is the triple (r_ss, r_pp, r_sp), r_ps = -r_sp; the cross
+coefficient of ``planar_reflections`` is oriented so that its large
+k-parallel limit coincides with ``fresnel_nonretarded``.
 
 The numeric pathway (``scatter_numeric``) evaluates the exact wavevector
 integrals of the scattering Green's tensor of a half-space and is the
@@ -24,7 +25,10 @@ vacuum perpendicular wave number is deformed onto the steepest-descent
 path x = k_perp/k0 = 1 + i tau, on which exp(2i k_perp z) decays like
 exp(-2 k0 z tau) without oscillating, so one adaptive integral over tau
 covers any distance. It is seeded at powers of two on the scales of the
-decay and of the reflections, so distances meet the same panels. Branch cuts inside the swept strip
+decay and of the reflections, so distances meet the same panels, and each
+seed array keeps its seed round (its checked panel ends, their nodes and
+the round's store key), built the first time a point uses it. Branch cuts
+inside the swept strip
 are integrated around as hairpins in the same integrand (deformed
 Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a
 reflection pole inside it, which only gain can put there, raises
@@ -34,9 +38,9 @@ tensor entries, and the reflections come from one cached per-medium plan
 plan keeps the integrand's node values per panel before the distance
 enters (``_Plan.values_at``), so a sweep over distances evaluates each
 panel of a medium once, and a round it has seen whole is served by one
-lookup. The perfect mirror's reflections are constant, so
-``_mirror_curl`` assembles its elementary totals the same way and runs no
-quadrature.
+lookup. The perfect mirror's reflections are constant, so its totals are
+elementary (``_mirror_totals``): they are assembled the same way, and no
+quadrature runs.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -74,7 +78,7 @@ from .rates import (
     gamma_el_from_img,
     gamma_vacuum,
 )
-from .sommerfeld import QuadratureResult, QuadratureSpec, integrate
+from .sommerfeld import QuadratureResult, QuadratureSpec, _Seeds, integrate
 
 
 # the k0 z ranges in which the closed forms hold: the nonretarded limit
@@ -209,14 +213,17 @@ class _Plan:
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
 
-    def values_at(self, tau: np.ndarray, k0: float) -> np.ndarray:
+    def values_at(self, tau: np.ndarray, k0: float, key: Optional[bytes] = None) -> np.ndarray:
         """The values at the (panels, 15) nodes ``tau`` of one round, as a
         new (1 + hairpins, channels, panels, 15) array. Only the panels not
         kept are evaluated, in one call of ``_amplitudes`` and
         ``_reflections``, and kept; a round they would not fit in is
         evaluated whole and kept nowhere. PoleError, with nothing kept, if
-        a value is not finite (``k0`` names its node in 1/m)."""
-        key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
+        a value is not finite (``k0`` names its node in 1/m). ``key`` is
+        the round's ``_store_key``, formed here unless the caller keeps it
+        (a seed round's, ``_PathSeeds.key``)."""
+        if key is None:
+            key = _store_key(tau)
         with self._lock:  # two threads must not fill the same free slots
             slots = self._rounds.get(key)
             if slots is None:
@@ -264,6 +271,13 @@ class _Plan:
 
 # the plan of a medium (``_Plan``), built once per (eps, mu, kappa)
 _plan = functools.lru_cache(maxsize=128)(_Plan)
+
+
+def _store_key(tau: np.ndarray) -> bytes:
+    """The key under which ``_Plan.values_at`` indexes the round of the
+    (panels, 15) nodes ``tau``: the bytes of each panel's centre and last
+    node, which name its panel at any distance."""
+    return tau[:, 7::7].tobytes()
 
 
 def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -429,11 +443,8 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
 
 # the channels of scatter_numeric, in order; curl zz is twice curl xx
 _CHANNELS = ("curl xx", "curl x-y", "G xx", "G zz")
-# a planar tensor whose entries all vanish (``_tensors``): ``_planar_rates`` does not contract it
-_ZERO = np.zeros((3, 3))
-_ZERO.flags.writeable = False
 # the path's totals are of the order of |r| (2 k0 z)^-3 (the mirror's moment
-# is 2/(2 k0 z)^3, ``_mirror_curl``), past the float range below this k0 z
+# is 2/(2 k0 z)^3, ``_mirror_totals``), past the float range below this k0 z
 # (about 8.9e-104); a reflection above 1/2 overflows them a little above it,
 # and ``_tensors`` refuses what overflowed
 _K0Z_MIN = 0.5 / float(np.finfo(float).max) ** (1.0 / 3.0)
@@ -455,7 +466,7 @@ def _run_quadrature(res: QuadratureResult) -> np.ndarray:
     )
 
 
-def _path_seeds(k0z: float) -> np.ndarray:
+def _path_seeds(k0z: float) -> _PathSeeds:
     """The seeds in tau of the path: 0, then powers of two in two runs. The
     first covers the scales on which the reflections vary, 1/4 to 8; the
     second the decay, from half its scale 2^floor(log2(1/(2 k0 z))) to the
@@ -466,21 +477,32 @@ def _path_seeds(k0z: float) -> np.ndarray:
     decay has not begun, so a point has 7 to 15 seed panels at any
     distance. Each seed is fixed over an octave of k0 z, and every panel but
     the bridge, and every half of one, is a dyadic interval that every
-    distance meets. The seeds of a pair of octaves are built once, as one
-    read-only array (``_seeds_between``)."""
+    distance meets. The seeds of a pair of octaves are built once
+    (``_seeds_between``), as an immutable ``_PathSeeds`` tuple that keeps
+    its seed round once a point has used it."""
     first = math.frexp(1.0 / (2.0 * k0z))[1] - 1  # floor(log2): frexp's mantissa is in [1/2, 1)
     mantissa, exponent = math.frexp(40.0 / (2.0 * k0z))
     return _seeds_between(first, exponent - 1 if mantissa == 0.5 else exponent)
 
 
-@functools.lru_cache(maxsize=None)  # the float range holds about 2,700 pairs, under 1 MB of seeds
-def _seeds_between(first: int, last: int) -> np.ndarray:
+class _PathSeeds(_Seeds):
+    """The path's seeds, whose seed round (``round``, built by
+    ``integrate`` on first use) also keeps its ``_store_key``: a point
+    that uses seeds met before neither checks them nor builds their nodes
+    or their round's key."""
+
+    @functools.cached_property
+    def key(self) -> bytes:
+        return _store_key(self.round.nodes)
+
+
+# the float range holds about 2,700 pairs; a pair's seeds and seed round take about 3 kB
+@functools.lru_cache(maxsize=None)
+def _seeds_between(first: int, last: int) -> _PathSeeds:
     """``_path_seeds`` of a decay scale 2^first and a tail end 2^last."""
     near = range(min(-2, first), min(3, last) + 1)
     decay = range(max(4, first - 1), last + 1)
-    seeds = np.array([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
-    seeds.flags.writeable = False
-    return seeds
+    return _PathSeeds([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
 
 
 def scatter_numeric(
@@ -527,11 +549,17 @@ def scatter_numeric(
     raises PoleError, and a k0 z so small that the totals overflow
     PhysicsError.
     """
-    med = geom.medium
-    if med is None:
+    if geom.medium is None:
         raise PhysicsError("the planar numeric pathway requires a medium")
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
+    curl, img_g = _tensors(*_assemble(_path_totals(geom.medium, k0, k0z, spec), k0, k0z))
+    return np.array(curl), np.array(img_g)
+
+
+def _path_totals(med: MediumResponse, k0: float, k0z: float, spec: QuadratureSpec) -> list:
+    """The four complex totals of the ``_CHANNELS`` over tau on the path,
+    the one integral of ``scatter_numeric``, as Python complex numbers."""
     plan = _plan(med.eps, med.mu, med.kappa)
     if plan.poles:
         raise PoleError(
@@ -544,73 +572,76 @@ def scatter_numeric(
                            "of order (2 k0 z)^-3, overflow")
     phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in plan.hairpins]  # of each hairpin, relative to the path
     rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
+    seeds = _path_seeds(k0z)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        values = plan.values_at(tau, k0)
+        # the seed round's nodes are its own array: its store key is kept with it
+        values = plan.values_at(tau, k0, seeds.key if tau is seeds.round.nodes else None)
         total = values[0]
         for side, phase in zip(values[1:], phases):
             side *= phase
             total += side
         return total * np.exp(rate * tau)  # a new array: faster than in place, for a complex one
 
-    with np.errstate(over="ignore"):  # totals past the float range: _tensors refuses them
-        res = integrate(integrand, _path_seeds(k0z), spec)
-    xx, asym, g_xx, g_zz = _assemble(_run_quadrature(res).tolist(), k0, k0z)
-    return _tensors(xx, 2.0 * xx, asym, g_xx, g_zz)
+    # totals past the float range, which _tensors refuses, at any k0 z: the
+    # reflections of a medium _Plan accepts have no bound on the path (eps one
+    # float above -1 overflows them at k0 z 1e-80), so no k0 z is safe
+    with np.errstate(over="ignore"):
+        res = integrate(integrand, seeds, spec)
+    return _run_quadrature(res).tolist()
 
 
 def _assemble(totals, k0: float, k0z: float) -> tuple:
-    """(curl Im G xx, x-y; Im G xx, zz), in 1/m^2 and 1/m, from the four
-    complex totals of the ``_CHANNELS`` over tau on the path x = 1 + i tau,
-    whose phase exp(2i k0 z) multiplies them once here."""
+    """The five entries of ``_tensors`` (curl Im G xx, zz, x-y; Im G xx,
+    zz), in 1/m^2 and 1/m, from the four complex totals of the
+    ``_CHANNELS`` over tau on the path x = 1 + i tau, whose phase
+    exp(2i k0 z) multiplies them once here; curl zz is twice curl xx."""
     phase = cmath.exp(2j * k0z)
     xx, asym, g_xx, g_zz = [phase * total for total in totals]
     # the t = k0 tau Jacobian, and the prefactors -i k0/(8 pi) of curl G and
     # i/(8 pi) of G, whose channels are written over i and 2i
     pre = k0 / (8.0 * np.pi)
-    return -pre * k0 * xx.real, -pre * k0 * asym.real, pre * g_xx.imag, 2.0 * pre * g_zz.imag
+    xx = -pre * k0 * xx.real
+    return xx, 2.0 * xx, -pre * k0 * asym.real, pre * g_xx.imag, 2.0 * pre * g_zz.imag
 
 
-def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
-    """curl Im G of the perfect chiral mirror, a real 3x3 array: the
-    integral of ``scatter_numeric`` in closed form.
+def _mirror_totals(geom: PlanarGeometry, k0z: float) -> tuple:
+    """The ``_CHANNELS`` totals of the perfect chiral mirror: the integral
+    of ``scatter_numeric`` in closed form.
 
     Its reflections are constant (r_ss = r_pp = 0, r_sp = +-1), so only the
     curl xx channel is nonzero, and on the path x = 1 + i tau it is
     +-int_0^inf (tau^2 - 2i tau) e^{-s tau} dtau = +-(2/s^3 - 2i/s^2) with
-    s = 2 k0 z. That total is assembled as the quadrature totals are
-    (``_assemble``), and the matrix is diag(xx, xx, 2 xx), with
+    s = 2 k0 z. It is assembled as the quadrature totals are
+    (``_assemble``), into curl Im G = diag(xx, xx, 2 xx) with
     xx -> -+1/(32 pi k0 z^3) in the near field and -+sin(2 k0 z)/(16 pi z^2)
     in the far field: the entries of the two closed forms.
     """
+    u = 1.0 / (2.0 * k0z)  # 1/s: its powers vanish in the far field rather than overflow
+    return geom.handedness.sign * (2.0 * u**3 - 2j * u**2), 0j, 0j, 0j
+
+
+def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
+    """curl Im G of the perfect chiral mirror (``_mirror_totals``), a real
+    3x3 array."""
     k0 = omega / CONSTANTS.c
     k0z = k0 * geom.z_m
-    u = 1.0 / (2.0 * k0z)  # 1/s: its powers vanish in the far field rather than overflow
-    xx = _assemble((geom.handedness.sign * (2.0 * u**3 - 2j * u**2), 0j, 0j, 0j), k0, k0z)[0]
-    return _tensors(xx, 2.0 * xx, 0.0, 0.0, 0.0)[0]
+    return np.array(_tensors(*_assemble(_mirror_totals(geom, k0z), k0, k0z))[0])
 
 
-def _tensors(xx: float, zz: float, xy: float, g_xx: float, g_zz: float) -> tuple[np.ndarray, np.ndarray]:
-    """(curl Im G, Im G) in front of a planar interface, real 3x3 arrays,
-    from the five entries its symmetry about z leaves: curl Im G xx (= yy),
-    zz and x-y (= -y-x), in 1/m^2, and Im G xx (= yy) and zz, in 1/m. A
-    tensor whose entries all vanish is the shared, read-only ``_ZERO``.
-    PhysicsError where an entry, or the trace an isotropic contraction sums,
-    has left the float range: no contraction meets an infinity."""
+def _tensors(xx: float, zz: float, xy: float, g_xx: float, g_zz: float) -> tuple[tuple, tuple]:
+    """(curl Im G, Im G) in front of a planar interface, each as its three
+    rows of Python floats, from the five entries its symmetry about z
+    leaves: curl Im G xx (= yy), zz and x-y (= -y-x), in 1/m^2, and Im G
+    xx (= yy) and zz, in 1/m. PhysicsError where an entry, or the trace an
+    isotropic contraction sums, has left the float range: no contraction
+    meets an infinity."""
     # sums of Python floats: they overflow to inf silently, where numpy's warn
     if not (math.isfinite(xx + xx + zz + xy) and math.isfinite(g_xx + g_xx + g_zz)):
         raise PhysicsError("the arithmetic left the float range: curl Im G xx, zz, x-y = %g, %g, %g; "
                            "Im G xx, zz = %g, %g" % (xx, zz, xy, g_xx, g_zz))
-    curl = img_g = _ZERO
-    if xx or zz or xy:
-        curl = np.zeros((3, 3))  # filled: faster than np.array or np.diag
-        curl[0, 0] = curl[1, 1] = xx
-        curl[0, 1], curl[1, 0], curl[2, 2] = xy, -xy, zz
-    if g_xx or g_zz:
-        img_g = np.zeros((3, 3))
-        img_g[0, 0] = img_g[1, 1] = g_xx
-        img_g[2, 2] = g_zz
-    return curl, img_g
+    return (((xx, xy, 0.0), (-xy, xx, 0.0), (0.0, 0.0, zz)),
+            ((g_xx, 0.0, 0.0), (0.0, g_xx, 0.0), (0.0, 0.0, g_zz)))
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +674,18 @@ def _round_trip(w: float, z: float) -> float:
 
 @_ends_typed
 def _planar_rates(geom: PlanarGeometry, mol: TransitionDipoles, method: Method, nd_with_el: bool,
-                  tensors: Callable[..., tuple], *args) -> RateBreakdown:
-    """The one tail of every planar rate: contracts the (curl Im G, Im G) of
-    ``tensors(geom, omega, *args)`` with the master formulas (``PLANAR_PAPER``
-    ordering) into vacuum plus scattering rates, s_disc = g_ch / g_nd with
-    g_nd = g_vac (+ g_el where ``nd_with_el``). A vanishing tensor (``_ZERO``)
-    is not contracted: its rate is 0.0, never a -0.0 of signed zeros. An
-    OverflowError or ZeroDivisionError of the entries raises PhysicsError."""
-    curl, img_g = tensors(geom, mol.omega_ik, *args)
-    g_ch = 0.0 if curl is _ZERO else gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER)
-    g_el = 0.0 if img_g is _ZERO else gamma_el_from_img(img_g, mol)
+                  entries: Callable[..., tuple], *args) -> RateBreakdown:
+    """The one tail of every planar rate: lays out the five entries of
+    ``entries(geom, omega, *args)`` (``_tensors``) and contracts them with
+    the master formulas (``PLANAR_PAPER`` ordering) into vacuum plus
+    scattering rates, s_disc = g_ch / g_nd with g_nd = g_vac (+ g_el where
+    ``nd_with_el``). A tensor whose entries all vanish is not contracted:
+    its rate is 0.0, never a -0.0 of signed zeros. An OverflowError or
+    ZeroDivisionError of the entries raises PhysicsError."""
+    xx, zz, xy, g_xx, g_zz = entries(geom, mol.omega_ik, *args)
+    curl, img_g = _tensors(xx, zz, xy, g_xx, g_zz)
+    g_ch = gamma_ch_from_curl(curl, mol, Contraction.PLANAR_PAPER) if xx or zz or xy else 0.0
+    g_el = gamma_el_from_img(img_g, mol) if g_xx or g_zz else 0.0
     g_vac = gamma_vacuum(mol)
     return RateBreakdown(
         gamma_el=g_el, gamma_ch=g_ch, gamma_vac=g_vac, gamma_total=g_vac + g_el + g_ch,
@@ -670,7 +703,7 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
       The electric rate mu0 w^2 |d_par|^2 sin s/(8 pi hbar z) is consistent
       in units with the master formula.
     * NONRETARDED: curl xx = -sgn/(32 pi k0 z^3), zz = 2 xx.
-    * NUMERIC: the exact curl xx of ``_mirror_curl``, zz = 2 xx: constant
+    * NUMERIC: the exact curl xx of ``_mirror_totals``, zz = 2 xx: constant
       reflections make the wavevector integral elementary, and the vanishing
       diagonal ones leave Im G = 0.
 
@@ -682,20 +715,22 @@ def rates_mirror(geom: PlanarGeometry, mol: TransitionDipoles, limit: Limit) -> 
     if geom.handedness is None:
         raise PhysicsError("mirror geometry requires a handedness")
     _warn_limit(limit, mol.omega_ik / CONSTANTS.c * geom.z_m)
-    return _planar_rates(geom, mol, Method.CLOSED_FORM, False, _mirror_tensors, limit)
+    return _planar_rates(geom, mol, Method.CLOSED_FORM, False, _mirror_entries, limit)
 
 
-def _mirror_tensors(geom: PlanarGeometry, w: float, limit: Limit) -> tuple:
-    """The mirror's (curl Im G, Im G) in ``limit``; see ``rates_mirror``."""
-    if limit is Limit.NUMERIC:
-        return _mirror_curl(geom, w), _ZERO
+def _mirror_entries(geom: PlanarGeometry, w: float, limit: Limit) -> tuple:
+    """The mirror's five entries (``_tensors``) in ``limit``; see ``rates_mirror``."""
     z, sgn = geom.z_m, geom.handedness.sign
+    if limit is Limit.NUMERIC:
+        k0 = w / CONSTANTS.c
+        k0z = k0 * z
+        return _assemble(_mirror_totals(geom, k0z), k0, k0z)
     # successive divisions by z: a power of a small z_m would be subnormal
     if limit is Limit.RETARDED:
         g_xx = math.sin(_round_trip(w, z)) / (16.0 * math.pi * z)
-        return _tensors(-sgn * g_xx / z, 0.0, 0.0, g_xx, 0.0)
+        return -sgn * g_xx / z, 0.0, 0.0, g_xx, 0.0
     xx = -sgn * CONSTANTS.c / (32.0 * math.pi * w * z) / z / z
-    return _tensors(xx, 2.0 * xx, 0.0, 0.0, 0.0)
+    return xx, 2.0 * xx, 0.0, 0.0, 0.0
 
 
 def rates_halfspace(
@@ -737,15 +772,16 @@ def rates_halfspace(
         raise PhysicsError("half-space geometry requires a medium")
     _warn_limit(limit, mol.omega_ik / CONSTANTS.c * geom.z_m)
     method = Method.QUADRATURE if limit is Limit.NUMERIC else Method.CLOSED_FORM
-    return _planar_rates(geom, mol, method, True, _halfspace_tensors, limit, spec)
+    return _planar_rates(geom, mol, method, True, _halfspace_entries, limit, spec)
 
 
-def _halfspace_tensors(geom: PlanarGeometry, w: float, limit: Limit, spec: QuadratureSpec) -> tuple:
-    """The half-space's (curl Im G, Im G) in ``limit``; see ``rates_halfspace``."""
+def _halfspace_entries(geom: PlanarGeometry, w: float, limit: Limit, spec: QuadratureSpec) -> tuple:
+    """The half-space's five entries (``_tensors``) in ``limit``; see ``rates_halfspace``."""
     med, z = geom.medium, geom.z_m
-    if limit is Limit.NUMERIC:
-        return scatter_numeric(geom, w, spec)
     k0 = w / CONSTANTS.c
+    if limit is Limit.NUMERIC:
+        k0z = k0 * z
+        return _assemble(_path_totals(med, k0, k0z, spec), k0, k0z)
     if limit is Limit.RETARDED:
         r_ss, r_pp, r_sp = fresnel_retarded(med)
         arg = _round_trip(w, z)
@@ -754,9 +790,9 @@ def _halfspace_tensors(geom: PlanarGeometry, w: float, limit: Limit, spec: Quadr
         r_s = (cmath.sqrt(med.mu) - cmath.sqrt(med.eps)) / (cmath.sqrt(med.mu) + cmath.sqrt(med.eps))
         xx = -k0 * ((cos - 1.0) * r_sp.real + sin * r_sp.imag) / (8.0 * math.pi * z)
         xy = k0 * (cos * diag.real - sin * diag.imag) / (16.0 * math.pi * z)
-        return _tensors(xx, 0.0, xy, (cos * r_s.imag + sin * r_s.real) / (8.0 * math.pi * z), 0.0)
+        return xx, 0.0, xy, (cos * r_s.imag + sin * r_s.real) / (8.0 * math.pi * z), 0.0
     if not med.lossless:
         raise LosslessRequiredError("nonretarded closed forms require a lossless medium")
     r_ss, r_pp, r_sp = fresnel_nonretarded(med)
     xx = -r_sp.imag / (16.0 * math.pi * z) / z  # never z^2, which a small z_m makes subnormal
-    return _tensors(xx, 2.0 * xx, -k0 * (r_ss + r_pp).real / (16.0 * math.pi * z), 0.0, 0.0)
+    return xx, 2.0 * xx, -k0 * (r_ss + r_pp).real / (16.0 * math.pi * z), 0.0, 0.0

@@ -5,8 +5,9 @@ Two master contractions are provided:
 * the electric rate Gamma_el = (2 mu0 w^2 / hbar) d . Im G . d*,
 * the chiral rate   Gamma_ch = (4 mu0 w / hbar) Im[ d . (curl Im G) . m* ].
 
-Both tensors are plain 3x3 arrays at the molecule: Im G in 1/m and
-curl Im G in 1/m^2.
+Both tensors are 3x3 at the molecule, Im G in 1/m and curl Im G in 1/m^2:
+arrays, or sequences of their three rows, such as the rows of Python floats
+in which every planar rate lays out its five entries.
 
 The ordering of d and m in the chiral contraction fixes a global sign for
 the symmetric part of the curl matrix (antisymmetric parts are insensitive
@@ -20,13 +21,16 @@ conventions differ by an overall sign of the symmetric-part contribution
 only; this mirrors a sign ambiguity between the bulk and planar families of
 closed forms that cannot be reconciled by any single ordering.
 
-Both formulas go through ``contract``, the one place that reads
-``TransitionDipoles.isotropic``; the bulk and cavity closed forms, whose
-tensors are multiples of the identity, are written in R = Im(d . m*) and
-|d|^2. For an isotropic molecule ``contract`` takes the rigid orientation
-average <a_i b_j*> = (1/3) delta_ij (a . b*), which turns any matrix
-contraction into (1/3) Tr: the parallel projection factor 2/3 (for
-diag(1,1,0) matrices) and the full+z factor 4/3 (for diag(1,1,2) matrices).
+Both formulas go through ``contract``, the one contraction of the package
+and the one place that reads ``TransitionDipoles.isotropic``; the bulk and
+cavity closed forms, whose tensors are multiples of the identity, are
+written in R = Im(d . m*) and |d|^2. ``contract`` sums the products of the
+tensor's entries, as Python numbers, with the dipole components, so an
+array and its rows give the same bits. For an isotropic molecule it takes
+the rigid orientation average <a_i b_j*> = (1/3) delta_ij (a . b*), which
+turns any matrix contraction into (1/3) Tr: the parallel projection factor
+2/3 (for diag(1,1,0) matrices) and the full+z factor 4/3 (for diag(1,1,2)
+matrices).
 """
 
 from __future__ import annotations
@@ -101,15 +105,22 @@ def _ends_typed(fn: Callable) -> Callable:
     return typed
 
 
-def contract(mol: TransitionDipoles, a: np.ndarray, t: np.ndarray, b: np.ndarray) -> complex:
+def contract(mol: TransitionDipoles, a: np.ndarray, t, b: np.ndarray) -> complex:
     """The dipole contraction a . t . b* for ``mol``, where a and b are its
-    dipoles and t is a real or complex 3x3 array; for an isotropic molecule,
-    its orientation average (1/3) Tr(t) (a . b*). The two master formulas
-    below are its callers. np.vdot(b, v) is v . b*, and a real t is cast by
-    the product with a, not before it."""
+    dipoles and t is real or complex, a 3x3 array or the sequence of its
+    three rows; for an isotropic molecule, its orientation average
+    (1/3) Tr(t) (a . b*). The two master formulas below are its callers.
+    An array is read as its rows of Python numbers, so an array and its
+    rows contract to the same bits: sum_j (sum_i a_i t_ij) b_j*, a real
+    entry cast by its product with a. np.vdot(b, a) is a . b*."""
+    rows = t.tolist() if isinstance(t, np.ndarray) else t
     if mol.isotropic:
-        return (t[0, 0] + t[1, 1] + t[2, 2]) * np.vdot(b, a) / 3.0
-    return np.vdot(b, np.dot(a, t))
+        return (rows[0][0] + rows[1][1] + rows[2][2]) * np.vdot(b, a) / 3.0
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    t0, t1, t2 = rows
+    return ((a0 * t0[0] + a1 * t1[0] + a2 * t2[0]) * b0.conjugate()
+            + (a0 * t0[1] + a1 * t1[1] + a2 * t2[1]) * b1.conjugate()
+            + (a0 * t0[2] + a1 * t1[2] + a2 * t2[2]) * b2.conjugate())
 
 
 def gamma_ch_from_curl(
@@ -120,24 +131,25 @@ def gamma_ch_from_curl(
     """Chiral decay-rate contribution from the curl of Im G at the molecule.
 
     ``curl`` is the 3x3 curl Im G at coincidence (units 1/m^2), real or
-    complex. Returns (4 mu0 w / hbar) * Im[d . T . m*] (default ordering;
+    complex, an array or its rows. Returns (4 mu0 w / hbar) * Im[d . T . m*] (default ordering;
     see module docstring), or the orientation-averaged (1/3) Tr form for
     isotropic molecules. Real-linear in the curl matrix.
     """
     pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
     a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
-    return pref * float(contract(mol, a, np.asarray(curl), b).imag)
+    return pref * float(contract(mol, a, curl, b).imag)
 
 
 def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
     """Electric decay-rate contribution (2 mu0 w^2 / hbar) d . Im G . d*.
 
-    ``img_g`` is the 3x3 Im G at coincidence (units 1/m). The contraction is
+    ``img_g`` is the 3x3 Im G at coincidence (units 1/m), an array or its
+    rows. The contraction is
     real for the symmetric matrices produced by reciprocal environments; the
     residual imaginary part is discarded.
     """
     pref = 2.0 * CONSTANTS.mu0 * mol.omega_ik**2 / CONSTANTS.hbar
-    return pref * float(contract(mol, mol.d, np.asarray(img_g), mol.d).real)
+    return pref * float(contract(mol, mol.d, img_g, mol.d).real)
 
 
 @_ends_typed

@@ -9,6 +9,11 @@ the scales of its decay and of its reflections. A panel's error estimate is
 QUADPACK's rescaled one (``_gk15``), and a seed round that meets every
 tolerance is the only round.
 
+Seeds that a caller uses again are a ``_Seeds`` tuple: its seed round
+(``_SeedRound``: the checked panel ends and their 15 nodes) is built the
+first time ``integrate`` meets it and kept with it, so that later calls
+neither check those seeds nor build those nodes again.
+
 An integrand is called once per refinement round with the (n, 15) nodes of
 n panels, must be elementwise over nodes, and returns (channels, n, 15)
 values. Several integrals that share one costly evaluation are channels of
@@ -20,6 +25,7 @@ so identical inputs give bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -86,16 +92,75 @@ class QuadratureResult:
     converged: bool
 
 
+def _panels(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(widths, nodes) of the panels [a, b]: the (panels, 15) nodes are
+    a + (b - a) * _U15, the one place they are built."""
+    width = b - a
+    return width, a[:, None] + width[:, None] * _U15
+
+
+def _checked(seeds: Sequence[float]) -> np.ndarray:
+    """``seeds`` as a 1-d float array (a scalar is one seed), checked to
+    hold at least two finite floats in strictly ascending order; raises
+    ValueError otherwise."""
+    seeds = np.array(seeds, dtype=float, copy=None, ndmin=1)
+    # a NaN fails every comparison, and ascending seeds are finite if their ends are
+    # (count_nonzero, not all(): the fixed cost of every call counts here)
+    if not (seeds.ndim == 1 and len(seeds) > 1 and -math.inf < seeds[0] and seeds[-1] < math.inf
+            and np.count_nonzero(seeds[:-1] < seeds[1:]) == len(seeds) - 1):
+        raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
+    return seeds
+
+
+class _SeedRound:
+    """The seed round of a ``_Seeds``, built once: the panel ends ``a`` and
+    ``b`` of its checked seeds, their widths and their (panels, 15)
+    ``nodes``, all read-only."""
+
+    __slots__ = ("a", "b", "width", "nodes")
+
+    def __init__(self, seeds: np.ndarray):
+        self.a, self.b = seeds[:-1], seeds[1:]
+        self.width, self.nodes = _panels(self.a, self.b)
+        for array in (seeds, self.width, self.nodes):
+            array.flags.writeable = False
+
+
+# The seed rounds of every ``_Seeds`` that ``integrate`` has met, by the id of
+# their panel starts ``a``: ``_gk15`` takes a seed round's widths and nodes
+# from here. Each entry holds its starts, so no other array can have their
+# id while it lives; a ``_Seeds`` is made once per seed array and kept by its
+# maker (``halfspace._seeds_between``), so this holds one entry per seed array.
+_SEED_ROUNDS: dict = {}
+
+
+class _Seeds(tuple):
+    """Seeds that are used again: an immutable tuple of floats whose seed
+    round (``round``) is built on first use and kept, so ``integrate``
+    checks these seeds and builds their nodes once."""
+
+    @functools.cached_property
+    def round(self) -> _SeedRound:
+        first = _SeedRound(_checked(self))  # a new array: a tuple is no array
+        _SEED_ROUNDS[id(first.a)] = first
+        return first
+
+
 def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
     """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends, a < b).
 
-    ``f`` is called once with the nodes of every panel, shape (panels, 15).
+    ``f`` is called once with the nodes of every panel, shape (panels, 15);
+    the nodes of a seed round of a ``_Seeds`` are the ones built with it.
     Returns (I15, err), each of shape (channels, panels). Every channel is
     reduced by the same weight products on its own row, so a channel's
     result does not depend on how many channels or panels travel with it.
     """
-    width = b - a
-    rows = np.asarray(f(a[:, None] + width[:, None] * _U15), dtype=complex)
+    seed = _SEED_ROUNDS.get(id(a))
+    if seed is not None and seed.a is a and seed.b is b:
+        width, x = seed.width, seed.nodes
+    else:
+        width, x = _panels(a, b)
+    rows = np.asarray(f(x), dtype=complex)
     # np.dot of a 3-d array takes one BLAS dot product per (channel, panel) row
     # and weight column, so a row's sums never depend on its companions; a
     # matrix product (matmul, or np.dot of 2-d arrays) would go to BLAS gemm,
@@ -124,7 +189,8 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     between the ``seeds``, which must be at least two finite floats in
     strictly ascending order (ValueError otherwise); raises QuadratureError
     when they make more than ``max_panels`` panels. Both are raised before
-    any call to f.
+    any call to f. A ``_Seeds`` is checked, and its seed round built, on
+    the first call that meets it only.
 
     Works in rounds, each one call of f: the seed panels, then both halves
     of every panel split in a round. A round ranks the panels by their worst
@@ -132,13 +198,12 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     removal leaves an error within tolerance in every channel (at least one
     panel, at most what ``max_panels`` still allows).
     """
-    seeds = np.array(seeds, dtype=float, copy=None, ndmin=1)  # a scalar is one seed
-    a, b = seeds[:-1], seeds[1:]
-    # a NaN fails every comparison, and ascending seeds are finite if their ends are
-    # (count_nonzero, not all(): the fixed cost of every call counts here)
-    if not (seeds.ndim == 1 and len(seeds) > 1 and -math.inf < seeds[0] and seeds[-1] < math.inf
-            and np.count_nonzero(a < b) == len(a)):
-        raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
+    if isinstance(seeds, _Seeds):
+        first = seeds.round
+        a, b = first.a, first.b
+    else:
+        seeds = _checked(seeds)
+        a, b = seeds[:-1], seeds[1:]
     if len(a) > spec.max_panels:
         raise QuadratureError(f"{len(a)} seed panels exceed max_panels = {spec.max_panels}")
     val, err = _gk15(f, a, b)

@@ -229,6 +229,38 @@ class TestSweep:
         assert float(row[2]) == b.gamma_ch
         assert float(row[1]) == b.gamma_el
 
+    @pytest.mark.parametrize("scenario, param, lo, hi", [
+        (BULK, "medium.kappa.re", -0.1, 0.1),
+        (BULK, "medium.eps.im", -0.1, 0.1),
+        (MIRROR, "geometry.z_m", 1.0e-6, 3.0e-6),
+        (NUMERIC, "molecule.omega_ik", 1e15, 4e15),
+        (LORENTZ_BULK, "medium.eps.omega0", 4e15, 6e15),
+    ], ids=["complex_re", "complex_im", "distance", "frequency", "model_field"])
+    def test_a_sweep_leaves_its_scenario_and_runs_each_point(self, scenario, param, lo, hi):
+        """A sweep copies only the objects on its swept path: the caller's
+        scenario is unchanged, and each row is the single run_scenario of
+        the scenario with that one field set."""
+        scen = copy.deepcopy(scenario)
+        lines = run_sweep(scen, param, lo, hi, 5, log=False)
+        assert scen == scenario
+        *parents, leaf = param.split(".")
+        for line, x in zip(lines[1:], np.linspace(lo, hi, 5)):
+            single = copy.deepcopy(scenario)
+            node = single
+            for key in parents if leaf in ("re", "im") else [*parents, leaf]:
+                parent, node = node, node[key]
+            if leaf in ("re", "im"):
+                node[leaf == "im"] = float(x)
+            else:
+                parent[leaf] = float(x)
+            try:
+                b, _ = run_scenario(single)
+            except (PhysicsError, QuadratureError) as exc:  # eps.im != 0: a bulk host must be lossless
+                assert line == "%.17g,nan,nan,nan,nan,none,error:%s" % (x, type(exc).__name__)
+            else:
+                row = (x, b.gamma_el, b.gamma_ch, b.gamma_vac, b.s_disc, b.method.value, "ok")
+                assert line == "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s" % row
+
     def test_failed_points_are_flagged(self):
         scen = copy.deepcopy(HALFSPACE)
         scen["medium"]["eps"] = [2.25, 0.1]  # lossy: nonretarded closed form refuses

@@ -470,6 +470,34 @@ class TestStore:
         assert [a.tobytes() for a in scatter_numeric(geom, W)] == first
 
     @pytest.mark.usefixtures("cold_store")
+    def test_a_seed_array_is_checked_and_laid_out_once(self, monkeypatch):
+        """The first point that meets a seed array checks its seeds and
+        builds its seed round: the panel ends, their nodes and the round's
+        store key. Every later point on those seeds, at any distance they
+        serve, checks and builds none of them; a point of one round then
+        builds no nodes at all."""
+        hs._seeds_between.cache_clear()
+        checked, nodes, keys, rounds = [], [], [], []
+        check, panels, store_key, gk15 = sommerfeld._checked, sommerfeld._panels, hs._store_key, sommerfeld._gk15
+        monkeypatch.setattr(sommerfeld, "_checked", lambda seeds: checked.append(len(seeds)) or check(seeds))
+        monkeypatch.setattr(sommerfeld, "_panels", lambda a, b: nodes.append(len(a)) or panels(a, b))
+        monkeypatch.setattr(hs, "_store_key", lambda tau: keys.append(len(tau)) or store_key(tau))
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
+        near, same_seeds, other = 1.0, 0.9, 4.0  # k0 z: 0.9 has the decay scale and tail end of 1.0, 4.0 not
+        seeds = hs._path_seeds(K0 * (near / K0))
+        assert hs._path_seeds(K0 * (same_seeds / K0)) is seeds is not hs._path_seeds(K0 * (other / K0))
+        scatter_numeric(PlanarGeometry(z_m=near / K0, medium=med), W)
+        assert len(rounds) == 1  # a point of one round: its seed round
+        assert checked == [len(seeds)] and nodes == keys == [len(seeds) - 1]
+        for k0z in (near, same_seeds, near):
+            scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
+        assert len(checked) == len(nodes) == len(keys) == 1
+        scatter_numeric(PlanarGeometry(z_m=other / K0, medium=med), W)
+        assert len(checked) == 2
+        hs._seeds_between.cache_clear()  # no round built through the spies stays cached
+
+    @pytest.mark.usefixtures("cold_store")
     def test_a_sweep_evaluates_each_panel_once(self, monkeypatch):
         """A 100-point log sweep of k0 z 0.01-100 on one medium evaluates at
         most 600 nodes: its distances share their panels."""

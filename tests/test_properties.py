@@ -25,6 +25,7 @@ from chipurcell import (
     rates_mirror,
     rotatory_strength,
 )
+import chipurcell.halfspace as hs
 from chipurcell.rates import contract
 from conftest import OMEGA
 
@@ -79,6 +80,28 @@ def test_contract_is_the_explicit_sum(a, b, t, isotropic):
         re, im = exact_sum((a[i], t[i, j], b[j].conjugate()) for i in range(3) for j in range(3))
         size = abs(a) @ abs(t) @ abs(b)
     assert math.hypot(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)) <= 4 * np.spacing(size)
+
+
+@given(cvec3, cvec3, st.tuples(*[moderate] * 5), st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_planar_rows_contract_as_their_arrays(a, b, entries, isotropic):
+    """Every planar rate contracts the rows of Python floats that
+    ``_tensors`` lays its five entries out in, through ``contract``: to the
+    bits of the same tensor as an array, to the bits of the array formula
+    (1/3) Tr(t) (a . b*) for an isotropic molecule, and within 1e-14 of
+    sum_ij |a_i t_ij b_j| of the array formula np.vdot(b, np.dot(a, t))
+    for any other."""
+    mol = TransitionDipoles(a, b, OMEGA, isotropic)
+    bits = lambda z: (float(z.real).hex(), float(z.imag).hex())
+    for rows in hs._tensors(*entries):
+        t = np.array(rows)
+        got = contract(mol, mol.d, rows, mol.m)
+        assert bits(got) == bits(contract(mol, mol.d, t, mol.m))
+        if isotropic:
+            assert bits(got) == bits((t[0, 0] + t[1, 1] + t[2, 2]) * np.vdot(mol.m, mol.d) / 3.0)
+        else:
+            size = abs(mol.d) @ abs(t) @ abs(mol.m)
+            assert abs(got - np.vdot(mol.m, np.dot(mol.d, t))) <= 1e-14 * size
 
 
 @given(cvec, cvec, finite, finite)

@@ -26,19 +26,28 @@ both trees, each under its own alias, into the tool's own process.
   mean of the per-point time ratio change/parent and the points each tree
   won: pairing each medium on both trees removes the spread between
   processes, so an A/A run (one tree as both) resolves a few percent.
-* ``layers`` splits one warm half-space point of ``near_field_numeric``
-  (all its panels stored) into minimum times over passes that alternate
-  the trees, in us, averaged over the pass's half-space points (or rounds,
-  for the last three): the whole ``run_point``, ``scatter_numeric``,
-  ``integrate``, ``_gk15`` with its integrand, the integrand, and the
-  plan's ``values_at``; and from these the self times of ``_gk15`` and
-  ``integrate`` and the part of ``scatter_numeric`` outside the integral.
+* ``layers`` splits the warm half-space points of ``near_field_numeric``
+  (all their panels stored) and its numeric mirror points into minimum
+  times over passes that alternate the trees, in us, averaged over the
+  pass's points of each kind (or rounds, for ``gk15``, ``integrand`` and
+  ``values_at``). For both kinds: the whole ``run_point``,
+  ``parse_molecule``, the ``rates_*`` call on parsed inputs, the planar
+  contraction of the point's five tensor entries (``_tensors`` and the two
+  master formulas) and building its ``RateBreakdown``; for half-space
+  points also ``parse_medium``, ``scatter_numeric``, ``integrate``,
+  ``_gk15`` with its integrand, the integrand and the plan's ``values_at``
+  (which forms the round's store key itself); for mirror points
+  ``_mirror_curl``. From these: the part of ``run_point`` outside the
+  rates call, the self times of ``_gk15`` and ``integrate`` and the part of
+  ``scatter_numeric`` outside the integral. Spies forward their arguments
+  as they come, so a tree whose private signatures differ still runs.
 * ``counts`` runs two passes of ``near_field_numeric`` in one process and
   counts, per pass, integrals, GK15 rounds, panels and the path nodes whose
   reflections were evaluated: counts that repeat on any machine.
 * ``values`` imports both trees into one process and reports how far the
   change moves every bench output (all workloads at the seeds, and their
-  anchors) and every ``scatter_numeric`` entry over the oracle media of
+  anchors; split into points of isotropic molecules, of anisotropic ones
+  and tables) and every ``scatter_numeric`` entry over the oracle media of
   ``tests/oracles.py``, relative to the larger of the two values.
 
 The last line of standard output is the JSON result.
@@ -146,60 +155,110 @@ def cold(args) -> dict:
             "points_won": {"change": sum(r < 1.0 for r in ratios), "parent": sum(r > 1.0 for r in ratios)}}
 
 
+def planar_contraction(hs, rates, mol, entries):
+    """The planar tail's contraction of the five tensor entries: their
+    layout (``_tensors``) and the two master formulas, each skipped for a
+    tensor whose entries all vanish, as the tail skips it."""
+    curl, img_g = hs._tensors(*entries)
+    g_ch = rates.gamma_ch_from_curl(curl, mol, rates.Contraction.PLANAR_PAPER) if any(entries[:3]) else 0.0
+    g_el = rates.gamma_el_from_img(img_g, mol) if any(entries[3:]) else 0.0
+    return g_ch, g_el
+
+
+def five_entries(curl, img_g) -> tuple:
+    """curl Im G xx, zz, x-y and Im G xx, zz of a planar tensor pair."""
+    curl, img_g = curl.tolist(), img_g.tolist()
+    return curl[0][0], curl[2][2], curl[0][1], img_g[0][0], img_g[2][2]
+
+
 def layers(args) -> dict:
     sys.path.insert(0, str(Path(args.parent).resolve() / "bench"))
+    import numpy as np
     import workloads
 
-    points = [p for p in workloads.generate("near_field_numeric", args.seed)
-              if p.label["geometry"] == "halfspace"]
+    pass_points = workloads.generate("near_field_numeric", args.seed)
+    groups = {kind: [p for p in pass_points if p.label["geometry"] == kind] for kind in ("halfspace", "mirror")}
     w = workloads.OMEGA
     k0 = w / 299792458.0
-    jobs = {}  # per tree, per layer: one call per point (or round)
+    jobs = {}  # per tree, per group, per layer: one call per point (or round)
     for side in ("parent", "change"):
         alias = f"{side}_chipurcell"
         load_tree(getattr(args, side), alias)
-        cli, hs, sf = (importlib.import_module(f"{alias}.{name}") for name in ("cli", "halfspace", "sommerfeld"))
+        cli, hs, sf, rates = (importlib.import_module(f"{alias}.{name}")
+                              for name in ("cli", "halfspace", "sommerfeld", "rates"))
         for _ in range(2):  # every panel stored, every round seen whole
-            for p in points:
+            for p in pass_points:
                 workloads.run_point(cli, p)
-        geoms = []
-        for p in points:
-            s = p.scenario
-            med = hs.MediumResponse(*(complex(*s["medium"][k]) for k in ("eps", "mu", "kappa")), w)
-            geoms.append(hs.PlanarGeometry(z_m=s["geometry"]["z_m"], medium=med))
-        calls, rounds, nodes = [], [], []
-        integrate, gk15 = hs.integrate, sf._gk15
-        hs.integrate = lambda f, seeds, spec: calls.append((f, seeds, spec)) or integrate(f, seeds, spec)
-        sf._gk15 = lambda f, a, b: rounds.append((f, a, b)) or gk15(lambda x: nodes.append(x) or f(x), a, b)
-        for g in geoms:
-            hs.scatter_numeric(g, w)
-        hs.integrate, sf._gk15 = integrate, gk15
-        plans = [hs._plan(g.medium.eps, g.medium.mu, g.medium.kappa) for g in geoms]
-        jobs[side] = {
-            "run_point": [lambda p=p, cli=cli: workloads.run_point(cli, p) for p in points],
-            "scatter_numeric": [lambda g=g, hs=hs: hs.scatter_numeric(g, w) for g in geoms],
-            "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
-            "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
-            "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
-            "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
-        }
-    best = {side: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
-            for side, by_layer in jobs.items()}
+        jobs[side] = {}
+        for kind, points in groups.items():
+            mols = [cli.parse_molecule(p.scenario["molecule"]) for p in points]
+            if kind == "halfspace":
+                geoms = [hs.PlanarGeometry(z_m=p.scenario["geometry"]["z_m"],
+                                           medium=cli.parse_medium(p.scenario["medium"], w)) for p in points]
+                tensors = [hs.scatter_numeric(g, w) for g in geoms]
+                rate = hs.rates_halfspace
+            else:
+                hands = {"right": hs.Handedness.RIGHT, "left": hs.Handedness.LEFT}
+                geoms = [hs.PlanarGeometry(z_m=p.scenario["geometry"]["z_m"],
+                                           handedness=hands[p.scenario["geometry"]["handedness"]]) for p in points]
+                tensors = [(hs._mirror_curl(g, w), np.zeros((3, 3))) for g in geoms]
+                rate = hs.rates_mirror
+            breakdowns = [rate(g, m, hs.Limit.NUMERIC) for g, m in zip(geoms, mols)]
+            entries = [five_entries(*t) for t in tensors]
+            layer = {
+                "run_point": [lambda p=p, cli=cli: workloads.run_point(cli, p) for p in points],
+                "parse_molecule": [lambda p=p, cli=cli: cli.parse_molecule(p.scenario["molecule"]) for p in points],
+                "rates": [lambda g=g, m=m, rate=rate, hs=hs: rate(g, m, hs.Limit.NUMERIC)
+                          for g, m in zip(geoms, mols)],
+                "contraction": [lambda m=m, e=e, hs=hs, rates=rates: planar_contraction(hs, rates, m, e)
+                                for m, e in zip(mols, entries)],
+                "RateBreakdown": [lambda b=b, rates=rates: rates.RateBreakdown(
+                    gamma_el=b.gamma_el, gamma_ch=b.gamma_ch, gamma_vac=b.gamma_vac, gamma_total=b.gamma_total,
+                    s_disc=b.s_disc, method=b.method, assembly=b.assembly) for b in breakdowns],
+            }
+            if kind == "halfspace":
+                calls, rounds, nodes = [], [], []
+                integrate, gk15 = hs.integrate, sf._gk15
+                hs.integrate = lambda *args: calls.append(args) or integrate(*args)
+                sf._gk15 = lambda f, *rest: rounds.append((f, *rest)) or gk15(lambda x: nodes.append(x) or f(x), *rest)
+                for g in geoms:
+                    hs.scatter_numeric(g, w)
+                hs.integrate, sf._gk15 = integrate, gk15
+                plans = [hs._plan(g.medium.eps, g.medium.mu, g.medium.kappa) for g in geoms]
+                layer.update({
+                    "parse_medium": [lambda p=p, cli=cli: cli.parse_medium(p.scenario["medium"], w) for p in points],
+                    "scatter_numeric": [lambda g=g, hs=hs: hs.scatter_numeric(g, w) for g in geoms],
+                    "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
+                    "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
+                    "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
+                    "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
+                })
+            else:
+                layer["mirror_curl"] = [lambda g=g, hs=hs: hs._mirror_curl(g, w) for g in geoms]
+            jobs[side][kind] = layer
+    best = {side: {kind: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
+                   for kind, by_layer in by_kind.items()} for side, by_kind in jobs.items()}
     for n in range(args.passes):  # the trees alternate, pass by pass
         for side in (("parent", "change") if n % 2 == 0 else ("change", "parent")):
-            for layer, timed in jobs[side].items():
-                for i, call in enumerate(timed):
-                    t = time.perf_counter()
-                    call()
-                    best[side][layer][i] = min(best[side][layer][i], time.perf_counter() - t)
+            for kind, by_layer in jobs[side].items():
+                for layer, timed in by_layer.items():
+                    for i, call in enumerate(timed):
+                        t = time.perf_counter()
+                        call()
+                        best[side][kind][layer][i] = min(best[side][kind][layer][i], time.perf_counter() - t)
     out = {}
-    for side, by_layer in best.items():
-        us = {layer: statistics.mean(times) * 1e6 for layer, times in by_layer.items()}
-        us["gk15_self"] = us["gk15"] - us["integrand"]
-        us["integrate_self"] = us["integrate"] - us["gk15"]
-        us["scatter_numeric_outside_integral"] = us["scatter_numeric"] - us["integrate"]
-        out[side] = us
-    return {"seed": args.seed, "points": len(points), "passes": args.passes, "us_per_point": out}
+    for side, by_kind in best.items():
+        out[side] = {}
+        for kind, by_layer in by_kind.items():
+            us = {layer: statistics.mean(times) * 1e6 for layer, times in by_layer.items()}
+            us["run_point_outside_rates"] = us["run_point"] - us["rates"]
+            if kind == "halfspace":
+                us["gk15_self"] = us["gk15"] - us["integrand"]
+                us["integrate_self"] = us["integrate"] - us["gk15"]
+                us["scatter_numeric_outside_integral"] = us["scatter_numeric"] - us["integrate"]
+            out[side][kind] = us
+    return {"seed": args.seed, "points": {kind: len(points) for kind, points in groups.items()},
+            "passes": args.passes, "us_per_point": out}
 
 
 def load_tree(tree: str, alias: str):
@@ -231,16 +290,20 @@ def values(args) -> dict:
         scale = np.maximum(np.abs(x), np.abs(y))
         return float(np.max(np.abs(x - y) / np.where(scale == 0, 1.0, scale), initial=0.0))
 
-    out = {"bench_outputs": {"points": 0, "bit_identical": 0, "largest_move": 0.0, "at": None}}
-    bench = out["bench_outputs"]
+    kinds = ("all", "isotropic", "anisotropic", "table")
+    out = {"bench_outputs": {kind: {"points": 0, "bit_identical": 0, "largest_move": 0.0, "at": None}
+                             for kind in kinds}}
     for workload in workloads.GENERATORS:
         points = [p for s in seed_list(args.seeds) for p in workloads.generate(workload, s)]
         for p in points + workloads.ANCHORS[workload]:
             a, b = (workloads.run_point(cli, p) for cli in clis)
-            bench["points"] += 1
-            bench["bit_identical"] += a == b
-            if a != b and move(a, b) > bench["largest_move"]:
-                bench["largest_move"], bench["at"] = move(a, b), p.label
+            kind = ("table" if p.scenario is None
+                    else "isotropic" if p.scenario["molecule"].get("isotropic") else "anisotropic")
+            for bench in (out["bench_outputs"]["all"], out["bench_outputs"][kind]):
+                bench["points"] += 1
+                bench["bit_identical"] += a == b
+                if a != b and move(a, b) > bench["largest_move"]:
+                    bench["largest_move"], bench["at"] = move(a, b), p.label
     w = 3.0e15
     k0 = w / 299792458.0
     entries = out["scatter_numeric"] = {"points": 0, "bit_identical_or_same_error": 0, "moved": []}
@@ -278,20 +341,20 @@ def counts(args) -> dict:
     tally = {}
     integrate, gk15, amplitudes = hs.integrate, sf._gk15, hs._amplitudes
 
-    def spy_integrate(f, seeds, spec):
-        res = integrate(f, seeds, spec)
+    def spy_integrate(*args):
+        res = integrate(*args)
         tally["integrals"] += 1
         tally["panels"] += res.panels_used
         return res
 
-    def spy_gk15(f, a, b):
+    def spy_gk15(*args):
         tally["rounds"] += 1
-        return gk15(f, a, b)
+        return gk15(*args)
 
-    def spy_amplitudes(plan, x):
+    def spy_amplitudes(plan, x, *rest):
         if x.ndim == 3:  # a batch of path panels (the pole search passes a 1-d array)
             tally["path_nodes"] += x[0].size
-        return amplitudes(plan, x)
+        return amplitudes(plan, x, *rest)
 
     hs.integrate, sf._gk15, hs._amplitudes = spy_integrate, spy_gk15, spy_amplitudes
     passes = []
