@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -165,20 +164,6 @@ def _complex_from(node, where, omega: float) -> complex:
 
 
 def _vector3_from(node, where) -> np.ndarray:
-    """Three components, each a finite number or an [re, im] pair of them.
-    Three pairs of floats, as a JSON dipole is written, are read in one
-    pass; any other vector goes component by component, which names the
-    first component that is not one."""
-    if type(node) is list and len(node) == 3:
-        p, q, r = node
-        if type(p) is type(q) is type(r) is list and len(p) == len(q) == len(r) == 2:
-            (a, b), (c, d), (e, f) = p, q, r
-            # a JSON number with a fraction or an exponent is a float; the sum
-            # of six finite floats is finite unless it overflows, and then
-            # the vector takes the long way
-            if (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is float
-                    and math.isfinite(a + b + c + d + e + f)):
-                return np.array([complex(a, b), complex(c, d), complex(e, f)])
     if not (isinstance(node, list) and len(node) == 3):
         raise SchemaError(f"{_path(where)}: expected a 3-element array of [re, im] pairs")
     return np.array([_number_from(c, (where, i)) for c, i in zip(node, ("[0]", "[1]", "[2]"))], dtype=complex)

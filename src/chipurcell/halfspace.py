@@ -26,9 +26,8 @@ path x = k_perp/k0 = 1 + i tau, on which exp(2i k_perp z) decays like
 exp(-2 k0 z tau) without oscillating, so one adaptive integral over tau
 covers any distance. It is seeded at powers of two on the scales of the
 decay and of the reflections, so distances meet the same panels, and each
-seed array keeps its seed round (its checked panel ends, their nodes and
-the round's store key), built the first time a point uses it. Branch cuts
-inside the swept strip
+seed array keeps its seed round (its checked panel ends and their nodes),
+built the first time a point uses it. Branch cuts inside the swept strip
 are integrated around as hairpins in the same integrand (deformed
 Sommerfeld contours: Paulus, Gay-Balmaz & Martin, PRE 62, 5797 (2000)); a
 reflection pole inside it, which only gain can put there, raises
@@ -213,17 +212,14 @@ class _Plan:
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
 
-    def values_at(self, tau: np.ndarray, k0: float, key: Optional[bytes] = None) -> np.ndarray:
+    def values_at(self, tau: np.ndarray, k0: float) -> np.ndarray:
         """The values at the (panels, 15) nodes ``tau`` of one round, as a
         new (1 + hairpins, channels, panels, 15) array. Only the panels not
         kept are evaluated, in one call of ``_amplitudes`` and
         ``_reflections``, and kept; a round they would not fit in is
         evaluated whole and kept nowhere. PoleError, with nothing kept, if
-        a value is not finite (``k0`` names its node in 1/m). ``key`` is
-        the round's ``_store_key``, formed here unless the caller keeps it
-        (a seed round's, ``_PathSeeds.key``)."""
-        if key is None:
-            key = _store_key(tau)
+        a value is not finite (``k0`` names its node in 1/m)."""
+        key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
         with self._lock:  # two threads must not fill the same free slots
             slots = self._rounds.get(key)
             if slots is None:
@@ -271,13 +267,6 @@ class _Plan:
 
 # the plan of a medium (``_Plan``), built once per (eps, mu, kappa)
 _plan = functools.lru_cache(maxsize=128)(_Plan)
-
-
-def _store_key(tau: np.ndarray) -> bytes:
-    """The key under which ``_Plan.values_at`` indexes the round of the
-    (panels, 15) nodes ``tau``: the bytes of each panel's centre and last
-    node, which name its panel at any distance."""
-    return tau[:, 7::7].tobytes()
 
 
 def _amplitudes(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -466,7 +455,7 @@ def _run_quadrature(res: QuadratureResult) -> np.ndarray:
     )
 
 
-def _path_seeds(k0z: float) -> _PathSeeds:
+def _path_seeds(k0z: float) -> _Seeds:
     """The seeds in tau of the path: 0, then powers of two in two runs. The
     first covers the scales on which the reflections vary, 1/4 to 8; the
     second the decay, from half its scale 2^floor(log2(1/(2 k0 z))) to the
@@ -478,31 +467,20 @@ def _path_seeds(k0z: float) -> _PathSeeds:
     distance. Each seed is fixed over an octave of k0 z, and every panel but
     the bridge, and every half of one, is a dyadic interval that every
     distance meets. The seeds of a pair of octaves are built once
-    (``_seeds_between``), as an immutable ``_PathSeeds`` tuple that keeps
-    its seed round once a point has used it."""
+    (``_seeds_between``), as an immutable ``_Seeds`` tuple that keeps its
+    seed round once a point has used it."""
     first = math.frexp(1.0 / (2.0 * k0z))[1] - 1  # floor(log2): frexp's mantissa is in [1/2, 1)
     mantissa, exponent = math.frexp(40.0 / (2.0 * k0z))
     return _seeds_between(first, exponent - 1 if mantissa == 0.5 else exponent)
 
 
-class _PathSeeds(_Seeds):
-    """The path's seeds, whose seed round (``round``, built by
-    ``integrate`` on first use) also keeps its ``_store_key``: a point
-    that uses seeds met before neither checks them nor builds their nodes
-    or their round's key."""
-
-    @functools.cached_property
-    def key(self) -> bytes:
-        return _store_key(self.round.nodes)
-
-
 # the float range holds about 2,700 pairs; a pair's seeds and seed round take about 3 kB
 @functools.lru_cache(maxsize=None)
-def _seeds_between(first: int, last: int) -> _PathSeeds:
+def _seeds_between(first: int, last: int) -> _Seeds:
     """``_path_seeds`` of a decay scale 2^first and a tail end 2^last."""
     near = range(min(-2, first), min(3, last) + 1)
     decay = range(max(4, first - 1), last + 1)
-    return _PathSeeds([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
+    return _Seeds([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
 
 
 def scatter_numeric(
@@ -551,9 +529,7 @@ def scatter_numeric(
     """
     if geom.medium is None:
         raise PhysicsError("the planar numeric pathway requires a medium")
-    k0 = omega / CONSTANTS.c
-    k0z = k0 * geom.z_m
-    curl, img_g = _tensors(*_assemble(_path_totals(geom.medium, k0, k0z, spec), k0, k0z))
+    curl, img_g = _tensors(*_halfspace_entries(geom, omega, Limit.NUMERIC, spec))
     return np.array(curl), np.array(img_g)
 
 
@@ -572,11 +548,9 @@ def _path_totals(med: MediumResponse, k0: float, k0z: float, spec: QuadratureSpe
                            "of order (2 k0 z)^-3, overflow")
     phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in plan.hairpins]  # of each hairpin, relative to the path
     rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
-    seeds = _path_seeds(k0z)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        # the seed round's nodes are its own array: its store key is kept with it
-        values = plan.values_at(tau, k0, seeds.key if tau is seeds.round.nodes else None)
+        values = plan.values_at(tau, k0)
         total = values[0]
         for side, phase in zip(values[1:], phases):
             side *= phase
@@ -587,7 +561,7 @@ def _path_totals(med: MediumResponse, k0: float, k0z: float, spec: QuadratureSpe
     # reflections of a medium _Plan accepts have no bound on the path (eps one
     # float above -1 overflows them at k0 z 1e-80), so no k0 z is safe
     with np.errstate(over="ignore"):
-        res = integrate(integrand, seeds, spec)
+        res = integrate(integrand, _path_seeds(k0z), spec)
     return _run_quadrature(res).tolist()
 
 
@@ -619,14 +593,6 @@ def _mirror_totals(geom: PlanarGeometry, k0z: float) -> tuple:
     """
     u = 1.0 / (2.0 * k0z)  # 1/s: its powers vanish in the far field rather than overflow
     return geom.handedness.sign * (2.0 * u**3 - 2j * u**2), 0j, 0j, 0j
-
-
-def _mirror_curl(geom: PlanarGeometry, omega: float) -> np.ndarray:
-    """curl Im G of the perfect chiral mirror (``_mirror_totals``), a real
-    3x3 array."""
-    k0 = omega / CONSTANTS.c
-    k0z = k0 * geom.z_m
-    return np.array(_tensors(*_assemble(_mirror_totals(geom, k0z), k0, k0z))[0])
 
 
 def _tensors(xx: float, zz: float, xy: float, g_xx: float, g_zz: float) -> tuple[tuple, tuple]:

@@ -10,9 +10,9 @@ QUADPACK's rescaled one (``_gk15``), and a seed round that meets every
 tolerance is the only round.
 
 Seeds that a caller uses again are a ``_Seeds`` tuple: its seed round
-(``_SeedRound``: the checked panel ends and their 15 nodes) is built the
-first time ``integrate`` meets it and kept with it, so that later calls
-neither check those seeds nor build those nodes again.
+(the checked panel ends, their widths and their 15 nodes) is built the first
+time ``integrate`` meets it and kept with it, so that later calls neither
+check those seeds nor build those nodes again.
 
 An integrand is called once per refinement round with the (n, 15) nodes of
 n panels, must be elementwise over nodes, and returns (channels, n, 15)
@@ -112,54 +112,35 @@ def _checked(seeds: Sequence[float]) -> np.ndarray:
     return seeds
 
 
-class _SeedRound:
-    """The seed round of a ``_Seeds``, built once: the panel ends ``a`` and
-    ``b`` of its checked seeds, their widths and their (panels, 15)
-    ``nodes``, all read-only."""
-
-    __slots__ = ("a", "b", "width", "nodes")
-
-    def __init__(self, seeds: np.ndarray):
-        self.a, self.b = seeds[:-1], seeds[1:]
-        self.width, self.nodes = _panels(self.a, self.b)
-        for array in (seeds, self.width, self.nodes):
-            array.flags.writeable = False
-
-
-# The seed rounds of every ``_Seeds`` that ``integrate`` has met, by the id of
-# their panel starts ``a``: ``_gk15`` takes a seed round's widths and nodes
-# from here. Each entry holds its starts, so no other array can have their
-# id while it lives; a ``_Seeds`` is made once per seed array and kept by its
-# maker (``halfspace._seeds_between``), so this holds one entry per seed array.
-_SEED_ROUNDS: dict = {}
-
-
 class _Seeds(tuple):
     """Seeds that are used again: an immutable tuple of floats whose seed
-    round (``round``) is built on first use and kept, so ``integrate``
-    checks these seeds and builds their nodes once."""
+    round is built the first time ``integrate`` meets it and kept, so that
+    these seeds are checked, and their nodes built, once."""
 
     @functools.cached_property
-    def round(self) -> _SeedRound:
-        first = _SeedRound(_checked(self))  # a new array: a tuple is no array
-        _SEED_ROUNDS[id(first.a)] = first
-        return first
+    def round(self) -> tuple:
+        """(a, b, (widths, nodes)): the panel ends of the checked seeds and
+        their ``_panels``, all read-only. A check that fails is not kept,
+        so seeds that fail it fail it on every call."""
+        seeds = _checked(self)  # a new array: a tuple is no array
+        a, b = seeds[:-1], seeds[1:]
+        width, nodes = _panels(a, b)
+        for array in (seeds, width, nodes):
+            array.flags.writeable = False
+        return a, b, (width, nodes)
 
 
-def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray):
+def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray, panels: tuple | None = None):
     """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends, a < b).
 
-    ``f`` is called once with the nodes of every panel, shape (panels, 15);
-    the nodes of a seed round of a ``_Seeds`` are the ones built with it.
-    Returns (I15, err), each of shape (channels, panels). Every channel is
-    reduced by the same weight products on its own row, so a channel's
-    result does not depend on how many channels or panels travel with it.
+    ``f`` is called once with the nodes of every panel, shape (panels, 15):
+    ``panels``, their (widths, nodes) where the caller keeps them (the seed
+    round of a ``_Seeds``), or else built here. Returns (I15, err), each of
+    shape (channels, panels). Every channel is reduced by the same weight
+    products on its own row, so a channel's result does not depend on how
+    many channels or panels travel with it.
     """
-    seed = _SEED_ROUNDS.get(id(a))
-    if seed is not None and seed.a is a and seed.b is b:
-        width, x = seed.width, seed.nodes
-    else:
-        width, x = _panels(a, b)
+    width, x = _panels(a, b) if panels is None else panels
     rows = np.asarray(f(x), dtype=complex)
     # np.dot of a 3-d array takes one BLAS dot product per (channel, panel) row
     # and weight column, so a row's sums never depend on its companions; a
@@ -199,14 +180,13 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     panel, at most what ``max_panels`` still allows).
     """
     if isinstance(seeds, _Seeds):
-        first = seeds.round
-        a, b = first.a, first.b
+        a, b, panels = seeds.round
     else:
         seeds = _checked(seeds)
-        a, b = seeds[:-1], seeds[1:]
+        a, b, panels = seeds[:-1], seeds[1:], None
     if len(a) > spec.max_panels:
         raise QuadratureError(f"{len(a)} seed panels exceed max_panels = {spec.max_panels}")
-    val, err = _gk15(f, a, b)
+    val, err = _gk15(f, a, b, panels)
     while True:
         value, err_sum = np.add.reduce(val, 1), np.add.reduce(err, 1)
         tol = spec.rel_tol * np.abs(value)

@@ -24,6 +24,14 @@ DUALITY_MEDIA = [(2.25, 1.0, 0.05), (2.25 + 0.1j, 1.0, 0.05 + 0.001j), (-2.0 + 0
                  (4.0, 2.5, 0.3)]
 
 
+def mirror_curl(geom, omega: float) -> np.ndarray:
+    """curl Im G of the perfect chiral mirror ``geom`` as its numeric rate
+    contracts it: the rows that ``_tensors`` lays out from the numeric
+    entries of ``_mirror_entries``, as a real 3x3 array."""
+    entries = halfspace._mirror_entries(geom, omega, halfspace.Limit.NUMERIC)
+    return np.array(halfspace._tensors(*entries)[0])
+
+
 def quiet(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, silencing a closed form's out-of-range UserWarning."""
     with warnings.catch_warnings():

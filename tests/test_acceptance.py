@@ -38,9 +38,8 @@ from chipurcell import (
     rates_mirror,
     rotatory_strength,
 )
-import chipurcell.halfspace as hs
 from specfun import Parity, RadialKind, WaveFunctionIndex, vector_wave_cartesian
-from conftest import DEBYE, OMEGA, quiet, random_lossless_medium, random_molecule, reflections_at
+from conftest import DEBYE, OMEGA, mirror_curl, quiet, random_lossless_medium, random_molecule, reflections_at
 from oracles import (
     curl_g0_finite,
     fd_curl,
@@ -200,7 +199,7 @@ def test_criterion_08a_mirror_far_field_quadrature():
     with report("8a", "quadrature curl matches the far-field mirror closed form at k0 z = 20 (3%)"):
         z = 20.0 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = hs._mirror_curl(geom, OMEGA)
+        curl = mirror_curl(geom, OMEGA)
         closed = -np.sin(2 * K0 * z) / (16 * np.pi * z**2)
         assert abs(curl[0, 0].real - closed) <= 0.03 * abs(closed)
 
@@ -209,7 +208,7 @@ def test_criterion_08b_mirror_near_field_quadrature():
     with report("8b", "quadrature curl matches the near-field mirror closed form at k0 z = 0.01 (3%)"):
         z = 0.01 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = hs._mirror_curl(geom, OMEGA)
+        curl = mirror_curl(geom, OMEGA)
         closed = -1.0 / (32 * np.pi * K0 * z**3)
         assert abs(curl[0, 0].real - closed) <= 0.03 * abs(closed)
         assert abs(curl[2, 2].real - 2 * closed) <= 0.03 * abs(2 * closed)

@@ -101,15 +101,16 @@ def test_planar_assembly_is_written_once():
     def calls(name):
         return [ast.unparse(n.func) for n in ast.walk(funcs[name]) if isinstance(n, ast.Call)]
 
-    assert "_assemble" in calls("scatter_numeric") and "_assemble" in calls("_mirror_curl")
-    assert not {"np.cos", "np.sin"} & set(calls("_mirror_curl"))
+    assert "_assemble" in calls("_halfspace_entries") and "_assemble" in calls("_mirror_entries")
+    assert not {"np.cos", "np.sin", "math.cos", "math.sin", "cmath.exp"} & set(calls("_mirror_totals"))
     for rates in ("rates_mirror", "rates_halfspace"):
         assert calls(rates).count("_warn_limit") == 1
 
     names = {n.id for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Name)} | set(funcs)
     assert not names & {"_PAR", "_FULL_Z", "_CROSS_Z", "_D_PAR", "_chiral", "_d_par_sq", "contract"}
     assert not {"mu0", "hbar", "eps0"} & {n.attr for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute)}
-    assert "_tensors" in calls("scatter_numeric") and "_tensors" in calls("_mirror_curl")
+    assert "_tensors" in calls("scatter_numeric") and "_tensors" in calls("_planar_rates")
+    assert "_halfspace_entries" in calls("scatter_numeric")
     contractions = {"gamma_ch_from_curl", "gamma_el_from_img"}
 
     def reached(name, seen):

@@ -32,7 +32,7 @@ from chipurcell.cli import EXIT_QUADRATURE, main, run_fresnel
 from chipurcell.errors import LosslessRequiredError, PhysicsError, PoleError, QuadratureError
 from chipurcell.halfspace import _run_quadrature
 from chipurcell.sommerfeld import QuadratureResult, QuadratureSpec
-from conftest import DEBYE, DUALITY_MEDIA, OMEGA, quiet
+from conftest import DEBYE, DUALITY_MEDIA, OMEGA, mirror_curl, quiet
 from oracles import ORACLE_MEDIA, mirror_curl_xx, planar_channel_integrals, random_rotations
 
 W = OMEGA
@@ -57,7 +57,7 @@ class TestNumericCurl:
         """xx entry tends to the -sin(2 k0 z)/(16 pi z^2) closed form."""
         z = 20.0 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = hs._mirror_curl(geom, W)
+        curl = mirror_curl(geom, W)
         closed = -np.sin(2 * K0 * z) / (16 * np.pi * z**2)
         assert curl[0, 0].real == pytest.approx(closed, rel=0.03)
         assert curl[1, 1].real == curl[0, 0].real
@@ -66,11 +66,11 @@ class TestNumericCurl:
         """diag(1,1,2)/(32 pi k0 z^3) structure with the handedness sign."""
         z = 0.01 / K0
         geom = PlanarGeometry(z_m=z, handedness=Handedness.RIGHT)
-        curl = hs._mirror_curl(geom, W)
+        curl = mirror_curl(geom, W)
         closed = -1.0 / (32 * np.pi * K0 * z**3)
         assert curl[0, 0].real == pytest.approx(closed, rel=0.02)
         assert curl[2, 2].real == pytest.approx(2 * closed, rel=0.02)
-        left = hs._mirror_curl(PlanarGeometry(z_m=z, handedness=Handedness.LEFT), W)
+        left = mirror_curl(PlanarGeometry(z_m=z, handedness=Handedness.LEFT), W)
         assert np.allclose(left, -curl)
 
     @pytest.mark.usefixtures("cold_store")
@@ -167,7 +167,7 @@ class TestNumericCurl:
             return inner(plan, x)
 
         monkeypatch.setattr(hs, "_amplitudes", spy)
-        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: rounds.append(len(a)) or gk15(f, a, *rest))
         scatter_numeric(PlanarGeometry(z_m=1.0 / K0, medium=med), W)
         assert len(seen) == len(rounds) >= 1
         cut = [x_b.real for x_b, _ in plan.cuts if x_b.real < 1.0]
@@ -290,7 +290,7 @@ class TestNumericCurl:
         for k0z in np.logspace(-6, 6, 49):
             for hand in Handedness:
                 geom = PlanarGeometry(z_m=k0z / K0, handedness=hand)
-                curl = hs._mirror_curl(geom, W)
+                curl = mirror_curl(geom, W)
                 xx, scale = mirror_curl_xx(K0, geom.z_m, hand.sign)
                 assert abs(curl[0, 0] - xx.imag) <= 1e-12 * scale
                 assert abs(curl[2, 2] - 2 * xx.imag) <= 2e-12 * scale
@@ -331,7 +331,7 @@ class TestNumericCurl:
         in the cost of a point cannot come from a change in refinement."""
         calls = []
         gk15 = sommerfeld._gk15
-        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: calls.append(len(a)) or gk15(f, a, b))
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: calls.append(len(a)) or gk15(f, a, *rest))
         results = record_integrals(monkeypatch)
         med = MediumResponse(*ORACLE_MEDIA[medium], omega=W)
         scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
@@ -454,7 +454,7 @@ class TestStore:
         assert plan._rounds == {}
         rounds = []
         gk15 = sommerfeld._gk15
-        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: rounds.append(len(a)) or gk15(f, a, *rest))
         assert [a.tobytes() for a in scatter_numeric(geom, W)] == first  # finds them: indexes the rounds
         assert len(plan._rounds) == len(rounds) > 1  # this point refines
         indexed = {slot for slots in plan._rounds.values() for slot in slots.tolist()}
@@ -472,27 +472,25 @@ class TestStore:
     @pytest.mark.usefixtures("cold_store")
     def test_a_seed_array_is_checked_and_laid_out_once(self, monkeypatch):
         """The first point that meets a seed array checks its seeds and
-        builds its seed round: the panel ends, their nodes and the round's
-        store key. Every later point on those seeds, at any distance they
-        serve, checks and builds none of them; a point of one round then
-        builds no nodes at all."""
+        builds its seed round: the panel ends and their nodes. Every later
+        point on those seeds, at any distance they serve, checks and builds
+        none of them; a point of one round then builds no nodes at all."""
         hs._seeds_between.cache_clear()
-        checked, nodes, keys, rounds = [], [], [], []
-        check, panels, store_key, gk15 = sommerfeld._checked, sommerfeld._panels, hs._store_key, sommerfeld._gk15
+        checked, nodes, rounds = [], [], []
+        check, panels, gk15 = sommerfeld._checked, sommerfeld._panels, sommerfeld._gk15
         monkeypatch.setattr(sommerfeld, "_checked", lambda seeds: checked.append(len(seeds)) or check(seeds))
         monkeypatch.setattr(sommerfeld, "_panels", lambda a, b: nodes.append(len(a)) or panels(a, b))
-        monkeypatch.setattr(hs, "_store_key", lambda tau: keys.append(len(tau)) or store_key(tau))
-        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, b: rounds.append(len(a)) or gk15(f, a, b))
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: rounds.append(len(a)) or gk15(f, a, *rest))
         med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
         near, same_seeds, other = 1.0, 0.9, 4.0  # k0 z: 0.9 has the decay scale and tail end of 1.0, 4.0 not
         seeds = hs._path_seeds(K0 * (near / K0))
         assert hs._path_seeds(K0 * (same_seeds / K0)) is seeds is not hs._path_seeds(K0 * (other / K0))
         scatter_numeric(PlanarGeometry(z_m=near / K0, medium=med), W)
         assert len(rounds) == 1  # a point of one round: its seed round
-        assert checked == [len(seeds)] and nodes == keys == [len(seeds) - 1]
+        assert checked == [len(seeds)] and nodes == [len(seeds) - 1]
         for k0z in (near, same_seeds, near):
             scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
-        assert len(checked) == len(nodes) == len(keys) == 1
+        assert len(checked) == len(nodes) == 1
         scatter_numeric(PlanarGeometry(z_m=other / K0, medium=med), W)
         assert len(checked) == 2
         hs._seeds_between.cache_clear()  # no round built through the spies stays cached
@@ -616,7 +614,7 @@ class TestMirrorRates:
             b = rates_mirror(geom, mol_aniso, Limit.NUMERIC)
             assert b.method.value == "closed_form"
             assert b.gamma_el == 0.0
-            assert b.gamma_ch == gamma_ch_from_curl(hs._mirror_curl(geom, W), mol_aniso, Contraction.PLANAR_PAPER)
+            assert b.gamma_ch == gamma_ch_from_curl(mirror_curl(geom, W), mol_aniso, Contraction.PLANAR_PAPER)
         assert results == []
 
     @pytest.mark.parametrize("limit", list(Limit))

@@ -3,9 +3,9 @@
 recorded in the BENCH_*.json trajectory files.
 
     python3 tools/pairs.py bench  PARENT CHANGE --workload W --seeds 2201-2210 [--seconds 30]
-    python3 tools/pairs.py cold   PARENT CHANGE --range 1e-3:10 [--points 600] [--seed 301]
+    python3 tools/pairs.py cold   PARENT CHANGE --range 1e-3:10 [--points 600] [--seed 301] [--new-seeds]
     python3 tools/pairs.py layers PARENT CHANGE [--seed 1]
-    python3 tools/pairs.py counts TREE [--seed 1]
+    python3 tools/pairs.py counts TREE [--seed 1] [--workload near_field_numeric]
     python3 tools/pairs.py values PARENT CHANGE [--seeds 1-3]
 
 PARENT and CHANGE are checkouts of the two commits (a ``git archive`` of
@@ -26,6 +26,10 @@ both trees, each under its own alias, into the tool's own process.
   mean of the per-point time ratio change/parent and the points each tree
   won: pairing each medium on both trees removes the spread between
   processes, so an A/A run (one tree as both) resolves a few percent.
+  The path's seed arrays depend on k0 z only, so a point reuses the seeds
+  (and the seed round) of an earlier point in its octaves; ``--new-seeds``
+  empties both trees' seed cache before every point, outside the timing,
+  so that every point meets its seeds for the first time.
 * ``layers`` splits the warm half-space points of ``near_field_numeric``
   (all their panels stored) and its numeric mirror points into minimum
   times over passes that alternate the trees, in us, averaged over the
@@ -35,15 +39,18 @@ both trees, each under its own alias, into the tool's own process.
   contraction of the point's five tensor entries (``_tensors`` and the two
   master formulas) and building its ``RateBreakdown``; for half-space
   points also ``parse_medium``, ``scatter_numeric``, ``integrate``,
-  ``_gk15`` with its integrand, the integrand and the plan's ``values_at``
-  (which forms the round's store key itself); for mirror points
-  ``_mirror_curl``. From these: the part of ``run_point`` outside the
+  ``_gk15`` with its integrand, the integrand and the plan's ``values_at``;
+  for mirror points the numeric tensor entries (``_mirror_entries``, or the
+  tensors of ``_mirror_tensors`` in a tree without it). From these: the
+  part of ``run_point`` outside the
   rates call, the self times of ``_gk15`` and ``integrate`` and the part of
   ``scatter_numeric`` outside the integral. Spies forward their arguments
   as they come, so a tree whose private signatures differ still runs.
-* ``counts`` runs two passes of ``near_field_numeric`` in one process and
-  counts, per pass, integrals, GK15 rounds, panels and the path nodes whose
-  reflections were evaluated: counts that repeat on any machine.
+* ``counts`` runs two passes of a workload (``near_field_numeric``) in one
+  process and counts, per pass, points, integrals, GK15 rounds, panels, the
+  path nodes whose reflections were evaluated and the integrals whose seed
+  array an earlier integral of the process had met (whose seed round was
+  built already): counts that repeat on any machine.
 * ``values`` imports both trees into one process and reports how far the
   change moves every bench output (all workloads at the seeds, and their
   anchors; split into points of isotropic molecules, of anisotropic ones
@@ -138,6 +145,8 @@ def cold(args) -> dict:
 
     def seconds(side, medium, z) -> float:
         geom = side.PlanarGeometry(z_m=z, medium=side.MediumResponse(*medium, w))
+        if args.new_seeds:
+            side.halfspace._seeds_between.cache_clear()
         t = time.perf_counter()
         try:
             side.scatter_numeric(geom, w)
@@ -150,7 +159,7 @@ def cold(args) -> dict:
         order = sides if i % 2 == 0 else sides[::-1]
         times = {side.__name__: seconds(side, medium, z) for side in order}
         ratios.append(times["change_chipurcell"] / times["parent_chipurcell"])
-    return {"k0z": [lo, hi], "points": args.points, "seed": args.seed,
+    return {"k0z": [lo, hi], "points": args.points, "seed": args.seed, "new_seeds": args.new_seeds,
             "time_ratio_change_over_parent": {**quartiles(ratios), "mean": statistics.mean(ratios)},
             "points_won": {"change": sum(r < 1.0 for r in ratios), "parent": sum(r > 1.0 for r in ratios)}}
 
@@ -171,9 +180,19 @@ def five_entries(curl, img_g) -> tuple:
     return curl[0][0], curl[2][2], curl[0][1], img_g[0][0], img_g[2][2]
 
 
+def mirror_numeric(hs):
+    """The numeric mirror's entries, f(geom, w) -> its five entries, and
+    the function that the layer ``mirror_numeric`` times: a tree's
+    ``_mirror_entries``, or the tensors of its ``_mirror_tensors``."""
+    if hasattr(hs, "_mirror_entries"):
+        f = hs._mirror_entries
+        return (lambda g, w: f(g, w, hs.Limit.NUMERIC)), f
+    f = hs._mirror_tensors
+    return (lambda g, w: five_entries(*f(g, w, hs.Limit.NUMERIC))), f
+
+
 def layers(args) -> dict:
     sys.path.insert(0, str(Path(args.parent).resolve() / "bench"))
-    import numpy as np
     import workloads
 
     pass_points = workloads.generate("near_field_numeric", args.seed)
@@ -195,16 +214,16 @@ def layers(args) -> dict:
             if kind == "halfspace":
                 geoms = [hs.PlanarGeometry(z_m=p.scenario["geometry"]["z_m"],
                                            medium=cli.parse_medium(p.scenario["medium"], w)) for p in points]
-                tensors = [hs.scatter_numeric(g, w) for g in geoms]
+                entries = [five_entries(*hs.scatter_numeric(g, w)) for g in geoms]
                 rate = hs.rates_halfspace
             else:
                 hands = {"right": hs.Handedness.RIGHT, "left": hs.Handedness.LEFT}
                 geoms = [hs.PlanarGeometry(z_m=p.scenario["geometry"]["z_m"],
                                            handedness=hands[p.scenario["geometry"]["handedness"]]) for p in points]
-                tensors = [(hs._mirror_curl(g, w), np.zeros((3, 3))) for g in geoms]
+                numeric_entries, timed_entries = mirror_numeric(hs)
+                entries = [numeric_entries(g, w) for g in geoms]
                 rate = hs.rates_mirror
             breakdowns = [rate(g, m, hs.Limit.NUMERIC) for g, m in zip(geoms, mols)]
-            entries = [five_entries(*t) for t in tensors]
             layer = {
                 "run_point": [lambda p=p, cli=cli: workloads.run_point(cli, p) for p in points],
                 "parse_molecule": [lambda p=p, cli=cli: cli.parse_molecule(p.scenario["molecule"]) for p in points],
@@ -234,7 +253,8 @@ def layers(args) -> dict:
                     "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
                 })
             else:
-                layer["mirror_curl"] = [lambda g=g, hs=hs: hs._mirror_curl(g, w) for g in geoms]
+                layer["mirror_numeric"] = [lambda g=g, f=timed_entries, hs=hs: f(g, w, hs.Limit.NUMERIC)
+                                           for g in geoms]
             jobs[side][kind] = layer
     best = {side: {kind: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
                    for kind, by_layer in by_kind.items()} for side, by_kind in jobs.items()}
@@ -330,18 +350,23 @@ def values(args) -> dict:
 
 
 def counts(args) -> dict:
-    """Machine-independent counts of two passes of a near_field_numeric seed
-    in one fresh process: integrals, GK15 rounds, panels, and path nodes
-    whose reflections were evaluated (the store's misses)."""
+    """Machine-independent counts of two passes of a workload's seed in one
+    fresh process: points, integrals, GK15 rounds, panels, path nodes whose
+    reflections were evaluated (the store's misses), and integrals whose
+    seed array (the same object) an earlier integral of the process met."""
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
     from chipurcell import cli, halfspace as hs, sommerfeld as sf
 
     tally = {}
+    met = {}  # id -> every seed array met, kept alive so that no id is reused
     integrate, gk15, amplitudes = hs.integrate, sf._gk15, hs._amplitudes
 
     def spy_integrate(*args):
+        seeds = args[1]
+        tally["on_a_met_seed_array"] += id(seeds) in met
+        met[id(seeds)] = seeds
         res = integrate(*args)
         tally["integrals"] += 1
         tally["panels"] += res.panels_used
@@ -358,13 +383,13 @@ def counts(args) -> dict:
 
     hs.integrate, sf._gk15, hs._amplitudes = spy_integrate, spy_gk15, spy_amplitudes
     passes = []
-    points = workloads.generate("near_field_numeric", args.seed)
+    points = workloads.generate(args.workload, args.seed)
     for _ in range(2):
-        tally.update(integrals=0, rounds=0, panels=0, path_nodes=0)
+        tally.update(points=len(points), integrals=0, rounds=0, panels=0, path_nodes=0, on_a_met_seed_array=0)
         for p in points:
             workloads.run_point(cli, p)
         passes.append(dict(tally))
-    return {"tree": str(tree), "seed": args.seed, "passes": passes}
+    return {"tree": str(tree), "workload": args.workload, "seed": args.seed, "passes": passes}
 
 
 def main(argv=None):
@@ -382,6 +407,7 @@ def main(argv=None):
     c.add_argument("--range", required=True, help="LO:HI of k0 z, or one value")
     c.add_argument("--points", type=int, default=600)
     c.add_argument("--seed", type=int, default=301)
+    c.add_argument("--new-seeds", action="store_true", help="empty the seed cache before every point")
     lay = sub.add_parser("layers")
     lay.add_argument("parent")
     lay.add_argument("change")
@@ -390,6 +416,7 @@ def main(argv=None):
     cnt = sub.add_parser("counts")
     cnt.add_argument("tree")
     cnt.add_argument("--seed", type=int, default=1)
+    cnt.add_argument("--workload", default="near_field_numeric")
     val = sub.add_parser("values")
     val.add_argument("parent")
     val.add_argument("change")
