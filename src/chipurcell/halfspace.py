@@ -442,6 +442,8 @@ _K0Z_MIN = 0.5 / float(np.finfo(float).max) ** (1.0 / 3.0)
 def _run_quadrature(res: QuadratureResult) -> np.ndarray:
     if res.converged:
         return res.value
+    if np.isinf(res.value).any():  # integrate stops at a total past the float range
+        raise PhysicsError("the arithmetic left the float range: the path's totals overflow")
     # accept a degraded-but-bounded estimate; hard failure above 1e-4
     # relative, and a NaN value or error fails too
     failed = ~(res.err_estimate <= 1e-4 * np.abs(res.value))
@@ -466,21 +468,21 @@ def _path_seeds(k0z: float) -> _Seeds:
     decay has not begun, so a point has 7 to 15 seed panels at any
     distance. Each seed is fixed over an octave of k0 z, and every panel but
     the bridge, and every half of one, is a dyadic interval that every
-    distance meets. The seeds of a pair of octaves are built once
-    (``_seeds_between``), as an immutable ``_Seeds`` tuple that keeps its
-    seed round once a point has used it."""
+    distance meets. Distances with equal seeds share one ``_Seeds`` tuple
+    (``_seeds_between``), which keeps its seed round once a point has used
+    it."""
     first = math.frexp(1.0 / (2.0 * k0z))[1] - 1  # floor(log2): frexp's mantissa is in [1/2, 1)
     mantissa, exponent = math.frexp(40.0 / (2.0 * k0z))
-    return _seeds_between(first, exponent - 1 if mantissa == 0.5 else exponent)
+    return _seeds_between(min(-2, first), max(4, first - 1), exponent - 1 if mantissa == 0.5 else exponent)
 
 
-# the float range holds about 2,700 pairs; a pair's seeds and seed round take about 3 kB
+# the float range holds about 2,700 seed arrays; one with its seed round takes about 3 kB
 @functools.lru_cache(maxsize=None)
-def _seeds_between(first: int, last: int) -> _Seeds:
-    """``_path_seeds`` of a decay scale 2^first and a tail end 2^last."""
-    near = range(min(-2, first), min(3, last) + 1)
-    decay = range(max(4, first - 1), last + 1)
-    return _Seeds([0.0, *(math.ldexp(1.0, j) for j in (*near, *decay))])
+def _seeds_between(near: int, decay: int, last: int) -> _Seeds:
+    """``_path_seeds``: 0, 2^near to 2^min(3, last) and 2^decay to 2^last,
+    keyed on the exponents that decide them, so equal seeds are one object."""
+    powers = (*range(near, min(3, last) + 1), *range(decay, last + 1))
+    return _Seeds([0.0, *(math.ldexp(1.0, j) for j in powers)])
 
 
 def scatter_numeric(

@@ -9,10 +9,9 @@ the scales of its decay and of its reflections. A panel's error estimate is
 QUADPACK's rescaled one (``_gk15``), and a seed round that meets every
 tolerance is the only round.
 
-Seeds that a caller uses again are a ``_Seeds`` tuple: its seed round
-(the checked panel ends, their widths and their 15 nodes) is built the first
-time ``integrate`` meets it and kept with it, so that later calls neither
-check those seeds nor build those nodes again.
+Every seed array reaches the rounds as a ``_Seeds`` tuple (a plain
+sequence as a new one), which builds its seed round, the checked panel ends
+and their nodes, once and keeps it. Panels are kept in creation order.
 
 An integrand is called once per refinement round with the (n, 15) nodes of
 n panels, must be elementwise over nodes, and returns (channels, n, 15)
@@ -99,30 +98,22 @@ def _panels(a: np.ndarray, b: np.ndarray) -> tuple:
     return width, a[:, None] + width[:, None] * _U15
 
 
-def _checked(seeds: Sequence[float]) -> np.ndarray:
-    """``seeds`` as a 1-d float array (a scalar is one seed), checked to
-    hold at least two finite floats in strictly ascending order; raises
-    ValueError otherwise."""
-    seeds = np.array(seeds, dtype=float, copy=None, ndmin=1)
-    # a NaN fails every comparison, and ascending seeds are finite if their ends are
-    # (count_nonzero, not all(): the fixed cost of every call counts here)
-    if not (seeds.ndim == 1 and len(seeds) > 1 and -math.inf < seeds[0] and seeds[-1] < math.inf
-            and np.count_nonzero(seeds[:-1] < seeds[1:]) == len(seeds) - 1):
-        raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
-    return seeds
-
-
 class _Seeds(tuple):
-    """Seeds that are used again: an immutable tuple of floats whose seed
-    round is built the first time ``integrate`` meets it and kept, so that
-    these seeds are checked, and their nodes built, once."""
+    """Seeds as ``integrate`` lays them out: an immutable tuple of floats
+    that keeps its seed round, so that seeds used again are checked once."""
 
     @functools.cached_property
     def round(self) -> tuple:
-        """(a, b, (widths, nodes)): the panel ends of the checked seeds and
-        their ``_panels``, all read-only. A check that fails is not kept,
-        so seeds that fail it fail it on every call."""
-        seeds = _checked(self)  # a new array: a tuple is no array
+        """(a, b, (widths, nodes)): the panel ends of the seeds, checked to
+        be at least two finite floats in strictly ascending order (ValueError
+        otherwise, on every call: a failed check is not kept), and their
+        ``_panels``, all read-only."""
+        seeds = np.array(self, dtype=float)
+        # a NaN fails every comparison, and ascending seeds are finite if their ends are
+        # (count_nonzero, not all(): the fixed cost of every call counts here)
+        if not (seeds.ndim == 1 and len(seeds) > 1 and -math.inf < seeds[0] and seeds[-1] < math.inf
+                and np.count_nonzero(seeds[:-1] < seeds[1:]) == len(seeds) - 1):
+            raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
         a, b = seeds[:-1], seeds[1:]
         width, nodes = _panels(a, b)
         for array in (seeds, width, nodes):
@@ -170,20 +161,19 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     between the ``seeds``, which must be at least two finite floats in
     strictly ascending order (ValueError otherwise); raises QuadratureError
     when they make more than ``max_panels`` panels. Both are raised before
-    any call to f. A ``_Seeds`` is checked, and its seed round built, on
-    the first call that meets it only.
+    any call to f. The seeds are checked, and their seed round built, once
+    per ``_Seeds`` (a plain sequence is a new one).
 
     Works in rounds, each one call of f: the seed panels, then both halves
     of every panel split in a round. A round ranks the panels by their worst
     channel's err/tol and splits the shortest prefix of that ranking whose
     removal leaves an error within tolerance in every channel (at least one
-    panel, at most what ``max_panels`` still allows).
+    panel, at most what ``max_panels`` still allows). A round whose value is
+    not finite is the last.
     """
-    if isinstance(seeds, _Seeds):
-        a, b, panels = seeds.round
-    else:
-        seeds = _checked(seeds)
-        a, b, panels = seeds[:-1], seeds[1:], None
+    if not isinstance(seeds, _Seeds):
+        seeds = _Seeds(np.array(seeds, dtype=float, ndmin=1).tolist())
+    a, b, panels = seeds.round
     if len(a) > spec.max_panels:
         raise QuadratureError(f"{len(a)} seed panels exceed max_panels = {spec.max_panels}")
     val, err = _gk15(f, a, b, panels)
@@ -191,7 +181,8 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         value, err_sum = np.add.reduce(val, 1), np.add.reduce(err, 1)
         tol = spec.rel_tol * np.abs(value)
         converged = np.count_nonzero(err_sum <= tol) == len(tol)
-        if converged or len(a) >= spec.max_panels:  # a seed round that converges ends here
+        # a seed round that converges ends here, and pays no finiteness test
+        if converged or len(a) >= spec.max_panels or not np.isfinite(value).all():
             break
         mid = 0.5 * (a + b)
         splittable = np.flatnonzero((a < mid) & (mid < b))  # not exhausted at float resolution
@@ -211,6 +202,4 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
         val = np.concatenate([val[:, keep], v], axis=1)
         err = np.concatenate([err[:, keep], e], axis=1)
-        by_start = np.argsort(a)
-        a, b, val, err = a[by_start], b[by_start], val[:, by_start], err[:, by_start]
     return QuadratureResult(value, err_sum, len(a), converged)

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import itertools
 import json
@@ -859,6 +860,21 @@ ANISOTROPIC = {
 }
 
 
+def ending(scen) -> str:
+    """How ``run_scenario`` ends on ``scen``: "value" for finite fields,
+    "typed" for an error the CLI maps to exit 2, 3 or 4, and otherwise
+    what went wrong: an untyped exception (or a warning raised as one) or
+    the fields that are not finite."""
+    try:
+        b, _ = run_scenario(scen)
+    except (SchemaError, PhysicsError, QuadratureError):
+        return "typed"
+    except Exception as exc:
+        return repr(exc)
+    fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
+    return "value" if np.isfinite(fields).all() else repr(fields)
+
+
 @pytest.mark.parametrize("geometry", DEGENERATE_GEOMETRIES)
 def test_degenerate_grid_ends_finite_or_typed(geometry):
     """Each scenario returns finite fields or raises a typed error, and no
@@ -866,25 +882,58 @@ def test_degenerate_grid_ends_finite_or_typed(geometry):
     geom, method = DEGENERATE_GEOMETRIES[geometry]
     # a mirror has no medium
     media = [()] if geom["kind"] == "mirror" else itertools.product(DEGENERATE_VALUES, repeat=3)
-    failures = []
-    returned = 0
-    for mol, medium in itertools.product((BULK["molecule"], ANISOTROPIC), media):
-        scen = {"molecule": mol, "geometry": geom, "method": method}
-        if medium:
-            scen["medium"] = dict(zip(("eps", "mu", "kappa"), ([v, 0.0] for v in medium)))
-        case = (mol["isotropic"], *medium)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                b, _ = run_scenario(scen)
-        except (SchemaError, PhysicsError, QuadratureError):
-            continue
-        except Exception as exc:  # an untyped ending, or a warning raised as one
-            failures.append((case, repr(exc)))
-            continue
-        fields = (b.gamma_el, b.gamma_ch, b.gamma_vac, b.gamma_total, b.s_disc)
-        if not np.isfinite(fields).all():
-            failures.append((case, fields))
-        returned += 1
-    assert failures == []
-    assert returned > 0  # the scenarios are well formed: some return
+    endings = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mol, medium in itertools.product((BULK["molecule"], ANISOTROPIC), media):
+            scen = {"molecule": mol, "geometry": geom, "method": method}
+            if medium:
+                scen["medium"] = dict(zip(("eps", "mu", "kappa"), ([v, 0.0] for v in medium)))
+            endings[(mol["isotropic"], *medium)] = ending(scen)
+    assert {case: end for case, end in endings.items() if end not in ("value", "typed")} == {}
+    assert "value" in endings.values()  # the scenarios are well formed: some return
+
+
+# Complex and degenerate media: eps and mu from lossless, absorbing, gain,
+# near-real and negative values, and kappa from zero, a small absorbing
+# value, the refractive index n_r = Re sqrt(eps mu) of either sign and just
+# below it, and a large value; each in every geometry kind and limit, the
+# planar ones at k0 z 1e-3, 1 and 100.
+COMPLEX_VALUES = (1.0, 2.25, 12 + 1e-9j, -2 + 0.1j, -4.0, 2.25 - 0.1j, -1 + 0.1j, 1 - 0.05j)
+COMPLEX_GEOMETRIES = {
+    **{f"halfspace-{limit}": ({"kind": "halfspace"}, {"limit": limit}) for limit in _LIMIT_K0Z},
+    **{f"mirror-{limit}": ({"kind": "mirror", "handedness": "right"}, {"limit": limit}) for limit in _LIMIT_K0Z},
+    "bulk": ({"kind": "bulk"}, {}),
+    "bulk_lfc": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {}),
+    "bulk_lfc-main": ({"kind": "bulk_lfc", "radius_a": 1.0e-9}, {"f0_source": "main"}),
+}
+
+
+def complex_media():
+    for eps, mu in itertools.product(COMPLEX_VALUES, repeat=2):
+        n_r = cmath.sqrt(eps * mu).real
+        for kappa in dict.fromkeys((0.0, 0.05 + 0.001j, n_r, -n_r, n_r - 1e-9, 3.5)):
+            yield {key: [value.real, value.imag] for key, value in zip(("eps", "mu", "kappa"), (eps, mu, kappa))}
+
+
+@pytest.mark.usefixtures("cold_store")
+@pytest.mark.parametrize("geometry", COMPLEX_GEOMETRIES)
+def test_complex_media_end_finite_or_typed(geometry):
+    """Each scenario returns finite fields or raises a typed error, and no
+    warning escapes but a closed form's out-of-range UserWarning: the ending
+    the CLI maps to exit 0, 2, 3 or 4."""
+    geom, method = COMPLEX_GEOMETRIES[geometry]
+    planar = geom["kind"] in ("mirror", "halfspace")
+    distances = [{"z_m": k0z / _K0} for k0z in (1e-3, 1.0, 100.0)] if planar else [{}]
+    media = [None] if geom["kind"] == "mirror" else complex_media()
+    endings = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "(non)?retarded closed form used", UserWarning)
+        for medium, where in itertools.product(media, distances):  # a medium's plan serves its three distances
+            scen = {"molecule": ANISOTROPIC, "geometry": {**geom, **where}, "method": method}
+            if medium:
+                scen["medium"] = medium
+            endings[json.dumps(scen["geometry"]), json.dumps(medium)] = ending(scen)
+    assert {case: end for case, end in endings.items() if end not in ("value", "typed")} == {}
+    assert "value" in endings.values()

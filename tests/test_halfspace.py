@@ -201,6 +201,16 @@ class TestNumericCurl:
         k0z = K0 * (k0z / K0)  # the product scatter_numeric forms
         assert seeds[0][-2] < 40.0 / (2.0 * k0z) <= seeds[0][-1]
 
+    def test_equal_seeds_are_one_array(self):
+        """Distances whose seeds are equal get the one ``_Seeds`` object,
+        and so one seed round: k0 z 1.0 and 1.2 have different decay scales
+        (2^-1 and 2^-2) but both start the first run at 1/4."""
+        assert hs._path_seeds(1.0) is hs._path_seeds(1.2)
+        by_value = {}
+        for k0z in np.logspace(-103, 8, 2000):
+            seeds = hs._path_seeds(float(k0z))
+            assert by_value.setdefault(tuple(seeds), seeds) is seeds, k0z
+
     def test_seed_count_is_bounded(self):
         """From k0 z 1e-103 to 1e8 the path has 7 to 15 seed panels. Every
         seed panel is a dyadic interval but the one that bridges 8 and the
@@ -472,27 +482,31 @@ class TestStore:
     @pytest.mark.usefixtures("cold_store")
     def test_a_seed_array_is_checked_and_laid_out_once(self, monkeypatch):
         """The first point that meets a seed array checks its seeds and
-        builds its seed round: the panel ends and their nodes. Every later
-        point on those seeds, at any distance they serve, checks and builds
-        none of them; a point of one round then builds no nodes at all."""
+        builds its seed round, the panel ends and their nodes, in one
+        ``_panels`` call. Every later point on equal seeds, at any distance
+        they serve, builds none of them: a point of one round then builds no
+        nodes at all. Distances whose decay scales differ but whose seeds are
+        equal (k0 z 1.0 and 1.2) share the one seed array."""
         hs._seeds_between.cache_clear()
-        checked, nodes, rounds = [], [], []
-        check, panels, gk15 = sommerfeld._checked, sommerfeld._panels, sommerfeld._gk15
-        monkeypatch.setattr(sommerfeld, "_checked", lambda seeds: checked.append(len(seeds)) or check(seeds))
+        nodes, rounds = [], []
+        panels, gk15 = sommerfeld._panels, sommerfeld._gk15
         monkeypatch.setattr(sommerfeld, "_panels", lambda a, b: nodes.append(len(a)) or panels(a, b))
         monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: rounds.append(len(a)) or gk15(f, a, *rest))
         med = MediumResponse(*ORACLE_MEDIA["lossless"], omega=W)
-        near, same_seeds, other = 1.0, 0.9, 4.0  # k0 z: 0.9 has the decay scale and tail end of 1.0, 4.0 not
+        # k0 z: 0.9 has the decay scale and tail end of 1.0, 1.2 another decay
+        # scale but the same seeds, and 4.0 other seeds
+        near, same_seeds, other = 1.0, (0.9, 1.2), 4.0
         seeds = hs._path_seeds(K0 * (near / K0))
-        assert hs._path_seeds(K0 * (same_seeds / K0)) is seeds is not hs._path_seeds(K0 * (other / K0))
+        assert all(hs._path_seeds(K0 * (k0z / K0)) is seeds for k0z in same_seeds)
+        assert hs._path_seeds(K0 * (other / K0)) is not seeds
         scatter_numeric(PlanarGeometry(z_m=near / K0, medium=med), W)
         assert len(rounds) == 1  # a point of one round: its seed round
-        assert checked == [len(seeds)] and nodes == [len(seeds) - 1]
-        for k0z in (near, same_seeds, near):
+        assert nodes == [len(seeds) - 1]
+        for k0z in (*same_seeds, near):
             scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
-        assert len(checked) == len(nodes) == 1
+        assert len(rounds) == 4 and len(nodes) == 1
         scatter_numeric(PlanarGeometry(z_m=other / K0, medium=med), W)
-        assert len(checked) == 2
+        assert len(rounds) == 5 and nodes == [len(seeds) - 1, len(hs._path_seeds(K0 * (other / K0))) - 1]
         hs._seeds_between.cache_clear()  # no round built through the spies stays cached
 
     @pytest.mark.usefixtures("cold_store")
@@ -875,6 +889,24 @@ class TestFloatRange:
         geom = PlanarGeometry(z_m=k0z / K0, medium=MediumResponse(*medium, W))
         with pytest.raises(PhysicsError, match="left the float range"):
             rates_halfspace(geom, mol_iso, Limit.NUMERIC)
+
+    @pytest.mark.usefixtures("cold_store")
+    @pytest.mark.parametrize("k0z", [1e-80, 1e-75])
+    def test_overflowing_totals_end_typed(self, monkeypatch, mol_iso, k0z):
+        """eps one float above -1 has no bound on its reflections on the
+        path, and its totals overflow to infinity in the first refinement
+        round: the integral stops there and ends in PhysicsError, with no
+        numpy warning (it used to refine 11 rounds, warn in the split
+        ranking and end in QuadratureError)."""
+        rounds = []
+        gk15 = sommerfeld._gk15
+        monkeypatch.setattr(sommerfeld, "_gk15", lambda f, a, *rest: rounds.append(len(a)) or gk15(f, a, *rest))
+        geom = PlanarGeometry(z_m=k0z / K0, medium=MediumResponse(-0.9999999999999999, 1.0, 0.0, W))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsError, match="left the float range"):
+                rates_halfspace(geom, mol_iso, Limit.NUMERIC)
+        assert 1 <= len(rounds) <= 3
 
     def test_halfspace_medium_beyond_float_range_ends_typed(self, mol_iso):
         # eps mu = 1e390: the circular wave numbers are infinite

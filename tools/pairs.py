@@ -40,17 +40,19 @@ both trees, each under its own alias, into the tool's own process.
   master formulas) and building its ``RateBreakdown``; for half-space
   points also ``parse_medium``, ``scatter_numeric``, ``integrate``,
   ``_gk15`` with its integrand, the integrand and the plan's ``values_at``;
-  for mirror points the numeric tensor entries (``_mirror_entries``, or the
-  tensors of ``_mirror_tensors`` in a tree without it). From these: the
-  part of ``run_point`` outside the
-  rates call, the self times of ``_gk15`` and ``integrate`` and the part of
-  ``scatter_numeric`` outside the integral. Spies forward their arguments
+  for mirror points the numeric tensor entries (``_mirror_entries``). From
+  these: the part of ``run_point`` outside the rates call, the self times
+  of ``_gk15`` and ``integrate`` and the part of ``scatter_numeric``
+  outside the integral. Spies forward their arguments
   as they come, so a tree whose private signatures differ still runs.
 * ``counts`` runs two passes of a workload (``near_field_numeric``) in one
   process and counts, per pass, points, integrals, GK15 rounds, panels, the
-  path nodes whose reflections were evaluated and the integrals whose seed
-  array an earlier integral of the process had met (whose seed round was
-  built already): counts that repeat on any machine.
+  path nodes whose reflections were evaluated, the integrals whose seed
+  array an earlier integral of the process had met (the same object, whose
+  seed round was built already) and the distinct seed arrays, compared by
+  value: counts that repeat on any machine. Every seed array of the first
+  pass is one object where its met integrals are its integrals less its
+  distinct seed arrays.
 * ``values`` imports both trees into one process and reports how far the
   change moves every bench output (all workloads at the seeds, and their
   anchors; split into points of isotropic molecules, of anisotropic ones
@@ -180,17 +182,6 @@ def five_entries(curl, img_g) -> tuple:
     return curl[0][0], curl[2][2], curl[0][1], img_g[0][0], img_g[2][2]
 
 
-def mirror_numeric(hs):
-    """The numeric mirror's entries, f(geom, w) -> its five entries, and
-    the function that the layer ``mirror_numeric`` times: a tree's
-    ``_mirror_entries``, or the tensors of its ``_mirror_tensors``."""
-    if hasattr(hs, "_mirror_entries"):
-        f = hs._mirror_entries
-        return (lambda g, w: f(g, w, hs.Limit.NUMERIC)), f
-    f = hs._mirror_tensors
-    return (lambda g, w: five_entries(*f(g, w, hs.Limit.NUMERIC))), f
-
-
 def layers(args) -> dict:
     sys.path.insert(0, str(Path(args.parent).resolve() / "bench"))
     import workloads
@@ -220,8 +211,7 @@ def layers(args) -> dict:
                 hands = {"right": hs.Handedness.RIGHT, "left": hs.Handedness.LEFT}
                 geoms = [hs.PlanarGeometry(z_m=p.scenario["geometry"]["z_m"],
                                            handedness=hands[p.scenario["geometry"]["handedness"]]) for p in points]
-                numeric_entries, timed_entries = mirror_numeric(hs)
-                entries = [numeric_entries(g, w) for g in geoms]
+                entries = [hs._mirror_entries(g, w, hs.Limit.NUMERIC) for g in geoms]
                 rate = hs.rates_mirror
             breakdowns = [rate(g, m, hs.Limit.NUMERIC) for g, m in zip(geoms, mols)]
             layer = {
@@ -253,7 +243,7 @@ def layers(args) -> dict:
                     "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
                 })
             else:
-                layer["mirror_numeric"] = [lambda g=g, f=timed_entries, hs=hs: f(g, w, hs.Limit.NUMERIC)
+                layer["mirror_numeric"] = [lambda g=g, hs=hs: hs._mirror_entries(g, w, hs.Limit.NUMERIC)
                                            for g in geoms]
             jobs[side][kind] = layer
     best = {side: {kind: {layer: [float("inf")] * len(timed) for layer, timed in by_layer.items()}
@@ -352,8 +342,9 @@ def values(args) -> dict:
 def counts(args) -> dict:
     """Machine-independent counts of two passes of a workload's seed in one
     fresh process: points, integrals, GK15 rounds, panels, path nodes whose
-    reflections were evaluated (the store's misses), and integrals whose
-    seed array (the same object) an earlier integral of the process met."""
+    reflections were evaluated (the store's misses), integrals whose seed
+    array (the same object) an earlier integral of the process met, and the
+    distinct seed arrays of the pass, by value."""
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
@@ -361,12 +352,14 @@ def counts(args) -> dict:
 
     tally = {}
     met = {}  # id -> every seed array met, kept alive so that no id is reused
+    distinct = set()  # the values of the seed arrays of this pass
     integrate, gk15, amplitudes = hs.integrate, sf._gk15, hs._amplitudes
 
     def spy_integrate(*args):
         seeds = args[1]
         tally["on_a_met_seed_array"] += id(seeds) in met
         met[id(seeds)] = seeds
+        distinct.add(tuple(seeds))
         res = integrate(*args)
         tally["integrals"] += 1
         tally["panels"] += res.panels_used
@@ -386,9 +379,10 @@ def counts(args) -> dict:
     points = workloads.generate(args.workload, args.seed)
     for _ in range(2):
         tally.update(points=len(points), integrals=0, rounds=0, panels=0, path_nodes=0, on_a_met_seed_array=0)
+        distinct.clear()
         for p in points:
             workloads.run_point(cli, p)
-        passes.append(dict(tally))
+        passes.append({**tally, "distinct_seed_arrays": len(distinct)})
     return {"tree": str(tree), "workload": args.workload, "seed": args.seed, "passes": passes}
 
 
