@@ -180,10 +180,7 @@ def parse_molecule(node, where="molecule") -> TransitionDipoles:
     omega = _omega_from(node["omega_ik"], (where, ".omega_ik"))
     isotropic = _bool_from(node.get("isotropic", False), (where, ".isotropic"))
     d, m = _vector3_from(node["d"], (where, ".d")), _vector3_from(node["m"], (where, ".m"))
-    try:
-        return TransitionDipoles(d, m, omega, isotropic)
-    except ValueError as exc:
-        raise SchemaError(f"{_path(where)}: {exc}") from exc
+    return TransitionDipoles(d, m, omega, isotropic)
 
 
 def parse_medium(node, omega: float, where="medium") -> MediumResponse:

@@ -129,15 +129,15 @@ _STORE_BYTES = 256 * 1024
 
 
 class _Plan:
-    """One medium's plan, in units of k0, built once per (eps, mu, kappa)
-    by ``_plan``. It holds the constants of the reflections, which depend on
-    eps, mu and kappa only (the reflections on them and on x = k_perp/k0),
-    and the numeric pathway's node values of the medium (``values_at``).
-    Mode arrays are read-only, modes first (0 is k_plus, 1 is k_minus),
-    with K = k/k0. Raises ``PhysicsError`` for eps = 0 or mu = 0, where the
-    impedance sqrt(mu/eps) is 0 or infinite, for a circular wave number K
-    beyond the float range, and for one whose square vanishes against k0^2
-    (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
+    """One medium's plan, in units of k0 (it holds no k0), built once per
+    (eps, mu, kappa) by ``_plan``: the reflections' constants, which depend on
+    eps, mu and kappa only (the reflections on them and on x = k_perp/k0), n_r
+    and each mode's K = k/k0 (``k``, for ``fresnel_retarded``), and the
+    numeric pathway's node values (``values_at``). Mode arrays are read-only,
+    modes first (0 is k_plus, 1 is k_minus). Raises ``PhysicsError`` for
+    eps = 0 or mu = 0, where the impedance sqrt(mu/eps) is 0 or infinite, for a
+    circular wave number K beyond the float range, and for one whose square
+    vanishes against k0^2 (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
 
     The node values are kept per panel of tau and shared by every distance.
     The path's panels are fixed intervals of tau (``_path_seeds``), so a
@@ -163,6 +163,7 @@ class _Plan:
         if not (cmath.isfinite(k_plus) and cmath.isfinite(k_minus)):
             raise PhysicsError(
                 f"the circular wave numbers leave the float range: k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}")
+        self.n_r, self.k = unit.n_r, (k_plus, k_minus)  # Python complex numbers
         cuts = {}
         for mode, k in enumerate((k_plus, k_minus)):
             if (k * k).imag < 0:
@@ -212,13 +213,13 @@ class _Plan:
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
 
-    def values_at(self, tau: np.ndarray, k0: float) -> np.ndarray:
+    def values_at(self, tau: np.ndarray) -> np.ndarray:
         """The values at the (panels, 15) nodes ``tau`` of one round, as a
         new (1 + hairpins, channels, panels, 15) array. Only the panels not
         kept are evaluated, in one call of ``_amplitudes`` and
         ``_reflections``, and kept; a round they would not fit in is
         evaluated whole and kept nowhere. PoleError, with nothing kept, if
-        a value is not finite (``k0`` names its node in 1/m)."""
+        a value is not finite."""
         key = tau[:, 7::7].tobytes()  # the centre and last node of each panel
         with self._lock:  # two threads must not fill the same free slots
             slots = self._rounds.get(key)
@@ -227,10 +228,10 @@ class _Plan:
                 slots = [self._slots.get(panel, -1) for panel in keys]
                 new = [i for i, slot in enumerate(slots) if slot < 0]
                 if len(new) * self._panel_bytes > self._free:
-                    return self._evaluate(tau, k0)
+                    return self._evaluate(tau)
                 if new:
                     fresh = len(new) == len(keys)  # a cold round: its values are the round's
-                    values = self._evaluate(tau if fresh else tau[new], k0)
+                    values = self._evaluate(tau if fresh else tau[new])
                     first = len(self._slots)
                     self._values[:, :, first:first + len(new)] = values
                     for slot, i in enumerate(new, first):
@@ -245,7 +246,7 @@ class _Plan:
                     self._rounds[key] = slots
             return self._values.take(slots, axis=2)
 
-    def _evaluate(self, tau: np.ndarray, k0: float) -> np.ndarray:
+    def _evaluate(self, tau: np.ndarray) -> np.ndarray:
         x = np.empty((len(self._re),) + tau.shape, dtype=complex)
         x.real, x.imag = self._re, self._im + tau  # with no complex arithmetic
         out = np.empty((len(self._re), 4) + tau.shape, dtype=complex)
@@ -259,7 +260,7 @@ class _Plan:
             np.multiply(par, r_pp, out=out[:, 3])  # G zz over 2i
         if not np.isfinite(out).all():
             bad = x[~np.isfinite(out).all(axis=1)][0]
-            raise PoleError(f"planar integrand not finite at k_perp = {k0 * bad!r}, k0 = {k0!r}")
+            raise PoleError(f"planar integrand not finite at k_perp = {complex(bad)!r} k0")
         rows = 1 + len(self.hairpins)
         np.subtract(out[1:rows], out[rows:], out=out[1:rows])  # each hairpin: left minus right
         return out[:rows]
@@ -407,10 +408,11 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
     so the cross coefficient vanishes for real parameters (|k| = k then) and
     only absorbing chiral media reflect with polarization rotation at normal
     incidence. At kappa = 0 the diagonal coefficients reduce to
-    +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)).
+    +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)). It reads n_r and k+-/k0
+    from the medium's plan (``_plan``), so it depends on eps, mu and kappa only.
     """
-    eps, mu = med.eps, med.mu
-    n_r, kp, km = med.n_r, med.k_plus, med.k_minus
+    eps, mu, plan = med.eps, med.mu, _plan(med.eps, med.mu, med.kappa)
+    n_r, (kp, km) = plan.n_r, plan.k
     if n_r == 0:
         raise PhysicsError(f"retarded reflections need a nonzero index, got eps = {eps!r}, mu = {mu!r}")
     akp, akm = abs(kp), abs(km)
@@ -535,9 +537,12 @@ def scatter_numeric(
     return np.array(curl), np.array(img_g)
 
 
-def _path_totals(med: MediumResponse, k0: float, k0z: float, spec: QuadratureSpec) -> list:
+def _path_totals(med: MediumResponse, k0z: float, spec: QuadratureSpec) -> list:
     """The four complex totals of the ``_CHANNELS`` over tau on the path,
-    the one integral of ``scatter_numeric``, as Python complex numbers."""
+    the one integral of ``scatter_numeric``, as Python complex numbers; a
+    vacuum half-space, which has no interface, has exact zeros."""
+    if (med.eps, med.mu, med.kappa) == (1, 1, 0):
+        return [0j] * 4
     plan = _plan(med.eps, med.mu, med.kappa)
     if plan.poles:
         raise PoleError(
@@ -552,7 +557,7 @@ def _path_totals(med: MediumResponse, k0: float, k0z: float, spec: QuadratureSpe
     rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
 
     def integrand(tau: np.ndarray) -> np.ndarray:
-        values = plan.values_at(tau, k0)
+        values = plan.values_at(tau)
         total = values[0]
         for side, phase in zip(values[1:], phases):
             side *= phase
@@ -749,7 +754,7 @@ def _halfspace_entries(geom: PlanarGeometry, w: float, limit: Limit, spec: Quadr
     k0 = w / CONSTANTS.c
     if limit is Limit.NUMERIC:
         k0z = k0 * z
-        return _assemble(_path_totals(med, k0, k0z, spec), k0, k0z)
+        return _assemble(_path_totals(med, k0z, spec), k0, k0z)
     if limit is Limit.RETARDED:
         r_ss, r_pp, r_sp = fresnel_retarded(med)
         arg = _round_trip(w, z)

@@ -3,7 +3,9 @@
 
 Closed-form cavity coefficients and correction factors are small-radius
 asymptotics; ``curl_img_lfc``, ``gamma_ch_lfc`` and ``gamma_el_lfc`` guard
-k0*a against the validity threshold on entry, whatever the host. Two
+k0*a on entry, whatever the host. A rate judges it, and evaluates its closed
+form, at the molecule's omega_ik, so the host enters only through eps, mu and
+kappa; ``curl_img_lfc`` and ``onsager_coefficients`` read the host's omega. Two
 inequivalent normalizations of the chiral correction factor f0 circulate
 (the module-level rational function of (eps, mu) and a mode-resolved form
 built from the circular wave numbers); see ``f0_main``. They do not agree
@@ -43,7 +45,8 @@ SMALL_RADIUS_THRESHOLD = 0.1  # max k0*a for the small-cavity asymptotics
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Vacuum cavity of radius ``radius_a`` inside host medium ``host``."""
+    """Vacuum cavity of radius ``radius_a`` inside host medium ``host``; k0*a
+    is judged at the k0 of the form that asks (``check_small_radius``)."""
 
     radius_a: float
     host: MediumResponse
@@ -52,15 +55,10 @@ class CavityConfig:
         if not (self.radius_a > 0):
             raise PhysicsError(f"radius_a must be positive, got {self.radius_a}")
 
-    @property
-    def k0a(self) -> float:
-        return self.host.k0 * self.radius_a
-
-    def check_small_radius(self):
-        if self.k0a >= SMALL_RADIUS_THRESHOLD:
-            raise RadiusTooLargeError(
-                f"small-cavity asymptotics require k0*a < {SMALL_RADIUS_THRESHOLD}, got {self.k0a:.3g}"
-            )
+    def check_small_radius(self, k0: float):
+        if k0 * self.radius_a >= SMALL_RADIUS_THRESHOLD:
+            raise RadiusTooLargeError(f"small-cavity asymptotics require k0*a < {SMALL_RADIUS_THRESHOLD}, "
+                                      f"got {k0 * self.radius_a:.3g}")
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,8 @@ def curl_img_lfc(cav: CavityConfig) -> np.ndarray:
     For real parameters only the f0 term survives; for absorbing media the
     1/a^3 term dominates.
     """
-    cav.check_small_radius()
     med = cav.host
+    cav.check_small_radius(med.k0)
     f = f_factors(med)
     kap = med.kappa
     w = med.omega
@@ -222,7 +220,7 @@ def gamma_ch_lfc(cav: CavityConfig, mol: TransitionDipoles, f0_source: str = "ap
     """
     if f0_source not in ("appendix", "main"):
         raise ValueError(f"unknown f0_source {f0_source!r}")
-    cav.check_small_radius()
+    cav.check_small_radius(mol.omega_ik / CONSTANTS.c)
     med = cav.host
     if med.lossless:
         f0 = _f0_appendix(med.mu, med.n_r, *_denoms(med)) if f0_source == "appendix" else f0_main(med)
@@ -242,7 +240,7 @@ def gamma_el_lfc(cav: CavityConfig, mol: TransitionDipoles) -> float:
     Im eps = 0, for a host lossy in mu or kappa only, where the form carries
     no leading order: that host raises PhysicsError.
     """
-    cav.check_small_radius()
+    cav.check_small_radius(mol.omega_ik / CONSTANTS.c)
     med = cav.host
     eps = med.eps
     if med.lossless:

@@ -10,7 +10,9 @@ import chipurcell
 from chipurcell import (
     CONSTANTS,
     Contraction,
+    Limit,
     MediumResponse,
+    PlanarGeometry,
     TransitionDipoles,
     curl_img_g0_coincident,
     curl_img_lfc,
@@ -25,6 +27,7 @@ from chipurcell import (
     img_g0_coincident,
     onsager_coefficients,
     rates_bulk,
+    rates_halfspace,
     rates_lfc,
     rotatory_strength,
 )
@@ -139,6 +142,13 @@ def test_frequencies_must_be_positive_and_finite(omega):
         MediumResponse(2.25, 1.0, 0.05, omega)
     with pytest.raises(ValueError, match="omega_ik must be positive and finite"):
         TransitionDipoles([DEBYE, 0.0, 0.0], [0.0, 0.0, 0.0], omega)
+
+
+@pytest.mark.parametrize("d, m", [([DEBYE, 0.0], [0.0, 0.0, 0.0]), ([DEBYE, 0.0, 0.0], [[0.0, 0.0, 0.0]]),
+                                  (DEBYE, 0.0)], ids=["short-d", "2-d-m", "scalars"])
+def test_dipoles_must_be_three_vectors(d, m):
+    with pytest.raises(ValueError, match=r"d and m must have shape \(3,\)"):
+        TransitionDipoles(d, m, OMEGA)
 
 
 def _quarter_phase(omega=OMEGA):
@@ -356,3 +366,42 @@ class TestUnitsAudit:
                     r1 = rates_mirror(g1, mol, limit)
                     r2 = rates_mirror(g2, mol2, limit)
             assert r2.gamma_ch == pytest.approx(lam**3 * r1.gamma_ch, rel=1e-12)
+
+
+
+# every rate reads its frequency from the molecule: a medium built at another
+# omega gives the same breakdown, or the same error
+_MEDIA = {"lossless": (2.25, 1.0, 0.05), "lossy": (2.25 + 0.1j, 1.0, 0.05 + 0.001j)}
+_K0Z = {Limit.RETARDED: 30.0, Limit.NONRETARDED: 0.03, Limit.NUMERIC: 1.0}
+
+
+def _lfc(a: float, f0_source: str):
+    return lambda med, mol: rates_lfc(CavityConfig(a, med), mol, f0_source)
+
+
+def _halfspace(limit: Limit):
+    return lambda med, mol: rates_halfspace(
+        PlanarGeometry(z_m=_K0Z[limit] * CONSTANTS.c / mol.omega_ik, medium=med), mol, limit)
+
+
+_RATES = {
+    "bulk": rates_bulk,
+    **{f"lfc-{source}-{a * 1e9:g}nm": _lfc(a, source) for source in ("appendix", "main") for a in (1e-9, 15e-9)},
+    **{f"halfspace-{limit.value}": _halfspace(limit) for limit in Limit},
+}
+
+
+def _ending(rate, medium: str, omega: float, mol) -> object:
+    """The breakdown's repr (its floats to the bit), or the error's type."""
+    try:
+        return repr(rate(MediumResponse(*_MEDIA[medium], omega), mol))
+    except PhysicsError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("scale", [0.37, 1.9, 7.3])
+@pytest.mark.parametrize("medium", _MEDIA)
+@pytest.mark.parametrize("rate", _RATES)
+def test_a_rate_reads_its_frequency_from_the_molecule(rate, medium, scale, mol_aniso):
+    ending = _ending(_RATES[rate], medium, OMEGA * scale, mol_aniso)
+    assert ending == _ending(_RATES[rate], medium, OMEGA, mol_aniso)

@@ -8,6 +8,7 @@ from chipurcell import (
     CONSTANTS,
     CavityConfig,
     MediumResponse,
+    TransitionDipoles,
     curl_img_lfc,
     f0_main,
     f_factors,
@@ -21,7 +22,7 @@ from chipurcell import (
 )
 from chipurcell.errors import PhysicsError, PoleError, RadiusTooLargeError
 from chipurcell import onsager
-from conftest import OMEGA, SMALL_KAPPA, SMALL_KAPPA_MEDIA
+from conftest import DEBYE, OMEGA, SMALL_KAPPA, SMALL_KAPPA_MEDIA
 from oracles import solve_cavity_coefficients
 
 
@@ -216,6 +217,23 @@ class TestCorrectedCurl:
                 gamma_el_lfc(big, mol_iso)
             with pytest.raises(RadiusTooLargeError):
                 rates_lfc(big, mol_iso)
+
+    def test_radius_is_judged_at_the_molecules_frequency(self):
+        # a = 15 nm: k0 a is 0.150 at 3e15 rad/s and 0.050 at 1e15; a rate
+        # judges it at omega_ik, where its closed form is evaluated, and
+        # curl_img_lfc, which has no molecule, at its host's omega
+        def host(omega):
+            return CavityConfig(15e-9, MediumResponse(2.25, 1.0, 0.05, omega))
+
+        def molecule(omega):
+            return TransitionDipoles([DEBYE, 0.0, 0.0], [1e-23j, 0.0, 0.0], omega, isotropic=True)
+
+        with pytest.raises(RadiusTooLargeError, match="got 0.15"):
+            rates_lfc(host(1e15), molecule(3e15))
+        assert rates_lfc(host(3e15), molecule(1e15)) == rates_lfc(host(1e15), molecule(1e15))
+        with pytest.raises(RadiusTooLargeError, match="got 0.15"):
+            curl_img_lfc(host(3e15))
+        assert curl_img_lfc(host(1e15)).shape == (3, 3)
 
 
 class TestCorrectedRates:

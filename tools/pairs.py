@@ -43,8 +43,10 @@ both trees, each under its own alias, into the tool's own process.
   for mirror points the numeric tensor entries (``_mirror_entries``). From
   these: the part of ``run_point`` outside the rates call, the self times
   of ``_gk15`` and ``integrate`` and the part of ``scatter_numeric``
-  outside the integral. Spies forward their arguments
-  as they come, so a tree whose private signatures differ still runs.
+  outside the integral. Spies forward their arguments as they come, and a
+  layer replays the calls its spy recorded (``values_at`` with the plan
+  and the arguments the integrand passed), so a tree whose private
+  signatures differ still runs.
 * ``counts`` runs two passes of a workload (``near_field_numeric``) in one
   process and counts, per pass, points, integrals, GK15 rounds, panels, the
   path nodes whose reflections were evaluated, the integrals whose seed
@@ -189,7 +191,6 @@ def layers(args) -> dict:
     pass_points = workloads.generate("near_field_numeric", args.seed)
     groups = {kind: [p for p in pass_points if p.label["geometry"] == kind] for kind in ("halfspace", "mirror")}
     w = workloads.OMEGA
-    k0 = w / 299792458.0
     jobs = {}  # per tree, per group, per layer: one call per point (or round)
     for side in ("parent", "change"):
         alias = f"{side}_chipurcell"
@@ -226,21 +227,21 @@ def layers(args) -> dict:
                     s_disc=b.s_disc, method=b.method, assembly=b.assembly) for b in breakdowns],
             }
             if kind == "halfspace":
-                calls, rounds, nodes = [], [], []
-                integrate, gk15 = hs.integrate, sf._gk15
+                calls, rounds, nodes, lookups = [], [], [], []
+                integrate, gk15, values_at = hs.integrate, sf._gk15, hs._Plan.values_at
                 hs.integrate = lambda *args: calls.append(args) or integrate(*args)
                 sf._gk15 = lambda f, *rest: rounds.append((f, *rest)) or gk15(lambda x: nodes.append(x) or f(x), *rest)
+                hs._Plan.values_at = lambda *args: lookups.append(args) or values_at(*args)
                 for g in geoms:
                     hs.scatter_numeric(g, w)
-                hs.integrate, sf._gk15 = integrate, gk15
-                plans = [hs._plan(g.medium.eps, g.medium.mu, g.medium.kappa) for g in geoms]
+                hs.integrate, sf._gk15, hs._Plan.values_at = integrate, gk15, values_at
                 layer.update({
                     "parse_medium": [lambda p=p, cli=cli: cli.parse_medium(p.scenario["medium"], w) for p in points],
                     "scatter_numeric": [lambda g=g, hs=hs: hs.scatter_numeric(g, w) for g in geoms],
                     "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
                     "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
                     "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
-                    "values_at": [lambda p=p, x=x: p.values_at(x, k0) for p, x in zip(plans, nodes)],
+                    "values_at": [lambda c=c, values_at=values_at: values_at(*c) for c in lookups],
                 })
             else:
                 layer["mirror_numeric"] = [lambda g=g, hs=hs: hs._mirror_entries(g, w, hs.Limit.NUMERIC)
