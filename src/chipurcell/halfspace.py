@@ -129,15 +129,15 @@ _STORE_BYTES = 256 * 1024
 
 
 class _Plan:
-    """One medium's plan, in units of k0 (it holds no k0), built once per
-    (eps, mu, kappa) by ``_plan``: the reflections' constants, which depend on
-    eps, mu and kappa only (the reflections on them and on x = k_perp/k0), n_r
-    and each mode's K = k/k0 (``k``, for ``fresnel_retarded``), and the
-    numeric pathway's node values (``values_at``). Mode arrays are read-only,
-    modes first (0 is k_plus, 1 is k_minus). Raises ``PhysicsError`` for
-    eps = 0 or mu = 0, where the impedance sqrt(mu/eps) is 0 or infinite, for a
-    circular wave number K beyond the float range, and for one whose square
-    vanishes against k0^2 (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
+    """One medium's plan, in units of k0, built once per (eps, mu, kappa)
+    by ``_plan``. It holds the constants of the reflections, which depend on
+    eps, mu and kappa only (the reflections on them and on x = k_perp/k0),
+    and the numeric pathway's node values of the medium (``values_at``).
+    Mode arrays are read-only, modes first (0 is k_plus, 1 is k_minus),
+    with K = k/k0. Raises ``PhysicsError`` for eps = 0 or mu = 0, where the
+    impedance sqrt(mu/eps) is 0 or infinite, for a circular wave number K
+    beyond the float range, and for one whose square vanishes against k0^2
+    (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
 
     The node values are kept per panel of tau and shared by every distance.
     The path's panels are fixed intervals of tau (``_path_seeds``), so a
@@ -163,7 +163,6 @@ class _Plan:
         if not (cmath.isfinite(k_plus) and cmath.isfinite(k_minus)):
             raise PhysicsError(
                 f"the circular wave numbers leave the float range: k+/k0 = {k_plus!r}, k-/k0 = {k_minus!r}")
-        self.n_r, self.k = unit.n_r, (k_plus, k_minus)  # Python complex numbers
         cuts = {}
         for mode, k in enumerate((k_plus, k_minus)):
             if (k * k).imag < 0:
@@ -408,11 +407,12 @@ def fresnel_retarded(med: MediumResponse) -> tuple:
     so the cross coefficient vanishes for real parameters (|k| = k then) and
     only absorbing chiral media reflect with polarization rotation at normal
     incidence. At kappa = 0 the diagonal coefficients reduce to
-    +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)). It reads n_r and k+-/k0
-    from the medium's plan (``_plan``), so it depends on eps, mu and kappa only.
+    +-(sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)). Numerators and D are
+    all of degree two in k+-, so it takes them in units of k0,
+    k+-/k0 = n_r -+ kappa, and depends on eps, mu and kappa only.
     """
-    eps, mu, plan = med.eps, med.mu, _plan(med.eps, med.mu, med.kappa)
-    n_r, (kp, km) = plan.n_r, plan.k
+    eps, mu, n_r = med.eps, med.mu, med.n_r
+    kp, km = n_r - med.kappa, n_r + med.kappa
     if n_r == 0:
         raise PhysicsError(f"retarded reflections need a nonzero index, got eps = {eps!r}, mu = {mu!r}")
     akp, akm = abs(kp), abs(km)

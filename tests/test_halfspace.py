@@ -404,6 +404,16 @@ class TestPlan:
                 rates_halfspace(PlanarGeometry(z_m=k0z / K0, medium=med), mol_aniso, Limit.NUMERIC)
         assert len(calls) == len(media)
 
+    def test_retarded_reflections_build_no_plan(self):
+        # k+-/k0 = n_r -+ kappa is all the closed form needs: it builds no
+        # plan, and keeps its finite values where the plan refuses the medium
+        med = MediumResponse(2.25, 1.0, 1.5 - 1e-9, W)  # kappa just below n_r
+        with pytest.raises(PhysicsError, match="a circular wave number vanishes"):
+            hs._plan(med.eps, med.mu, med.kappa)
+        hs._plan.cache_clear()
+        assert np.isfinite(fresnel_retarded(med)).all()
+        assert hs._plan.cache_info().currsize == 0
+
 
 class TestStore:
     """Each plan stores its integrand's node values per panel of tau
