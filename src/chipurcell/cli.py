@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -96,6 +97,10 @@ def _omega_from(node, where) -> float:
 
 def _number_from(node, where) -> complex:
     """A finite number or an [re, im] pair of them."""
+    if type(node) is list and len(node) == 2:  # the common shape, a pair of finite floats, in one step
+        real, imag = node
+        if type(real) is float and type(imag) is float and abs(real) <= _FLOAT_MAX and abs(imag) <= _FLOAT_MAX:
+            return complex(real, imag)
     if isinstance(node, list):
         if len(node) == 2 and _finite(node[0]) and _finite(node[1]):
             return complex(node[0], node[1])
@@ -110,15 +115,16 @@ def _fields(node, where, required: frozenset, optional: frozenset = frozenset())
     none outside ``required | optional`` (disjoint); ``where`` is its path."""
     if not isinstance(node, dict):
         raise SchemaError(f"{_path(where) or 'scenario'}: expected an object")
-    if node.keys() - optional != required:
-        prefix = f"{_path(where)}." if where else ""
-        missing = sorted(required.difference(node))
-        if missing:
-            raise SchemaError(f"{prefix}{missing[0]}: missing required field")
-        unknown = next(key for key in node if key not in required and key not in optional)
-        allowed = ", ".join(sorted(required | optional)) or "none"
-        raise SchemaError(f"{prefix}{unknown}: unknown field (the fields here: {allowed})")
-    return node
+    keys = node.keys()
+    if keys == required or keys - optional == required:  # the first settles an object with no optional field
+        return node
+    prefix = f"{_path(where)}." if where else ""
+    missing = sorted(required.difference(node))
+    if missing:
+        raise SchemaError(f"{prefix}{missing[0]}: missing required field")
+    unknown = next(key for key in node if key not in required and key not in optional)
+    allowed = ", ".join(sorted(required | optional)) or "none"
+    raise SchemaError(f"{prefix}{unknown}: unknown field (the fields here: {allowed})")
 
 
 _NONE = frozenset()
@@ -166,7 +172,9 @@ def _complex_from(node, where, omega: float) -> complex:
 def _vector3_from(node, where) -> np.ndarray:
     if not (isinstance(node, list) and len(node) == 3):
         raise SchemaError(f"{_path(where)}: expected a 3-element array of [re, im] pairs")
-    return np.array([_number_from(c, (where, i)) for c, i in zip(node, ("[0]", "[1]", "[2]"))], dtype=complex)
+    x, y, z = node
+    return np.array([_number_from(x, (where, "[0]")), _number_from(y, (where, "[1]")),
+                     _number_from(z, (where, "[2]"))], dtype=complex)
 
 
 def _bool_from(node, where) -> bool:
@@ -382,11 +390,14 @@ def run_sweep(scenario: dict, param: str, lo: float, hi: float, points: int, log
     """Execute the sweep; returns CSV lines (header + one row per grid point)."""
     if points < 1:
         raise SchemaError("sweep requires points >= 1")
+    lo, hi = _real_from(lo, "--from"), _real_from(hi, "--to")
     if log:
         if lo <= 0 or hi <= 0:
             raise SchemaError("log-scale sweep requires positive endpoints")
         grid = np.geomspace(lo, hi, points)
     else:
+        if not math.isfinite(hi - lo):  # numpy's step would overflow, with a warning
+            raise SchemaError(f"--from, --to: the span {hi!r} - {lo!r} leaves the float range")
         grid = np.linspace(lo, hi, points)
     lines = [SWEEP_CSV_HEADER]
     for x in grid:

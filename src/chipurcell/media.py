@@ -38,8 +38,12 @@ class MediumResponse:
     def __post_init__(self):
         if not (0 < self.omega < math.inf):  # NaN fails too
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        for name in ("eps", "mu", "kappa"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        eps, mu, kappa = self.eps, self.mu, self.kappa
+        # complex() returns a complex as it is: only other numbers are converted
+        if not (type(eps) is type(mu) is type(kappa) is complex):
+            object.__setattr__(self, "eps", complex(eps))
+            object.__setattr__(self, "mu", complex(mu))
+            object.__setattr__(self, "kappa", complex(kappa))
 
     @property
     def k0(self) -> float:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_COMPLEX = np.dtype(complex)
+
 
 @dataclass(frozen=True)
 class TransitionDipoles:
@@ -37,11 +39,14 @@ class TransitionDipoles:
     isotropic: bool = False
 
     def __post_init__(self):
-        d, m = np.asarray(self.d, dtype=complex), np.asarray(self.m, dtype=complex)
+        d, m = self.d, self.m
+        # np.asarray returns a complex ndarray as it is: only other inputs are converted
+        if not (type(d) is type(m) is np.ndarray and d.dtype is m.dtype is _COMPLEX):
+            d, m = np.asarray(d, dtype=complex), np.asarray(m, dtype=complex)
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "m", m)
         if d.shape != (3,) or m.shape != (3,):
             raise ValueError(f"d and m must have shape (3,), got {d.shape} and {m.shape}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
         if not (0 < self.omega_ik < math.inf):  # NaN fails too
             raise ValueError(f"omega_ik must be positive and finite, got {self.omega_ik}")
 

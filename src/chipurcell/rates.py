@@ -87,10 +87,12 @@ class RateBreakdown:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        fields = (self.gamma_el, self.gamma_ch, self.gamma_vac, self.gamma_total, self.s_disc)
-        if not all(map(math.isfinite, fields)):
+        isfinite = math.isfinite
+        if not (isfinite(self.gamma_el) and isfinite(self.gamma_ch) and isfinite(self.gamma_vac)
+                and isfinite(self.gamma_total) and isfinite(self.s_disc)):
             raise PhysicsError("the arithmetic left the float range: gamma_el, gamma_ch, gamma_vac, "
-                               "gamma_total, s_disc = %g, %g, %g, %g, %g" % fields)
+                               "gamma_total, s_disc = %g, %g, %g, %g, %g"
+                               % (self.gamma_el, self.gamma_ch, self.gamma_vac, self.gamma_total, self.s_disc))
 
 
 def _ends_typed(fn: Callable) -> Callable:
@@ -103,6 +105,15 @@ def _ends_typed(fn: Callable) -> Callable:
         except (OverflowError, ZeroDivisionError) as exc:
             raise PhysicsError(f"the arithmetic left the float range: {exc}") from exc
     return typed
+
+
+# The constant factors of the two master formulas and of gamma_vacuum, each
+# evaluated once in the order its formula takes: 4 mu0 w / hbar is
+# ((4 mu0) w) / hbar.
+_CH_PREFACTOR = 4.0 * CONSTANTS.mu0
+_EL_PREFACTOR = 2.0 * CONSTANTS.mu0
+_HBAR = CONSTANTS.hbar
+_VACUUM_DENOMINATOR = 3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.hbar * CONSTANTS.c**3
 
 
 def contract(mol: TransitionDipoles, a: np.ndarray, t, b: np.ndarray) -> complex:
@@ -135,7 +146,7 @@ def gamma_ch_from_curl(
     see module docstring), or the orientation-averaged (1/3) Tr form for
     isotropic molecules. Real-linear in the curl matrix.
     """
-    pref = 4.0 * CONSTANTS.mu0 * mol.omega_ik / CONSTANTS.hbar
+    pref = _CH_PREFACTOR * mol.omega_ik / _HBAR
     a, b = (mol.d, mol.m) if contraction is Contraction.BULK_LOCKED else (mol.m, mol.d)
     return pref * float(contract(mol, a, curl, b).imag)
 
@@ -148,15 +159,14 @@ def gamma_el_from_img(img_g: np.ndarray, mol: TransitionDipoles) -> float:
     real for the symmetric matrices produced by reciprocal environments; the
     residual imaginary part is discarded.
     """
-    pref = 2.0 * CONSTANTS.mu0 * mol.omega_ik**2 / CONSTANTS.hbar
+    pref = _EL_PREFACTOR * mol.omega_ik**2 / _HBAR
     return pref * float(contract(mol, mol.d, img_g, mol.d).real)
 
 
 @_ends_typed
 def gamma_vacuum(mol: TransitionDipoles) -> float:
     """Free-space spontaneous decay rate w^3 |d|^2 / (3 pi eps0 hbar c^3)."""
-    c = CONSTANTS
-    return mol.omega_ik**3 * mol.d_norm_sq / (3.0 * np.pi * c.eps0 * c.hbar * c.c**3)
+    return mol.omega_ik**3 * mol.d_norm_sq / _VACUUM_DENOMINATOR
 
 
 def degree_of_discrimination(gamma_disc: float, gamma_nd: float) -> float:

@@ -754,6 +754,26 @@ class TestExitCodesAndGolden:
         assert flag in capsys.readouterr().err
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("grid, flags", [
+        (["--from=0", "--to=inf"], ["--to"]),
+        (["--log", "--from=1e-9", "--to=inf"], ["--to"]),
+        (["--from=nan", "--to=1"], ["--from"]),
+        (["--from=-1.7e308", "--to=1.7e308"], ["--from", "--to"]),
+    ], ids=["to-inf", "log-to-inf", "from-nan", "span-overflow"])
+    def test_bad_sweep_endpoint_exits_schema(self, tmp_path, capsys, grid, flags):
+        # each ended in exit 2 only when a NaN grid point reached the schema:
+        # an infinite endpoint or span after numpy's RuntimeWarning, and the
+        # log grid after running its first point
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", str(SCENARIOS / "bulk_lossless.json"), "--param", "medium.eps.im",
+                         *grid, "--points", "3", "--csv", str(out)])
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags)
+        assert code == EXIT_SCHEMA
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "scenario,golden",
         [
@@ -937,3 +957,149 @@ def test_complex_media_end_finite_or_typed(geometry):
             endings[json.dumps(scen["geometry"]), json.dumps(medium)] = ending(scen)
     assert {case: end for case, end in endings.items() if end not in ("value", "typed")} == {}
     assert "value" in endings.values()
+
+
+# The leaves of one anisotropic retarded half-space scenario, each set to a
+# value that the schema accepts, with the bits of the float value beside it,
+# or refuses, with exactly the message beside it: the fast paths of the
+# checks (a pair of floats, an object without optional fields) end every
+# input as the general checks do.
+LEAF_BASE = {
+    "molecule": {key: value for key, value in ANISOTROPIC.items() if key != "isotropic"},
+    "medium": {"eps": [2.25, 0.1], "mu": [1.0, 0.0], "kappa": [0.05, 0.001]},
+    "geometry": {"kind": "halfspace", "z_m": 2.0e-6},
+    "method": {"limit": "retarded"},
+}
+MISSING = object()  # a leaf deleted from the scenario
+NAN, INF = float("nan"), float("inf")
+LORENTZ_EPS = {"model": "lorentz", "strength": 0.8, "omega0": 5.0e15, "gamma": 1.0e13}
+
+
+def with_leaf(path: tuple, value) -> dict:
+    scen = copy.deepcopy(LEAF_BASE)
+    *parents, leaf = path
+    node = scen
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = value
+    return scen
+
+
+ACCEPTED_LEAVES = {
+    "eps-int-pair": (("medium", "eps"), [2, 0], [2.0, 0.0]),
+    "eps-mixed-pair": (("medium", "eps"), [2, 0.1], [2.0, 0.1]),
+    "eps-float64-pair": (("medium", "eps"), [np.float64(2.25), np.float64(0.1)], [2.25, 0.1]),
+    "eps-float64": (("medium", "eps"), np.float64(2.25), [2.25, 0.0]),
+    "mu-int": (("medium", "mu"), 1, [1.0, 0.0]),
+    "kappa-real": (("medium", "kappa"), 0.05, [0.05, 0.0]),
+    "lorentz-int-fields": (("medium", "eps"), {**LORENTZ_EPS, "omega0": 5 * 10**15, "gamma": 10**13}, LORENTZ_EPS),
+    "lorentz-optional-background": (("medium", "eps"), LORENTZ_EPS, {**LORENTZ_EPS, "background": 1.0}),
+    "d-int-pair": (("molecule", "d", 1), [0, 0], [0.0, 0.0]),
+    "d-mixed-pair": (("molecule", "d", 1), [-1.0e-30, 0], [-1.0e-30, 0.0]),
+    "d-real": (("molecule", "d", 0), 2.0e-30, [2.0e-30, 0.0]),
+    "m-float64-pair": (("molecule", "m", 2), [np.float64(-0.6e-23), np.float64(0.2e-23)], [-0.6e-23, 0.2e-23]),
+    "omega_ik-int": (("molecule", "omega_ik"), 3 * 10**15, 3.0e15),
+    "omega_ik-float64": (("molecule", "omega_ik"), np.float64(3.0e15), 3.0e15),
+    "isotropic-optional": (("molecule", "isotropic"), False, MISSING),
+    "z_m-int": (("geometry", "z_m"), 1, 1.0),
+    "z_m-float64": (("geometry", "z_m"), np.float64(2.0e-6), 2.0e-6),
+}
+
+# the refusals' messages, as the general checks write them
+PAIR = ": complex values are two-element [re, im] arrays of finite numbers"
+FINITE = ": expected a finite number, got "
+NUMBER = ": expected a number or an [re, im] pair, got "
+CHANNEL = ": expected number, [re, im] or model object"
+OMEGA = "molecule.omega_ik: must be a positive finite number (rad/s), got "
+VECTOR = ": expected a 3-element array of [re, im] pairs"
+UNKNOWN = ": unknown field (the fields here: "
+BOOL = ": expected true or false, got "
+HUGE = 10**400
+
+REFUSED_LEAVES = {
+    "eps-bool-pair": (("medium", "eps"), [True, 0.0], "medium.eps" + PAIR),
+    "eps-bool": (("medium", "eps"), True, "medium.eps" + FINITE + "True"),
+    "eps-huge-int-pair": (("medium", "eps"), [HUGE, 0.0], "medium.eps" + PAIR),
+    "eps-huge-int": (("medium", "eps"), HUGE, "medium.eps" + FINITE + str(HUGE)),
+    "eps-nan-pair": (("medium", "eps"), [NAN, 0.0], "medium.eps" + PAIR),
+    "eps-inf-pair": (("medium", "eps"), [0.0, INF], "medium.eps" + PAIR),
+    "eps-minus-inf-pair": (("medium", "eps"), [-INF, 0.0], "medium.eps" + PAIR),
+    "eps-float64-nan-pair": (("medium", "eps"), [np.float64(NAN), 0.0], "medium.eps" + PAIR),
+    "eps-nan": (("medium", "eps"), NAN, "medium.eps" + FINITE + "nan"),
+    "eps-inf": (("medium", "eps"), INF, "medium.eps" + FINITE + "inf"),
+    "eps-minus-inf": (("medium", "eps"), -INF, "medium.eps" + FINITE + "-inf"),
+    "eps-string": (("medium", "eps"), "2.25", "medium.eps" + CHANNEL),
+    "eps-string-pair": (("medium", "eps"), ["2.25", 0.0], "medium.eps" + PAIR),
+    "eps-one-element": (("medium", "eps"), [2.25], "medium.eps" + PAIR),
+    "eps-three-elements": (("medium", "eps"), [2.25, 0.0, 0.0], "medium.eps" + PAIR),
+    "eps-null": (("medium", "eps"), None, "medium.eps" + CHANNEL),
+    "lorentz-missing": (("medium", "eps"), {"model": "lorentz", "strength": 0.8, "omega0": 5.0e15},
+                        "medium.eps.gamma: missing required field"),
+    "lorentz-extra": (("medium", "eps"), {**LORENTZ_EPS, "typo": 1.0},
+                      "medium.eps.typo" + UNKNOWN + "background, gamma, model, omega0, strength)"),
+    "lorentz_chiral-background": (("medium", "kappa"),
+                                  {**LORENTZ_EPS, "model": "lorentz_chiral", "background": 1.0},
+                                  "medium.kappa.background" + UNKNOWN + "gamma, model, omega0, strength)"),
+    "lorentz-bool": (("medium", "eps"), {**LORENTZ_EPS, "gamma": True}, "medium.eps.gamma" + FINITE + "True"),
+    "d-bool-pair": (("molecule", "d", 0), [True, 0.0], "molecule.d[0]" + PAIR),
+    "d-huge-int-pair": (("molecule", "d", 0), [HUGE, 0.0], "molecule.d[0]" + PAIR),
+    "d-nan-pair": (("molecule", "d", 0), [NAN, 0.0], "molecule.d[0]" + PAIR),
+    "d-minus-inf-pair": (("molecule", "d", 2), [0.0, -INF], "molecule.d[2]" + PAIR),
+    "d-float64-inf-pair": (("molecule", "d", 0), [np.float64(INF), 0.0], "molecule.d[0]" + PAIR),
+    "d-string": (("molecule", "d", 0), "2e-30", "molecule.d[0]" + NUMBER + "'2e-30'"),
+    "d-one-element": (("molecule", "d", 0), [2.0e-30], "molecule.d[0]" + PAIR),
+    "d-three-elements": (("molecule", "d", 0), [2.0e-30, 0.0, 0.0], "molecule.d[0]" + PAIR),
+    "d-model": (("molecule", "d", 1), LORENTZ_EPS, "molecule.d[1]" + NUMBER + repr(LORENTZ_EPS)),
+    "m-bool": (("molecule", "m", 1), True, "molecule.m[1]" + FINITE + "True"),
+    "d-one-vector": (("molecule", "d"), [[2.0e-30, 0.0]], "molecule.d" + VECTOR),
+    "m-four-vectors": (("molecule", "m"), [[0.0, 0.0]] * 4, "molecule.m" + VECTOR),
+    "d-string-vector": (("molecule", "d"), "d", "molecule.d" + VECTOR),
+    "d-object": (("molecule", "d"), {}, "molecule.d" + VECTOR),
+    "omega_ik-bool": (("molecule", "omega_ik"), True, OMEGA + "True"),
+    "omega_ik-huge-int": (("molecule", "omega_ik"), HUGE, OMEGA + str(HUGE)),
+    "omega_ik-nan": (("molecule", "omega_ik"), NAN, OMEGA + "nan"),
+    "omega_ik-inf": (("molecule", "omega_ik"), INF, OMEGA + "inf"),
+    "omega_ik-float64-nan": (("molecule", "omega_ik"), np.float64(NAN), OMEGA + "np.float64(nan)"),
+    "omega_ik-string": (("molecule", "omega_ik"), "3e15", OMEGA + "'3e15'"),
+    "omega_ik-pair": (("molecule", "omega_ik"), [3.0e15, 0.0], OMEGA + "[3000000000000000.0, 0.0]"),
+    "omega_ik-zero": (("molecule", "omega_ik"), 0, OMEGA + "0"),
+    "omega_ik-negative": (("molecule", "omega_ik"), -3.0e15, OMEGA + "-3000000000000000.0"),
+    "isotropic-int": (("molecule", "isotropic"), 0, "molecule.isotropic" + BOOL + "0"),
+    "isotropic-string": (("molecule", "isotropic"), "false", "molecule.isotropic" + BOOL + "'false'"),
+    "z_m-bool": (("geometry", "z_m"), True, "geometry.z_m" + FINITE + "True"),
+    "z_m-huge-int": (("geometry", "z_m"), HUGE, "geometry.z_m" + FINITE + str(HUGE)),
+    "z_m-nan": (("geometry", "z_m"), NAN, "geometry.z_m" + FINITE + "nan"),
+    "z_m-inf": (("geometry", "z_m"), INF, "geometry.z_m" + FINITE + "inf"),
+    "z_m-minus-inf": (("geometry", "z_m"), -INF, "geometry.z_m" + FINITE + "-inf"),
+    "z_m-string": (("geometry", "z_m"), "2e-6", "geometry.z_m" + FINITE + "'2e-6'"),
+    "z_m-one-element": (("geometry", "z_m"), [2.0e-6], "geometry.z_m" + FINITE + "[2e-06]"),
+    "z_m-null": (("geometry", "z_m"), None, "geometry.z_m" + FINITE + "None"),
+    "molecule-missing": (("molecule", "m"), MISSING, "molecule.m: missing required field"),
+    "molecule-extra": (("molecule", "typo"), 1.0, "molecule.typo" + UNKNOWN + "d, isotropic, m, omega_ik)"),
+    "molecule-list": (("molecule",), [], "molecule: expected an object"),
+    "medium-missing": (("medium", "kappa"), MISSING, "medium.kappa: missing required field"),
+    "medium-extra": (("medium", "typo"), [1.0, 0.0], "medium.typo" + UNKNOWN + "eps, kappa, mu)"),
+    "geometry-missing": (("geometry", "z_m"), MISSING, "geometry.z_m: missing required field"),
+    "geometry-extra": (("geometry", "typo"), 1.0, "geometry.typo" + UNKNOWN + "kind, z_m)"),
+    "geometry-mirror-field": (("geometry", "handedness"), "right",
+                              "geometry.handedness" + UNKNOWN + "kind, z_m)"),
+}
+
+
+class TestSchemaLeaves:
+    @pytest.mark.parametrize("case", ACCEPTED_LEAVES)
+    def test_accepted_leaf_gives_the_bits_of_its_float_value(self, case):
+        path, value, float_value = ACCEPTED_LEAVES[case]
+        got, want = (run_scenario(with_leaf(path, v))[0] for v in (value, float_value))
+        fields = ("gamma_el", "gamma_ch", "gamma_vac", "gamma_total", "s_disc")
+        assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+
+    @pytest.mark.parametrize("case", REFUSED_LEAVES)
+    def test_refused_leaf_gives_its_message(self, case):
+        path, value, message = REFUSED_LEAVES[case]
+        with pytest.raises(SchemaError) as info:
+            run_scenario(with_leaf(path, value))
+        assert str(info.value) == message

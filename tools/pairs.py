@@ -37,13 +37,18 @@ both trees, each under its own alias, into the tool's own process.
   ``values_at``). For both kinds: the whole ``run_point``,
   ``parse_molecule``, the ``rates_*`` call on parsed inputs, the planar
   contraction of the point's five tensor entries (``_tensors`` and the two
-  master formulas) and building its ``RateBreakdown``; for half-space
-  points also ``parse_medium``, ``scatter_numeric``, ``integrate``,
-  ``_gk15`` with its integrand, the integrand and the plan's ``values_at``;
-  for mirror points the numeric tensor entries (``_mirror_entries``). From
-  these: the part of ``run_point`` outside the rates call, the self times
-  of ``_gk15`` and ``integrate`` and the part of ``scatter_numeric``
-  outside the integral. Spies forward their arguments as they come, and a
+  master formulas) and building its ``RateBreakdown``, and the scalar
+  path's pieces: ``run_scenario`` itself, ``_vector3_from`` (per call, two
+  per point), ``TransitionDipoles``, ``PlanarGeometry`` and
+  ``gamma_vacuum``; for half-space points also ``parse_medium``,
+  ``MediumResponse``, ``scatter_numeric``, ``integrate``, ``_gk15`` with
+  its integrand, the integrand and the plan's ``values_at``; for mirror
+  points the numeric tensor entries (``_mirror_entries``). From these: the
+  part of ``run_point`` outside the rates call, the ``run_scenario``
+  checks outside parsing (``run_scenario`` less the parsing, the
+  ``PlanarGeometry`` and the rates call), the self times of ``_gk15`` and
+  ``integrate`` and the part of ``scatter_numeric`` outside the integral.
+  Spies forward their arguments as they come, and a
   layer replays the calls its spy recorded (``values_at`` with the plan
   and the arguments the integrand passed), so a tree whose private
   signatures differ still runs.
@@ -215,8 +220,20 @@ def layers(args) -> dict:
                 entries = [hs._mirror_entries(g, w, hs.Limit.NUMERIC) for g in geoms]
                 rate = hs.rates_mirror
             breakdowns = [rate(g, m, hs.Limit.NUMERIC) for g, m in zip(geoms, mols)]
+            # the scalar path's checks and records, replayed with the arguments
+            # that one pass of the points gave them
+            spied = [(cli, "_vector3_from"), (cli, "TransitionDipoles"), (cli, "PlanarGeometry"),
+                     (hs, "gamma_vacuum")] + ([(cli, "MediumResponse")] if kind == "halfspace" else [])
+            scalar = {name: (module, getattr(module, name), []) for module, name in spied}
+            for name, (module, f, calls) in scalar.items():
+                setattr(module, name, spy(f, calls))
+            for p in points:
+                workloads.run_point(cli, p)
+            for name, (module, f, calls) in scalar.items():
+                setattr(module, name, f)
             layer = {
                 "run_point": [lambda p=p, cli=cli: workloads.run_point(cli, p) for p in points],
+                "run_scenario": [lambda p=p, cli=cli: cli.run_scenario(p.scenario) for p in points],
                 "parse_molecule": [lambda p=p, cli=cli: cli.parse_molecule(p.scenario["molecule"]) for p in points],
                 "rates": [lambda g=g, m=m, rate=rate, hs=hs: rate(g, m, hs.Limit.NUMERIC)
                           for g, m in zip(geoms, mols)],
@@ -225,6 +242,8 @@ def layers(args) -> dict:
                 "RateBreakdown": [lambda b=b, rates=rates: rates.RateBreakdown(
                     gamma_el=b.gamma_el, gamma_ch=b.gamma_ch, gamma_vac=b.gamma_vac, gamma_total=b.gamma_total,
                     s_disc=b.s_disc, method=b.method, assembly=b.assembly) for b in breakdowns],
+                **{name.lstrip("_"): [lambda c=c, f=f: f(*c[0], **c[1]) for c in calls]
+                   for name, (module, f, calls) in scalar.items()},
             }
             if kind == "halfspace":
                 calls, rounds, nodes, lookups = [], [], [], []
@@ -263,6 +282,8 @@ def layers(args) -> dict:
         for kind, by_layer in by_kind.items():
             us = {layer: statistics.mean(times) * 1e6 for layer, times in by_layer.items()}
             us["run_point_outside_rates"] = us["run_point"] - us["rates"]
+            us["run_scenario_checks"] = (us["run_scenario"] - us["parse_molecule"] - us.get("parse_medium", 0.0)
+                                         - us["PlanarGeometry"] - us["rates"])
             if kind == "halfspace":
                 us["gk15_self"] = us["gk15"] - us["integrand"]
                 us["integrate_self"] = us["integrate"] - us["gk15"]
@@ -270,6 +291,14 @@ def layers(args) -> dict:
             out[side][kind] = us
     return {"seed": args.seed, "points": {kind: len(points) for kind, points in groups.items()},
             "passes": args.passes, "us_per_point": out}
+
+
+def spy(f, calls: list):
+    """``f``, recording the arguments of each call in ``calls``."""
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return f(*args, **kwargs)
+    return recorded
 
 
 def load_tree(tree: str, alias: str):
