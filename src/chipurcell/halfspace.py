@@ -35,11 +35,12 @@ PoleError. One function (``_assemble``) turns the four channel totals into
 tensor entries, and the reflections come from one cached per-medium plan
 (``_plan``), in units of k0, shared with ``planar_reflections``. The same
 plan keeps the integrand's node values per panel before the distance
-enters (``_Plan.values_at``), so a sweep over distances evaluates each
-panel of a medium once, and a round it has seen whole is served by one
-lookup. The perfect mirror's reflections are constant, so its totals are
-elementary (``_mirror_totals``): they are assembled the same way, and no
-quadrature runs.
+enters (``_Plan.kept_at``), as the quadrature's table of them where no
+hairpin needs a phase, so a sweep over distances evaluates each panel of a
+medium once, and a round it has seen whole is served by one lookup. The
+perfect mirror's reflections are constant, so its totals are elementary
+(``_mirror_totals``): they are assembled the same way, and no quadrature
+runs.
 
 For lossless media the near-field chiral response stays bounded as z -> 0
 (every evanescent-tail contribution to the curl is real there), whereas the
@@ -77,7 +78,7 @@ from .rates import (
     gamma_el_from_img,
     gamma_vacuum,
 )
-from .sommerfeld import QuadratureResult, QuadratureSpec, _Seeds, integrate
+from .sommerfeld import QuadratureResult, QuadratureSpec, _Seeds, integrate, tabulate
 
 
 # the k0 z ranges in which the closed forms hold: the nonretarded limit
@@ -122,38 +123,44 @@ class PlanarGeometry:
 # Reflection coefficients
 # ---------------------------------------------------------------------------
 
-# the bytes of each plan's slab of node values (``_Plan.values_at``), and of
-# the panels it keeps plus their round index: with the 128 plans ``_plan``
-# caches, at most 32 MiB, of which only the filled part is resident
-_STORE_BYTES = 256 * 1024
+# the bytes of each plan's slab of kept panels (``_Plan.kept_at``), and of
+# the panels it keeps plus their round index: 273 panels of 1,440 B (the table
+# of a plan with no hairpin); with the 128 plans ``_plan`` caches, at most
+# 48 MiB of address space, of which only the filled part is resident
+_STORE_BYTES = 384 * 1024
 
 
 class _Plan:
     """One medium's plan, in units of k0, built once per (eps, mu, kappa)
     by ``_plan``. It holds the constants of the reflections, which depend on
     eps, mu and kappa only (the reflections on them and on x = k_perp/k0),
-    and the numeric pathway's node values of the medium (``values_at``).
+    and what the numeric pathway keeps of the medium's panels (``kept_at``).
     Mode arrays are read-only, modes first (0 is k_plus, 1 is k_minus),
     with K = k/k0. Raises ``PhysicsError`` for eps = 0 or mu = 0, where the
     impedance sqrt(mu/eps) is 0 or infinite, for a circular wave number K
     beyond the float range, and for one whose square vanishes against k0^2
     (kappa = +-n_r), which alpha = K^2 - 1 cannot hold.
 
-    The node values are kept per panel of tau and shared by every distance.
-    The path's panels are fixed intervals of tau (``_path_seeds``), so a
-    panel's centre and last node name it at any distance, and its 15 nodes
-    are the same floats whichever round asks for them. A panel keeps the
-    four channels of ``_CHANNELS`` on the path, and for each hairpin the
-    left side's minus the right side's, before the decay exp(-2 k0 z tau)
-    and the hairpin phases, which depend on the distance. A round is
-    indexed under one key, the bytes of its panels' centres and last nodes,
-    once all its panels are kept (a round of new panels only, on its next
-    visit), so that from then on it is served by one lookup and one
-    ``take``; a round not indexed is found panel by panel. The slab is allocated once, at the panels ``_STORE_BYTES``
+    What a panel keeps is kept per panel of tau and shared by every
+    distance. The path's panels are fixed intervals of tau
+    (``_path_seeds``), so a panel's centre and last node name it at any
+    distance, and its 15 nodes are the same floats whichever round asks for
+    them. A plan with no hairpin keeps the table (``sommerfeld.tabulate``) of
+    the four channels of ``_CHANNELS`` on the path, which takes the decay
+    exp(-2 k0 z tau) of any distance as node weights. A plan with hairpins
+    keeps the values of the path and, for each hairpin, the left side's
+    minus the right side's: they combine with the hairpin phases, which
+    depend on the distance, before the modulus, so their table is built
+    every round. A round is indexed under one key, the bytes of its panels'
+    centres and last nodes, once all its panels are kept (a round of new
+    panels only, on its next visit), so that from then on it is served by
+    one lookup and one ``take``; a round not indexed is found panel by
+    panel. The slab is allocated once, at the panels ``_STORE_BYTES``
     holds, and the kept panels and the round index share that budget; past
     it, panels are evaluated whenever asked for, to the same values (a
     node's value does not depend on the batch it is evaluated in), and no
-    more rounds are indexed."""
+    more rounds are indexed. With the 128 plans ``_plan`` caches, the slabs
+    reserve at most 48 MiB of address space."""
 
     def __init__(self, eps: complex, mu: complex, kappa: complex):
         if eps == 0 or mu == 0:
@@ -189,20 +196,22 @@ class _Plan:
         self.cuts = tuple((x_b, tuple(modes)) for x_b, modes in cuts.items())
         # x_b of each cut inside the strip: the path carries its hairpin
         self.hairpins = tuple(x_b for x_b, _ in self.cuts if x_b.real < 1.0)
-        # the lines x = start + i tau of values_at: the path, the left side of
+        # the lines x = start + i tau of _evaluate: the path, the left side of
         # each hairpin, then the right sides, one float right of x_b, where
         # _amplitudes negates the roots of the modes cut there
         starts = np.array([1.0, *self.hairpins, *(complex(math.nextafter(x_b.real, 2.0), x_b.imag)
                                                   for x_b in self.hairpins)])
         self._re, self._im = starts.real.reshape(-1, 1, 1), starts.imag.reshape(-1, 1, 1)
         rows = 1 + len(self.hairpins)
-        self._slots = {}  # (centre, last node) of a panel -> its index on axis 2 of _values
+        self._slots = {}  # (centre, last node) of a panel -> its index on axis 0 of _kept
         self._rounds = {}  # the key of a round whose panels are all kept -> their slots
-        # (rows, channels, panels, nodes), allocated once for the panels _STORE_BYTES
-        # holds: a panel takes rows * 4 * 15 complex values of 16 bytes, and a
-        # page of the slab becomes resident only when a panel is written to it
-        self._panel_bytes = rows * 4 * 15 * 16
-        self._values = np.empty((rows, 4, _STORE_BYTES // self._panel_bytes, 15), dtype=complex)
+        # (panels, ...), allocated once for the panels _STORE_BYTES holds: a panel
+        # keeps a (nodes, 3 x channels) table of reals, or (rows, nodes, channels)
+        # complex values, and a page of the slab becomes resident only when a
+        # panel is written to it
+        shape, dtype = ((15, 12), np.dtype(float)) if rows == 1 else ((rows, 15, 4), np.dtype(complex))
+        self._panel_bytes = math.prod(shape) * dtype.itemsize
+        self._kept = np.empty((_STORE_BYTES // self._panel_bytes, *shape), dtype=dtype)
         self._free = _STORE_BYTES  # the bytes that kept panels and round index may still take
         self._lock = threading.Lock()
 
@@ -212,10 +221,12 @@ class _Plan:
         on first use: only the numeric pathway needs them."""
         return _strip_poles(self)
 
-    def values_at(self, tau: np.ndarray) -> np.ndarray:
-        """The values at the (panels, 15) nodes ``tau`` of one round, as a
-        new (1 + hairpins, channels, panels, 15) array. Only the panels not
-        kept are evaluated, in one call of ``_amplitudes`` and
+    def kept_at(self, tau: np.ndarray) -> np.ndarray:
+        """What the plan keeps of the panels of one round, whose (panels, 15)
+        nodes are ``tau``, as a new array, panels first: with no hairpin the
+        (panels, 15, 12) table of their values (``sommerfeld.tabulate``), and
+        with hairpins their (panels, 1 + hairpins, 15, channels) values. Only
+        the panels not kept are evaluated, in one call of ``_amplitudes`` and
         ``_reflections``, and kept; a round they would not fit in is
         evaluated whole and kept nowhere. PoleError, with nothing kept, if
         a value is not finite."""
@@ -230,20 +241,20 @@ class _Plan:
                     return self._evaluate(tau)
                 if new:
                     fresh = len(new) == len(keys)  # a cold round: its values are the round's
-                    values = self._evaluate(tau if fresh else tau[new])
+                    kept = self._evaluate(tau if fresh else tau[new])
                     first = len(self._slots)
-                    self._values[:, :, first:first + len(new)] = values
+                    self._kept[first:first + len(new)] = kept
                     for slot, i in enumerate(new, first):
                         slots[i] = self._slots[keys[i]] = slot
                     self._free -= len(new) * self._panel_bytes
                     if fresh:  # returned as evaluated, and indexed if it comes again
-                        return values
+                        return kept
                 slots = np.array(slots)  # every panel kept: index the round, if it fits
                 size = sys.getsizeof(key) + sys.getsizeof(slots)
                 if size <= self._free:
                     self._free -= size
                     self._rounds[key] = slots
-            return self._values.take(slots, axis=2)
+            return self._kept.take(slots, axis=0)
 
     def _evaluate(self, tau: np.ndarray) -> np.ndarray:
         x = np.empty((len(self._re),) + tau.shape, dtype=complex)
@@ -261,8 +272,13 @@ class _Plan:
             bad = x[~np.isfinite(out).all(axis=1)][0]
             raise PoleError(f"planar integrand not finite at k_perp = {complex(bad)!r} k0")
         rows = 1 + len(self.hairpins)
+        if rows == 1:
+            return tabulate(out[0])
         np.subtract(out[1:rows], out[rows:], out=out[1:rows])  # each hairpin: left minus right
-        return out[:rows]
+        # laid out as the slab returns them, so that a round combines its rows
+        # by the same array operations, stored or not, into values whose table
+        # is one contiguous copy
+        return np.ascontiguousarray(out[:rows].transpose(2, 0, 3, 1))
 
 
 # the plan of a medium (``_Plan``), built once per (eps, mu, kappa)
@@ -522,10 +538,13 @@ def scatter_numeric(
     path, and both sides of every vertical branch cut inside the swept
     strip, whose difference (a hairpin) enters with its constant phase
     exp(2i k0 z (x_b - 1)). Those values do not depend on the distance: the
-    medium's plan keeps them per panel (``_Plan.values_at``), a round
+    medium's plan keeps them per panel (``_Plan.kept_at``), a round
     evaluates only the panels it lacks, and a round whose panels are all
-    kept is found by one lookup. The integrand's own work per round is the
-    hairpin phases and the decay: each node takes the real decay,
+    kept is found by one lookup. The real decay exp(-2 k0 z tau) enters the
+    integral as node weights (``sommerfeld.integrate``'s decay), so a plan
+    with no hairpin keeps each panel's table (``sommerfeld.tabulate``) and its
+    integrand is the lookup alone; with hairpins, the integrand's own work
+    per round is the hairpin phases and the table of the combined values.
     ``_assemble`` applies the rest of exp(2i k_perp z) to the totals, and
     ``_tensors`` lays the entries out. A pole inside the strip (possible only with gain)
     raises PoleError, and a k0 z so small that the totals overflow
@@ -553,22 +572,25 @@ def _path_totals(med: MediumResponse, k0z: float, spec: QuadratureSpec) -> list:
     if k0z < _K0Z_MIN:
         raise PhysicsError(f"the arithmetic left the float range at k0 z = {k0z!r}: the path's totals, "
                            "of order (2 k0 z)^-3, overflow")
-    phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in plan.hairpins]  # of each hairpin, relative to the path
-    rate = -2.0 * k0z  # of the decay exp(-2 k0 z tau)
+    integrand = plan.kept_at  # the tables of a plan with no hairpin
+    if plan.hairpins:
+        phases = [cmath.exp(2j * k0z * (x_b - 1.0)) for x_b in plan.hairpins]  # relative to the path
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        values = plan.values_at(tau)
-        total = values[0]
-        for side, phase in zip(values[1:], phases):
-            side *= phase
-            total += side
-        return total * np.exp(rate * tau)  # a new array: faster than in place, for a complex one
+        def integrand(tau: np.ndarray) -> np.ndarray:
+            rows = plan.kept_at(tau)
+            total = rows[:, 0]
+            for j, phase in enumerate(phases, 1):
+                side = rows[:, j]
+                side *= phase
+                total += side
+            return tabulate(total.transpose(2, 0, 1))
 
     # totals past the float range, which _tensors refuses, at any k0 z: the
     # reflections of a medium _Plan accepts have no bound on the path (eps one
-    # float above -1 overflows them at k0 z 1e-80), so no k0 z is safe
-    with np.errstate(over="ignore"):
-        res = integrate(integrand, _path_seeds(k0z), spec)
+    # float above -1 overflows them at k0 z 1e-80), so no k0 z is safe; the
+    # error estimate of an overflowed panel is then inf/inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate(integrand, _path_seeds(k0z), spec, -2.0 * k0z)  # the decay exp(-2 k0 z tau)
     return _run_quadrature(res).tolist()
 
 

@@ -1,25 +1,32 @@
 """Adaptive Gauss-Kronrod quadrature for planar-interface wavevector integrals.
 
-One function, ``integrate(f, seeds, spec)``, integrates f from seeds[0] to
-seeds[-1] by an adaptive 7-15 Gauss-Kronrod rule, bisecting the panels
-between consecutive seeds, which must be at least two finite floats in
-strictly ascending order. The caller owns the variable, the truncation and
-the seeds: ``halfspace.scatter_numeric`` seeds its steepest-descent path at
-the scales of its decay and of its reflections. A panel's error estimate is
-QUADPACK's rescaled one (``_gk15``), and a seed round that meets every
-tolerance is the only round.
+One function, ``integrate(f, seeds, spec, decay)``, integrates
+f(x) e^{decay x} from seeds[0] to seeds[-1] by an adaptive 7-15
+Gauss-Kronrod rule, bisecting the panels between consecutive seeds, which
+must be at least two finite floats in strictly ascending order. The caller
+owns the variable, the truncation and the seeds: ``halfspace.scatter_numeric``
+seeds its steepest-descent path at the scales of its decay and of its
+reflections. A panel's error estimate is QUADPACK's rescaled one
+(``_reduce``), and a seed round that meets every tolerance is the only round.
 
 Every seed array reaches the rounds as a ``_Seeds`` tuple (a plain
 sequence as a new one), which builds its seed round, the checked panel ends
 and their nodes, once and keeps it. Panels are kept in creation order.
 
 An integrand is called once per refinement round with the (n, 15) nodes of
-n panels, must be elementwise over nodes, and returns (channels, n, 15)
-values. Several integrals that share one costly evaluation are channels of
-one integrand, and the result has one entry per channel. Every channel must
-meet rel_tol on its own running value, so a small channel is not resolved
-relative to a large one. Refinement and summation order are deterministic,
-so identical inputs give bit-identical results.
+n panels, must be elementwise over nodes, and returns the table of its
+(channels, n, 15) node values that ``tabulate`` builds: their real and
+imaginary parts and their moduli, as reals. The decay e^{decay x} is real
+and positive, so |f e^{decay x}| = |f| e^{decay x}, and every sum the rule
+takes, resabs included, is the table contracted with real node weights:
+the rule's weights times the panel's width times e^{decay x}. A table
+depends on none of these, so an integrand may keep the tables of its
+panels and hand them back at any decay. Several integrals that share one
+costly evaluation are channels of one integrand, and the result has one
+entry per channel. Every channel must meet rel_tol on its own running
+value, so a small channel is not resolved relative to a large one.
+Refinement and summation order are deterministic, so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-# f(x) with x the (n, 15) nodes of n panels -> the node values, (channels, n, 15)
+# f(x) with x the (n, 15) nodes of n panels -> tabulate(their values, (channels, n, 15))
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
@@ -56,12 +63,11 @@ _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])  # the 15 nodes on [-1, 1], ascendi
 _U15 = 0.5 * (1.0 + _X15)  # the same nodes on [0, 1]: a panel's are a + (b - a) * _U15
 _W15 = np.concatenate([_WGK, _WGK[-2::-1]])  # Kronrod weights of the 15 nodes
 _W7 = np.concatenate([_WG, _WG[-2::-1]])  # Gauss weights of the odd-indexed nodes
-# (15, 2): the Kronrod weights, and the Kronrod minus the Gauss weights (I15 - I7),
-# halved for the width b - a of [0, 1], as is _W15 in _WABS (exact: a power of two)
-_WSUMS = np.column_stack([_W15, _W15])
-_WSUMS[1::2, 1] -= _W7
-_WSUMS *= 0.5
-_WABS = 0.5 * _W15
+# (2, 15) rows: the Kronrod weights, and the Kronrod minus the Gauss weights
+# (I15 - I7), halved for the width b - a of [0, 1] (exact: a power of two)
+_RULE = np.stack([_W15, _W15])
+_RULE[1, 1::2] -= _W7
+_RULE *= 0.5
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -92,10 +98,11 @@ class QuadratureResult:
 
 
 def _panels(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(widths, nodes) of the panels [a, b]: the (panels, 15) nodes are
+    """(rules, nodes) of the panels [a, b]: the (panels, 2, 15) rows of
+    ``_RULE`` times each width b - a, and the (panels, 15) nodes
     a + (b - a) * _U15, the one place they are built."""
-    width = b - a
-    return width, a[:, None] + width[:, None] * _U15
+    width = (b - a)[:, None]
+    return width[:, :, None] * _RULE, a[:, None] + width * _U15
 
 
 class _Seeds(tuple):
@@ -104,7 +111,7 @@ class _Seeds(tuple):
 
     @functools.cached_property
     def round(self) -> tuple:
-        """(a, b, (widths, nodes)): the panel ends of the seeds, checked to
+        """(a, b, (rules, nodes)): the panel ends of the seeds, checked to
         be at least two finite floats in strictly ascending order (ValueError
         otherwise, on every call: a failed check is not kept), and their
         ``_panels``, all read-only."""
@@ -115,31 +122,39 @@ class _Seeds(tuple):
                 and np.count_nonzero(seeds[:-1] < seeds[1:]) == len(seeds) - 1):
             raise ValueError(f"seeds must be at least two finite floats in strictly ascending order, got {seeds!r}")
         a, b = seeds[:-1], seeds[1:]
-        width, nodes = _panels(a, b)
-        for array in (seeds, width, nodes):
+        rules, nodes = _panels(a, b)
+        for array in (seeds, rules, nodes):
             array.flags.writeable = False
-        return a, b, (width, nodes)
+        return a, b, (rules, nodes)
 
 
-def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray, panels: tuple | None = None):
-    """Gauss-Kronrod 7-15 on the panels [a, b] (arrays of panel ends, a < b).
+def tabulate(values) -> np.ndarray:
+    """The table of an integrand's node values, (channels, n, 15), that
+    ``integrate`` takes: (n, 15, 3 x channels) reals, at each node of each
+    panel the real and imaginary parts of the channels' values side by side,
+    then their moduli. A panel's table is its own values' alone."""
+    v = np.asarray(values, dtype=complex).transpose(1, 2, 0)  # (n, 15, channels)
+    c = v.shape[2]
+    table = np.empty(v.shape[:2] + (3 * c,))
+    table[..., :2 * c].view(complex)[...] = v
+    np.abs(v, out=table[..., 2 * c:])
+    return table
 
-    ``f`` is called once with the nodes of every panel, shape (panels, 15):
-    ``panels``, their (widths, nodes) where the caller keeps them (the seed
-    round of a ``_Seeds``), or else built here. Returns (I15, err), each of
-    shape (channels, panels). Every channel is reduced by the same weight
-    products on its own row, so a channel's result does not depend on how
-    many channels or panels travel with it.
-    """
-    width, x = _panels(a, b) if panels is None else panels
-    rows = np.asarray(f(x), dtype=complex)
-    # np.dot of a 3-d array takes one BLAS dot product per (channel, panel) row
-    # and weight column, so a row's sums never depend on its companions; a
-    # matrix product (matmul, or np.dot of 2-d arrays) would go to BLAS gemm,
-    # whose threads stall on large rounds whenever the other cores are busy
-    sums = np.dot(rows, _WSUMS)  # (channels, panels, 2): the I15 and I15 - I7 sums
-    raw = np.abs(sums[..., 1])
-    resabs = np.dot(np.abs(rows), _WABS)
+
+def _reduce(table: np.ndarray, weights: np.ndarray) -> tuple:
+    """(I15, err), each of shape (channels, panels), of the panels of a
+    table (``tabulate``) whose nodes take the (panels, 2, 15) ``weights``: the
+    rows of ``_RULE`` times the panel's width and the decay. One product
+    gives I15 and resabs (the first row on the values and on their moduli)
+    and I15 - I7 (the second row on the values). Each panel's product is a
+    BLAS product of its own (2, 15) and (15, 3 x channels) matrices, too small
+    to be threaded, whose every entry is one sum over the 15 nodes, in an
+    order that does not depend on the other columns
+    (``test_gk15_channel_row_is_independent_of_companions``)."""
+    sums = np.matmul(weights, table)  # (panels, 2, 3 x channels)
+    c = sums.shape[2] // 3
+    raw = np.abs(sums[:, 1, :2 * c].view(complex))
+    resabs = sums[:, 0, 2 * c:]
     # rescaled error estimate, max(raw, resabs min(1, (200 raw/resabs)^1.5)):
     # QUADPACK's qk15 rescaling (Piessens et al. 1983, section 2.2) with
     # resabs in place of its resasc; it guards against |I15 - I7|
@@ -152,14 +167,29 @@ def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray, panels: tuple | None = Non
     err *= 200.0**1.5
     np.minimum(err, resabs, out=err)
     np.maximum(err, raw, out=err)
-    err *= width
-    return sums[..., 0] * width, err
+    return sums[:, 0, :2 * c].view(complex).T, err.T
 
 
-def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> QuadratureResult:
-    """Integrate f from seeds[0] to seeds[-1], starting from the panels
-    between the ``seeds``, which must be at least two finite floats in
-    strictly ascending order (ValueError otherwise); raises QuadratureError
+def _gk15(f: Integrand, a: np.ndarray, b: np.ndarray, panels: tuple | None = None, decay: float = 0.0):
+    """Gauss-Kronrod 7-15 of f(x) e^{decay x} on the panels [a, b] (arrays
+    of panel ends, a < b).
+
+    ``f`` is called once with the nodes of every panel, shape (panels, 15):
+    ``panels``, their (rules, nodes) where the caller keeps them (the seed
+    round of a ``_Seeds``), or else built here. Its table (``tabulate``) takes
+    the rules times e^{decay x} as node weights (``_reduce``). Returns
+    (I15, err), each of shape (channels, panels).
+    """
+    rules, x = _panels(a, b) if panels is None else panels
+    weights = np.exp(decay * x)[:, None, :] * rules
+    return _reduce(f(x), weights)
+
+
+def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec, decay: float = 0.0) -> QuadratureResult:
+    """Integrate f(x) e^{decay x} from seeds[0] to seeds[-1], the real
+    ``decay`` entering as node weights (see the module docstring), starting
+    from the panels between the ``seeds``, which must be at least two finite
+    floats in strictly ascending order (ValueError otherwise); raises QuadratureError
     when they make more than ``max_panels`` panels. Both are raised before
     any call to f. The seeds are checked, and their seed round built, once
     per ``_Seeds`` (a plain sequence is a new one).
@@ -176,7 +206,7 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
     a, b, panels = seeds.round
     if len(a) > spec.max_panels:
         raise QuadratureError(f"{len(a)} seed panels exceed max_panels = {spec.max_panels}")
-    val, err = _gk15(f, a, b, panels)
+    val, err = _gk15(f, a, b, panels, decay)
     while True:
         value, err_sum = np.add.reduce(val, 1), np.add.reduce(err, 1)
         tol = spec.rel_tol * np.abs(value)
@@ -196,7 +226,7 @@ def integrate(f: Integrand, seeds: Sequence[float], spec: QuadratureSpec) -> Qua
         n = int(np.argmax(met)) + 1 if met.any() else ranked.size
         split = ranked[:min(n, spec.max_panels - len(a))]
         lo, hi = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
-        v, e = _gk15(f, lo, hi)
+        v, e = _gk15(f, lo, hi, None, decay)
         keep = np.ones(len(a), dtype=bool)
         keep[split] = False
         a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])

@@ -192,7 +192,7 @@ class TestNumericCurl:
         bridges 8 and the second run."""
         seeds = []
         inner = hs.integrate
-        monkeypatch.setattr(hs, "integrate", lambda f, s, spec: seeds.append(s) or inner(f, s, spec))
+        monkeypatch.setattr(hs, "integrate", lambda f, s, *rest: seeds.append(s) or inner(f, s, *rest))
         med = MediumResponse(*ORACLE_MEDIA["absorbing"], omega=W)
         try:
             scatter_numeric(PlanarGeometry(z_m=k0z / K0, medium=med), W)
@@ -417,8 +417,9 @@ class TestPlan:
 
 class TestStore:
     """Each plan stores its integrand's node values per panel of tau
-    (``halfspace._Plan.values_at``), shared by every distance: the stored
-    values save evaluations and change no result."""
+    (``halfspace._Plan.kept_at``), as their quadrature table where no
+    hairpin needs a phase, shared by every distance: the stored values save
+    evaluations and change no result."""
 
     @pytest.mark.usefixtures("cold_store")
     def test_cold_and_warm_tensors_are_bit_identical(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chipurcell.errors import QuadratureError
-from chipurcell.sommerfeld import QuadratureSpec, _gk15, integrate
+from chipurcell.sommerfeld import QuadratureSpec, _gk15, integrate, tabulate
 from oracles import qk15_nodes, qk15_panel
 
 
@@ -16,7 +16,12 @@ def zero(k):
 
 def channel(f):
     """The one-channel integrand of an elementwise function f."""
-    return lambda k: f(k)[None]
+    return lambda k: tabulate(f(k)[None])
+
+
+def channels(f):
+    """The integrand of a function f whose rows are its channels' values."""
+    return lambda k: tabulate(f(k))
 
 
 def tail(z):
@@ -41,7 +46,7 @@ def test_zero_integrand():
     # a zero channel meets its zero tolerance without dividing by it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = integrate(lambda k: np.array([zero(k), np.exp(2j * k)]), [0.0, 2.0], QuadratureSpec())
+        res = integrate(channels(lambda k: np.array([zero(k), np.exp(2j * k)])), [0.0, 2.0], QuadratureSpec())
     assert res.converged
     assert res.value[0] == 0.0 and res.err_estimate[0] == 0.0
     # next to a narrow peak that needs refining, a zero channel under its
@@ -50,7 +55,7 @@ def test_zero_integrand():
     peak = lambda k: 1.0 / (1.0 + w * (k - 0.3) ** 2) + 0.0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = integrate(lambda k: np.array([zero(k), peak(k)]), [0.0, 1.0], spec)
+        res = integrate(channels(lambda k: np.array([zero(k), peak(k)])), [0.0, 1.0], spec)
     exact = (np.arctan(np.sqrt(w) * 0.7) + np.arctan(np.sqrt(w) * 0.3)) / np.sqrt(w)
     assert res.converged and res.value[0] == 0.0
     assert abs(res.value[1] - exact) <= spec.rel_tol * exact
@@ -78,11 +83,13 @@ def test_evanescent_exponential():
 
 
 def test_evanescent_power_weighted():
-    # int_0^inf k^2 e^{-2kz} dk = 2/(2z)^3
+    # int_0^inf k^2 e^{-2kz} dk = 2/(2z)^3, with the exponential in the
+    # integrand or as the integral's decay
     for z in (0.3, 1.0, 4.0):
-        res = integrate(channel(lambda k: k**2 * np.exp(-2.0 * k * z)), tail(z), QuadratureSpec())
-        assert res.converged
-        assert res.value[0].real == pytest.approx(1.0 / (4.0 * z**3), rel=1e-9)
+        for res in (integrate(channel(lambda k: k**2 * np.exp(-2.0 * k * z)), tail(z), QuadratureSpec()),
+                    integrate(channel(lambda k: k**2), tail(z), QuadratureSpec(), -2.0 * z)):
+            assert res.converged
+            assert res.value[0].real == pytest.approx(1.0 / (4.0 * z**3), rel=1e-9)
 
 
 def test_linearity(rng):
@@ -139,7 +146,7 @@ def test_vector_channels_each_meet_their_own_tolerance():
     # channels 1e8 apart: the small one needs far more panels than the large
     # one and must still reach rel_tol of its own value
     z, w = 3.0, 4000.0
-    f = lambda k: np.array([np.exp(2j * k * z), 1e-8 / (1.0 + w * (k - 0.3) ** 2)])
+    f = channels(lambda k: np.array([np.exp(2j * k * z), 1e-8 / (1.0 + w * (k - 0.3) ** 2)]))
     spec = QuadratureSpec(rel_tol=1e-10)
     res = integrate(f, [0.0, 1.0], spec)
     exact = [
@@ -149,7 +156,7 @@ def test_vector_channels_each_meet_their_own_tolerance():
     assert res.converged and res.value.shape == res.err_estimate.shape == (2,)
     for got, want in zip(res.value, exact):
         assert abs(got - want) <= spec.rel_tol * abs(want)
-    g = lambda k: np.array([np.exp(-2.0 * k * z), 1e8 * k**2 * np.exp(-2.0 * k * z)])
+    g = channels(lambda k: np.array([np.exp(-2.0 * k * z), 1e8 * k**2 * np.exp(-2.0 * k * z)]))
     res = integrate(g, tail(z), spec)
     for got, want in zip(res.value, [1.0 / (2.0 * z), 1e8 / (4.0 * z**3)]):
         assert abs(got - want) <= spec.rel_tol * abs(want)
@@ -160,16 +167,25 @@ def test_vector_channels_each_meet_their_own_tolerance():
     (lambda k: np.exp(-2.0 * k * 0.2) * np.sin(k), np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 40.0])),
     (lambda k: np.exp(2j * k * 200.0), np.linspace(0.0, 1.0, 4)),  # far from resolved
 ], ids=["traveling", "evanescent", "unconverged"])
-def test_gk15_channel_row_is_independent_of_companions(f, ends):
+@pytest.mark.parametrize("decay", [0.0, -0.37])
+def test_gk15_channel_row_is_independent_of_companions(f, ends, decay):
     # a channel's integral and error on each panel are bit-identical whether
-    # it is integrated alone or between other channels
+    # it is integrated alone or between other channels (four of them, as
+    # the planar integrand has), at any decay, and wherever the panel is in
+    # its round: the panels reversed, or each a round of its own
     a, b = ends[:-1], ends[1:]
-    alone, alone_err = _gk15(channel(f), a, b)
-    together, together_err = _gk15(lambda k: np.array([np.exp(-k) + 1j, f(k), 1e8 * f(k) * k]), a, b)
+    alone, alone_err = _gk15(channel(f), a, b, None, decay)
+    together = channels(lambda k: np.array([np.exp(-k) + 1j, f(k), 1e8 * f(k) * k, k + 0j]))
+    rows, rows_err = _gk15(together, a, b, None, decay)
     assert alone.shape == alone_err.shape == (1, len(a))
-    assert together.shape == together_err.shape == (3, len(a))
-    assert np.array_equal(together[1], alone[0])
-    assert np.array_equal(together_err[1], alone_err[0])
+    assert rows.shape == rows_err.shape == (4, len(a))
+    assert np.array_equal(rows[1], alone[0])
+    assert np.array_equal(rows_err[1], alone_err[0])
+    reversed_, reversed_err = _gk15(together, a[::-1].copy(), b[::-1].copy(), None, decay)
+    assert np.array_equal(reversed_[:, ::-1], rows) and np.array_equal(reversed_err[:, ::-1], rows_err)
+    for p in range(len(a)):
+        own, own_err = _gk15(together, a[p:p + 1], b[p:p + 1], None, decay)
+        assert np.array_equal(own[:, 0], rows[:, p]) and np.array_equal(own_err[:, 0], rows_err[:, p])
 
 
 def test_gk15_matches_plain_kronrod_and_gauss_sums():
@@ -182,7 +198,7 @@ def test_gk15_matches_plain_kronrod_and_gauss_sums():
     noise = rng.normal(size=(2, 4, 15)) + 1j * rng.normal(size=(2, 4, 15))
     values = []
     rows = lambda x: values.append(np.concatenate(
-        [noise, [1j / (1 + 100 * (x - 0.5) ** 2), (1 + 2j) * x**3 - x + 0.5j, 0 * x]])) or values[0]
+        [noise, [1j / (1 + 100 * (x - 0.5) ** 2), (1 + 2j) * x**3 - x + 0.5j, 0 * x]])) or tabulate(values[0])
     i15, err = _gk15(rows, a, b)
     values = values[0]
     for c in range(values.shape[0]):
@@ -196,9 +212,11 @@ def test_gk15_matches_plain_kronrod_and_gauss_sums():
     assert (err[3] < 1e-6 * np.abs(i15[3])).all()  # the cubic is resolved
 
 
-def test_gk15_matches_the_loop_reference_on_random_panels():
-    """Nodes, value and error estimate of every channel on 40 random panels
-    against ``oracles.qk15_panel``, with tolerances fixed by the float type
+@pytest.mark.parametrize("decay", [0.0, -0.11, 0.02])
+def test_gk15_matches_the_loop_reference_on_random_panels(decay):
+    """Nodes, value and error estimate of every channel of f(x) e^{decay x}
+    on 40 random panels against ``oracles.qk15_panel`` of the values of
+    f(x) e^{decay x}, with tolerances fixed by the float type
     alone. Let eps be the machine epsilon; resabs = h sum wgk |f| is the sum
     of the magnitudes of a panel's I15 terms. A node is a + (b - a)(1 + x)/2,
     three roundings from centre + h x. A 15-term complex sum of rounded
@@ -217,7 +235,6 @@ def test_gk15_matches_the_loop_reference_on_random_panels():
     nodes = []
 
     def f(x):
-        nodes.append(x)
         return np.array([
             np.exp(-0.3 * x) * (1.0 + 2j * np.sin(x)),
             1.0 / (1.0 + (x - 20.0) ** 2) + 0.5j * x**2,
@@ -225,14 +242,14 @@ def test_gk15_matches_the_loop_reference_on_random_panels():
             np.exp(40j * x),
         ])
 
-    i15, err = _gk15(f, a, b)
+    i15, err = _gk15(lambda x: nodes.append(x) or tabulate(f(x)), a, b, None, decay)
     assert i15.shape == err.shape == (4, 40)
     ratio_above_one = 0
     for p in range(len(a)):
         want_nodes = qk15_nodes(a[p], b[p])
         assert np.all(np.abs(nodes[0][p] - want_nodes) <= 4 * eps * b[p])
         for c in range(4):
-            value, want, resabs = qk15_panel(f(nodes[0][p])[c], a[p], b[p])
+            value, want, resabs = qk15_panel(f(nodes[0][p])[c] * np.exp(decay * nodes[0][p]), a[p], b[p])
             assert abs(i15[c, p] - value) <= 24 * eps * resabs
             assert abs(err[c, p] - want) <= 1e-13 * want + 300 * 32 * eps * resabs
         # the oscillating channel's: err = max(raw, resabs) exactly where the ratio is >= 1
@@ -255,7 +272,7 @@ def test_integrand_sees_one_panel_of_nodes_per_call(integrate, seed_panels, chan
     def f(k):
         shapes.append(np.shape(k))
         row = np.exp(-k) / (1.0 + 400.0 * (k - 0.3) ** 2)
-        return np.array([row * (c + 1) for c in range(channels)])
+        return tabulate(np.array([row * (c + 1) for c in range(channels)]))
 
     res = integrate(f)
     assert res.converged and res.panels_used > seed_panels
@@ -292,7 +309,7 @@ def test_a_whole_float_panel_cap_binds_as_its_integer():
 def test_panels_split_to_float_resolution_end_unconverged():
     # a panel one float wide has no midpoint strictly inside: the
     # refinement ends with it unsplit, whatever its error
-    f = lambda k: np.where(np.arange(15) % 2, 1.0, -1.0)[None] + 0.0 * k[None] + 0j
+    f = channel(lambda k: np.where(np.arange(15) % 2, 1.0, -1.0) + 0.0 * k + 0j)
     res = integrate(f, [1.0, np.nextafter(1.0, 2.0)], QuadratureSpec())
     assert res.panels_used == 1 and not res.converged
 
@@ -349,5 +366,5 @@ def test_spec_has_only_tolerance_and_budget():
     assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "max_panels"]
 
 
-def test_integrate_takes_only_integrand_seeds_and_spec():
-    assert list(inspect.signature(integrate).parameters) == ["f", "seeds", "spec"]
+def test_integrate_takes_only_integrand_seeds_spec_and_decay():
+    assert list(inspect.signature(integrate).parameters) == ["f", "seeds", "spec", "decay"]

@@ -33,25 +33,31 @@ both trees, each under its own alias, into the tool's own process.
 * ``layers`` splits the warm half-space points of ``near_field_numeric``
   (all their panels stored) and its numeric mirror points into minimum
   times over passes that alternate the trees, in us, averaged over the
-  pass's points of each kind (or rounds, for ``gk15``, ``integrand`` and
-  ``values_at``). For both kinds: the whole ``run_point``,
+  pass's points of each kind (or rounds, for ``gk15``, ``integrand``,
+  ``lookup`` and ``reduction``). For both kinds: the whole ``run_point``,
   ``parse_molecule``, the ``rates_*`` call on parsed inputs, the planar
   contraction of the point's five tensor entries (``_tensors`` and the two
   master formulas) and building its ``RateBreakdown``, and the scalar
   path's pieces: ``run_scenario`` itself, ``_vector3_from`` (per call, two
   per point), ``TransitionDipoles``, ``PlanarGeometry`` and
-  ``gamma_vacuum``; for half-space points also ``parse_medium``,
-  ``MediumResponse``, ``scatter_numeric``, ``integrate``, ``_gk15`` with
-  its integrand, the integrand and the plan's ``values_at``; for mirror
+  ``gamma_vacuum``, and ``parsed_rates``: what ``run_scenario`` does
+  besides its checks (parsing, the ``PlanarGeometry`` and the rates call),
+  on inputs parsed afresh in every call; for half-space points also
+  ``parse_medium``, ``MediumResponse``, ``scatter_numeric``,
+  ``integrate``, ``_gk15`` with its integrand, the integrand, the plan's
+  lookup of the round's panels (``_Plan.kept_at``, or ``values_at`` in a
+  tree that has no ``kept_at``) and, in a tree that has it,
+  ``sommerfeld._reduce``, the reduction of a round's table; for mirror
   points the numeric tensor entries (``_mirror_entries``). From these: the
   part of ``run_point`` outside the rates call, the ``run_scenario``
-  checks outside parsing (``run_scenario`` less the parsing, the
-  ``PlanarGeometry`` and the rates call), the self times of ``_gk15`` and
-  ``integrate`` and the part of ``scatter_numeric`` outside the integral.
-  Spies forward their arguments as they come, and a
-  layer replays the calls its spy recorded (``values_at`` with the plan
-  and the arguments the integrand passed), so a tree whose private
-  signatures differ still runs.
+  checks (``run_scenario`` less ``parsed_rates``: parsed objects used
+  again read some microseconds cheaper than fresh ones, so the pieces
+  timed apart would overstate the checks), the self times of ``_gk15``
+  and ``integrate`` and the part of ``scatter_numeric`` outside the
+  integral. Spies forward their arguments as they come, and a layer
+  replays the calls its spy recorded (the lookup with the plan and the
+  arguments the integrand passed), so a tree whose private signatures
+  differ still runs.
 * ``counts`` runs two passes of a workload (``near_field_numeric``) in one
   process and counts, per pass, points, integrals, GK15 rounds, panels, the
   path nodes whose reflections were evaluated, the integrals whose seed
@@ -220,6 +226,18 @@ def layers(args) -> dict:
                 entries = [hs._mirror_entries(g, w, hs.Limit.NUMERIC) for g in geoms]
                 rate = hs.rates_mirror
             breakdowns = [rate(g, m, hs.Limit.NUMERIC) for g, m in zip(geoms, mols)]
+
+            def parsed_rates(p, kind=kind, cli=cli, hs=hs, rate=rate):
+                """What run_scenario does with a point besides checking it,
+                from a fresh parse."""
+                mol, geometry = cli.parse_molecule(p.scenario["molecule"]), p.scenario["geometry"]
+                if kind == "halfspace":
+                    geom = hs.PlanarGeometry(z_m=geometry["z_m"],
+                                             medium=cli.parse_medium(p.scenario["medium"], mol.omega_ik))
+                else:
+                    geom = hs.PlanarGeometry(z_m=geometry["z_m"], handedness=hs.Handedness(geometry["handedness"]))
+                return rate(geom, mol, hs.Limit.NUMERIC)
+
             # the scalar path's checks and records, replayed with the arguments
             # that one pass of the points gave them
             spied = [(cli, "_vector3_from"), (cli, "TransitionDipoles"), (cli, "PlanarGeometry"),
@@ -237,6 +255,7 @@ def layers(args) -> dict:
                 "parse_molecule": [lambda p=p, cli=cli: cli.parse_molecule(p.scenario["molecule"]) for p in points],
                 "rates": [lambda g=g, m=m, rate=rate, hs=hs: rate(g, m, hs.Limit.NUMERIC)
                           for g, m in zip(geoms, mols)],
+                "parsed_rates": [lambda p=p, f=parsed_rates: f(p) for p in points],
                 "contraction": [lambda m=m, e=e, hs=hs, rates=rates: planar_contraction(hs, rates, m, e)
                                 for m, e in zip(mols, entries)],
                 "RateBreakdown": [lambda b=b, rates=rates: rates.RateBreakdown(
@@ -246,21 +265,29 @@ def layers(args) -> dict:
                    for name, (module, f, calls) in scalar.items()},
             }
             if kind == "halfspace":
-                calls, rounds, nodes, lookups = [], [], [], []
-                integrate, gk15, values_at = hs.integrate, sf._gk15, hs._Plan.values_at
+                calls, rounds, nodes, lookups, tables = [], [], [], [], []
+                lookup = "kept_at" if hasattr(hs._Plan, "kept_at") else "values_at"
+                integrate, gk15, kept_at = hs.integrate, sf._gk15, getattr(hs._Plan, lookup)
+                reduce = getattr(sf, "_reduce", None)
                 hs.integrate = lambda *args: calls.append(args) or integrate(*args)
                 sf._gk15 = lambda f, *rest: rounds.append((f, *rest)) or gk15(lambda x: nodes.append(x) or f(x), *rest)
-                hs._Plan.values_at = lambda *args: lookups.append(args) or values_at(*args)
+                setattr(hs._Plan, lookup, lambda *args: lookups.append(args) or kept_at(*args))
+                if reduce is not None:
+                    sf._reduce = lambda *args: tables.append(args) or reduce(*args)
                 for g in geoms:
                     hs.scatter_numeric(g, w)
-                hs.integrate, sf._gk15, hs._Plan.values_at = integrate, gk15, values_at
+                hs.integrate, sf._gk15 = integrate, gk15
+                setattr(hs._Plan, lookup, kept_at)
+                if reduce is not None:
+                    sf._reduce = reduce
+                    layer["reduction"] = [lambda c=c, reduce=reduce: reduce(*c) for c in tables]
                 layer.update({
                     "parse_medium": [lambda p=p, cli=cli: cli.parse_medium(p.scenario["medium"], w) for p in points],
                     "scatter_numeric": [lambda g=g, hs=hs: hs.scatter_numeric(g, w) for g in geoms],
                     "integrate": [lambda c=c, integrate=integrate: integrate(*c) for c in calls],
                     "gk15": [lambda r=r, gk15=gk15: gk15(*r) for r in rounds],
                     "integrand": [lambda r=r, x=x: r[0](x) for r, x in zip(rounds, nodes)],
-                    "values_at": [lambda c=c, values_at=values_at: values_at(*c) for c in lookups],
+                    "lookup": [lambda c=c, kept_at=kept_at: kept_at(*c) for c in lookups],
                 })
             else:
                 layer["mirror_numeric"] = [lambda g=g, hs=hs: hs._mirror_entries(g, w, hs.Limit.NUMERIC)
@@ -282,8 +309,7 @@ def layers(args) -> dict:
         for kind, by_layer in by_kind.items():
             us = {layer: statistics.mean(times) * 1e6 for layer, times in by_layer.items()}
             us["run_point_outside_rates"] = us["run_point"] - us["rates"]
-            us["run_scenario_checks"] = (us["run_scenario"] - us["parse_molecule"] - us.get("parse_medium", 0.0)
-                                         - us["PlanarGeometry"] - us["rates"])
+            us["run_scenario_checks"] = us["run_scenario"] - us["parsed_rates"]
             if kind == "halfspace":
                 us["gk15_self"] = us["gk15"] - us["integrand"]
                 us["integrate_self"] = us["integrate"] - us["gk15"]
